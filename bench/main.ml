@@ -1143,9 +1143,9 @@ let storage_lane () =
    primaries must raise write throughput (updates applied per simulated
    second of makespan) monotonically — that is the gate — and the
    cross-shard composite audit must come back clean at every point.
-   Every point, including shards=1, goes through Shard_exp.run, so all
-   pay identical durability and coordinator machinery and the sweep
-   isolates partitioning itself.  BENCH_PR10.json captures the curve
+   Every point, including shards=1, carries a shard config and so runs
+   under the coordinator: all pay identical durability and coordinator
+   machinery and the sweep isolates partitioning itself.  BENCH_PR10.json captures the curve
    for CI. *)
 
 let shard_sweep () =
@@ -1172,7 +1172,7 @@ let shard_sweep () =
         shard = Some (Experiment.default_shard ~shards);
       }
     in
-    let m = Shard_exp.run cfg in
+    let m = Experiment.run cfg in
     Report.print_metrics m;
     Report.print_shard m;
     if m.Experiment.verified <> Some true then begin

@@ -352,7 +352,7 @@ let run_experiment view variant delay scale verify seed abort_rate fault_seed
       | os -> Some (Strip_obs.Slo.create os)
     in
     let cfg = { cfg with Experiment.trace = tr; slo } in
-    let m = Shard_exp.dispatch cfg in
+    let m = Experiment.run cfg in
     if json then Report.print_metrics_json [ m ]
     else begin
       Report.print_metrics_header ();

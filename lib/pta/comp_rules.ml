@@ -151,38 +151,6 @@ let apply_partial h txn ~key ~delta =
   | [ comp ] -> apply_diff h txn comp delta
   | _ -> invalid_arg "Comp_rules.apply_partial: key must be [comp]"
 
-let recompute_from_scratch (h : Pta_tables.handles) =
-  let was = !Meter.enabled in
-  Meter.enabled := false;
-  Fun.protect
-    ~finally:(fun () -> Meter.enabled := was)
-    (fun () ->
-      let price_of = Hashtbl.create 8192 in
-      Table.iter h.Pta_tables.stocks (fun r ->
-          Hashtbl.replace price_of (Record.value r 0) (Value.to_float (Record.value r 1)));
-      let totals = Hashtbl.create 512 in
-      let order = ref [] in
-      Table.iter h.Pta_tables.comps_list (fun r ->
-          let comp = Value.to_string (Record.value r 0) in
-          let sym = Record.value r 1 in
-          let w = Value.to_float (Record.value r 2) in
-          let p = Hashtbl.find price_of sym in
-          match Hashtbl.find_opt totals comp with
-          | Some t -> Hashtbl.replace totals comp (t +. (w *. p))
-          | None ->
-            Hashtbl.add totals comp (w *. p);
-            order := comp :: !order);
-      List.rev_map (fun comp -> (comp, Hashtbl.find totals comp)) !order
-      |> List.sort compare)
-
-let maintained (h : Pta_tables.handles) =
-  let acc = ref [] in
-  Table.iter h.Pta_tables.comp_prices (fun r ->
-      acc :=
-        (Value.to_string (Record.value r 0), Value.to_float (Record.value r 1))
-        :: !acc);
-  List.sort compare !acc
-
 (* Cross-shard ground truth: stock prices live scattered across shards and
    so do membership rows, so both scans union over the whole array before
    totalling.  Sorted output, directly comparable to
@@ -228,3 +196,6 @@ let maintained_sharded (hs : Pta_tables.handles array) =
             :: !acc))
     hs;
   List.sort compare !acc
+
+let recompute_from_scratch h = recompute_from_scratch_sharded [| h |]
+let maintained h = maintained_sharded [| h |]

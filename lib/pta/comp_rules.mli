@@ -54,7 +54,8 @@ val apply_partial :
 
 val recompute_from_scratch : Pta_tables.handles -> (string * float) list
 (** Ground truth: every composite's price recomputed from current stock
-    prices (unmetered), for correctness checks. *)
+    prices (unmetered), for correctness checks.  The one-shard case of
+    {!recompute_from_scratch_sharded}. *)
 
 val maintained : Pta_tables.handles -> (string * float) list
 (** Current contents of the materialized [comp_prices]. *)

@@ -1,6 +1,8 @@
 open Strip_relational
 open Strip_core
 open Strip_market
+module Partitioner = Strip_shard.Partitioner
+module Coordinator = Strip_shard.Coordinator
 
 type rule_choice =
   | Comp_view of Comp_rules.variant
@@ -202,13 +204,11 @@ type repl_metrics = {
   cluster_lag : Strip_obs.Histogram.summary option;
       (* replication lag merged across every replica's histogram — a
          cluster-level percentile row instead of primary-only *)
-  cluster_lock_wait : Strip_obs.Histogram.summary option;
-      (* lock waits merged across all primary incarnations (epochs) *)
   per_replica : replica_metrics list;
 }
 
 (* End-of-run storage-fault accounting: the media-fault ledger unioned
-   over every durable store the run touched (the live one plus any
+   over every durable store the run touched (the live ones plus any
    abandoned at failover), scrubber work, salvage outcomes, and the
    final cleanliness verdict the chaos invariants check. *)
 type storage_metrics = {
@@ -328,16 +328,6 @@ let verify_tolerance = function
   | Comp_view _ -> 1e-6
   | Option_view _ -> 1e-9
 
-(* Cluster-level histogram rows merge per-node distributions into one
-   summary.  First wired for a single primary lineage (the live instance
-   plus its crashed epochs); the sharded driver folds N shard primaries'
-   histograms through this same helper, so single-shard output is
-   unchanged. *)
-let merged_summary hs =
-  let m = Strip_obs.Histogram.merge hs in
-  if Strip_obs.Histogram.count m = 0 then None
-  else Some (Strip_obs.Histogram.summary m)
-
 (* Compare two sorted (name, value) association lists. *)
 let max_error expected actual =
   let tbl = Hashtbl.create (List.length expected * 2) in
@@ -348,6 +338,19 @@ let max_error expected actual =
       | Some e -> Float.max worst (Float.abs (v -. e))
       | None -> infinity)
     (if List.length expected = List.length actual then 0.0 else infinity)
+    actual
+
+(* Keys of [actual] missing from [expected] or off by more than [eps],
+   plus the cardinality mismatch. *)
+let n_divergent ~eps expected actual =
+  let tbl = Hashtbl.create (2 * List.length expected) in
+  List.iter (fun (k, v) -> Hashtbl.replace tbl k v) expected;
+  List.fold_left
+    (fun n (k, v) ->
+      match Hashtbl.find_opt tbl k with
+      | Some e when Float.abs (v -. e) <= eps -> n
+      | _ -> n + 1)
+    (abs (List.length expected - List.length actual))
     actual
 
 let install_rules cfg db h =
@@ -371,9 +374,35 @@ let mk_db ?now ?durable ?fault (cfg : config) =
     ~lock_timeout_s:cfg.lock_timeout_s ?trace:cfg.trace ?slo:cfg.slo
     ?provenance:cfg.provenance ()
 
-(* Counters accumulated from the instances a crashy run burns through —
-   the final instance's {!Strip_sim.Stats} only covers the last epoch.
-   (Histograms and percentiles are not mergeable and stay last-epoch.) *)
+(* Config implications, resolved once.  Replicas bootstrap from
+   checkpoints and apply shipped WAL bytes, a chaos schedule needs the
+   crash-restart loop, and the partial-delta protocol's exactly-once
+   guarantee rests on Shard_* WAL records: each implies the durability
+   layer.  Storage-fault events imply the storage substrate.  Shards are
+   neither replicated nor chaos-driven, so a sharded run drops both. *)
+let resolve (cfg : config) =
+  let cfg =
+    match cfg.shard with
+    | Some _ -> { cfg with repl = None; chaos = [] }
+    | None -> cfg
+  in
+  let needs_recovery =
+    cfg.shard <> None || cfg.chaos <> []
+    || match cfg.repl with Some r -> r.replicas > 0 | None -> false
+  in
+  let cfg =
+    if cfg.recovery = None && needs_recovery then
+      { cfg with recovery = Some default_recovery }
+    else cfg
+  in
+  if cfg.storage = None && List.exists is_storage_event cfg.chaos then
+    { cfg with storage = Some default_storage }
+  else cfg
+
+(* Counters of one primary, folded from each incarnation as it dies and
+   from the live one when the run ends: an instance's {!Strip_sim.Stats}
+   covers only its own life.  Histograms merge exactly, so lock waits
+   and retry latencies span every incarnation too. *)
 type acc = {
   mutable a_updates : int;
   mutable a_recompute : int;
@@ -390,7 +419,7 @@ type acc = {
   mutable a_busy_update_us : float;
   mutable a_busy_recompute_us : float;
   a_lock_h : Strip_obs.Histogram.t;
-      (* lock waits of dead instances, merged for the cluster-wide row *)
+  a_retry_h : Strip_obs.Histogram.t;  (* first failure -> eventual success *)
 }
 
 let zero_acc () =
@@ -410,6 +439,7 @@ let zero_acc () =
     a_busy_update_us = 0.0;
     a_busy_recompute_us = 0.0;
     a_lock_h = Strip_obs.Histogram.create ();
+    a_retry_h = Strip_obs.Histogram.create ();
   }
 
 let accumulate acc db =
@@ -439,11 +469,13 @@ let accumulate acc db =
   acc.a_busy_recompute_us <-
     acc.a_busy_recompute_us +. Strip_sim.Stats.busy_us_of st Task.Recompute;
   Strip_obs.Histogram.merge_into ~dst:acc.a_lock_h
-    (Strip_sim.Stats.lock_wait_hist st)
+    (Strip_sim.Stats.lock_wait_hist st);
+  Strip_obs.Histogram.merge_into ~dst:acc.a_retry_h
+    (Strip_sim.Stats.recovery_hist st)
 
 (* Running totals of recovery work across all crashes of one run. *)
 type rec_totals = {
-  mutable t_crashes : int;
+  mutable t_crashes : int;  (* every restart attempt, retries included *)
   mutable t_partitions : int;
   mutable t_promotions : (int * int * int) list;
       (* (epoch, promoted id, promoted lsn), newest first *)
@@ -459,7 +491,29 @@ type rec_totals = {
   mutable t_orphan_merges : int;
 }
 
-let add_salvage_totals totals (rs : Recovery.stats) =
+let zero_totals () =
+  {
+    t_crashes = 0;
+    t_partitions = 0;
+    t_promotions = [];
+    t_redo_commits = 0;
+    t_redo_ops = 0;
+    t_requeued = 0;
+    t_restored_rows = 0;
+    t_recovery_s = 0.0;
+    t_cp_fallbacks = 0;
+    t_salvaged_ranges = 0;
+    t_salvaged_bytes = 0;
+    t_quarantined_bytes = 0;
+    t_orphan_merges = 0;
+  }
+
+let add_recovery totals (rs : Recovery.stats) ~down_s =
+  totals.t_redo_commits <- totals.t_redo_commits + rs.Recovery.redo_commits;
+  totals.t_redo_ops <- totals.t_redo_ops + rs.Recovery.redo_ops;
+  totals.t_requeued <- totals.t_requeued + rs.Recovery.requeued;
+  totals.t_restored_rows <- totals.t_restored_rows + rs.Recovery.restored_rows;
+  totals.t_recovery_s <- totals.t_recovery_s +. down_s;
   totals.t_cp_fallbacks <- totals.t_cp_fallbacks + rs.Recovery.cp_fallbacks;
   totals.t_salvaged_ranges <-
     totals.t_salvaged_ranges + rs.Recovery.salvaged_ranges;
@@ -467,6 +521,11 @@ let add_salvage_totals totals (rs : Recovery.stats) =
   totals.t_quarantined_bytes <-
     totals.t_quarantined_bytes + rs.Recovery.quarantined_bytes;
   totals.t_orphan_merges <- totals.t_orphan_merges + rs.Recovery.orphan_merges
+
+let note_promotion totals (p : Strip_repl.Cluster.promotion) =
+  totals.t_promotions <-
+    (p.Strip_repl.Cluster.epoch, p.promoted, p.promoted_lsn)
+    :: totals.t_promotions
 
 (* (Re-)arm the chaos events still strictly in the future on the live
    instance — called at the start of the drive and after every crash or
@@ -517,18 +576,173 @@ let run_with_reads ~cluster db =
     in
     loop ()
 
-(* Crash-restart loop: run the engine until it drains; on every
-   {!Strip_txn.Fault.Crashed} escape, condemn the volatile state, bring up
-   a fresh instance against the shared durable store, recover, charge the
-   modeled recovery latency as downtime, resubmit the quotes the crash did
-   not consume, and keep going.  With replicas attached, the crash is
-   instead resolved by failover: the cluster promotes the replica with the
-   highest applied LSN and recovery replays {e its} durable copy.  After
-   [max_crashes] the crash {e rate} is zeroed (a scheduled [crash_at]
-   fires once by construction) so a hostile seed cannot loop forever. *)
-let drive cfg rcfg ~durable ~quotes ~acc ~totals ~mk_cluster ~arm_scrub
-    ~abandoned db0 h0 =
+(* One run's primaries and what their drive loops share.  An unsharded
+   run has one primary; a sharded run has one per shard, each with its
+   own durable store, tables and slice of the feed. *)
+type run = {
+  cfg : config;
+  part : Partitioner.t option;  (* [Some _] iff sharded *)
+  durables : Strip_txn.Durable.t option array;
+  handles : Pta_tables.handles array;  (* re-pointed at every recovery *)
+  quotes : Feed.quote array array;
+      (* each primary's slice of the feed, kept to resubmit its tail
+         after a crash (empty without recovery) *)
+  tallies : acc array;
+  totals : rec_totals;
+  expected_fanout : float;  (* E[derived rows touched per update] *)
+}
+
+(* Crashes and partitions share one budget: past [max_crashes] escapes,
+   fresh instances get zeroed crash/partition rates so a hostile seed
+   cannot prevent convergence (scheduled events fire once by
+   construction). *)
+let budget_fault r =
+  let open Strip_txn.Fault in
+  match (r.cfg.recovery, r.cfg.fault) with
+  | Some rc, Some c
+    when r.totals.t_crashes + r.totals.t_partitions >= rc.max_crashes ->
+    Some { c with rates = { c.rates with crash = 0.0; partition = 0.0 } }
+  | _, fault -> fault
+
+(* Every restart attempt counts as a crash and spends budget. *)
+let next_fault r =
+  r.totals.t_crashes <- r.totals.t_crashes + 1;
+  budget_fault r
+
+(* A fresh incarnation of primary [sid] on its own durable store. *)
+let remake r sid ~now =
+  let fault = next_fault r in
+  mk_db ~now ?durable:r.durables.(sid) ?fault r.cfg
+
+let install (cfg : config) part sid db h =
+  match (cfg.rule, part) with
+  | Comp_view v, Some p ->
+    Comp_rules.install_routed db h ~sid ~owner:(Partitioner.shard_of_comp p) v
+      ~delay:cfg.delay
+  | _ ->
+    (* Options are fully local (stocks / stock_stdev / options_list are
+       co-partitioned by symbol): the plain install never emits a
+       partial. *)
+    install_rules cfg db h
+
+(* Recovery's reinstall hook: reattach primary [sid]'s handles to the
+   fresh instance and reinstall its rules. *)
+let reinstall r sid db =
+  let h = Pta_tables.reattach db in
+  r.handles.(sid) <- h;
+  install r.cfg r.part sid db h
+
+let target r sid =
+  {
+    Strip_ingest.Import.stocks = r.handles.(sid).Pta_tables.stocks;
+    by_symbol = r.handles.(sid).Pta_tables.stocks_by_symbol;
+  }
+
+(* Quotes at or before a crash (or partition cut) are consumed or lost
+   input; the rest of primary [sid]'s feed resumes on the recovered
+   instance.  Re-running a quote would be harmless (prices are absolute),
+   so the conservative cut is exact-time exclusive. *)
+let requote r sid db ~after =
+  let rest =
+    Array.of_seq
+      (Seq.filter
+         (fun (q : Feed.quote) -> q.Feed.time > after)
+         (Array.to_seq r.quotes.(sid)))
+  in
+  ignore (Strip_ingest.Import.replay db (target r sid) rest)
+
+(* Database(s), population, rule install, feed and replay, in one order
+   for every topology.  A sharded run hash-partitions the base tables
+   and the feed by symbol across its primaries. *)
+let setup (cfg : config) =
+  let part =
+    Option.map
+      (fun s ->
+        (* Multi-engine determinism: the task/span id wells are global, so
+           an in-process re-run must restart them from the same origin or
+           every id (and thus every trace byte) shifts. *)
+        Strip_txn.Task.reset_ids ();
+        Partitioner.create ~shards:s.shards)
+      cfg.shard
+  in
+  let n = match part with Some p -> Partitioner.n_shards p | None -> 1 in
+  let durables =
+    Array.init n (fun _ ->
+        Option.map
+          (fun _ ->
+            let retain =
+              match cfg.storage with Some s -> max 1 s.retain | None -> 1
+            in
+            Strip_txn.Durable.create ~retain ())
+          cfg.recovery)
+  in
+  let dbs =
+    Array.map (fun durable -> mk_db ?durable ?fault:cfg.fault cfg) durables
+  in
+  let handles =
+    match part with
+    | None -> [| Pta_tables.populate dbs.(0) ~feed:cfg.feed cfg.sizes |]
+    | Some p ->
+      Pta_tables.populate_sharded dbs
+        ~owner_sym:(Partitioner.shard_of_symbol p)
+        ~owner_comp:(Partitioner.shard_of_comp p) ~feed:cfg.feed cfg.sizes
+  in
+  let weights = Feed.activity_weights cfg.feed in
+  (* Membership rows are partitioned by symbol owner, so the global
+     E[fanout] is the sum of each primary's. *)
+  let expected_fanout =
+    Array.fold_left
+      (fun acc h ->
+        acc
+        +.
+        match cfg.rule with
+        | Comp_view _ -> Pta_tables.expected_comps_per_update h ~weights
+        | Option_view _ -> Pta_tables.expected_options_per_update h ~weights)
+      0.0 handles
+  in
+  Array.iteri (fun sid db -> install cfg part sid db handles.(sid)) dbs;
+  let quotes = Feed.generate cfg.feed in
+  let quotes =
+    match part with
+    | None -> [| quotes |]
+    | Some p ->
+      Array.init n (fun sid ->
+          Array.of_seq
+            (Seq.filter
+               (fun (q : Feed.quote) ->
+                 Partitioner.shard_of_symbol p (Taq.symbol q.Feed.stock) = sid)
+               (Array.to_seq quotes)))
+  in
+  let r =
+    {
+      cfg;
+      part;
+      durables;
+      handles;
+      quotes = (if cfg.recovery = None then [||] else quotes);
+      tallies = Array.init n (fun _ -> zero_acc ());
+      totals = zero_totals ();
+      expected_fanout;
+    }
+  in
+  Array.iteri
+    (fun sid db ->
+      ignore (Strip_ingest.Import.replay db (target r sid) quotes.(sid)))
+    dbs;
+  (r, dbs)
+
+(* The single-primary drive: run the engine until it drains.  A
+   {!Strip_txn.Fault.Crashed} escape condemns the volatile state and
+   either restarts in place against the shared durable store or, with
+   replicas attached, fails over to the replica with the highest applied
+   LSN; a partition longer than the detection timeout fails over too,
+   while the deposed primary rides out its split brain.  Either way
+   {!Recovery.until_up} charges the modeled recovery latency as downtime
+   before the rest of the feed resumes on the new instance. *)
+let drive r rcfg ~mk_cluster ~arm_scrub ~abandon db0 =
   let open Strip_txn in
+  let module C = Strip_repl.Cluster in
+  let cfg = r.cfg in
   Strip_db.checkpoint db0;
   (* Bound the checkpoint schedule by the feed: an unbounded schedule would
      keep the event queue non-empty forever and the engine would never
@@ -539,161 +753,78 @@ let drive cfg rcfg ~durable ~quotes ~acc ~totals ~mk_cluster ~arm_scrub
   let cluster = mk_cluster db0 in
   (match cluster with
   | Some c ->
-    Strip_repl.Cluster.register_metrics c (Strip_db.metrics db0);
-    Strip_repl.Cluster.schedule_shipping c ~until:cp_until
+    C.register_metrics c (Strip_db.metrics db0);
+    C.schedule_shipping c ~until:cp_until
   | None -> ());
-  (match rcfg.checkpoint_every with
-  | Some every -> Strip_db.schedule_checkpoints db0 ~every ~until:cp_until ()
-  | None -> ());
-  (match rcfg.crash_at with
-  | Some at -> Strip_db.schedule_crash db0 ~at
-  | None -> ());
-  arm_chaos cfg db0 ~now:(Strip_db.now db0);
-  arm_scrub db0 cluster;
-  let db = ref db0 and h = ref h0 in
-  let finished = ref false in
-  (* Crashes and partitions share one budget: past [max_crashes] total
-     escapes, both rates are zeroed so a hostile seed cannot prevent
-     convergence (scheduled events fire once by construction). *)
-  let budget_fault () =
-    if totals.t_crashes + totals.t_partitions >= rcfg.max_crashes then
-      Option.map
-        (fun (c : Fault.config) ->
-          {
-            c with
-            Fault.rates =
-              { c.Fault.rates with Fault.crash = 0.0; partition = 0.0 };
-          })
-        cfg.fault
-    else cfg.fault
+  (* Checkpoints, chaos events and the scrubber die with their engine,
+     so every incarnation re-arms them; only the first gets the
+     scheduled crash. *)
+  let arm ?crash_at db =
+    (match rcfg.checkpoint_every with
+    | Some every -> Strip_db.schedule_checkpoints db ~every ~until:cp_until ()
+    | None -> ());
+    Option.iter (fun at -> Strip_db.schedule_crash db ~at) crash_at;
+    arm_chaos cfg db ~now:(Strip_db.now db);
+    arm_scrub db cluster
   in
+  arm ?crash_at:rcfg.crash_at db0;
+  let db = ref db0 in
+  (* Back in service: book the recovery, re-seed a failed-over cluster
+     from the new primary's fresh checkpoint (after the downtime
+     accounting — resynchronization proceeds in parallel with resumed
+     service), let [settle] dispose of the old primary, then resume the
+     feed past [cut] on the new instance. *)
+  let resume ?(settle = ignore) ~cut ~failover (ndb, rs, down_s) =
+    add_recovery r.totals rs ~down_s;
+    Option.iter
+      (fun c ->
+        C.resume c ~now:(Strip_db.now ndb) ~ship_until:cp_until;
+        C.register_metrics c (Strip_db.metrics ndb))
+      failover;
+    settle ();
+    requote r 0 ndb ~after:cut;
+    arm ndb;
+    db := ndb
+  in
+  let finished = ref false in
   while not !finished do
     match run_with_reads ~cluster !db with
     | () -> finished := true
-    | exception Fault.Crashed _ ->
+    | exception Fault.Crashed _ -> (
       let t_crash = Strip_db.now !db in
-      accumulate acc !db;
+      accumulate r.tallies.(0) !db;
       Strip_db.crash !db;
-      let before = Meter.snapshot () in
-      let next_fault () =
-        totals.t_crashes <- totals.t_crashes + 1;
-        budget_fault ()
-      in
-      (* A rate-based crash can also hit mid-recovery (the post-recovery
-         checkpoint is a crash site); retry on yet another fresh instance —
-         the durable state is untouched until that checkpoint installs. *)
-      let rec restart () =
-        let fault = next_fault () in
-        let ndb = mk_db ~now:t_crash ~durable ?fault cfg in
-        let nh = ref None in
-        match
-          Recovery.recover ndb ~reinstall:(fun () ->
-              let hh = Pta_tables.reattach ndb in
-              nh := Some hh;
-              install_rules cfg ndb hh)
-        with
-        | rs -> (ndb, Option.get !nh, rs)
-        | exception Fault.Crashed _ ->
-          Strip_db.crash ndb;
-          restart ()
-      in
-      (* Failover: promotion recovers from the elected replica's durable
-         copy (bootstrap image + shipped tail) instead of the dead
-         primary's store. *)
-      let rec failover c =
-        let fault = next_fault () in
-        let nh = ref None in
-        match
-          Strip_repl.Cluster.promote c ~now:t_crash
-            ~mk_db:(fun dur -> mk_db ~now:t_crash ~durable:dur ?fault cfg)
-            ~reinstall:(fun ndb ->
-              let hh = Pta_tables.reattach ndb in
-              nh := Some hh;
-              install_rules cfg ndb hh)
-        with
-        | _ndb, rs, info ->
-          totals.t_promotions <-
-            ( info.Strip_repl.Cluster.epoch,
-              info.Strip_repl.Cluster.promoted,
-              info.Strip_repl.Cluster.promoted_lsn )
-            :: totals.t_promotions;
-          (Strip_repl.Cluster.primary c, Option.get !nh, rs)
-        | exception Fault.Crashed _ -> failover c
-      in
-      let failing_over =
-        match cluster with
-        | Some c when Strip_repl.Cluster.n_replicas c > 0 -> Some c
-        | _ -> None
-      in
-      (* Failing over abandons the dead primary's durable store: nothing
-         in it can influence a served read anymore, but its media-fault
-         ledger still counts toward the run's silent-corruption audit. *)
-      (match (failing_over, Strip_db.durable !db) with
-      | Some _, Some od when not (List.memq od !abandoned) ->
-        Durable.note_abandoned od;
-        abandoned := od :: !abandoned
-      | _ -> ());
-      let ndb, nh, rs =
-        match failing_over with Some c -> failover c | None -> restart ()
-      in
-      let recovery_work = Meter.diff before (Meter.snapshot ()) in
-      let rec_s = 1e-6 *. Strip_sim.Cost_model.charge cfg.cost recovery_work in
-      Clock.advance_by (Strip_db.clock ndb) rec_s;
-      Strip_sim.Stats.record_crash (Strip_db.stats ndb) ~recovery_s:rec_s;
-      (match failing_over with
-      | Some c ->
-        (* Re-seed the surviving nodes (and the demoted old primary's
-           slot) from the promoted node's fresh checkpoint, after the
-           downtime accounting — resynchronization proceeds in parallel
-           with resumed service. *)
-        Strip_repl.Cluster.resume c
-          ~now:(Clock.now (Strip_db.clock ndb))
-          ~ship_until:cp_until;
-        Strip_repl.Cluster.register_metrics c (Strip_db.metrics ndb)
-      | None -> ());
-      totals.t_redo_commits <- totals.t_redo_commits + rs.Recovery.redo_commits;
-      totals.t_redo_ops <- totals.t_redo_ops + rs.Recovery.redo_ops;
-      totals.t_requeued <- totals.t_requeued + rs.Recovery.requeued;
-      totals.t_restored_rows <-
-        totals.t_restored_rows + rs.Recovery.restored_rows;
-      totals.t_recovery_s <- totals.t_recovery_s +. rec_s;
-      add_salvage_totals totals rs;
-      (* Quotes at or before the crash are consumed or lost input; the rest
-         of the feed resumes against the recovered instance.  Re-running a
-         quote would be harmless (prices are absolute), so the conservative
-         cut is exact-time exclusive. *)
-      let rest =
-        Array.of_seq
-          (Seq.filter
-             (fun (q : Feed.quote) -> q.Feed.time > t_crash)
-             (Array.to_seq quotes))
-      in
-      ignore
-        (Strip_ingest.Import.replay ndb
-           {
-             Strip_ingest.Import.stocks = nh.Pta_tables.stocks;
-             by_symbol = nh.Pta_tables.stocks_by_symbol;
-           }
-           rest);
-      (match rcfg.checkpoint_every with
-      | Some every -> Strip_db.schedule_checkpoints ndb ~every ~until:cp_until ()
-      | None -> ());
-      arm_chaos cfg ndb ~now:(Strip_db.now ndb);
-      arm_scrub ndb cluster;
-      db := ndb;
-      h := nh
+      match cluster with
+      | Some c when C.n_replicas c > 0 ->
+        (* Failover: promotion recovers from the elected replica's
+           durable copy (bootstrap image + shipped tail), and the dead
+           primary's store leaves service. *)
+        abandon !db;
+        resume ~cut:t_crash ~failover:(Some c)
+          (Recovery.until_up ~cost:cfg.cost (fun () ->
+               let fault = next_fault r in
+               let ndb, rs, p =
+                 C.promote c ~now:t_crash
+                   ~mk_db:(fun durable -> mk_db ~now:t_crash ~durable ?fault cfg)
+                   ~reinstall:(reinstall r 0)
+               in
+               note_promotion r.totals p;
+               (ndb, rs)))
+      | _ ->
+        resume ~cut:t_crash ~failover:None
+          (Recovery.restart ~cost:cfg.cost
+             ~fresh:(fun () -> remake r 0 ~now:t_crash)
+             ~reinstall:(reinstall r 0) ()))
     | exception Fault.Partitioned { heal_after_s; _ } -> (
       let t_part = Strip_db.now !db in
       let detect_s =
-        match cfg.repl with Some r -> r.partition_detect_s | None -> 0.1
+        match cfg.repl with Some rp -> rp.partition_detect_s | None -> 0.1
       in
       match cluster with
-      | Some c
-        when Strip_repl.Cluster.n_replicas c > 0 && heal_after_s > detect_s ->
-        let module C = Strip_repl.Cluster in
+      | Some c when C.n_replicas c > 0 && heal_after_s > detect_s ->
         let heal_at = t_part +. heal_after_s in
         let detect_at = t_part +. detect_s in
-        totals.t_partitions <- totals.t_partitions + 1;
+        r.totals.t_partitions <- r.totals.t_partitions + 1;
         C.begin_partition c ~now:t_part ~heal_at;
         (* The isolated primary is alive, not dead: it keeps committing
            and its surviving shipping chain keeps sending in the old
@@ -710,84 +841,34 @@ let drive cfg rcfg ~durable ~quotes ~acc ~totals ~mk_cluster ~arm_scrub
         in
         run_doomed detect_at;
         (* Detection timeout expired: the majority side elects a new
-           primary over the partition.  Mid-recovery crashes of the
-           candidate retry the election, spending crash budget. *)
-        let before = Meter.snapshot () in
-        let attempt = ref 0 in
-        let rec failover_isolated () =
-          if !attempt > 0 then totals.t_crashes <- totals.t_crashes + 1;
-          incr attempt;
-          let fault = budget_fault () in
-          let nh = ref None in
-          match
-            C.promote_isolated c ~now:detect_at
-              ~mk_db:(fun dur -> mk_db ~now:detect_at ~durable:dur ?fault cfg)
-              ~reinstall:(fun ndb ->
-                let hh = Pta_tables.reattach ndb in
-                nh := Some hh;
-                install_rules cfg ndb hh)
-          with
-          | _ndb, rs, info -> (C.primary c, Option.get !nh, rs, info)
-          | exception Fault.Crashed _ -> failover_isolated ()
+           primary over the partition.  A candidate that crashes
+           mid-recovery retries the election, spending crash budget. *)
+        let retrying = ref false in
+        let up =
+          Recovery.until_up ~cost:cfg.cost ~record_crash:false (fun () ->
+              let fault = if !retrying then next_fault r else budget_fault r in
+              retrying := true;
+              let ndb, rs, p =
+                C.promote_isolated c ~now:detect_at
+                  ~mk_db:(fun durable -> mk_db ~now:detect_at ~durable ?fault cfg)
+                  ~reinstall:(reinstall r 0)
+              in
+              note_promotion r.totals p;
+              (ndb, rs))
         in
-        let ndb, nh, rs, info = failover_isolated () in
-        totals.t_promotions <-
-          (info.C.epoch, info.C.promoted, info.C.promoted_lsn)
-          :: totals.t_promotions;
-        let recovery_work = Meter.diff before (Meter.snapshot ()) in
-        let rec_s =
-          1e-6 *. Strip_sim.Cost_model.charge cfg.cost recovery_work
-        in
-        Clock.advance_by (Strip_db.clock ndb) rec_s;
-        totals.t_redo_commits <-
-          totals.t_redo_commits + rs.Recovery.redo_commits;
-        totals.t_redo_ops <- totals.t_redo_ops + rs.Recovery.redo_ops;
-        totals.t_requeued <- totals.t_requeued + rs.Recovery.requeued;
-        totals.t_restored_rows <-
-          totals.t_restored_rows + rs.Recovery.restored_rows;
-        totals.t_recovery_s <- totals.t_recovery_s +. rec_s;
-        add_salvage_totals totals rs;
-        (* The new term opens immediately: shipping and reads resume on
-           the promoted primary while the deposed one rides out the
-           partition on the other side. *)
-        C.resume c ~now:(Clock.now (Strip_db.clock ndb)) ~ship_until:cp_until;
-        C.register_metrics c (Strip_db.metrics ndb);
-        (* Split brain, contained: run the old primary to the heal point
-           so it accumulates a divergent tail nobody will ever see, then
-           fence it — it discards that tail and stands by to rejoin as a
-           replica at the next re-seed. *)
-        if !old_alive then run_doomed heal_at;
-        accumulate acc old_db;
-        Strip_db.crash old_db;
-        ignore (C.heal c ~now:heal_at);
-        (match Strip_db.durable old_db with
-        | Some od when not (List.memq od !abandoned) ->
-          Durable.note_abandoned od;
-          abandoned := od :: !abandoned
-        | _ -> ());
-        (* Quotes after the cut belong to the new timeline; the doomed
-           instance's work on them was fenced away with its tail. *)
-        let rest =
-          Array.of_seq
-            (Seq.filter
-               (fun (q : Feed.quote) -> q.Feed.time > t_part)
-               (Array.to_seq quotes))
-        in
-        ignore
-          (Strip_ingest.Import.replay ndb
-             {
-               Strip_ingest.Import.stocks = nh.Pta_tables.stocks;
-               by_symbol = nh.Pta_tables.stocks_by_symbol;
-             }
-             rest);
-        (match rcfg.checkpoint_every with
-        | Some every ->
-          Strip_db.schedule_checkpoints ndb ~every ~until:cp_until ()
-        | None -> ());
-        arm_chaos cfg ndb ~now:(Strip_db.now ndb);
-        arm_scrub ndb cluster;
-        db := ndb;
-        h := nh
+        (* Split brain, contained: the new term opens at once while the
+           old primary runs to the heal point, accumulating a divergent
+           tail nobody will ever see; then it is fenced — it discards
+           that tail and stands by to rejoin as a replica at the next
+           re-seed.  Quotes after the cut belong to the new timeline. *)
+        resume
+          ~settle:(fun () ->
+            if !old_alive then run_doomed heal_at;
+            accumulate r.tallies.(0) old_db;
+            Strip_db.crash old_db;
+            ignore (C.heal c ~now:heal_at);
+            abandon old_db)
+          ~cut:t_part ~failover:(Some c) up
       | _ ->
         (* No cluster to fail over to, or a blip shorter than the
            detection timeout: the node keeps running (volatile state is
@@ -795,88 +876,119 @@ let drive cfg rcfg ~durable ~quotes ~acc ~totals ~mk_cluster ~arm_scrub
            cluster attached, the blip still drops its sends for the
            window; the shipper re-covers the gap on later ticks. *)
         (match cluster with
-        | Some c
-          when Strip_repl.Cluster.n_replicas c > 0 && heal_after_s > 0.0 ->
-          totals.t_partitions <- totals.t_partitions + 1;
-          Strip_repl.Cluster.begin_partition c ~now:t_part
-            ~heal_at:(t_part +. heal_after_s)
+        | Some c when C.n_replicas c > 0 && heal_after_s > 0.0 ->
+          r.totals.t_partitions <- r.totals.t_partitions + 1;
+          C.begin_partition c ~now:t_part ~heal_at:(t_part +. heal_after_s)
         | _ -> ()))
   done;
-  (!db, !h, cluster)
+  (!db, cluster)
 
-let run (cfg : config) =
-  (* Replication rides on the durability substrate: replicas bootstrap
-     from checkpoints and apply shipped WAL bytes, so a replicated run
-     without an explicit recovery config gets the default one. *)
-  let cfg =
-    match (cfg.recovery, cfg.repl) with
-    | None, Some r when r.replicas > 0 ->
-      { cfg with recovery = Some default_recovery }
-    (* A chaos schedule needs the durability layer and the crash-restart
-       drive loop to make sense of its events. *)
-    | None, _ when cfg.chaos <> [] ->
-      { cfg with recovery = Some default_recovery }
-    | _ -> cfg
-  in
-  (* Storage-fault events imply the storage substrate (scrubber +
-     retained checkpoint slots), exactly as chaos implies recovery. *)
-  let cfg =
-    if cfg.storage = None && List.exists is_storage_event cfg.chaos then
-      { cfg with storage = Some default_storage }
-    else cfg
-  in
-  let durable =
-    Option.map
-      (fun _ ->
-        let retain =
-          match cfg.storage with Some s -> max 1 s.retain | None -> 1
-        in
-        Strip_txn.Durable.create ~retain ())
-      cfg.recovery
-  in
-  let db = mk_db ?durable ?fault:cfg.fault cfg in
-  let h = Pta_tables.populate db ~feed:cfg.feed cfg.sizes in
-  let weights = Feed.activity_weights cfg.feed in
-  let expected_fanout =
-    match cfg.rule with
-    | Comp_view _ -> Pta_tables.expected_comps_per_update h ~weights
-    | Option_view _ -> Pta_tables.expected_options_per_update h ~weights
-  in
-  install_rules cfg db h;
-  let quotes = Feed.generate cfg.feed in
-  let n_submitted =
-    Strip_ingest.Import.replay db
-      {
-        Strip_ingest.Import.stocks = h.Pta_tables.stocks;
-        by_symbol = h.Pta_tables.stocks_by_symbol;
-      }
-      quotes
-  in
-  ignore n_submitted;
-  Meter.reset ();
-  Rule_manager.reset_stats (Strip_db.rules db);
-  let acc = zero_acc () in
-  let totals =
+(* The sharded drive: the primaries run under the {!Coordinator}'s
+   partial-delta protocol; a crashed shard restarts in place and each
+   dead incarnation folds into its shard's tally. *)
+let drive_shards r (s : shard_cfg) dbs =
+  let cfg = r.cfg in
+  let cb =
     {
-      t_crashes = 0;
-      t_partitions = 0;
-      t_promotions = [];
-      t_redo_commits = 0;
-      t_redo_ops = 0;
-      t_requeued = 0;
-      t_restored_rows = 0;
-      t_recovery_s = 0.0;
-      t_cp_fallbacks = 0;
-      t_salvaged_ranges = 0;
-      t_salvaged_bytes = 0;
-      t_quarantined_bytes = 0;
-      t_orphan_merges = 0;
+      Coordinator.remake = (fun ~sid ~now -> remake r sid ~now);
+      reinstall = (fun ~sid db -> reinstall r sid db);
+      apply =
+        (fun ~sid _db txn ~key ~delta ->
+          match cfg.rule with
+          | Comp_view _ ->
+            Comp_rules.apply_partial r.handles.(sid) txn ~key ~delta
+          | Option_view _ -> ());
+      requote = (fun ~sid db ~after -> requote r sid db ~after);
+      recovered = (fun ~sid:_ ~down_s rs -> add_recovery r.totals rs ~down_s);
+      retired = (fun ~sid db -> accumulate r.tallies.(sid) db);
     }
   in
+  let ccfg =
+    {
+      Coordinator.link = s.shard_link;
+      ship_every = s.shard_ship_every;
+      resend_after = s.shard_resend_after;
+      checkpoint_every = s.shard_checkpoint_every;
+      cost = cfg.cost;
+    }
+  in
+  let coord = Coordinator.create ~cfg:ccfg ~cb dbs in
+  Coordinator.checkpoint_all coord;
+  (match s.shard_crash_at with
+  | Some (sid, at) when sid >= 0 && sid < Array.length dbs ->
+    Strip_db.schedule_crash dbs.(sid) ~at
+  | Some (sid, _) ->
+    invalid_arg
+      (Printf.sprintf "Experiment.run: shard_crash_at shard %d out of range" sid)
+  | None -> ());
+  Coordinator.run coord ~until:cfg.feed.Feed.duration;
+  coord
+
+(* Consistency audit over every primary: the recovered queues have
+   drained, so each view must equal its recomputation; divergences
+   become repair transactions and the audit reruns.  Returns (all clean,
+   divergences left, repairs enqueued).  Only the view this run
+   maintains is audited — the other has no installed rule, so it is
+   stale by design — and only where it is locally complete: a sharded
+   [comp_prices] is a plain partition (its members live everywhere), so
+   composites are judged by the cross-shard check instead. *)
+let audit_and_repair (cfg : config) dbs =
+  (* Incrementally-maintained composites accumulate float increments,
+     so audit with the same tolerance the end-to-end verification uses;
+     anything past it is a real divergence worth repairing. *)
+  let eps = verify_tolerance cfg.rule in
+  let views =
+    match (cfg.rule, cfg.shard) with
+    | Comp_view _, None -> [ "comp_prices" ]
+    | Comp_view _, Some _ -> []
+    | Option_view _, _ -> [ "option_prices" ]
+  in
+  Array.fold_left
+    (fun ((clean, divergences, repairs) as acc) db ->
+      if views = [] then acc
+      else begin
+        let first = Auditor.audit ~eps ~views db in
+        let n =
+          if Auditor.clean first then 0
+          else begin
+            let n = Auditor.enqueue_repairs db first in
+            Strip_db.run db;
+            n
+          end
+        in
+        let final = if n = 0 then first else Auditor.audit ~eps ~views db in
+        ( clean && Auditor.clean final,
+          divergences + List.length final.Auditor.divergences,
+          repairs + n )
+      end)
+    (true, 0, 0) dbs
+
+let summary_opt h =
+  if Strip_obs.Histogram.count h = 0 then None
+  else Some (Strip_obs.Histogram.summary h)
+
+let run (cfg : config) =
+  let cfg = resolve cfg in
+  let r, dbs = setup cfg in
+  Meter.reset ();
+  Array.iter (fun db -> Rule_manager.reset_stats (Strip_db.rules db)) dbs;
+  (* The background scrubber runs on an unsharded primary only. *)
   let scrub_stats =
-    match cfg.storage with Some _ -> Some (Scrub.create ()) | None -> None
+    match (cfg.storage, cfg.shard) with
+    | Some _, None -> Some (Scrub.create ())
+    | _ -> None
   in
   let abandoned : Strip_txn.Durable.t list ref = ref [] in
+  (* Failing over abandons the dead primary's durable store: nothing in
+     it can influence a served read anymore, but its media-fault ledger
+     still counts toward the run's silent-corruption audit. *)
+  let abandon db =
+    match Strip_db.durable db with
+    | Some od when not (List.memq od !abandoned) ->
+      Strip_txn.Durable.note_abandoned od;
+      abandoned := od :: !abandoned
+    | _ -> ()
+  in
   let fetch_of cluster =
     Option.map
       (fun c ~from_lsn ~len -> Strip_repl.Cluster.fetch_clean c ~from_lsn ~len)
@@ -898,15 +1010,15 @@ let run (cfg : config) =
      into one cluster-wide trace export. *)
   let replica_traces =
     match (cfg.trace, cfg.repl) with
-    | Some _, Some r when r.replicas > 0 ->
-      List.init r.replicas (fun i ->
+    | Some _, Some rp when rp.replicas > 0 ->
+      List.init rp.replicas (fun i ->
           (Printf.sprintf "replica-%d" i, Strip_obs.Trace.create ()))
     | _ -> []
   in
   let mk_cluster db =
     match cfg.repl with
     | None -> None
-    | Some r ->
+    | Some rp ->
       let read_table, read_key_col =
         match cfg.rule with
         | Comp_view _ -> ("comp_prices", "comp")
@@ -920,12 +1032,12 @@ let run (cfg : config) =
       in
       let ccfg =
         {
-          Strip_repl.Cluster.n_replicas = r.replicas;
-          link = r.link;
-          ship_every = r.ship_every;
-          read_policy = r.read_policy;
-          read_rate = r.read_rate;
-          read_cost_s = r.read_cost_s;
+          Strip_repl.Cluster.n_replicas = rp.replicas;
+          link = rp.link;
+          ship_every = rp.ship_every;
+          read_policy = rp.read_policy;
+          read_rate = rp.read_rate;
+          read_cost_s = rp.read_cost_s;
           seed = 11;
         }
       in
@@ -948,110 +1060,160 @@ let run (cfg : config) =
         cfg.chaos;
       Some c
   in
-  let db, h, cluster =
-    match cfg.recovery with
-    | None -> (
+  let finals, cluster, coord =
+    match (cfg.shard, cfg.recovery) with
+    | Some s, _ ->
+      let coord = drive_shards r s dbs in
+      (Array.mapi (fun i _ -> Coordinator.db coord i) dbs, None, Some coord)
+    | None, Some rcfg ->
+      let db, cluster = drive r rcfg ~mk_cluster ~arm_scrub ~abandon dbs.(0) in
+      ([| db |], cluster, None)
+    | None, None ->
       (* Only reachable with zero replicas: a read pump with no shipping
          needs no durability layer. *)
-      match mk_cluster db with
-      | None ->
-        Strip_db.run db;
-        (db, h, None)
-      | Some c ->
-        Strip_repl.Cluster.register_metrics c (Strip_db.metrics db);
-        run_with_reads ~cluster:(Some c) db;
-        (db, h, Some c))
-    | Some rcfg ->
-      drive cfg rcfg ~durable:(Option.get durable) ~quotes ~acc ~totals
-        ~mk_cluster ~arm_scrub ~abandoned db h
+      let cluster = mk_cluster dbs.(0) in
+      Option.iter
+        (fun c ->
+          Strip_repl.Cluster.register_metrics c (Strip_db.metrics dbs.(0)))
+        cluster;
+      run_with_reads ~cluster dbs.(0);
+      (dbs, cluster, None)
   in
+  let db0 = finals.(0) in
   (* One last scrub pass before the administrative catch-up, so a fault
      injected after the final periodic tick is still detected and
      repaired before the run is judged (and before replicas converge on
      the final log). *)
   (match (cfg.storage, scrub_stats) with
-  | Some { scrub_every = Some _; _ }, Some st when Strip_db.durable db <> None
+  | Some { scrub_every = Some _; _ }, Some st when Strip_db.durable db0 <> None
     ->
-    Scrub.scrub ?fetch:(fetch_of cluster) st db
+    Scrub.scrub ?fetch:(fetch_of cluster) st db0
   | _ -> ());
   (* Converge the replicas administratively so end-of-run lag/LSN metrics
      (and the tests) compare equals against the final primary. *)
-  (match cluster with
-  | Some c ->
-    Strip_repl.Cluster.final_sync c
-      ~now:(Strip_txn.Clock.now (Strip_db.clock db))
-  | None -> ());
-  (* Consistency audit (recovery runs only): the recovered queue has
-     drained, so the views must now equal their recomputation; divergences
-     become repair transactions and the audit reruns. *)
-  let recovery_audit =
-    match cfg.recovery with
-    | None -> None
-    | Some _ ->
-      (* Incrementally-maintained composites accumulate float increments,
-         so audit with the same tolerance the end-to-end verification
-         uses; anything past it is a real divergence worth repairing. *)
-      (* Audit only the view this run maintains: the other registered view
-         has no installed rule, so it is stale by design. *)
-      let eps = verify_tolerance cfg.rule in
-      let views =
-        match cfg.rule with
-        | Comp_view _ -> [ "comp_prices" ]
-        | Option_view _ -> [ "option_prices" ]
-      in
-      let first = Auditor.audit ~eps ~views db in
-      let repairs =
-        if Auditor.clean first then 0
-        else begin
-          let n = Auditor.enqueue_repairs db first in
-          Strip_db.run db;
-          n
-        end
-      in
-      let final = if repairs = 0 then first else Auditor.audit ~eps ~views db in
-      Some (first, final, repairs)
-  in
+  Option.iter
+    (fun c -> Strip_repl.Cluster.final_sync c ~now:(Strip_db.now db0))
+    cluster;
+  (* Consistency audit (recovery runs only). *)
+  let audit = Option.map (fun _ -> audit_and_repair cfg finals) cfg.recovery in
   (* Close any violation window still open at end of run (audit repairs
      above were the last possible staleness samples). *)
   Option.iter Strip_obs.Slo.finish cfg.slo;
-  let stats = Strip_db.stats db in
-  let duration_s = cfg.feed.Feed.duration in
-  let verified, max_abs_error =
-    if cfg.verify then begin
-      let expected, actual =
-        match cfg.rule with
-        | Comp_view _ ->
-          (Comp_rules.recompute_from_scratch h, Comp_rules.maintained h)
-        | Option_view _ ->
-          (Option_rules.recompute_from_scratch h, Option_rules.maintained h)
-      in
-      let err = max_error expected actual in
-      (Some (err <= verify_tolerance cfg.rule), err)
-    end
-    else (None, nan)
-  in
+  (* The live incarnations join the fold: every count below sums over
+     all primaries and every incarnation each one burned through. *)
+  Array.iteri (fun sid db -> accumulate r.tallies.(sid) db) finals;
   let open Strip_txn in
-  (* Makespan: the simulated instant the last dispatched task finished
-     (the clock ends on its completion event).  Recompute throughput over
-     the makespan is the quantity the server sweep improves: an overloaded
-     single server drains its backlog long after the feed ends, and extra
-     servers shrink that tail. *)
-  let makespan_s = Clock.now (Strip_db.clock db) in
-  let n_recompute = acc.a_recompute + Strip_sim.Stats.n_recompute stats in
-  let recovery =
-    (* After a failover the live durable store is the promoted replica's
-       copy, not the one the run started with. *)
-    match (cfg.recovery, Strip_db.durable db, recovery_audit) with
-    | Some _, Some d, Some (_first, final, repairs) ->
-      let w = Durable.wal d in
+  let n = Array.length finals in
+  let duration_s = cfg.feed.Feed.duration in
+  let eps = verify_tolerance cfg.rule in
+  (* The from-scratch oracle over every primary's base tables; on a
+     sharded run it is also the cross-shard audit, the check no single
+     shard can run alone. *)
+  let oracle =
+    if cfg.verify || coord <> None then
       Some
+        (match cfg.rule with
+        | Comp_view _ ->
+          ( Comp_rules.recompute_from_scratch_sharded r.handles,
+            Comp_rules.maintained_sharded r.handles )
+        | Option_view _ ->
+          ( Option_rules.recompute_from_scratch_sharded r.handles,
+            Option_rules.maintained_sharded r.handles ))
+    else None
+  in
+  let cross_checks, cross_divergences =
+    match (coord, oracle) with
+    | Some _, Some (expected, actual) ->
+      (List.length expected, n_divergent ~eps expected actual)
+    | _ -> (0, 0)
+  in
+  let audit_clean =
+    match audit with
+    | Some (clean, _, _) -> clean && cross_divergences = 0
+    | None -> true
+  in
+  let verified, max_abs_error =
+    match oracle with
+    | Some (expected, actual) when cfg.verify ->
+      let err = max_error expected actual in
+      (* A sharded verdict also needs every shard's own audit clean. *)
+      (Some (err <= eps && (coord = None || audit_clean)), err)
+    | _ -> (None, nan)
+  in
+  let tallies = Array.to_list r.tallies in
+  let sum f = List.fold_left (fun t a -> t + f a) 0 tallies in
+  let sumf f = List.fold_left (fun t a -> t +. f a) 0.0 tallies in
+  let merged f = Strip_obs.Histogram.merge (List.map f tallies) in
+  let stats = Array.map Strip_db.stats finals in
+  (* Makespan: the simulated instant the last dispatched task finished
+     (each clock ends on its completion event).  Recompute throughput
+     over the makespan is the quantity the server sweep improves: an
+     overloaded single server drains its backlog long after the feed
+     ends, and extra servers shrink that tail. *)
+  let makespan_s =
+    Array.fold_left (fun m db -> Float.max m (Strip_db.now db)) 0.0 finals
+  in
+  let n_recompute = sum (fun a -> a.a_recompute) in
+  (* Service-time percentiles report the busiest primary's recompute
+     distribution. *)
+  let busiest =
+    Array.fold_left
+      (fun best st ->
+        if Strip_sim.Stats.n_recompute st > Strip_sim.Stats.n_recompute best
+        then st
+        else best)
+      stats.(0) stats
+  in
+  let staleness =
+    let tables =
+      Array.to_list stats
+      |> List.concat_map Strip_sim.Stats.staleness_tables
+      |> List.sort_uniq compare
+    in
+    List.map
+      (fun table ->
+        let hs =
+          Array.to_list stats
+          |> List.filter_map (fun st -> Strip_sim.Stats.staleness_of st table)
+        in
+        (table, Strip_obs.Histogram.summary (Strip_obs.Histogram.merge hs)))
+      tables
+  in
+  let registry =
+    match coord with
+    | None -> Strip_obs.Metrics.snapshot (Strip_db.metrics db0)
+    | Some _ ->
+      (* One report, N registries: every shard's rows tagged with a
+         [shard] label and re-sorted into a single deterministic
+         snapshot. *)
+      Array.to_list finals
+      |> List.mapi (fun i db ->
+             List.map
+               (fun (row : Strip_obs.Metrics.row) ->
+                 {
+                   row with
+                   Strip_obs.Metrics.labels =
+                     ("shard", string_of_int i) :: row.Strip_obs.Metrics.labels;
+                 })
+               (Strip_obs.Metrics.snapshot (Strip_db.metrics db)))
+      |> List.concat
+      |> List.sort compare
+  in
+  (* After a failover a primary's live durable store is the promoted
+     replica's copy, not the one the run started with. *)
+  let live = Array.to_list finals |> List.filter_map Strip_db.durable in
+  let sum_live f = List.fold_left (fun t d -> t + f d) 0 live in
+  let sum_live_wal f = sum_live (fun d -> f (Durable.wal d)) in
+  let recovery =
+    Option.map
+      (fun (_, divergences, repairs) ->
         {
-          n_crashes = totals.t_crashes;
-          n_checkpoints = Durable.n_checkpoints d;
-          checkpoint_bytes = Durable.last_checkpoint_bytes d;
-          wal_appends = Wal.n_appends w;
-          wal_fsyncs = Wal.n_fsyncs w;
-          wal_appended_bytes = Wal.appended_bytes w;
+          n_crashes = r.totals.t_crashes;
+          n_checkpoints = sum_live Durable.n_checkpoints;
+          checkpoint_bytes = sum_live Durable.last_checkpoint_bytes;
+          wal_appends = sum_live_wal Wal.n_appends;
+          wal_fsyncs = sum_live_wal Wal.n_fsyncs;
+          wal_appended_bytes = sum_live_wal Wal.appended_bytes;
           wal_overhead_s =
             1e-6
             *. Strip_sim.Cost_model.charge cfg.cost
@@ -1063,42 +1225,36 @@ let run (cfg : config) =
             1e-6
             *. Strip_sim.Cost_model.charge cfg.cost
                  [ ("checkpoint_row", Meter.get "checkpoint_row") ];
-          redo_commits = totals.t_redo_commits;
-          redo_ops = totals.t_redo_ops;
-          requeued = totals.t_requeued;
-          restored_rows = totals.t_restored_rows;
-          total_recovery_s = totals.t_recovery_s;
-          audit_clean = Auditor.clean final;
-          audit_divergences = List.length final.Auditor.divergences;
+          redo_commits = r.totals.t_redo_commits;
+          redo_ops = r.totals.t_redo_ops;
+          requeued = r.totals.t_requeued;
+          restored_rows = r.totals.t_restored_rows;
+          total_recovery_s = r.totals.t_recovery_s;
+          audit_clean;
+          audit_divergences = divergences + cross_divergences;
           repairs;
-        }
-    | _ -> None
+        })
+      audit
   in
   let repl =
-    match cluster with
-    | None -> None
-    | Some c ->
-      let module C = Strip_repl.Cluster in
-      let module R = Strip_repl.Replica in
-      let hist_summary h =
-        if Strip_obs.Histogram.count h = 0 then None
-        else Some (Strip_obs.Histogram.summary h)
-      in
-      let n_reads = C.reads_issued c in
-      let last_done = C.last_read_done c in
-      Some
+    Option.map
+      (fun c ->
+        let module C = Strip_repl.Cluster in
+        let module R = Strip_repl.Replica in
+        let n_reads = C.reads_issued c in
+        let last_done = C.last_read_done c in
         {
           n_replicas = C.n_replicas c;
           read_policy =
             (match cfg.repl with
-            | Some r -> C.policy_string r.read_policy
+            | Some rp -> C.policy_string rp.read_policy
             | None -> "any");
           read_rate =
-            (match cfg.repl with Some r -> r.read_rate | None -> 0.0);
+            (match cfg.repl with Some rp -> rp.read_rate | None -> 0.0);
           n_reads;
           reads_primary = C.reads_primary c;
           reads_replica = C.reads_replica c;
-          read_latency = hist_summary (C.read_latency c);
+          read_latency = summary_opt (C.read_latency c);
           read_throughput_per_s =
             (if last_done <= 0.0 then 0.0
              else float_of_int n_reads /. last_done);
@@ -1106,9 +1262,9 @@ let run (cfg : config) =
           promotion_lost_bytes = C.lost_bytes_total c;
           epoch = C.epoch c;
           epochs = C.epoch_history c;
-          promotions = List.rev totals.t_promotions;
+          promotions = List.rev r.totals.t_promotions;
           final_lsn =
-            (match Strip_db.durable db with
+            (match Strip_db.durable db0 with
             | Some d -> Wal.durable_end (Durable.wal d)
             | None -> 0);
           fenced_bytes = C.fenced_bytes_total c;
@@ -1119,30 +1275,29 @@ let run (cfg : config) =
           segments_dropped = C.segments_dropped c;
           bytes_shipped = C.bytes_shipped c;
           cluster_lag =
-            merged_summary
-              (List.init (C.n_replicas c) (fun i -> R.lag (C.replica c i)));
-          cluster_lock_wait =
-            merged_summary
-              [ acc.a_lock_h; Strip_sim.Stats.lock_wait_hist stats ];
+            summary_opt
+              (Strip_obs.Histogram.merge
+                 (List.init (C.n_replicas c) (fun i -> R.lag (C.replica c i))));
           per_replica =
             List.init (C.n_replicas c) (fun i ->
-                let r = C.replica c i in
+                let node = C.replica c i in
                 {
-                  r_id = R.id r;
-                  r_applied_lsn = R.applied_lsn r;
-                  r_segments = R.n_segments r;
-                  r_duplicates = R.n_duplicates r;
-                  r_reordered = R.n_reordered r;
-                  r_bootstraps = R.n_bootstraps r;
-                  r_reads = R.n_reads r;
-                  r_lag = hist_summary (R.lag r);
+                  r_id = R.id node;
+                  r_applied_lsn = R.applied_lsn node;
+                  r_segments = R.n_segments node;
+                  r_duplicates = R.n_duplicates node;
+                  r_reordered = R.n_reordered node;
+                  r_bootstraps = R.n_bootstraps node;
+                  r_reads = R.n_reads node;
+                  r_lag = summary_opt (R.lag node);
                 });
-        }
+        })
+      cluster
   in
   let storage =
-    match (cfg.storage, Strip_db.durable db) with
-    | Some _, Some d ->
-      let stores = d :: !abandoned in
+    match (cfg.storage, live) with
+    | Some _, _ :: _ ->
+      let stores = live @ !abandoned in
       let counts =
         List.fold_left
           (fun c od -> Durable.add_counts od c)
@@ -1181,11 +1336,11 @@ let run (cfg : config) =
           repaired_checkpoint = sget Scrub.repaired_checkpoint;
           scrub_salvaged_bytes = sget Scrub.salvaged_bytes;
           scrub_expunged_bytes = sget Scrub.expunged_bytes;
-          cp_fallbacks = totals.t_cp_fallbacks;
-          salvaged_ranges = totals.t_salvaged_ranges;
-          salvaged_bytes = totals.t_salvaged_bytes;
-          quarantined_bytes = totals.t_quarantined_bytes;
-          orphan_merges = totals.t_orphan_merges;
+          cp_fallbacks = r.totals.t_cp_fallbacks;
+          salvaged_ranges = r.totals.t_salvaged_ranges;
+          salvaged_bytes = r.totals.t_salvaged_bytes;
+          quarantined_bytes = r.totals.t_quarantined_bytes;
+          orphan_merges = r.totals.t_orphan_merges;
           disk_fulls = sum_wal Wal.n_disk_fulls;
           lied_bytes = sum_wal Wal.lied_bytes;
           ship_verify_skips =
@@ -1194,9 +1349,47 @@ let run (cfg : config) =
             | None -> 0);
           salvage_s;
           final_clean =
-            Wal.verify (Durable.wal d) = [] && Durable.slots_valid d;
+            List.for_all
+              (fun d -> Wal.verify (Durable.wal d) = [] && Durable.slots_valid d)
+              live;
         }
     | _ -> None
+  in
+  let shard =
+    Option.map
+      (fun coord ->
+        {
+          n_shards = n;
+          sh_rows =
+            List.init n (fun i ->
+                let a = r.tallies.(i) and dq = Coordinator.queue coord i in
+                {
+                  sh_id = i;
+                  sh_updates = a.a_updates;
+                  sh_recomputes = a.a_recompute;
+                  sh_firings = a.a_firings;
+                  sh_partials_out =
+                    Rule_manager.partial_seq (Strip_db.rules finals.(i));
+                  sh_offered = Strip_shard.Dqueue.n_offered dq;
+                  sh_duplicates = Strip_shard.Dqueue.n_duplicates dq;
+                  sh_merged = Strip_shard.Dqueue.n_merged dq;
+                  sh_applied = Strip_shard.Dqueue.n_applied dq;
+                  sh_crashes = Coordinator.crashes coord i;
+                  sh_final_lsn =
+                    (match Strip_db.durable finals.(i) with
+                    | Some d -> Wal.durable_end (Durable.wal d)
+                    | None -> 0);
+                });
+          sh_msgs = Coordinator.msgs_sent coord;
+          sh_bytes = Coordinator.bytes_shipped coord;
+          sh_partials = Coordinator.partials_shipped coord;
+          sh_acks = Coordinator.acks_sent coord;
+          sh_reships = Coordinator.reships coord;
+          sh_recovery_s = r.totals.t_recovery_s;
+          cross_checks;
+          cross_divergences;
+        })
+      coord
   in
   {
     label = label_of cfg.rule;
@@ -1208,59 +1401,48 @@ let run (cfg : config) =
       (if makespan_s <= 0.0 then 0.0
        else float_of_int n_recompute /. makespan_s);
     per_server_utilization =
-      Strip_sim.Stats.per_server_utilization stats
-        ~duration_s:(Float.max duration_s makespan_s);
-    n_lock_waits = acc.a_lock_waits + Strip_sim.Stats.n_lock_waits stats;
-    n_lock_timeouts =
-      acc.a_lock_timeouts + Strip_sim.Stats.n_lock_timeouts stats;
-    lock_wait_s =
-      (if Strip_sim.Stats.n_lock_waits stats = 0 then None
-       else
-         Some
-           (Strip_obs.Histogram.summary
-              (Strip_sim.Stats.lock_wait_hist stats)));
-    utilization = Strip_sim.Stats.utilization stats ~duration_s;
-    n_updates = acc.a_updates + Strip_sim.Stats.tasks_run stats Task.Update;
+      Array.to_list stats
+      |> List.concat_map (fun st ->
+             Strip_sim.Stats.per_server_utilization st
+               ~duration_s:(Float.max duration_s makespan_s));
+    n_lock_waits = sum (fun a -> a.a_lock_waits);
+    n_lock_timeouts = sum (fun a -> a.a_lock_timeouts);
+    lock_wait_s = summary_opt (merged (fun a -> a.a_lock_h));
+    utilization =
+      Array.fold_left
+        (fun t st -> t +. Strip_sim.Stats.utilization st ~duration_s)
+        0.0 stats
+      /. float_of_int n;
+    n_updates = sum (fun a -> a.a_updates);
     n_recompute;
-    mean_recompute_us = Strip_sim.Stats.mean_service_us stats Task.Recompute;
-    p50_recompute_us = Strip_sim.Stats.service_percentile_us stats Task.Recompute 50.0;
-    p90_recompute_us = Strip_sim.Stats.service_percentile_us stats Task.Recompute 90.0;
-    p99_recompute_us = Strip_sim.Stats.service_percentile_us stats Task.Recompute 99.0;
-    max_recompute_us = Strip_sim.Stats.max_service_us stats Task.Recompute;
-    busy_update_s =
-      (acc.a_busy_update_us +. Strip_sim.Stats.busy_us_of stats Task.Update)
-      *. 1e-6;
-    busy_recompute_s =
-      (acc.a_busy_recompute_us
-      +. Strip_sim.Stats.busy_us_of stats Task.Recompute)
-      *. 1e-6;
-    n_firings = acc.a_firings + Rule_manager.n_rule_firings (Strip_db.rules db);
-    n_merges = acc.a_merges + Rule_manager.n_merges (Strip_db.rules db);
-    context_switches = acc.a_ctxsw + Strip_sim.Stats.context_switches stats;
-    expected_fanout;
+    mean_recompute_us = Strip_sim.Stats.mean_service_us busiest Task.Recompute;
+    p50_recompute_us =
+      Strip_sim.Stats.service_percentile_us busiest Task.Recompute 50.0;
+    p90_recompute_us =
+      Strip_sim.Stats.service_percentile_us busiest Task.Recompute 90.0;
+    p99_recompute_us =
+      Strip_sim.Stats.service_percentile_us busiest Task.Recompute 99.0;
+    max_recompute_us = Strip_sim.Stats.max_service_us busiest Task.Recompute;
+    busy_update_s = sumf (fun a -> a.a_busy_update_us) *. 1e-6;
+    busy_recompute_s = sumf (fun a -> a.a_busy_recompute_us) *. 1e-6;
+    n_firings = sum (fun a -> a.a_firings);
+    n_merges = sum (fun a -> a.a_merges);
+    context_switches = sum (fun a -> a.a_ctxsw);
+    expected_fanout = r.expected_fanout;
     verified;
     max_abs_error;
-    n_injected =
-      (acc.a_injected
-      +
-      match Strip_db.fault_injector db with
-      | Some fi -> Fault.total_injected fi
-      | None -> 0);
-    n_aborts = acc.a_aborts + Strip_sim.Stats.n_aborts stats;
-    n_retries = acc.a_retries + Strip_sim.Stats.n_retries stats;
-    n_sheds = acc.a_sheds + Strip_sim.Stats.n_sheds stats;
-    n_dead_letters = acc.a_dead + Strip_sim.Stats.n_dead_letters stats;
-    mean_recovery_s = Strip_sim.Stats.mean_recovery_s stats;
-    staleness =
-      List.map
-        (fun table ->
-          (table, Strip_obs.Histogram.summary (Strip_sim.Stats.staleness_hist stats table)))
-        (Strip_sim.Stats.staleness_tables stats);
-    registry = Strip_obs.Metrics.snapshot (Strip_db.metrics db);
+    n_injected = sum (fun a -> a.a_injected);
+    n_aborts = sum (fun a -> a.a_aborts);
+    n_retries = sum (fun a -> a.a_retries);
+    n_sheds = sum (fun a -> a.a_sheds);
+    n_dead_letters = sum (fun a -> a.a_dead);
+    mean_recovery_s = Strip_obs.Histogram.mean (merged (fun a -> a.a_retry_h));
+    staleness;
+    registry;
     recovery;
     repl;
     storage;
-    shard = None;
+    shard;
     slo = (match cfg.slo with None -> [] | Some s -> Strip_obs.Slo.report s);
     trace_spans =
       (match cfg.trace with

@@ -163,10 +163,12 @@ type config = {
           byte-identical to chaos-free builds; a non-empty schedule
           implies {!default_recovery} when [recovery] is [None]. *)
   shard : shard_cfg option;
-      (** partition the write path across N shard primaries
-          ({!Shard_exp}).  [None] (the default) leaves {!run} untouched
-          and byte-identical to unsharded builds; {!run} itself never
-          consults this field — dispatch through {!Shard_exp.dispatch}. *)
+      (** partition the write path across [shards] primaries under the
+          {!Strip_shard.Coordinator} partial-delta protocol; one shard is
+          allowed (the shard sweep's baseline point).  A sharded run is
+          always durable (it implies {!default_recovery} when [recovery]
+          is [None]) and ignores [repl] and [chaos].  [None] (the
+          default) runs one primary. *)
 }
 
 val default_config : rule_choice -> delay:float -> config
@@ -252,10 +254,6 @@ type repl_metrics = {
       (** replication lag merged across {e all} replicas — the cluster-wide
           distribution, not any single node's ([None] when no segment ever
           recorded lag) *)
-  cluster_lock_wait : Strip_obs.Histogram.summary option;
-      (** lock-wait distribution merged across every instance the run
-          burned through (crash epochs included), not just the final
-          primary's ([None] when no task ever waited) *)
   per_replica : replica_metrics list;
 }
 
@@ -355,8 +353,9 @@ type metrics = {
   n_lock_waits : int;  (** park → wake episodes on lock conflicts *)
   n_lock_timeouts : int;  (** waits presumed deadlocked and retried *)
   lock_wait_s : Strip_obs.Histogram.summary option;
-      (** park → wake wait distribution (seconds); [None] when no task
-          ever waited *)
+      (** park → wake wait distribution (seconds) over every primary and
+          incarnation, so its count is [n_lock_waits]; [None] when no
+          task ever waited *)
   utilization : float;  (** fraction of the simulated CPU consumed *)
   n_updates : int;
   n_recompute : int;  (** the paper's N_r *)
@@ -380,16 +379,20 @@ type metrics = {
   n_sheds : int;  (** tasks shed by overload control *)
   n_dead_letters : int;  (** tasks whose retry budget ran out *)
   mean_recovery_s : float;
-      (** mean first-failure → eventual-success latency (0 if none) *)
+      (** mean first-failure → eventual-success latency of retried
+          tasks, over every primary and incarnation (0 if none).  Crash
+          downtime is [recovery.total_recovery_s]. *)
   staleness : (string * Strip_obs.Histogram.summary) list;
       (** per-derived-table staleness distribution (seconds), sampled at
           the commit of each maintenance transaction; sorted by table *)
   registry : Strip_obs.Metrics.row list;
       (** full metrics-registry snapshot taken after the run drained *)
   recovery : recovery_metrics option;
-      (** present iff the run had a [recovery] config.  Count-type fields
-          above accumulate across crash epochs; distributions (percentiles,
-          histograms, staleness, registry) cover the final epoch only. *)
+      (** present iff the run had a [recovery] config (explicit or
+          implied).  Count-type fields above, [lock_wait_s] and
+          [mean_recovery_s] accumulate across crash epochs; the other
+          distributions (service percentiles, staleness, registry) cover
+          the final epoch only. *)
   repl : repl_metrics option;
       (** present iff the run had a [repl] config; cluster-owned counters
           survive failover epochs. *)
@@ -399,10 +402,11 @@ type metrics = {
           every durable store the run touched, including stores abandoned
           at failover. *)
   shard : shard_metrics option;
-      (** present iff the run went through the sharded write path
-          ({!Shard_exp}); count fields elsewhere in this record then sum
-          over all shard primaries (crashed incarnations included), while
-          distributions cover each shard's final incarnation. *)
+      (** present iff the config had a [shard] config; count fields
+          elsewhere in this record then sum over all shard primaries
+          (crashed incarnations included), service percentiles come from
+          the busiest shard, and staleness merges each shard's final
+          incarnation. *)
   slo : Strip_obs.Slo.view_report list;
       (** per-view staleness SLO verdicts; empty unless the run had an
           [slo] config *)
@@ -416,29 +420,25 @@ type metrics = {
 }
 
 val run : config -> metrics
-(** The single-primary driver; ignores [config.shard] (use
-    {!Shard_exp.dispatch} to honour it). *)
+(** Run one experiment on the topology the config resolves to: one
+    primary, or [shard.shards] primaries under the coordinator.
+    Replicas, a chaos schedule or sharding imply {!default_recovery};
+    storage-fault chaos events imply {!default_storage}.  Setup, the
+    crash budget, the audit and the metrics assembly are the same for
+    every topology; a single primary is the one-element case of the
+    sharded fold.
+    @raise Invalid_argument with [shard.shards < 1] or a
+    [shard_crash_at] shard id out of range. *)
 
 val verify_tolerance : rule_choice -> float
 (** Comparison tolerance: composites accumulate float increments;
     options are recomputed exactly. *)
-
-(** {1 Shared driver machinery}
-
-    Exposed for {!Shard_exp}, which assembles the same {!metrics} record
-    from N shard primaries. *)
 
 val label_of : rule_choice -> string
 
 val max_error : (string * float) list -> (string * float) list -> float
 (** Worst absolute difference between two sorted [(name, value)]
     association lists; [infinity] on a key or cardinality mismatch. *)
-
-val merged_summary :
-  Strip_obs.Histogram.t list -> Strip_obs.Histogram.summary option
-(** Merge per-node histograms into one cluster-level summary row; [None]
-    when the merged histogram is empty.  Folds any number of lineages —
-    one primary plus its crash epochs, or N shard primaries. *)
 
 val mk_db :
   ?now:float ->
@@ -447,34 +447,5 @@ val mk_db :
   config ->
   Strip_core.Strip_db.t
 (** One database instance wired per the config (cost model, servers,
-    fault injector, observability); crashy drivers call it for every
+    fault injector, observability); {!run} calls it for every
     incarnation against the same durable store. *)
-
-(** Counters accumulated across the instances a crashy (or sharded) run
-    burns through — a final instance's {!Strip_sim.Stats} only covers
-    its own epoch.  Histograms and percentiles are not mergeable and
-    stay per-instance ([a_lock_h] is the exception: dead instances'
-    lock waits, merged for the cluster-wide row). *)
-type acc = {
-  mutable a_updates : int;
-  mutable a_recompute : int;
-  mutable a_firings : int;
-  mutable a_merges : int;
-  mutable a_injected : int;
-  mutable a_aborts : int;
-  mutable a_retries : int;
-  mutable a_sheds : int;
-  mutable a_dead : int;
-  mutable a_ctxsw : int;
-  mutable a_lock_waits : int;
-  mutable a_lock_timeouts : int;
-  mutable a_busy_update_us : float;
-  mutable a_busy_recompute_us : float;
-  a_lock_h : Strip_obs.Histogram.t;
-}
-
-val zero_acc : unit -> acc
-
-val accumulate : acc -> Strip_core.Strip_db.t -> unit
-(** Fold one instance's engine stats, rule-manager counters and fault
-    injections into [acc]. *)

@@ -178,39 +178,53 @@ let install db h variant ~delay =
   Strip_db.register_function db (func_name variant) fn;
   Strip_db.create_rule db (rule_text variant ~delay)
 
-let recompute_from_scratch (h : Pta_tables.handles) =
+(* Options are co-partitioned with their stocks, so a union of every
+   shard's tables prices each option exactly as its own shard would. *)
+let recompute_from_scratch_sharded (hs : Pta_tables.handles array) =
   let was = !Meter.enabled in
   Meter.enabled := false;
   Fun.protect
     ~finally:(fun () -> Meter.enabled := was)
     (fun () ->
       let price_of = Hashtbl.create 8192 and stdev_of = Hashtbl.create 8192 in
-      Table.iter h.Pta_tables.stocks (fun r ->
-          Hashtbl.replace price_of (Record.value r 0)
-            (Value.to_float (Record.value r 1)));
-      Table.iter h.Pta_tables.stock_stdev (fun r ->
-          Hashtbl.replace stdev_of (Record.value r 0)
-            (Value.to_float (Record.value r 1)));
+      Array.iter
+        (fun (h : Pta_tables.handles) ->
+          Table.iter h.Pta_tables.stocks (fun r ->
+              Hashtbl.replace price_of (Record.value r 0)
+                (Value.to_float (Record.value r 1)));
+          Table.iter h.Pta_tables.stock_stdev (fun r ->
+              Hashtbl.replace stdev_of (Record.value r 0)
+                (Value.to_float (Record.value r 1))))
+        hs;
       let acc = ref [] in
-      Table.iter h.Pta_tables.options_list (fun r ->
-          let opt = Value.to_string (Record.value r 0) in
-          let stock = Record.value r 1 in
-          let strike = Value.to_float (Record.value r 2) in
-          let expiry = Value.to_float (Record.value r 3) in
-          let price =
-            Strip_finance.Black_scholes.call
-              ~stock_price:(Hashtbl.find price_of stock)
-              ~strike ~rate:Strip_finance.Black_scholes.default_rate
-              ~volatility:(Hashtbl.find stdev_of stock)
-              ~expiry_years:expiry
-          in
-          acc := (opt, price) :: !acc);
+      Array.iter
+        (fun (h : Pta_tables.handles) ->
+          Table.iter h.Pta_tables.options_list (fun r ->
+              let opt = Value.to_string (Record.value r 0) in
+              let stock = Record.value r 1 in
+              let strike = Value.to_float (Record.value r 2) in
+              let expiry = Value.to_float (Record.value r 3) in
+              let price =
+                Strip_finance.Black_scholes.call
+                  ~stock_price:(Hashtbl.find price_of stock)
+                  ~strike ~rate:Strip_finance.Black_scholes.default_rate
+                  ~volatility:(Hashtbl.find stdev_of stock)
+                  ~expiry_years:expiry
+              in
+              acc := (opt, price) :: !acc))
+        hs;
       List.sort compare !acc)
 
-let maintained (h : Pta_tables.handles) =
+let maintained_sharded (hs : Pta_tables.handles array) =
   let acc = ref [] in
-  Table.iter h.Pta_tables.option_prices (fun r ->
-      acc :=
-        (Value.to_string (Record.value r 0), Value.to_float (Record.value r 1))
-        :: !acc);
+  Array.iter
+    (fun (h : Pta_tables.handles) ->
+      Table.iter h.Pta_tables.option_prices (fun r ->
+          acc :=
+            (Value.to_string (Record.value r 0), Value.to_float (Record.value r 1))
+            :: !acc))
+    hs;
   List.sort compare !acc
+
+let recompute_from_scratch h = recompute_from_scratch_sharded [| h |]
+let maintained h = maintained_sharded [| h |]

@@ -33,3 +33,12 @@ val recompute_from_scratch : Pta_tables.handles -> (string * float) list
     (unmetered). *)
 
 val maintained : Pta_tables.handles -> (string * float) list
+
+val recompute_from_scratch_sharded :
+  Pta_tables.handles array -> (string * float) list
+(** Ground truth over a sharded deployment: every shard's options
+    repriced from the union of the shards' stock tables, sorted;
+    {!recompute_from_scratch} is the one-shard case. *)
+
+val maintained_sharded : Pta_tables.handles array -> (string * float) list
+(** Union of every shard's materialized [option_prices], sorted. *)

@@ -85,20 +85,13 @@ let print_repl (m : Experiment.metrics) =
            r.n_partitions r.partition_drops r.fenced_messages
        else "")
       r.epoch r.promotion_lost_bytes r.fenced_bytes;
-    (* Cluster-wide distributions, merged across nodes / crash epochs —
-       the percentile rows a primary-only report would understate. *)
+    (* Cluster-wide lag, merged across replicas — the percentile row a
+       primary-only report would understate. *)
     (match r.cluster_lag with
     | None -> ()
     | Some (s : Strip_obs.Histogram.summary) ->
       Printf.printf
         "  cluster lag: n=%d p50 %.1fms p99 %.1fms max %.1fms (all replicas)\n%!"
-        s.n (1e3 *. s.p50) (1e3 *. s.p99) (1e3 *. s.max));
-    (match r.cluster_lock_wait with
-    | None -> ()
-    | Some (s : Strip_obs.Histogram.summary) ->
-      Printf.printf
-        "  cluster lock waits: n=%d p50 %.2fms p99 %.2fms max %.2fms (all \
-         epochs)\n%!"
         s.n (1e3 *. s.p50) (1e3 *. s.p99) (1e3 *. s.max));
     List.iter
       (fun (pr : Experiment.replica_metrics) ->
@@ -299,7 +292,6 @@ let repl_json (r : Experiment.repl_metrics) =
       ("segments_dropped", Json.Int r.segments_dropped);
       ("bytes_shipped", Json.Int r.bytes_shipped);
       ("cluster_lag_s", opt_summary r.cluster_lag);
-      ("cluster_lock_wait_s", opt_summary r.cluster_lock_wait);
       ( "replicas",
         Json.List
           (List.map

@@ -1,26 +1,6 @@
-(** The sharded experiment driver (ISSUE 10 tentpole).
-
-    Runs the program-trading workload across N shard primaries: base
-    tables hash-partitioned by symbol ({!Strip_shard.Partitioner}), each
-    shard a full {!Strip_core.Strip_db} with its own engine, WAL and
-    checkpoints, and cross-shard [comp_prices] maintenance flowing as
-    weighted partial deltas through {!Strip_shard.Coordinator}'s
-    distributed unique-transaction queue.
-
-    Mirrors {!Experiment.run}'s population, install, replay and metrics
-    assembly so a shard sweep compares like with like; the differences
-    are documented in [docs/SHARDING.md]. *)
-
-val run : Experiment.config -> Experiment.metrics
-(** Run the sharded write path.  Requires [config.shard = Some _]; the
-    resulting metrics carry [shard = Some _] (per-shard rows, protocol
-    counters, cross-shard audit verdict) and [recovery = Some _]
-    (sharded runs are always durable — the exactly-once partial-delta
-    protocol rests on Shard_* WAL records).
-    @raise Invalid_argument without a shard config, or with
-    [shards < 1], or a [shard_crash_at] shard id out of range. *)
+(** Former entry point of sharded experiments.  Sharded and unsharded
+    runs now share {!Experiment.run}. *)
 
 val dispatch : Experiment.config -> Experiment.metrics
-(** [run] when [config.shard] asks for more than one shard, otherwise
-    the unchanged {!Experiment.run} — callers route through this so a
-    shard-less config keeps the single-primary path byte-identical. *)
+(** The same function as {!Experiment.run}.  It remains only because
+    the [bench/perf] harness calls it under this name. *)

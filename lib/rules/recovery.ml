@@ -252,6 +252,34 @@ let recover ?salvage db ~reinstall =
     orphan_merges = !orphan_merges;
   }
 
+(* ------------------------------------------------------------------ *)
+(* Bringing a primary back: retry on fresh instances, charge downtime.  *)
+
+let until_up ~cost ?(record_crash = true) attempt =
+  let before = Meter.snapshot () in
+  let rec retry () = try attempt () with Fault.Crashed _ -> retry () in
+  let db, x = retry () in
+  let down_s =
+    1e-6
+    *. Strip_sim.Cost_model.charge cost (Meter.diff before (Meter.snapshot ()))
+  in
+  Clock.advance_by (Strip_db.clock db) down_s;
+  if record_crash then
+    Strip_sim.Stats.record_crash (Strip_db.stats db) ~recovery_s:down_s;
+  (db, x, down_s)
+
+let restart ~cost ?(condemned = ignore) ~fresh ~reinstall () =
+  until_up ~cost (fun () ->
+      let db = fresh () in
+      match recover db ~reinstall:(fun () -> reinstall db) with
+      | stats -> (db, stats)
+      | exception (Fault.Crashed _ as e) ->
+        (* the durable state is untouched until the post-recovery
+           checkpoint installs, so the next attempt starts clean *)
+        Strip_db.crash db;
+        condemned db;
+        raise e)
+
 let pp_stats ppf s =
   Format.fprintf ppf
     "restored %d tables / %d rows; redo %d commits / %d ops; requeued %d \

@@ -60,4 +60,32 @@ val recover : ?salvage:salvage -> Strip_db.t -> reinstall:(unit -> unit) -> stat
     slot fails its CRC.
     @raise Failure if a redo image does not match the restored state. *)
 
+(** {1 Bringing a primary back} *)
+
+val until_up :
+  cost:Strip_sim.Cost_model.t ->
+  ?record_crash:bool ->
+  (unit -> Strip_db.t * 'a) ->
+  Strip_db.t * 'a * float
+(** [until_up ~cost attempt] retries [attempt] (bring up a fresh
+    instance and recover it, in place or by promotion) until one
+    survives without a {!Strip_txn.Fault.Crashed} escape.  The metered
+    work of every attempt is charged through [cost] as downtime: the
+    survivor's clock advances by it and, unless [record_crash] is
+    [false], it is recorded as one crash in the survivor's stats.
+    Returns the survivor, [attempt]'s result and the downtime in
+    seconds. *)
+
+val restart :
+  cost:Strip_sim.Cost_model.t ->
+  ?condemned:(Strip_db.t -> unit) ->
+  fresh:(unit -> Strip_db.t) ->
+  reinstall:(Strip_db.t -> unit) ->
+  unit ->
+  Strip_db.t * stats * float
+(** Restart in place: {!until_up} over {!recover} on [fresh ()]
+    instances bound to the crashed primary's durable store.  An attempt
+    that crashes mid-recovery is condemned ({!Strip_db.crash}) and
+    passed to [condemned] before the next one. *)
+
 val pp_stats : Format.formatter -> stats -> unit

@@ -23,7 +23,8 @@ type callbacks = {
     delta:float ->
     unit;
   requote : sid:int -> Strip_db.t -> after:float -> unit;
-  recovered : sid:int -> Strip_db.t -> Recovery.stats -> unit;
+  recovered : sid:int -> down_s:float -> Recovery.stats -> unit;
+  retired : sid:int -> Strip_db.t -> unit;
 }
 
 type unacked = { p : Partial.t; mutable last_sent : float }
@@ -35,16 +36,13 @@ type shard = {
   mutable unacked : unacked list;  (* ship order *)
   mutable outbox : Partial.t list;  (* reversed *)
   mutable acks : (int * int) list;  (* reversed; (emitter, seq) *)
-  mutable prior : Strip_db.t list;  (* crashed incarnations, newest first *)
   mutable crashes : int;
-  mutable recovery_s : float;
   mutable last_cp : float;
 }
 
 type t = {
   cfg : config;
   cb : callbacks;
-  n : int;
   shards : shard array;
   links : Link.t array array;  (* links.(src).(dst); diagonal unused *)
   mutable msgs : int;
@@ -170,6 +168,7 @@ let handle_crash t sh =
   let t_crash = Strip_db.now sh.db in
   sh.crashes <- sh.crashes + 1;
   Strip_db.crash sh.db;
+  t.cb.retired ~sid:sh.sid sh.db;
   let dur =
     match Strip_db.durable sh.db with
     | Some d -> d
@@ -177,28 +176,12 @@ let handle_crash t sh =
       invalid_arg "Coordinator: crashed shard has no durability layer"
   in
   let st = scan_state dur in
-  let before = Meter.snapshot () in
-  let rec restart () =
-    let ndb = t.cb.remake ~sid:sh.sid ~now:t_crash in
-    match
-      Recovery.recover ndb ~reinstall:(fun () ->
-          t.cb.reinstall ~sid:sh.sid ndb)
-    with
-    | stats -> (ndb, stats)
-    | exception Fault.Crashed _ ->
-      (* crashed again mid-recovery — condemn and retry from durable state *)
-      Strip_db.crash ndb;
-      sh.prior <- ndb :: sh.prior;
-      restart ()
+  let ndb, stats, down_s =
+    Recovery.restart ~cost:t.cfg.cost ~condemned:(t.cb.retired ~sid:sh.sid)
+      ~fresh:(fun () -> t.cb.remake ~sid:sh.sid ~now:t_crash)
+      ~reinstall:(t.cb.reinstall ~sid:sh.sid) ()
   in
-  let ndb, stats = restart () in
-  let after = Meter.snapshot () in
-  let rec_s = 1e-6 *. Strip_sim.Cost_model.charge t.cfg.cost (Meter.diff before after) in
-  Clock.advance_by (Strip_db.clock ndb) rec_s;
-  Strip_sim.Stats.record_crash (Strip_db.stats ndb) ~recovery_s:rec_s;
-  sh.prior <- sh.db :: sh.prior;
   sh.db <- ndb;
-  sh.recovery_s <- sh.recovery_s +. rec_s;
   install_sinks sh;
   Rule_manager.set_partial_seq (Strip_db.rules ndb) st.s_next_seq;
   Dqueue.restore sh.dq ~seen:st.s_seen ~pending:st.s_pending;
@@ -231,7 +214,7 @@ let handle_crash t sh =
      baseline back so a second crash still finds it. *)
   append_state sh;
   sh.last_cp <- Strip_db.now ndb;
-  t.cb.recovered ~sid:sh.sid ndb stats
+  t.cb.recovered ~sid:sh.sid ~down_s stats
 
 let rec run_guarded t sh ~until =
   try Strip_db.run ~until sh.db with
@@ -413,9 +396,7 @@ let create ~cfg ~cb dbs =
           unacked = [];
           outbox = [];
           acks = [];
-          prior = [];
           crashes = 0;
-          recovery_s = 0.0;
           last_cp = 0.0;
         })
       dbs
@@ -428,7 +409,6 @@ let create ~cfg ~cb dbs =
     {
       cfg;
       cb;
-      n;
       shards;
       links;
       msgs = 0;
@@ -451,12 +431,9 @@ let checkpoint_all t =
       end)
     t.shards
 
-let n_shards t = t.n
 let db t i = t.shards.(i).db
-let prior_dbs t i = t.shards.(i).prior
 let queue t i = t.shards.(i).dq
 let crashes t i = t.shards.(i).crashes
-let recovery_s t i = t.shards.(i).recovery_s
 let msgs_sent t = t.msgs
 let bytes_shipped t = t.bytes
 let partials_shipped t = t.partials

@@ -41,7 +41,8 @@
     from its own WAL + checkpoint), not failed over: an unshipped
     [Shard_out] tail is durable only in the primary's log, so promoting
     a replica that never saw those bytes could silently lose committed
-    partials.  Recovery scans the log {e before}
+    partials.  The restart itself is {!Strip_core.Recovery.restart}.
+    Recovery scans the log {e before}
     {!Strip_core.Recovery.recover} truncates it (rebuilding the dedup
     set, pending merges, unacked ships and the sequence counter from
     [Shard_state] + subsequent records), re-ships everything
@@ -75,8 +76,13 @@ type callbacks = {
       (** fold a merged partial delta into shard [sid]'s composite row *)
   requote : sid:int -> Strip_core.Strip_db.t -> after:float -> unit;
       (** resubmit the shard's undelivered feed updates after a crash *)
-  recovered : sid:int -> Strip_core.Strip_db.t -> Strip_core.Recovery.stats -> unit;
-      (** post-recovery hook (e.g. rebuild the shard's replica set) *)
+  recovered : sid:int -> down_s:float -> Strip_core.Recovery.stats -> unit;
+      (** post-recovery hook: the recovery's stats and the downtime
+          charged for it *)
+  retired : sid:int -> Strip_core.Strip_db.t -> unit;
+      (** an incarnation of shard [sid] died — the crashed primary, or a
+          fresh instance that crashed mid-recovery.  Fold its counters
+          now: the coordinator keeps no reference to it. *)
 }
 
 type t
@@ -102,14 +108,11 @@ val run : t -> until:float -> unit
 
 (** {1 Inspection} *)
 
-val n_shards : t -> int
 val db : t -> int -> Strip_core.Strip_db.t
-val prior_dbs : t -> int -> Strip_core.Strip_db.t list
-(** Crashed incarnations of shard [i], newest first (for stats folds). *)
+(** Shard [i]'s live incarnation. *)
 
 val queue : t -> int -> Dqueue.t
 val crashes : t -> int -> int
-val recovery_s : t -> int -> float
 val msgs_sent : t -> int
 val bytes_shipped : t -> int
 val partials_shipped : t -> int

@@ -568,6 +568,40 @@ let test_crash_free_run_has_no_recovery_surface () =
   Alcotest.(check bool) "JSON carries no recovery member" false
     (contains json "\"recovery\"")
 
+(* lock_wait_s folds every incarnation's histogram, so its count is
+   n_lock_waits even when waits happen on both sides of a crash. *)
+let test_lock_waits_span_incarnations () =
+  Task.reset_ids ();
+  let cfg =
+    Experiment.quick
+      (Experiment.default_config
+         (Experiment.Comp_view Comp_rules.Unique_on_symbol) ~delay:1.0)
+      0.05
+  in
+  let cfg =
+    {
+      cfg with
+      Experiment.servers = 4;
+      recovery =
+        Some
+          {
+            Experiment.default_recovery with
+            Experiment.checkpoint_every = Some 5.0;
+            crash_at = Some 45.0;
+          };
+    }
+  in
+  let m = Experiment.run cfg in
+  Alcotest.(check bool) "tasks waited on locks" true
+    (m.Experiment.n_lock_waits > 0);
+  let n =
+    match m.Experiment.lock_wait_s with
+    | Some s -> s.Strip_obs.Histogram.n
+    | None -> 0
+  in
+  Alcotest.(check int) "histogram count = n_lock_waits" m.Experiment.n_lock_waits
+    n
+
 (* ------------------------------------------------------------------ *)
 (* Temp_table.absorb into a fully-materialized destination (recovered
    TCBs carry no record pointers) *)
@@ -696,5 +730,7 @@ let suite =
           test_experiment_crash_determinism;
         Alcotest.test_case "crash-free runs expose no recovery surface" `Slow
           test_crash_free_run_has_no_recovery_surface;
+        Alcotest.test_case "lock waits span every incarnation" `Slow
+          test_lock_waits_span_incarnations;
       ] );
   ]

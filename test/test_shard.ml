@@ -245,7 +245,7 @@ let test_sharded_run_verified () =
       (Experiment.Comp_view Comp_rules.Unique_on_comp)
       ~delay:1.0
   in
-  let m = Shard_exp.dispatch cfg in
+  let m = Experiment.run cfg in
   Alcotest.(check bool) "cross-shard audit verified" true
     (m.Experiment.verified = Some true);
   match m.Experiment.shard with
@@ -319,7 +319,7 @@ let test_partition_union () =
 
 let test_sharded_determinism () =
   let mk () =
-    Shard_exp.dispatch
+    Experiment.run
       (sharded_cfg ~shards:2
          (Experiment.Comp_view Comp_rules.Unique_coarse)
          ~delay:2.0)
@@ -334,7 +334,7 @@ let test_shard_crash_recovery () =
       (Experiment.Comp_view Comp_rules.Unique_on_comp)
       ~delay:1.0
   in
-  let m = Shard_exp.dispatch cfg in
+  let m = Experiment.run cfg in
   (match m.Experiment.shard with
   | None -> Alcotest.fail "shard metrics missing"
   | Some s ->
@@ -349,6 +349,61 @@ let test_shard_crash_recovery () =
   | Some r ->
     Alcotest.(check bool) "crash counted" true (r.Experiment.n_crashes >= 1);
     Alcotest.(check bool) "audit clean" true r.Experiment.audit_clean
+  | None -> Alcotest.fail "recovery metrics missing"
+
+(* The topology rule: any shard config, a single shard included, runs
+   through the coordinator; no shard config runs one primary. *)
+let test_topology_rule () =
+  let rule = Experiment.Comp_view Comp_rules.Unique_on_comp in
+  let one = Experiment.run (sharded_cfg ~shards:1 rule ~delay:1.0) in
+  (match one.Experiment.shard with
+  | None -> Alcotest.fail "shards = 1 did not run through the coordinator"
+  | Some s ->
+    Alcotest.(check int) "one shard" 1 s.Experiment.n_shards;
+    Alcotest.(check int) "no partials shipped" 0 s.Experiment.sh_partials);
+  Alcotest.(check (option bool)) "single shard verified" (Some true)
+    one.Experiment.verified;
+  let none =
+    Experiment.run
+      (Experiment.quick (Experiment.default_config rule ~delay:1.0) scale)
+  in
+  Alcotest.(check bool) "no shard config, no coordinator" true
+    (none.Experiment.shard = None)
+
+(* One fold over the shards and their dead incarnations: the global
+   counters are the per-shard sums, and mean_recovery_s is task retry
+   latency (none here), not the shard's crash downtime. *)
+let test_shard_crash_fold () =
+  let m =
+    Experiment.run
+      (sharded_cfg ~shards:3 ~crash:(1, 45.0)
+         (Experiment.Comp_view Comp_rules.Non_unique)
+         ~delay:1.0)
+  in
+  let s =
+    match m.Experiment.shard with
+    | Some s -> s
+    | None -> Alcotest.fail "shard metrics missing"
+  in
+  let total f = List.fold_left (fun t r -> t + f r) 0 s.Experiment.sh_rows in
+  Alcotest.(check int) "shard 1 crashed once" 1
+    (total (fun r -> r.Experiment.sh_crashes));
+  Alcotest.(check int) "n_updates sums the shards"
+    (total (fun r -> r.Experiment.sh_updates))
+    m.Experiment.n_updates;
+  Alcotest.(check int) "n_recompute sums the shards"
+    (total (fun r -> r.Experiment.sh_recomputes))
+    m.Experiment.n_recompute;
+  Alcotest.(check int) "n_firings sums the shards"
+    (total (fun r -> r.Experiment.sh_firings))
+    m.Experiment.n_firings;
+  Alcotest.(check int) "no task retries" 0 m.Experiment.n_retries;
+  Alcotest.(check (float 0.0)) "mean_recovery_s is retry latency" 0.0
+    m.Experiment.mean_recovery_s;
+  match m.Experiment.recovery with
+  | Some r ->
+    Alcotest.(check bool) "crash downtime is total_recovery_s" true
+      (r.Experiment.total_recovery_s > 0.0)
   | None -> Alcotest.fail "recovery metrics missing"
 
 let suite =
@@ -375,5 +430,9 @@ let suite =
           test_sharded_determinism;
         Alcotest.test_case "crash during ship: exactly-once recovery" `Slow
           test_shard_crash_recovery;
+        Alcotest.test_case "topology: any shard config runs the coordinator"
+          `Slow test_topology_rule;
+        Alcotest.test_case "shard crash: counters fold over shards" `Slow
+          test_shard_crash_fold;
       ] );
   ]
