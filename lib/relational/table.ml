@@ -21,6 +21,7 @@ type t = {
   nodes : (int, node) Hashtbl.t;  (* rid -> node, for O(1) unlink *)
   mutable tindexes : Index.t list;
   mutable ixgen : int;  (* bumped whenever the index list changes *)
+  mutable version : int;  (* bumped by every row or index change *)
   mutable count : int;
 }
 
@@ -40,6 +41,7 @@ let create ~name ~schema =
     nodes = Hashtbl.create 64;
     tindexes = [];
     ixgen = 0;
+    version = 0;
     count = 0;
   }
 
@@ -67,6 +69,7 @@ let create_index t ~name ~kind ~cols =
   iter t (fun r -> Index.add idx r);
   t.tindexes <- t.tindexes @ [ idx ];
   t.ixgen <- t.ixgen + 1;
+  t.version <- t.version + 1;
   idx
 
 let find_index t name =
@@ -80,6 +83,7 @@ let index_on t cols =
 
 let indexes t = t.tindexes
 let index_gen t = t.ixgen
+let version t = t.version
 
 let check_row t values =
   match Schema.validate_row t.tschema values with
@@ -142,6 +146,7 @@ let insert t values =
   let r = Record.create values in
   let node = { record = r; prev = None; next = None } in
   link_last t node;
+  t.version <- t.version + 1;
   List.iter (fun idx -> Index.add idx r) t.tindexes;
   r
 
@@ -152,6 +157,7 @@ let update t old values =
   let r = Record.create_version ~base:old.Record.base values in
   let node = { record = r; prev = None; next = None } in
   replace_node t ~old_node node;
+  t.version <- t.version + 1;
   List.iter
     (fun idx ->
       Index.remove idx old;
@@ -164,6 +170,7 @@ let delete t r =
   Meter.tick_c c_delete_record;
   let node = node_of t r in
   unlink t node;
+  t.version <- t.version + 1;
   List.iter (fun idx -> Index.remove idx r) t.tindexes;
   Record.retire r
 

@@ -41,6 +41,14 @@ val index_gen : t -> int
 (** Generation counter, bumped whenever the set of indexes changes.  Lets
     cached query plans validate their access-path choice in O(1). *)
 
+val version : t -> int
+(** Change counter, bumped by every row mutation ([insert], [update],
+    [delete], [clear], and the cursor forms) and by [create_index].  Equal
+    versions of the same physical table mean equal contents and index
+    definitions, which lets checkpoint images reuse a table's encoding.
+    Separate from {!index_gen} so row writes do not invalidate cached
+    query plans. *)
+
 val insert : t -> Value.t array -> Record.t
 (** Append a record.  @raise Invalid_argument on schema mismatch. *)
 

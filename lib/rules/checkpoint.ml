@@ -24,7 +24,7 @@ type t = {
   queue : queue_entry list;  (* task-id order *)
 }
 
-let snap_table tb =
+let snap_table ~rows tb =
   let schema = Table.schema tb in
   let cols =
     List.map (fun (c : Schema.column) -> (c.Schema.cname, c.Schema.cty))
@@ -42,7 +42,7 @@ let snap_table tb =
         (Index.name ix, Index.kind ix, names))
       (Table.indexes tb)
   in
-  { tname = Table.name tb; cols; indexes; rows = Table.to_rows tb }
+  { tname = Table.name tb; cols; indexes; rows = rows tb }
 
 let snap_queue reg =
   List.map
@@ -63,17 +63,20 @@ let capture ~cat ~views ~reg ~now ~wal_lsn =
   {
     taken_at = now;
     wal_lsn;
-    tables = List.map snap_table (Catalog.tables cat);
+    tables = List.map (snap_table ~rows:Table.to_rows) (Catalog.tables cat);
     views;
     queue = snap_queue reg;
   }
 
+let queue_rows queue =
+  List.fold_left
+    (fun acc q ->
+      List.fold_left (fun acc (_, rows) -> acc + List.length rows) acc q.qbound)
+    0 queue
+
 let total_rows t =
   List.fold_left (fun acc ts -> acc + List.length ts.rows) 0 t.tables
-  + List.fold_left
-      (fun acc q ->
-        List.fold_left (fun acc (_, rows) -> acc + List.length rows) acc q.qbound)
-      0 t.queue
+  + queue_rows t.queue
 
 (* Rebuild tables into a fresh catalog: raw inserts (no locking or
    logging — recovery runs outside any transaction), indexes built after
@@ -160,18 +163,45 @@ let get_queue_entry r =
   in
   { qfunc; qkey; qrelease_time; qcreated_at; qbound }
 
-let encode t =
-  let b = Buffer.create 65536 in
-  Codec.put_float b t.taken_at;
-  Codec.put_int b t.wal_lsn;
-  Codec.put_list b put_table_snap t.tables;
+(* One table's encoding, as it sits in the image's table list. *)
+let segment b ts =
+  Buffer.clear b;
+  put_table_snap b ts;
+  Buffer.contents b
+
+(* An image is [taken_at][wal_lsn][table count][segments][views][queue].
+   The small head and tail go through [b]; the segments are blitted
+   straight into one exact-size buffer. *)
+let assemble b ~taken_at ~wal_lsn ~segments ~views ~queue =
+  Buffer.clear b;
+  Codec.put_float b taken_at;
+  Codec.put_int b wal_lsn;
+  Codec.put_u32 b (List.length segments);
+  let head = Buffer.length b in
   Codec.put_list b
     (fun b (name, sql) ->
       Codec.put_string b name;
       Codec.put_string b sql)
-    t.views;
-  Codec.put_list b put_queue_entry t.queue;
-  Buffer.contents b
+    views;
+  Codec.put_list b put_queue_entry queue;
+  let body = List.fold_left (fun n s -> n + String.length s) 0 segments in
+  let img = Bytes.create (Buffer.length b + body) in
+  Buffer.blit b 0 img 0 head;
+  let pos =
+    List.fold_left
+      (fun pos s ->
+        Bytes.blit_string s 0 img pos (String.length s);
+        pos + String.length s)
+      head segments
+  in
+  Buffer.blit b head img pos (Buffer.length b - head);
+  Bytes.unsafe_to_string img
+
+let encode t =
+  let b = Buffer.create 65536 in
+  assemble b ~taken_at:t.taken_at ~wal_lsn:t.wal_lsn
+    ~segments:(List.map (segment b) t.tables)
+    ~views:t.views ~queue:t.queue
 
 let decode s =
   let r = Codec.reader s in
@@ -188,3 +218,52 @@ let decode s =
   if Codec.remaining r > 0 then
     raise (Codec.Decode_error "trailing bytes in checkpoint image");
   { taken_at; wal_lsn; tables; views; queue }
+
+(* ------------------------------------------------------------------ *)
+(* Incremental images.                                                  *)
+
+type entry = {
+  table : Table.t;
+  version : int;
+  seg : string;
+  nrows : int;
+}
+
+type cache = {
+  mutable entries : entry list;  (* the tables of the previous image *)
+  scratch : Buffer.t;
+}
+
+let create_cache () = { entries = []; scratch = Buffer.create 4096 }
+
+(* [capture] hands out copies of the rows; an image encodes them at once,
+   so it reads the live records' value arrays in place (record values are
+   never mutated). *)
+let live_rows tb =
+  let acc = ref [] in
+  Table.iter tb (fun r -> acc := r.Record.values :: !acc);
+  List.rev !acc
+
+let image c ~cat ~views ~reg ~now ~wal_lsn =
+  let entry tb =
+    match List.find_opt (fun e -> e.table == tb) c.entries with
+    | Some e when e.version = Table.version tb -> e
+    | _ ->
+      let ts = snap_table ~rows:live_rows tb in
+      {
+        table = tb;
+        version = Table.version tb;
+        seg = segment c.scratch ts;
+        nrows = List.length ts.rows;
+      }
+  in
+  let entries = List.map entry (Catalog.tables cat) in
+  c.entries <- entries;
+  let queue = snap_queue reg in
+  let encoded =
+    assemble c.scratch ~taken_at:now ~wal_lsn
+      ~segments:(List.map (fun e -> e.seg) entries)
+      ~views ~queue
+  in
+  let rows = List.fold_left (fun n e -> n + e.nrows) (queue_rows queue) entries in
+  (encoded, rows)

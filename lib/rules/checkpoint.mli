@@ -58,5 +58,37 @@ val restore_tables : t -> Catalog.t -> unit
 
 val encode : t -> string
 
+(** {1 Incremental images}
+
+    Between two checkpoints most tables do not change (in the PTA
+    workload only [stocks] and [comp_prices] do).  A cache keeps each
+    table's encoded segment from the previous image, keyed by the
+    physical {!Strip_relational.Table.t} and its
+    {!Strip_relational.Table.version}; a table is re-encoded only when it
+    is a different table (dropped and recreated, or a new incarnation's
+    catalog) or its version moved.  Segments are produced by the same
+    encoder as {!encode}, so the image is byte-identical to
+    [encode (capture ...)].  The cache holds its own immutable strings,
+    never the installed image, so damage to a stored slot cannot leak
+    into a later image. *)
+
+type cache
+
+val create_cache : unit -> cache
+
+val image :
+  cache ->
+  cat:Catalog.t ->
+  views:(string * string) list ->
+  reg:Unique.t ->
+  now:float ->
+  wal_lsn:int ->
+  string * int
+(** [image c ~cat ~views ~reg ~now ~wal_lsn] is
+    [(encode s, total_rows s)] for [s = capture ~cat ~views ~reg ~now
+    ~wal_lsn], reusing the cached segment of every unchanged table.  The
+    row count is the full capture's, so the ["checkpoint_row"] cost the
+    caller charges still models a full snapshot. *)
+
 val decode : string -> t
 (** @raise Strip_txn.Codec.Decode_error on a malformed image. *)

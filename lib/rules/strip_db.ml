@@ -17,6 +17,7 @@ type t = {
   prov : Strip_obs.Provenance.t option;
   mutable views : (string * Sql_parser.select_ast) list;  (* newest first *)
   mutable view_sql : (string * string) list;  (* newest first *)
+  cp_cache : Checkpoint.cache;  (* table segments of the last image *)
 }
 
 (* Register every component's counters, gauges and distributions into one
@@ -220,6 +221,7 @@ let create ?policy ?cost ?now ?fault ?durable ?retry ?overload ?servers
     prov = provenance;
     views = [];
     view_sql = [];
+    cp_cache = Checkpoint.create_cache ();
   }
 
 let catalog t = t.cat
@@ -452,18 +454,18 @@ let checkpoint t =
        call may land anywhere). *)
     if Wal.pending_bytes w > 0 then Wal.fsync w;
     let lsn = Wal.durable_end w in
-    let snap =
-      Checkpoint.capture ~cat:t.cat ~views:(view_sql t)
-        ~reg:(Rule_manager.registry t.mgr) ~now:(Clock.now t.clk) ~wal_lsn:lsn
+    let now = Clock.now t.clk in
+    let encoded, rows =
+      Checkpoint.image t.cp_cache ~cat:t.cat ~views:(view_sql t)
+        ~reg:(Rule_manager.registry t.mgr) ~now ~wal_lsn:lsn
     in
-    let encoded = Checkpoint.encode snap in
-    Meter.tick_n "checkpoint_row" (Checkpoint.total_rows snap);
+    Meter.tick_n "checkpoint_row" rows;
     (* Crash site: the image is built but not installed.  The previous
        checkpoint and the untruncated log remain the recovery source. *)
     (match t.fi with
     | None -> ()
     | Some fi -> Fault.fire fi ~site:Fault.Crash ~txid:0 ~detail:"checkpoint");
-    Durable.install_checkpoint d ~encoded ~lsn ~time:snap.Checkpoint.taken_at;
+    Durable.install_checkpoint d ~encoded ~lsn ~time:now;
     (* Truncate before appending the mark — the byte stream is identical
        (the mark's LSN was fixed above), and reclaiming first means a
        disk-full clamp cannot livelock checkpointing: by the time the
@@ -476,7 +478,7 @@ let checkpoint t =
     wal_guard (fun () ->
         ignore
           (Wal.append w
-             (Wal.Checkpoint_mark { time = snap.Checkpoint.taken_at; lsn })));
+             (Wal.Checkpoint_mark { time = now; lsn })));
     Wal.fsync w
 
 let schedule_checkpoints t ~every ?start ?(until = infinity) () =

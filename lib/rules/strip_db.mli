@@ -200,6 +200,9 @@ val checkpoint : t -> unit
     the queued unique transactions; install it atomically in the durable
     store; append a {!Strip_txn.Wal.Checkpoint_mark} and truncate the log
     behind the image's LSN.  Charges ["checkpoint_row"] per captured row.
+    Only tables changed since this instance's previous image are
+    re-encoded ({!Checkpoint.image}); the image bytes and the charge are
+    those of a full capture.
     The mid-checkpoint [Crash] fault site fires between capture and
     install, so a crash there recovers from the {e previous} image.
     @raise Invalid_argument without a durability layer. *)

@@ -14,17 +14,13 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
 
 let put_u8 b i = Buffer.add_char b (Char.chr (i land 0xff))
 
+(* [Int32.of_int] wraps modulo 2^32, so every in-range value keeps its
+   low 32 bits exactly. *)
 let put_u32 b i =
   if i < 0 || i > 0xFFFFFFFF then invalid_arg "Codec.put_u32: out of range";
-  put_u8 b i;
-  put_u8 b (i lsr 8);
-  put_u8 b (i lsr 16);
-  put_u8 b (i lsr 24)
+  Buffer.add_int32_le b (Int32.of_int i)
 
-let put_i64 b (i : int64) =
-  for k = 0 to 7 do
-    put_u8 b (Int64.to_int (Int64.shift_right_logical i (8 * k)))
-  done
+let put_i64 b (i : int64) = Buffer.add_int64_le b i
 
 let put_int b i = put_i64 b (Int64.of_int i)
 let put_float b f = put_i64 b (Int64.bits_of_float f)
@@ -129,23 +125,58 @@ let get_ty r =
   | tag -> fail "get_ty: unknown tag %d" tag
 
 (* ------------------------------------------------------------------ *)
-(* CRC-32 (IEEE 802.3), the classic reflected polynomial.               *)
+(* CRC-32 (IEEE 802.3), the classic reflected polynomial, computed
+   slice-by-8: table [k] advances the CRC over a byte followed by [k]
+   zero bytes, so eight table lookups consume eight input bytes at once.
+   Table 0 is the classic bytewise table, which finishes the tail. *)
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1)
-           else c := !c lsr 1
-         done;
-         !c))
+let crc_tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let p = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- (p lsr 8) lxor t.(p land 0xff)
+    done
+  done;
+  t
 
 let crc32 ?(pos = 0) ?len s =
-  let len = match len with Some l -> l | None -> String.length s - pos in
-  let tbl = Lazy.force crc_table in
+  let n = String.length s in
+  let len = match len with Some l -> l | None -> n - pos in
+  (* the range check covers every unchecked access below *)
+  if pos < 0 || len < 0 || pos > n - len then
+    invalid_arg "Codec.crc32: range out of bounds";
+  let byte i = Char.code (String.unsafe_get s i) in
+  let tbl k i = Array.unsafe_get crc_tables ((k lsl 8) lor i) in
+  let stop = pos + len in
   let c = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
-    c := tbl.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  let i = ref pos in
+  while !i + 8 <= stop do
+    let p = !i in
+    let x =
+      !c
+      lxor (byte p lor (byte (p + 1) lsl 8) lor (byte (p + 2) lsl 16)
+           lor (byte (p + 3) lsl 24))
+    in
+    c :=
+      tbl 7 (x land 0xff)
+      lxor tbl 6 ((x lsr 8) land 0xff)
+      lxor tbl 5 ((x lsr 16) land 0xff)
+      lxor tbl 4 (x lsr 24)
+      lxor tbl 3 (byte (p + 4))
+      lxor tbl 2 (byte (p + 5))
+      lxor tbl 1 (byte (p + 6))
+      lxor tbl 0 (byte (p + 7));
+    i := p + 8
+  done;
+  for p = !i to stop - 1 do
+    c := tbl 0 ((!c lxor byte p) land 0xff) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF

@@ -47,4 +47,6 @@ val get_ty : reader -> Strip_relational.Value.ty
 (** {1 Integrity} *)
 
 val crc32 : ?pos:int -> ?len:int -> string -> int
-(** CRC-32 (IEEE) of a substring; the WAL's per-entry checksum. *)
+(** CRC-32 (IEEE) of a substring; the WAL's per-entry checksum and each
+    checkpoint slot's integrity check.  [crc32 "123456789" = 0xCBF43926].
+    @raise Invalid_argument if [pos]/[len] do not name a substring of [s]. *)

@@ -47,6 +47,9 @@ exp aborts "${symbol[@]}" --abort-rate 0.1 --fault-seed 2025
 exp crash "${symbol[@]}" --crash-at 45 --checkpoint-interval 5
 exp crash-servers-4 "${symbol[@]}" --crash-at 45 --checkpoint-interval 5 \
   --servers 4
+# A checkpoint every simulated second: many images reuse the encodings
+# of unchanged tables, and the crash recovers from one of them.
+exp crash-dense "${symbol[@]}" --crash-at 45 --checkpoint-interval 1
 exp crash-rate "${symbol[@]}" --crash-rate 0.001
 exp failover "${symbol[@]}" --crash-at 45 --checkpoint-interval 5 \
   --replicas 2 --read-rate 50 --read-policy bounded:0.5

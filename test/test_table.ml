@@ -183,6 +183,63 @@ let test_clear () =
   Alcotest.(check (list (pair string int))) "usable after clear" [ ("c", 3) ]
     (contents tb)
 
+(* [version] moves on every row or index change and on nothing else;
+   [index_gen] moves only when the index list changes, so cached plans
+   survive row writes. *)
+let test_version () =
+  let tb = mk () in
+  let check_moves what ~ixgen f =
+    let v = Table.version tb and g = Table.index_gen tb in
+    let x = f () in
+    Alcotest.(check bool) (what ^ " bumps version") true (Table.version tb > v);
+    Alcotest.(check int)
+      (what ^ (if ixgen then " bumps" else " keeps") ^ " index_gen")
+      (if ixgen then g + 1 else g)
+      (Table.index_gen tb);
+    x
+  in
+  let check_still what f =
+    let v = Table.version tb and g = Table.index_gen tb in
+    let x = f () in
+    Alcotest.(check int) (what ^ " keeps version") v (Table.version tb);
+    Alcotest.(check int) (what ^ " keeps index_gen") g (Table.index_gen tb);
+    x
+  in
+  let a = check_moves "insert" ~ixgen:false (fun () -> Table.insert tb (row "a" 1)) in
+  ignore (check_moves "insert" ~ixgen:false (fun () -> Table.insert tb (row "b" 2)));
+  let last = check_moves "insert" ~ixgen:false (fun () -> Table.insert tb (row "c" 3)) in
+  ignore (check_moves "update" ~ixgen:false (fun () -> Table.update tb a (row "a" 5)));
+  let ix =
+    check_moves "create_index" ~ixgen:true (fun () ->
+        Table.create_index tb ~name:"by_k" ~kind:Index.Ordered ~cols:[ "k" ])
+  in
+  check_still "reads" (fun () ->
+      ignore (Table.cardinal tb);
+      ignore (Table.to_rows tb);
+      Table.iter tb ignore;
+      ignore (Table.find_index tb "by_k");
+      ignore (Table.index_on tb [ "k" ]);
+      ignore (Index.lookup ix [ Value.Str "a" ]);
+      let drain c =
+        while Table.fetch c <> None do () done;
+        Table.close_cursor c
+      in
+      drain (Table.open_cursor tb);
+      drain (Table.open_index_cursor tb ix [ Value.Str "b" ]);
+      drain (Table.open_range_cursor tb ix ~lo:[ Value.Str "a" ] ()));
+  let c = check_still "open/fetch" (fun () ->
+      let c = Table.open_cursor tb in
+      ignore (Table.fetch c);
+      c)
+  in
+  ignore (check_moves "cursor_update" ~ixgen:false (fun () -> Table.cursor_update c (row "a" 6)));
+  ignore (check_still "fetch" (fun () -> Table.fetch c));
+  check_moves "cursor_delete" ~ixgen:false (fun () -> Table.cursor_delete c);
+  check_still "close" (fun () -> Table.close_cursor c);
+  (* the cursor deleted "b"; "c" is still live *)
+  check_moves "delete" ~ixgen:false (fun () -> Table.delete tb last);
+  check_moves "clear" ~ixgen:false (fun () -> Table.clear tb)
+
 let suite =
   [
     ( "table",
@@ -201,5 +258,7 @@ let suite =
         Alcotest.test_case "index cursor" `Quick test_index_cursor;
         Alcotest.test_case "cursor update needs a fetch" `Quick test_cursor_update_without_fetch;
         Alcotest.test_case "clear" `Quick test_clear;
+        Alcotest.test_case "version moves on every change only" `Quick
+          test_version;
       ] );
   ]
