@@ -93,47 +93,36 @@ let append_state sh =
     ignore (Wal.append_batch w [ state ]);
     Wal.fsync w
 
-type proto_state = {
-  mutable s_next_seq : int;
-  mutable s_seen : (int * int) list;
-  mutable s_pending : (Value.t list * float * float) list;
-  mutable s_unacked : (int * int * Value.t list * float * float) list;
+type log_state = {
+  next_seq : int;
+  queue : Dqueue.t;
+  outstanding : (int * int * Value.t list * float * float) list;
 }
 
-(* Rebuild the cross-shard protocol state from the shard's own log.  Must
-   run BEFORE Recovery.recover: recovery ends with a checkpoint that
-   truncates the log these records live in. *)
-let scan_state dur =
-  let rd = Wal.read (Durable.wal dur) in
-  let st =
-    { s_next_seq = 0; s_seen = []; s_pending = []; s_unacked = [] }
+(* Rebuild the cross-shard protocol state from a shard's own log.  The
+   queue is replayed through a scratch Dqueue, so recovery dedups and
+   merges with exactly the code the live path uses. *)
+let scan_log records =
+  let queue = Dqueue.create () in
+  let next_seq, unacked =
+    List.fold_left
+      (fun ((next_seq, unacked) as acc) (_lsn, r) ->
+        match r with
+        | Wal.Shard_state { next_seq; seen; pending; unacked } ->
+          Dqueue.restore queue ~seen ~pending;
+          (next_seq, List.rev unacked)
+        | Wal.Shard_out { seq; dst; key; delta; created_at } ->
+          (max next_seq seq, (seq, dst, key, delta, created_at) :: unacked)
+        | Wal.Shard_in { src; seq; key; delta; created_at } ->
+          ignore (Dqueue.offer queue ~src ~seq ~key ~delta ~created_at);
+          acc
+        | Wal.Shard_release { key } ->
+          Dqueue.remove queue ~key;
+          acc
+        | _ -> acc)
+      (0, []) records
   in
-  List.iter
-    (fun (_lsn, r) ->
-      match r with
-      | Wal.Shard_state { next_seq; seen; pending; unacked } ->
-        st.s_next_seq <- next_seq;
-        st.s_seen <- seen;
-        st.s_pending <- pending;
-        st.s_unacked <- unacked
-      | Wal.Shard_out { seq; dst; key; delta; created_at } ->
-        st.s_next_seq <- max st.s_next_seq seq;
-        st.s_unacked <- st.s_unacked @ [ (seq, dst, key, delta, created_at) ]
-      | Wal.Shard_in { src; seq; key; delta; created_at } ->
-        if not (List.mem (src, seq) st.s_seen) then begin
-          st.s_seen <- st.s_seen @ [ (src, seq) ];
-          let rec merge = function
-            | [] -> [ (key, delta, created_at) ]
-            | (k, d, c) :: tl when k = key -> (k, d +. delta, c) :: tl
-            | hd :: tl -> hd :: merge tl
-          in
-          st.s_pending <- merge st.s_pending
-        end
-      | Wal.Shard_release { key } ->
-        st.s_pending <- List.filter (fun (k, _, _) -> k <> key) st.s_pending
-      | _ -> ())
-    rd.Wal.records;
-  st
+  { next_seq; queue; outstanding = List.rev unacked }
 
 (* ------------------------------------------------------------------ *)
 (* Shipping.                                                            *)
@@ -175,7 +164,9 @@ let handle_crash t sh =
     | None ->
       invalid_arg "Coordinator: crashed shard has no durability layer"
   in
-  let st = scan_state dur in
+  (* Must run BEFORE Recovery.recover: recovery ends with a checkpoint
+     that truncates the log these records live in. *)
+  let st = scan_log (Wal.read (Durable.wal dur)).Wal.records in
   let ndb, stats, down_s =
     Recovery.restart ~cost:t.cfg.cost ~condemned:(t.cb.retired ~sid:sh.sid)
       ~fresh:(fun () -> t.cb.remake ~sid:sh.sid ~now:t_crash)
@@ -183,8 +174,9 @@ let handle_crash t sh =
   in
   sh.db <- ndb;
   install_sinks sh;
-  Rule_manager.set_partial_seq (Strip_db.rules ndb) st.s_next_seq;
-  Dqueue.restore sh.dq ~seen:st.s_seen ~pending:st.s_pending;
+  Rule_manager.set_partial_seq (Strip_db.rules ndb) st.next_seq;
+  Dqueue.restore sh.dq ~seen:(Dqueue.seen_list st.queue)
+    ~pending:(Dqueue.pending_list st.queue);
   sh.outbox <- [];
   sh.acks <- [];
   (* Everything logged but unacknowledged re-ships immediately; the
@@ -205,7 +197,7 @@ let handle_crash t sh =
             };
           last_sent = neg_infinity;
         })
-      st.s_unacked;
+      st.outstanding;
   List.iter
     (fun key -> submit_apply t sh ~key ~ctx:None)
     (Dqueue.pending_keys sh.dq);

@@ -106,6 +106,27 @@ val run : t -> until:float -> unit
     system is quiescent: all engines drained, no partial unshipped,
     unacked or unapplied, no message in flight. *)
 
+(** {1 Recovery scan} *)
+
+type log_state = {
+  next_seq : int;  (** the partial sequence counter to resume from *)
+  queue : Dqueue.t;
+      (** a fresh queue holding the logged dedup set and pending merges;
+          its counters count only the replay *)
+  outstanding :
+    (int * int * Strip_relational.Value.t list * float * float) list;
+      (** logged-but-unacknowledged ships [(seq, dst, key, delta,
+          created_at)], ship order *)
+}
+
+val scan_log : (int * Strip_txn.Wal.record) list -> log_state
+(** Rebuild a shard's cross-shard protocol state from its log records
+    (as {!Strip_txn.Wal.read} returns them): the last [Shard_state]
+    {!Dqueue.restore}s the queue, then each later [Shard_in] is
+    {!Dqueue.offer}ed, each [Shard_release] {!Dqueue.remove}d and each
+    [Shard_out] added to the unacked ships.  Crash recovery restores the
+    live queue from the result. *)
+
 (** {1 Inspection} *)
 
 val db : t -> int -> Strip_core.Strip_db.t

@@ -17,7 +17,17 @@
     The queue is volatile; the owner's WAL ([Shard_in] / [Shard_release] /
     [Shard_state] records) is the durable truth, and
     {!Strip_shard.Coordinator} rebuilds the queue from it at recovery via
-    {!restore}. *)
+    {!restore}.
+
+    Representation: the dedup set is one ascending [int] run of merged
+    [seq]s per source shard, in a growable array indexed by [src] (so
+    memory grows with the largest source id, and ids must be
+    non-negative).  A membership test is a binary search of one run.  An
+    arrival above its run's last element — the in-order case — appends
+    in amortised O(1); a reship or reordered arrival below it is a
+    binary search plus an insert that shifts the run's tail.
+    {!seen_list} walks the runs in [src] order, so exporting the set for
+    a [Shard_state] snapshot is linear in its size, with no sort. *)
 
 type t
 
@@ -36,6 +46,8 @@ val offer :
   delta:float ->
   created_at:float ->
   verdict
+(** Dedup by [(src, seq)], then merge into [key]'s pending entry.
+    @raise Invalid_argument if [src < 0]. *)
 
 val peek : t -> key:Strip_relational.Value.t list -> (float * float) option
 (** Current [(merged delta, first created_at)] for [key] —
@@ -51,8 +63,9 @@ val pending_keys : t -> Strip_relational.Value.t list list
 val n_pending : t -> int
 
 val seen_list : t -> (int * int) list
-(** Merged [(src, seq)] identities, ascending — the dedup set, exported
-    into [Shard_state] snapshots. *)
+(** Merged [(src, seq)] identities, ascending (the order of [compare]
+    on the pairs) — the dedup set, exported into [Shard_state]
+    snapshots.  Linear in the set's size: the runs are already sorted. *)
 
 val pending_list : t -> (Strip_relational.Value.t list * float * float) list
 (** Pending [(key, delta, created_at)] entries, first-arrival order. *)
@@ -62,7 +75,12 @@ val restore :
   seen:(int * int) list ->
   pending:(Strip_relational.Value.t list * float * float) list ->
   unit
-(** Replace the queue's state wholesale (crash recovery). *)
+(** Replace the queue's state wholesale (crash recovery); the counters
+    are untouched.  [seen] may be unsorted and hold duplicates; an
+    ascending list (what {!seen_list} returns) restores in linear time.
+    [pending] is taken in first-arrival order.
+    @raise Invalid_argument if any [src] in [seen] is negative; the
+    queue is then unchanged. *)
 
 (** {1 Counters} *)
 

@@ -64,6 +64,10 @@ exp shards-1 "${symbol[@]}" --shards 1
 exp shards-3 --view comps --variant comp --shards 3
 exp shards-3-crash --view comps --variant comp --shards 3 \
   --shard-crash-at 1:45
+# A crash near the end of the 90 s feed: recovery restores a dedup set
+# built over nearly the whole run, plus a Shard_in tail, and re-ships.
+exp shards-4-late-crash --view comps --variant comp --shards 4 \
+  --shard-crash-at 2:80
 scenario chaos chaos --schedules 8 --seed 7
 scenario chaos-storage chaos --storage --schedules 5 --seed 11
 scenario scrub scrub --seed 16

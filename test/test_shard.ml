@@ -214,6 +214,255 @@ let test_dqueue_restore () =
     (Dqueue.offer q2 ~src:0 ~seq:0 ~key:(k "C1") ~delta:9.0 ~created_at:9.0
     = Dqueue.Duplicate)
 
+(* The dedup set as it was stored before the per-source runs: a
+   hashtable of (src, seq) pairs, exported through a polymorphic sort.
+   It is the reference the runs must agree with, verdict for verdict. *)
+module Ref_dqueue = struct
+  type t = {
+    seen : (int * int, unit) Hashtbl.t;
+    pending : (Value.t list, float * float) Hashtbl.t;
+    mutable order : Value.t list list;  (* first-arrival order, reversed *)
+  }
+
+  let create () =
+    { seen = Hashtbl.create 64; pending = Hashtbl.create 16; order = [] }
+
+  let offer t ~src ~seq ~key ~delta ~created_at =
+    if Hashtbl.mem t.seen (src, seq) then Dqueue.Duplicate
+    else begin
+      Hashtbl.replace t.seen (src, seq) ();
+      match Hashtbl.find_opt t.pending key with
+      | Some (d, c) ->
+        Hashtbl.replace t.pending key (d +. delta, c);
+        Dqueue.Merged
+      | None ->
+        Hashtbl.replace t.pending key (delta, created_at);
+        t.order <- key :: t.order;
+        Dqueue.Fresh
+    end
+
+  let remove t ~key =
+    if Hashtbl.mem t.pending key then begin
+      Hashtbl.remove t.pending key;
+      t.order <- List.filter (fun k -> k <> key) t.order
+    end
+
+  let seen_list t =
+    Hashtbl.fold (fun id () acc -> id :: acc) t.seen [] |> List.sort compare
+
+  let pending_list t =
+    List.rev_map
+      (fun key ->
+        let d, c = Hashtbl.find t.pending key in
+        (key, d, c))
+      t.order
+
+  let restore t ~seen ~pending =
+    Hashtbl.reset t.seen;
+    Hashtbl.reset t.pending;
+    t.order <- [];
+    List.iter (fun id -> Hashtbl.replace t.seen id ()) seen;
+    List.iter
+      (fun (key, d, c) ->
+        Hashtbl.replace t.pending key (d, c);
+        t.order <- key :: t.order)
+      pending
+end
+
+let shuffle rng l =
+  List.map (fun x -> (Random.State.bits rng, x)) l
+  |> List.sort compare |> List.map snd
+
+(* A seen list as recovery may hand it over: usually ascending, sometimes
+   shuffled with duplicates mixed in. *)
+let scramble rng seen =
+  if Random.State.bool rng then seen
+  else
+    shuffle rng
+      (seen @ List.filter (fun _ -> Random.State.int rng 4 = 0) seen)
+
+(* Random streams over 1-8 sources mixing in-order, out-of-order and
+   duplicate offers with removes and a restore mid-stream: the runs give
+   the reference's verdicts, seen list and pending list after every
+   step. *)
+let test_dqueue_differential () =
+  let check_same step q r =
+    Alcotest.(check (list (pair int int)))
+      (step ^ ": seen_list") (Ref_dqueue.seen_list r) (Dqueue.seen_list q);
+    Alcotest.(check bool)
+      (step ^ ": pending_list") true
+      (Ref_dqueue.pending_list r = Dqueue.pending_list q)
+  in
+  for stream = 0 to 199 do
+    let rng = Random.State.make [| 1997; stream |] in
+    let nsrc = 1 + Random.State.int rng 8 in
+    let next = Array.make nsrc 0 in
+    let offered = ref [] in
+    let q = Dqueue.create () and r = Ref_dqueue.create () in
+    let n_ops = 50 + Random.State.int rng 250 in
+    let restore_at = Random.State.int rng n_ops in
+    for op = 0 to n_ops - 1 do
+      let step = Printf.sprintf "stream %d op %d" stream op in
+      let key = k (Printf.sprintf "K%d" (Random.State.int rng 6)) in
+      let offer src seq =
+        let delta = float_of_int (Random.State.int rng 1000) /. 8.0 in
+        let created_at = float_of_int op in
+        offered := (src, seq) :: !offered;
+        let want = Ref_dqueue.offer r ~src ~seq ~key ~delta ~created_at in
+        let got = Dqueue.offer q ~src ~seq ~key ~delta ~created_at in
+        Alcotest.(check bool) (step ^ ": verdict") true (want = got)
+      in
+      (match Random.State.int rng 10 with
+      | 0 | 1 | 2 | 3 ->
+        (* in order, sometimes leaving a gap a later arrival fills *)
+        let src = Random.State.int rng nsrc in
+        let seq = next.(src) + Random.State.int rng 3 in
+        next.(src) <- seq + 1;
+        offer src seq
+      | 4 | 5 ->
+        let src = Random.State.int rng nsrc in
+        offer src (Random.State.int rng (next.(src) + 4))
+      | 6 | 7 -> (
+        match !offered with
+        | [] -> ()
+        | l ->
+          let src, seq = List.nth l (Random.State.int rng (List.length l)) in
+          offer src seq)
+      | _ ->
+        Ref_dqueue.remove r ~key;
+        Dqueue.remove q ~key);
+      if op = restore_at then begin
+        let seen = scramble rng (Ref_dqueue.seen_list r)
+        and pending = Ref_dqueue.pending_list r in
+        Ref_dqueue.restore r ~seen ~pending;
+        Dqueue.restore q ~seen ~pending
+      end;
+      check_same step q r
+    done
+  done
+
+let test_dqueue_contract () =
+  let q = Dqueue.create () in
+  Alcotest.check_raises "offer rejects a negative source"
+    (Invalid_argument "Dqueue: negative source shard id") (fun () ->
+      ignore (Dqueue.offer q ~src:(-1) ~seq:0 ~key:(k "C1") ~delta:1.0
+                ~created_at:0.0));
+  Alcotest.(check int) "rejected offer not counted" 0 (Dqueue.n_offered q);
+  ignore (Dqueue.offer q ~src:0 ~seq:5 ~key:(k "C1") ~delta:1.0 ~created_at:0.0);
+  Alcotest.check_raises "restore rejects a negative source"
+    (Invalid_argument "Dqueue: negative source shard id") (fun () ->
+      Dqueue.restore q ~seen:[ (1, 0); (-2, 3) ] ~pending:[]);
+  Alcotest.(check (list (pair int int))) "failed restore changes nothing"
+    [ (0, 5) ] (Dqueue.seen_list q);
+  Dqueue.restore q ~seen:[ (3, 7); (0, 2); (3, 1); (0, 2); (3, 7) ] ~pending:[];
+  Alcotest.(check (list (pair int int)))
+    "unsorted, duplicated seen list restores to the sorted set"
+    [ (0, 2); (3, 1); (3, 7) ] (Dqueue.seen_list q)
+
+(* Crash recovery's log scan as it was before it replayed through a
+   Dqueue: a hand-written fold over lists.  The reference for
+   Coordinator.scan_log. *)
+let ref_scan_log records =
+  let next_seq = ref 0 and seen = ref [] and pending = ref []
+  and unacked = ref [] in
+  List.iter
+    (fun (_lsn, r) ->
+      match r with
+      | Wal.Shard_state s ->
+        next_seq := s.next_seq;
+        seen := s.seen;
+        pending := s.pending;
+        unacked := s.unacked
+      | Wal.Shard_out { seq; dst; key; delta; created_at } ->
+        next_seq := max !next_seq seq;
+        unacked := !unacked @ [ (seq, dst, key, delta, created_at) ]
+      | Wal.Shard_in { src; seq; key; delta; created_at } ->
+        if not (List.mem (src, seq) !seen) then begin
+          seen := !seen @ [ (src, seq) ];
+          let rec merge = function
+            | [] -> [ (key, delta, created_at) ]
+            | (k, d, c) :: tl when k = key -> (k, d +. delta, c) :: tl
+            | hd :: tl -> hd :: merge tl
+          in
+          pending := merge !pending
+        end
+      | Wal.Shard_release { key } ->
+        pending := List.filter (fun (k, _, _) -> k <> key) !pending
+      | _ -> ())
+    records;
+  (!next_seq, !seen, !pending, !unacked)
+
+(* Random Shard_state / Shard_in / Shard_release / Shard_out logs: the
+   live queue recovery restores from the replay equals the one it
+   restored from the old fold. *)
+let test_scan_log_differential () =
+  for case = 0 to 199 do
+    let rng = Random.State.make [| 1994; case |] in
+    let nsrc = 1 + Random.State.int rng 8 in
+    let key () = k (Printf.sprintf "K%d" (Random.State.int rng 6)) in
+    let delta () = float_of_int (Random.State.int rng 1000) /. 8.0 in
+    let state () =
+      let seen =
+        List.init (Random.State.int rng 30) (fun _ ->
+            (Random.State.int rng nsrc, Random.State.int rng 40))
+        |> List.sort_uniq compare |> scramble rng
+      in
+      let pending =
+        List.init 6 (fun i -> (k (Printf.sprintf "K%d" i), delta (), 0.5))
+        |> List.filter (fun _ -> Random.State.bool rng)
+        |> shuffle rng
+      in
+      let unacked =
+        List.init (Random.State.int rng 4) (fun i ->
+            (i, Random.State.int rng nsrc, key (), delta (), 0.25))
+      in
+      Wal.Shard_state
+        { next_seq = Random.State.int rng 50; seen; pending; unacked }
+    in
+    let record i =
+      match Random.State.int rng 12 with
+      | 0 -> state ()
+      | 1 | 2 -> Wal.Shard_release { key = key () }
+      | 3 ->
+        Wal.Shard_out
+          {
+            seq = Random.State.int rng 60;
+            dst = Random.State.int rng nsrc;
+            key = key ();
+            delta = delta ();
+            created_at = float_of_int i;
+          }
+      | 4 -> Wal.Checkpoint_mark { time = float_of_int i; lsn = i }
+      | _ ->
+        Wal.Shard_in
+          {
+            src = Random.State.int rng nsrc;
+            seq = Random.State.int rng 40;
+            key = key ();
+            delta = delta ();
+            created_at = float_of_int i;
+          }
+    in
+    let records = List.init (Random.State.int rng 120) (fun i -> (i, record i)) in
+    let next_seq, seen, pending, unacked = ref_scan_log records in
+    let st = Strip_shard.Coordinator.scan_log records in
+    let name = Printf.sprintf "case %d" case in
+    Alcotest.(check int) (name ^ ": next_seq") next_seq
+      st.Strip_shard.Coordinator.next_seq;
+    Alcotest.(check bool) (name ^ ": unacked") true
+      (unacked = st.Strip_shard.Coordinator.outstanding);
+    (* what handle_crash does with the replay *)
+    let q = st.Strip_shard.Coordinator.queue and live = Dqueue.create () in
+    Dqueue.restore live ~seen:(Dqueue.seen_list q)
+      ~pending:(Dqueue.pending_list q);
+    Alcotest.(check (list (pair int int)))
+      (name ^ ": restored dedup set")
+      (List.sort_uniq compare seen)
+      (Dqueue.seen_list live);
+    Alcotest.(check bool) (name ^ ": restored pending") true
+      (pending = Dqueue.pending_list live)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end sharded runs *)
 
@@ -422,6 +671,12 @@ let suite =
           test_dqueue_order_independence;
         Alcotest.test_case "dqueue: state snapshot restore" `Quick
           test_dqueue_restore;
+        Alcotest.test_case "dqueue: runs match the hashtable reference"
+          `Quick test_dqueue_differential;
+        Alcotest.test_case "dqueue: source ids and restore input" `Quick
+          test_dqueue_contract;
+        Alcotest.test_case "scan_log: replay matches the list fold" `Quick
+          test_scan_log_differential;
         Alcotest.test_case "partitioned population unions to the whole" `Slow
           test_partition_union;
         Alcotest.test_case "sharded run: clean cross-shard audit" `Slow
