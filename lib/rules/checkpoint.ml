@@ -169,39 +169,33 @@ let segment b ts =
   put_table_snap b ts;
   Buffer.contents b
 
-(* An image is [taken_at][wal_lsn][table count][segments][views][queue].
-   The small head and tail go through [b]; the segments are blitted
-   straight into one exact-size buffer. *)
-let assemble b ~taken_at ~wal_lsn ~segments ~views ~queue =
+(* An image is [taken_at][wal_lsn][table count][segments][views][queue]:
+   a small head, one segment per table and a tail, each encoded on its
+   own so an image can be kept (and CRC'd) as its parts. *)
+let head b ~taken_at ~wal_lsn ~ntables =
   Buffer.clear b;
   Codec.put_float b taken_at;
   Codec.put_int b wal_lsn;
-  Codec.put_u32 b (List.length segments);
-  let head = Buffer.length b in
+  Codec.put_u32 b ntables;
+  Buffer.contents b
+
+let tail b ~views ~queue =
+  Buffer.clear b;
   Codec.put_list b
     (fun b (name, sql) ->
       Codec.put_string b name;
       Codec.put_string b sql)
     views;
   Codec.put_list b put_queue_entry queue;
-  let body = List.fold_left (fun n s -> n + String.length s) 0 segments in
-  let img = Bytes.create (Buffer.length b + body) in
-  Buffer.blit b 0 img 0 head;
-  let pos =
-    List.fold_left
-      (fun pos s ->
-        Bytes.blit_string s 0 img pos (String.length s);
-        pos + String.length s)
-      head segments
-  in
-  Buffer.blit b head img pos (Buffer.length b - head);
-  Bytes.unsafe_to_string img
+  Buffer.contents b
 
 let encode t =
   let b = Buffer.create 65536 in
-  assemble b ~taken_at:t.taken_at ~wal_lsn:t.wal_lsn
-    ~segments:(List.map (segment b) t.tables)
-    ~views:t.views ~queue:t.queue
+  let h =
+    head b ~taken_at:t.taken_at ~wal_lsn:t.wal_lsn ~ntables:(List.length t.tables)
+  in
+  let segments = List.map (segment b) t.tables in
+  String.concat "" ((h :: segments) @ [ tail b ~views:t.views ~queue:t.queue ])
 
 let decode s =
   let r = Codec.reader s in
@@ -225,7 +219,7 @@ let decode s =
 type entry = {
   table : Table.t;
   version : int;
-  seg : string;
+  seg : Durable.part;
   nrows : int;
 }
 
@@ -253,17 +247,17 @@ let image c ~cat ~views ~reg ~now ~wal_lsn =
       {
         table = tb;
         version = Table.version tb;
-        seg = segment c.scratch ts;
+        seg = Durable.part (segment c.scratch ts);
         nrows = List.length ts.rows;
       }
   in
   let entries = List.map entry (Catalog.tables cat) in
   c.entries <- entries;
   let queue = snap_queue reg in
-  let encoded =
-    assemble c.scratch ~taken_at:now ~wal_lsn
-      ~segments:(List.map (fun e -> e.seg) entries)
-      ~views ~queue
+  let h = head c.scratch ~taken_at:now ~wal_lsn ~ntables:(List.length entries) in
+  let parts =
+    (Durable.part h :: List.map (fun e -> e.seg) entries)
+    @ [ Durable.part (tail c.scratch ~views ~queue) ]
   in
   let rows = List.fold_left (fun n e -> n + e.nrows) (queue_rows queue) entries in
-  (encoded, rows)
+  (parts, rows)

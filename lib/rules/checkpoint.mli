@@ -68,9 +68,13 @@ val encode : t -> string
     is a different table (dropped and recreated, or a new incarnation's
     catalog) or its version moved.  Segments are produced by the same
     encoder as {!encode}, so the image is byte-identical to
-    [encode (capture ...)].  The cache holds its own immutable strings,
-    never the installed image, so damage to a stored slot cannot leak
-    into a later image. *)
+    [encode (capture ...)].  An image is handed out as its parts — a
+    head, one segment per table, a tail — each with its CRC, ready for
+    {!Strip_txn.Durable.install_parts}; an unchanged table's segment and
+    its CRC are shared between the cache and every slot holding it, so a
+    checkpoint copies and CRCs only the tables that changed.  Parts are
+    immutable and {!Strip_txn.Durable.flip_snapshot_byte} rots a private
+    copy, so damage to a stored slot cannot leak into a later image. *)
 
 type cache
 
@@ -83,12 +87,13 @@ val image :
   reg:Unique.t ->
   now:float ->
   wal_lsn:int ->
-  string * int
-(** [image c ~cat ~views ~reg ~now ~wal_lsn] is
-    [(encode s, total_rows s)] for [s = capture ~cat ~views ~reg ~now
-    ~wal_lsn], reusing the cached segment of every unchanged table.  The
-    row count is the full capture's, so the ["checkpoint_row"] cost the
-    caller charges still models a full snapshot. *)
+  Durable.part list * int
+(** [image c ~cat ~views ~reg ~now ~wal_lsn] is [(parts, total_rows s)]
+    for [s = capture ~cat ~views ~reg ~now ~wal_lsn], where the parts
+    concatenate to [encode s], reusing the cached segment of every
+    unchanged table.  The row count is the full capture's, so the
+    ["checkpoint_row"] cost the caller charges still models a full
+    snapshot. *)
 
 val decode : string -> t
 (** @raise Strip_txn.Codec.Decode_error on a malformed image. *)

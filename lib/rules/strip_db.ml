@@ -455,7 +455,7 @@ let checkpoint t =
     if Wal.pending_bytes w > 0 then Wal.fsync w;
     let lsn = Wal.durable_end w in
     let now = Clock.now t.clk in
-    let encoded, rows =
+    let parts, rows =
       Checkpoint.image t.cp_cache ~cat:t.cat ~views:(view_sql t)
         ~reg:(Rule_manager.registry t.mgr) ~now ~wal_lsn:lsn
     in
@@ -465,7 +465,7 @@ let checkpoint t =
     (match t.fi with
     | None -> ()
     | Some fi -> Fault.fire fi ~site:Fault.Crash ~txid:0 ~detail:"checkpoint");
-    Durable.install_checkpoint d ~encoded ~lsn ~time:now;
+    Durable.install_parts d ~parts ~lsn ~time:now;
     (* Truncate before appending the mark — the byte stream is identical
        (the mark's LSN was fixed above), and reclaiming first means a
        disk-full clamp cannot livelock checkpointing: by the time the

@@ -147,16 +147,13 @@ let crc_tables =
   done;
   t
 
-let crc32 ?(pos = 0) ?len s =
-  let n = String.length s in
-  let len = match len with Some l -> l | None -> n - pos in
-  (* the range check covers every unchecked access below *)
-  if pos < 0 || len < 0 || pos > n - len then
-    invalid_arg "Codec.crc32: range out of bounds";
+(* The register runs from [crc]'s un-finalised form, so a CRC can be
+   continued across pieces: [crc32_update (crc32 a) b = crc32 (a ^ b)]. *)
+let crc32_update_sub crc s pos len =
   let byte i = Char.code (String.unsafe_get s i) in
   let tbl k i = Array.unsafe_get crc_tables ((k lsl 8) lor i) in
   let stop = pos + len in
-  let c = ref 0xFFFFFFFF in
+  let c = ref (crc lxor 0xFFFFFFFF) in
   let i = ref pos in
   while !i + 8 <= stop do
     let p = !i in
@@ -180,3 +177,52 @@ let crc32 ?(pos = 0) ?len s =
     c := tbl 0 ((!c lxor byte p) land 0xff) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
+
+let crc32 ?(crc = 0) ?(pos = 0) ?len s =
+  let n = String.length s in
+  let len = match len with Some l -> l | None -> n - pos in
+  (* the range check covers every unchecked access in the update *)
+  if pos < 0 || len < 0 || pos > n - len then
+    invalid_arg "Codec.crc32: range out of bounds";
+  crc32_update_sub crc s pos len
+
+let crc32_update crc s = crc32_update_sub crc s 0 (String.length s)
+
+(* CRC-32 combination, in zlib's allocation-free form: polynomials over
+   GF(2) modulo the CRC polynomial, reflected, so x^0 is bit 31.
+   [multmodp a b] is a * b mod p. *)
+let rec multmodp_go a m b acc =
+  if m = 0 || a land (m lor (m - 1)) = 0 then acc
+  else
+    multmodp_go a (m lsr 1)
+      (if b land 1 = 1 then (b lsr 1) lxor 0xEDB88320 else b lsr 1)
+      (if a land m <> 0 then acc lxor b else acc)
+
+let multmodp a b = multmodp_go a (1 lsl 31) b 0
+
+(* [x2n k] is x^(2^k) mod p for k in 0..31: [0x40000000] is x^1 and
+   each value is the square ([multmodp v v]) of the one before.  A match
+   on constants compiles to a static table; a top-level array would be
+   allocated when the module is linked, moving the GC's phase in every
+   program that links it. *)
+let x2n = function
+  | 0 -> 0x40000000 | 1 -> 0x20000000 | 2 -> 0x08000000 | 3 -> 0x00800000
+  | 4 -> 0x00008000 | 5 -> 0xEDB88320 | 6 -> 0xB1E6B092 | 7 -> 0xA06A2517
+  | 8 -> 0xED627DAE | 9 -> 0x88D14467 | 10 -> 0xD7BBFE6A | 11 -> 0xEC447F11
+  | 12 -> 0x8E7EA170 | 13 -> 0x6427800E | 14 -> 0x4D47BAE0 | 15 -> 0x09FE548F
+  | 16 -> 0x83852D0F | 17 -> 0x30362F1A | 18 -> 0x7B5A9CC3 | 19 -> 0x31FEC169
+  | 20 -> 0x9FEC022A | 21 -> 0x6C8DEDC4 | 22 -> 0x15D6874D | 23 -> 0x5FDE7A4E
+  | 24 -> 0xBAD90E37 | 25 -> 0x2E4E5EEF | 26 -> 0x4EABA214 | 27 -> 0xA8A472C0
+  | 28 -> 0x429A969E | 29 -> 0x148D302A | 30 -> 0xC40BA6D0 | _ -> 0xC4E22C3C
+
+(* acc * x^(n * 2^k) mod p *)
+let rec x2nmodp n k acc =
+  if n = 0 then acc
+  else
+    x2nmodp (n lsr 1) (k + 1)
+      (if n land 1 = 1 then multmodp (x2n (k land 31)) acc else acc)
+
+let crc32_combine crc1 crc2 len2 =
+  if len2 < 0 then invalid_arg "Codec.crc32_combine: negative length";
+  (* appending [len2] bytes multiplies crc1 by x^(8 * len2) *)
+  multmodp (x2nmodp len2 3 (1 lsl 31)) crc1 lxor crc2

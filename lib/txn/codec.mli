@@ -46,7 +46,19 @@ val get_ty : reader -> Strip_relational.Value.ty
 
 (** {1 Integrity} *)
 
-val crc32 : ?pos:int -> ?len:int -> string -> int
+val crc32 : ?crc:int -> ?pos:int -> ?len:int -> string -> int
 (** CRC-32 (IEEE) of a substring; the WAL's per-entry checksum and each
     checkpoint slot's integrity check.  [crc32 "123456789" = 0xCBF43926].
+    [?crc] (default 0, the CRC of the empty string) continues a previous
+    CRC: [crc32 ~crc:(crc32 a) b = crc32 (a ^ b)].
     @raise Invalid_argument if [pos]/[len] do not name a substring of [s]. *)
+
+val crc32_update : int -> string -> int
+(** [crc32_update crc s = crc32 ~crc s], positional so that a loop over
+    many pieces does not box [crc] in an option at every call. *)
+
+val crc32_combine : int -> int -> int -> int
+(** [crc32_combine (crc32 a) (crc32 b) (String.length b) = crc32 (a ^ b)],
+    computed from the two CRCs alone in O(log len) allocation-free steps
+    (zlib's [x2nmodp]/[multmodp] form).
+    @raise Invalid_argument if the length is negative. *)

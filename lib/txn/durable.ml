@@ -1,8 +1,14 @@
 (* Stable storage: WAL + retained checkpoint slots + media-fault ledger. *)
 
+type part = { bytes : string; crc : int }
+
+(* A slot's image is the concatenation of its parts.  Parts are
+   immutable and shared: an unchanged table's segment sits in the
+   checkpoint cache and in every slot that contains it. *)
 type slot = {
-  s_image : string;
-  s_crc : int;  (* CRC32 of [s_image], computed at install time *)
+  s_parts : part list;
+  s_len : int;
+  s_crc : int;  (* CRC32 of the image, combined from the parts' at install *)
   s_lsn : int;
   s_time : float;
 }
@@ -44,11 +50,19 @@ let create ?wal ?(retain = 1) () =
     ledger = [];
   }
 
+let part bytes = { bytes; crc = Codec.crc32 bytes }
+
+let flatten s =
+  match s.s_parts with
+  | [ p ] -> p.bytes
+  | parts -> String.concat "" (List.map (fun p -> p.bytes) parts)
+
 let wal t = t.wal
 let retain t = t.retain
-let snapshot t = match t.slots with [] -> None | s :: _ -> Some s.s_image
+let snapshot t = match t.slots with [] -> None | s :: _ -> Some (flatten s)
 let snapshot_lsn t = match t.slots with [] -> 0 | s :: _ -> s.s_lsn
 let snapshot_time t = match t.slots with [] -> 0.0 | s :: _ -> s.s_time
+let snapshot_crc t = match t.slots with [] -> 0 | s :: _ -> s.s_crc
 let n_checkpoints t = t.checkpoints
 
 let rec take n = function
@@ -56,17 +70,31 @@ let rec take n = function
   | _ when n <= 0 -> []
   | x :: rest -> x :: take (n - 1) rest
 
-let install_checkpoint t ~encoded ~lsn ~time =
-  let s =
-    { s_image = encoded; s_crc = Codec.crc32 encoded; s_lsn = lsn; s_time = time }
+let install_parts t ~parts ~lsn ~time =
+  (* the image CRC is folded from the part CRCs: no byte is re-read *)
+  let len, crc =
+    List.fold_left
+      (fun (len, crc) p ->
+        let n = String.length p.bytes in
+        (len + n, Codec.crc32_combine crc p.crc n))
+      (0, 0) parts
   in
+  let s = { s_parts = parts; s_len = len; s_crc = crc; s_lsn = lsn; s_time = time } in
   t.slots <- take t.retain (s :: t.slots);
   t.checkpoints <- t.checkpoints + 1
 
-let last_checkpoint_bytes t =
-  match t.slots with [] -> 0 | s :: _ -> String.length s.s_image
+let install_checkpoint t ~encoded ~lsn ~time =
+  install_parts t ~parts:[ part encoded ] ~lsn ~time
 
-let slot_valid s = Codec.crc32 s.s_image = s.s_crc
+let last_checkpoint_bytes t = match t.slots with [] -> 0 | s :: _ -> s.s_len
+
+(* Re-read every byte: the CRC is streamed across the parts, checked
+   against the slot's stored CRC, never against the parts' own. *)
+let rec stream_crc crc = function
+  | [] -> crc
+  | p :: rest -> stream_crc (Codec.crc32_update crc p.bytes) rest
+
+let slot_valid s = stream_crc 0 s.s_parts = s.s_crc
 
 let verified_slot t =
   (* a usable slot must pass its CRC *and* still have its redo tail: a
@@ -77,7 +105,7 @@ let verified_slot t =
     | [] -> None
     | s :: rest ->
       if slot_valid s && s.s_lsn >= base then
-        Some (s.s_image, s.s_lsn, s.s_time, skipped)
+        Some (flatten s, s.s_lsn, s.s_time, skipped)
       else go (skipped + 1) rest
   in
   go 0 t.slots
@@ -149,15 +177,25 @@ let flip_snapshot_byte t ~frac =
   match t.slots with
   | [] -> false
   | s :: rest ->
-    let n = String.length s.s_image in
+    let n = s.s_len in
     if n = 0 then false
     else begin
       let off = min (int_of_float (frac *. float_of_int n)) (n - 1) in
-      let b = Bytes.of_string s.s_image in
-      Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0xff));
-      (* the stored CRC is kept: it was computed over the clean image,
-         so verification now fails — that is the point *)
-      t.slots <- { s with s_image = Bytes.to_string b } :: rest;
+      (* rot a private copy of the one part the offset falls in: the
+         original may be shared with the checkpoint cache and older
+         slots, which must stay clean *)
+      let rec rot off = function
+        | [] -> []
+        | p :: ps when off >= String.length p.bytes ->
+          p :: rot (off - String.length p.bytes) ps
+        | p :: ps ->
+          let b = Bytes.of_string p.bytes in
+          Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0xff));
+          (* the stored CRCs are kept: they were computed over the clean
+             bytes, so verification now fails — that is the point *)
+          { p with bytes = Bytes.unsafe_to_string b } :: ps
+      in
+      t.slots <- { s with s_parts = rot off s.s_parts } :: rest;
       note_injected t ~kind:Bitrot_checkpoint ~lsn:s.s_lsn ~len:1;
       true
     end

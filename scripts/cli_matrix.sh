@@ -71,3 +71,6 @@ exp shards-4-late-crash --view comps --variant comp --shards 4 \
 scenario chaos chaos --schedules 8 --seed 7
 scenario chaos-storage chaos --storage --schedules 5 --seed 11
 scenario scrub scrub --seed 16
+# Seed 9 rots a checkpoint slot as well as the WAL: the scrubber must
+# find the slot by re-reading it and repair it with a fresh checkpoint.
+scenario scrub-cp scrub --seed 9

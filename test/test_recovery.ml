@@ -281,6 +281,79 @@ let test_crc32 () =
         | _ -> false))
     [ (-1, 4); (0, -1); (1020, 5); (1025, 0); (0, 1025) ]
 
+(* CRC-32 combination and continuation, both against the CRC of the
+   concatenation, over random strings and split points (empty parts
+   included). *)
+let random_string st n =
+  String.init n (fun _ -> Char.chr (Random.State.int st 256))
+
+let random_split st =
+  let a = random_string st (Random.State.int st 200) in
+  let nb = if Random.State.int st 5 = 0 then 0 else Random.State.int st 3000 in
+  (a, random_string st nb)
+
+let test_crc32_combine () =
+  Alcotest.(check int) "check value" 0xCBF43926 (Codec.crc32 "123456789");
+  Alcotest.(check int) "combined check value" 0xCBF43926
+    (Codec.crc32_combine (Codec.crc32 "1234") (Codec.crc32 "56789") 5);
+  Alcotest.(check int) "len2 = 0 keeps crc1" (Codec.crc32 "abc")
+    (Codec.crc32_combine (Codec.crc32 "abc") 0 0);
+  Alcotest.(check int) "empty first part" (Codec.crc32 "abc")
+    (Codec.crc32_combine 0 (Codec.crc32 "abc") 3);
+  let st = Random.State.make [| 7 |] in
+  for i = 1 to 500 do
+    let a, b = random_split st in
+    Alcotest.(check int)
+      (Printf.sprintf "combine #%d |a|=%d |b|=%d" i (String.length a)
+         (String.length b))
+      (Codec.crc32 (a ^ b))
+      (Codec.crc32_combine (Codec.crc32 a) (Codec.crc32 b) (String.length b))
+  done;
+  (* a long second part exercises the high bits of the length *)
+  let a = random_string st 17 and b = random_string st 1_000_003 in
+  Alcotest.(check int) "combine over a long part" (Codec.crc32 (a ^ b))
+    (Codec.crc32_combine (Codec.crc32 a) (Codec.crc32 b) (String.length b));
+  (* lengths far beyond any test string: combining is associative,
+     which a wrong power of x in the combine's table would break *)
+  for i = 1 to 200 do
+    let c () = Random.State.bits st lor (Random.State.int st 4 lsl 30) in
+    let c1 = c () and c2 = c () and c3 = c () in
+    let n2 = Random.State.bits st * (1 + Random.State.int st 1024)
+    and n3 = Random.State.bits st in
+    Alcotest.(check int)
+      (Printf.sprintf "associative #%d n2=%d n3=%d" i n2 n3)
+      (Codec.crc32_combine (Codec.crc32_combine c1 c2 n2) c3 n3)
+      (Codec.crc32_combine c1 (Codec.crc32_combine c2 c3 n3) (n2 + n3))
+  done;
+  Alcotest.(check bool) "negative length rejected" true
+    (match Codec.crc32_combine 0 0 (-1) with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
+let test_crc32_continue () =
+  Alcotest.(check int) "check value continued" 0xCBF43926
+    (Codec.crc32 ~crc:(Codec.crc32 "1234") "56789");
+  let st = Random.State.make [| 8 |] in
+  for i = 1 to 500 do
+    let a, b = random_split st in
+    let whole = Codec.crc32 (a ^ b) in
+    let what =
+      Printf.sprintf "#%d |a|=%d |b|=%d" i (String.length a) (String.length b)
+    in
+    Alcotest.(check int) ("continue " ^ what) whole
+      (Codec.crc32 ~crc:(Codec.crc32 a) b);
+    Alcotest.(check int) ("update " ^ what) whole
+      (Codec.crc32_update (Codec.crc32_update 0 a) b);
+    Alcotest.(check int) ("continue = combine " ^ what)
+      (Codec.crc32_combine (Codec.crc32 a) (Codec.crc32 b) (String.length b))
+      (Codec.crc32 ~crc:(Codec.crc32 a) b);
+    (* continuation over a substring *)
+    let ab = a ^ b in
+    Alcotest.(check int) ("continue a substring " ^ what) whole
+      (Codec.crc32 ~crc:(Codec.crc32 ~len:(String.length a) ab)
+         ~pos:(String.length a) ab)
+  done
+
 let test_int_writers () =
   let b = Buffer.create 32 in
   Codec.put_u32 b 0x04030201;
@@ -417,10 +490,18 @@ let checkpoint_matches_capture ~what durable db =
       ~reg:(Rule_manager.registry (Strip_db.rules db))
       ~now:(Strip_db.now db) ~wal_lsn:(Durable.snapshot_lsn durable)
   in
+  let image = Checkpoint.encode oracle in
   Alcotest.(check bool)
     (what ^ ": installed image equals encode (capture ...)")
     true
-    (Durable.snapshot durable = Some (Checkpoint.encode oracle));
+    (Durable.snapshot durable = Some image);
+  Alcotest.(check int)
+    (what ^ ": the slot CRC is the flattened image's")
+    (Codec.crc32 image) (Durable.snapshot_crc durable);
+  Alcotest.(check int)
+    (what ^ ": last_checkpoint_bytes is the image length")
+    (String.length image)
+    (Durable.last_checkpoint_bytes durable);
   Alcotest.(check int)
     (what ^ ": checkpoint_row charges a full capture")
     (Checkpoint.total_rows oracle) rows
@@ -893,6 +974,10 @@ let suite =
           test_wal_truncate;
         Alcotest.test_case "slice-by-8 crc32 matches bytewise" `Quick
           test_crc32;
+        Alcotest.test_case "crc32_combine equals the CRC of the concatenation"
+          `Quick test_crc32_combine;
+        Alcotest.test_case "crc32 continuation equals the CRC of the concatenation"
+          `Quick test_crc32_continue;
         Alcotest.test_case "integer writers are little-endian" `Quick
           test_int_writers;
       ] );

@@ -186,6 +186,112 @@ let test_slot_crc_fallback () =
     c'.Durable.outstanding;
   Alcotest.(check int) "exactly one detection" 1 c'.Durable.detected
 
+(* Segmented slots share the parts of unchanged tables with the
+   checkpoint cache and with each other; rot must stay in the one slot
+   it was injected into. *)
+let shared_segments_script =
+  "create table big (k int, v float); create table small (k int, v \
+   float); insert into small values (1, 1.0), (2, 2.0); insert into big \
+   values "
+  ^ String.concat ", "
+      (List.init 300 (fun i -> Printf.sprintf "(%d, %d.5)" i i))
+
+let checkpoint_is_capture db d ~what =
+  Test_recovery.checkpoint_matches_capture ~what d db;
+  Option.get (Durable.snapshot d)
+
+let test_slot_rot_stays_private () =
+  List.iter
+    (fun frac ->
+      let what = Printf.sprintf "flip at %g" frac in
+      let d = Durable.create ~retain:2 () in
+      Durable.arm_media d;
+      let db = Strip_db.create ~durable:d () in
+      Strip_db.exec_script db shared_segments_script;
+      let older = checkpoint_is_capture db d ~what:(what ^ ", older") in
+      (* only [small] changes: both slots share [big]'s segment, which
+         the flip offset lands in *)
+      ignore (Strip_db.exec db "update small set v = 9.0 where k = 1");
+      let newer = checkpoint_is_capture db d ~what:(what ^ ", newer") in
+      Alcotest.(check bool) (what ^ ": the images differ") true (older <> newer);
+      Alcotest.(check bool) (what ^ ": flip lands") true
+        (Durable.flip_snapshot_byte d ~frac);
+      Alcotest.(check bool) (what ^ ": the newest slot fails") false
+        (Durable.slots_valid d);
+      (match Durable.verified_slot d with
+      | Some (img, _, _, skipped) ->
+        Alcotest.(check int) (what ^ ": one slot passed over") 1 skipped;
+        Alcotest.(check bool) (what ^ ": the older slot is served intact") true
+          (img = older)
+      | None -> Alcotest.fail (what ^ ": the older slot no longer verifies"));
+      Alcotest.(check int) (what ^ ": scrub drops only the newest slot") 1
+        (Durable.scrub_slots d);
+      Alcotest.(check bool) (what ^ ": the older slot still verifies") true
+        (Durable.slots_valid d);
+      (* the cache kept clean segments: the next image is exact *)
+      ignore (checkpoint_is_capture db d ~what:(what ^ ", after the rot"));
+      Alcotest.(check bool) (what ^ ": both slots verify again") true
+        (Durable.slots_valid d))
+    [ 0.1; 0.3; 0.5; 0.7; 0.9 ]
+
+(* The same image installed as parts and as one encoded string must look
+   the same to every verifier, before and after rot in either. *)
+let test_parts_match_encoded () =
+  for seed = 1 to 40 do
+    let st = Random.State.make [| seed |] in
+    let as_parts = Durable.create ~retain:2 ()
+    and as_string = Durable.create ~retain:2 () in
+    (* a pool of parts reused across images, as the checkpoint cache
+       reuses unchanged segments *)
+    let random_part n =
+      Durable.part (Test_recovery.random_string st (Random.State.int st n))
+    in
+    let pool = Array.init 4 (fun _ -> random_part 64) in
+    let agree what =
+      let what = Printf.sprintf "seed %d, %s" seed what in
+      Alcotest.(check bool) (what ^ ": slots_valid") (Durable.slots_valid as_string)
+        (Durable.slots_valid as_parts);
+      Alcotest.(check bool) (what ^ ": verified_slot") true
+        (Durable.verified_slot as_string = Durable.verified_slot as_parts);
+      Alcotest.(check bool) (what ^ ": snapshot") true
+        (Durable.snapshot as_string = Durable.snapshot as_parts);
+      Alcotest.(check int) (what ^ ": last_checkpoint_bytes")
+        (Durable.last_checkpoint_bytes as_string)
+        (Durable.last_checkpoint_bytes as_parts)
+    in
+    for step = 1 to 12 do
+      (match Random.State.int st 4 with
+      | 0 | 1 ->
+        let parts =
+          List.init (Random.State.int st 5) (fun _ ->
+              if Random.State.bool st then pool.(Random.State.int st 4)
+              else random_part 16)
+        in
+        let time = float_of_int step in
+        Durable.install_parts as_parts ~parts ~lsn:0 ~time;
+        Durable.install_checkpoint as_string
+          ~encoded:(String.concat "" (List.map (fun p -> p.Durable.bytes) parts))
+          ~lsn:0 ~time;
+        Alcotest.(check int) "the combined CRC is the image's"
+          (Durable.snapshot_crc as_string) (Durable.snapshot_crc as_parts)
+      | 2 ->
+        let frac = Random.State.float st 1.0 in
+        Alcotest.(check bool) "the flip lands in both or neither"
+          (Durable.flip_snapshot_byte as_string ~frac)
+          (Durable.flip_snapshot_byte as_parts ~frac)
+      | _ ->
+        Alcotest.(check int) "scrub_slots agrees" (Durable.scrub_slots as_string)
+          (Durable.scrub_slots as_parts));
+      agree (Printf.sprintf "step %d" step)
+    done;
+    (* the pool's parts were never rotted in place *)
+    Array.iter
+      (fun p ->
+        Alcotest.(check int) "a shared part keeps its bytes" p.Durable.crc
+          (Codec.crc32 p.Durable.bytes))
+      pool
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Double fault: corruption discovered during crash recovery.  Rung 1
    (replica bytes available) splices and loses nothing; rung 3 (no
@@ -475,6 +581,10 @@ let suite =
       [
         Alcotest.test_case "slot CRC fallback past a rotted image" `Quick
           test_slot_crc_fallback;
+        Alcotest.test_case "rot stays in the slot it hit (shared segments)"
+          `Quick test_slot_rot_stays_private;
+        Alcotest.test_case "parts and one string verify alike" `Quick
+          test_parts_match_encoded;
       ] );
     ( "storage/recovery",
       [
