@@ -221,14 +221,9 @@ let ship_tick_from t ~db ~cursor ~epoch ~now =
           let bytes, upto =
             if not (Durable.media_armed d) then (bytes, dend)
             else
-              let rd = Wal.scan_bytes ~base:from bytes in
-              match
-                match rd.Wal.corrupt_at with
-                | Some _ as c -> c
-                | None -> rd.Wal.torn_at
-              with
-              | None -> (bytes, dend)
-              | Some l ->
+              match Wal.check_bytes ~base:from bytes with
+              | Wal.Clean -> (bytes, dend)
+              | Wal.Torn_at l | Wal.Corrupt_at l ->
                 t.ship_skips <- t.ship_skips + 1;
                 Durable.note_wal_detected d ~lsn:l ~len:1;
                 (String.sub bytes 0 (l - from), l)
@@ -275,12 +270,9 @@ let fetch_clean t ~from_lsn ~len =
             let bytes =
               String.sub (Wal.durable_slice rwal ~from_lsn) 0 len
             in
-            let rd = Wal.scan_bytes ~base:from_lsn bytes in
-            if
-              rd.Wal.corrupt_at = None
-              && rd.Wal.torn_at = None
-              && rd.Wal.records <> []
-            then found := Some bytes
+            (* [len > 0], so a clean verdict means at least one frame *)
+            if Wal.check_bytes ~base:from_lsn bytes = Wal.Clean then
+              found := Some bytes
           end
         end)
       t.replicas;

@@ -61,60 +61,125 @@ let put_ty b = function
 (* ------------------------------------------------------------------ *)
 (* Readers.                                                             *)
 
+(* A reader covers [data.[pos, lim)].  A checking reader runs the same
+   grammar, every tag, length and bounds check included, but builds
+   nothing: strings, floats, values, arrays and lists are skipped and a
+   constant placeholder ([""], [0.0], [Null], [[||]], [[]]) is returned,
+   so a verdict-only scan allocates no word per byte it reads. *)
 type reader = {
   data : string;
   mutable pos : int;
+  mutable lim : int;
+  check : bool;
 }
 
-let reader ?(pos = 0) data = { data; pos }
+let bounds fn data pos len =
+  if pos < 0 || len < 0 || pos > String.length data - len then
+    invalid_arg (fn ^ ": range out of bounds")
+
+let reader ?(pos = 0) ?len ?(check = false) data =
+  let len = match len with Some l -> l | None -> String.length data - pos in
+  bounds "Codec.reader" data pos len;
+  { data; pos; lim = pos + len; check }
+
+let seek r ~pos ~len =
+  bounds "Codec.seek" r.data pos len;
+  r.pos <- pos;
+  r.lim <- pos + len
+
 let position r = r.pos
-let remaining r = String.length r.data - r.pos
+let remaining r = r.lim - r.pos
+
+let skip r n what =
+  if remaining r < n then fail "%s: truncated input at %d" what r.pos;
+  r.pos <- r.pos + n
 
 let get_u8 r =
   if remaining r < 1 then fail "get_u8: truncated input at %d" r.pos;
-  let c = Char.code r.data.[r.pos] in
+  let c = Char.code (String.unsafe_get r.data r.pos) in
   r.pos <- r.pos + 1;
   c
 
 let get_u32 r =
   if remaining r < 4 then fail "get_u32: truncated input at %d" r.pos;
-  let b0 = get_u8 r and b1 = get_u8 r and b2 = get_u8 r and b3 = get_u8 r in
-  b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24)
+  let v = Int32.to_int (String.get_int32_le r.data r.pos) land 0xFFFFFFFF in
+  r.pos <- r.pos + 4;
+  v
 
 let get_i64 r =
-  if remaining r < 8 then fail "get_i64: truncated input at %d" r.pos;
-  let v = ref 0L in
-  for k = 0 to 7 do
-    v := Int64.logor !v (Int64.shift_left (Int64.of_int (get_u8 r)) (8 * k))
-  done;
-  !v
+  if r.check then begin
+    skip r 8 "get_i64";
+    0L
+  end
+  else begin
+    if remaining r < 8 then fail "get_i64: truncated input at %d" r.pos;
+    let v = ref 0L in
+    for k = 0 to 7 do
+      v := Int64.logor !v (Int64.shift_left (Int64.of_int (get_u8 r)) (8 * k))
+    done;
+    !v
+  end
 
 let get_int r = Int64.to_int (get_i64 r)
-let get_float r = Int64.float_of_bits (get_i64 r)
+
+let get_float r =
+  if r.check then begin
+    skip r 8 "get_float";
+    0.0
+  end
+  else Int64.float_of_bits (get_i64 r)
 
 let get_string r =
   let len = get_u32 r in
   if remaining r < len then fail "get_string: truncated input at %d" r.pos;
-  let s = String.sub r.data r.pos len in
+  let s = if r.check then "" else String.sub r.data r.pos len in
   r.pos <- r.pos + len;
   s
 
-let get_list r f =
+(* Every element of a list or array takes at least one byte, so a count
+   beyond the bytes left is truncation, found before anything is
+   allocated for it. *)
+let get_count r what =
   let n = get_u32 r in
-  List.init n (fun _ -> f r)
+  if n > remaining r then fail "%s: count %d past the input at %d" what n r.pos;
+  n
+
+let get_list r f =
+  let n = get_count r "get_list" in
+  if r.check then begin
+    for _ = 1 to n do
+      ignore (f r)
+    done;
+    []
+  end
+  else List.init n (fun _ -> f r)
 
 let get_value r =
   match get_u8 r with
   | 0 -> Value.Null
-  | 1 -> Value.Bool (get_u8 r <> 0)
-  | 2 -> Value.Int (get_int r)
-  | 3 -> Value.Float (get_float r)
-  | 4 -> Value.Str (get_string r)
+  | 1 ->
+    let b = get_u8 r in
+    if r.check then Value.Null else Value.Bool (b <> 0)
+  | 2 ->
+    let x = get_int r in
+    if r.check then Value.Null else Value.Int x
+  | 3 ->
+    let x = get_float r in
+    if r.check then Value.Null else Value.Float x
+  | 4 ->
+    let s = get_string r in
+    if r.check then Value.Null else Value.Str s
   | tag -> fail "get_value: unknown tag %d" tag
 
 let get_values r =
-  let n = get_u32 r in
-  Array.init n (fun _ -> get_value r)
+  let n = get_count r "get_values" in
+  if r.check then begin
+    for _ = 1 to n do
+      ignore (get_value r)
+    done;
+    [||]
+  end
+  else Array.init n (fun _ -> get_value r)
 
 let get_ty r =
   match get_u8 r with
@@ -148,45 +213,44 @@ let crc_tables =
   t
 
 (* The register runs from [crc]'s un-finalised form, so a CRC can be
-   continued across pieces: [crc32_update (crc32 a) b = crc32 (a ^ b)]. *)
+   continued across pieces: [crc32_sub (crc32 a) b 0 (String.length b)
+   = crc32 (a ^ b)].
+   Each step loads its eight bytes as two little-endian 32-bit words
+   ([Int32.to_int] sign-extends, so the high word is masked before it
+   is split into table indices). *)
 let crc32_update_sub crc s pos len =
-  let byte i = Char.code (String.unsafe_get s i) in
   let tbl k i = Array.unsafe_get crc_tables ((k lsl 8) lor i) in
   let stop = pos + len in
   let c = ref (crc lxor 0xFFFFFFFF) in
   let i = ref pos in
   while !i + 8 <= stop do
     let p = !i in
-    let x =
-      !c
-      lxor (byte p lor (byte (p + 1) lsl 8) lor (byte (p + 2) lsl 16)
-           lor (byte (p + 3) lsl 24))
-    in
+    let x = !c lxor (Int32.to_int (String.get_int32_le s p) land 0xFFFFFFFF) in
+    let y = Int32.to_int (String.get_int32_le s (p + 4)) in
     c :=
       tbl 7 (x land 0xff)
       lxor tbl 6 ((x lsr 8) land 0xff)
       lxor tbl 5 ((x lsr 16) land 0xff)
       lxor tbl 4 (x lsr 24)
-      lxor tbl 3 (byte (p + 4))
-      lxor tbl 2 (byte (p + 5))
-      lxor tbl 1 (byte (p + 6))
-      lxor tbl 0 (byte (p + 7));
+      lxor tbl 3 (y land 0xff)
+      lxor tbl 2 ((y lsr 8) land 0xff)
+      lxor tbl 1 ((y lsr 16) land 0xff)
+      lxor tbl 0 ((y lsr 24) land 0xff);
     i := p + 8
   done;
   for p = !i to stop - 1 do
-    c := tbl 0 ((!c lxor byte p) land 0xff) lxor (!c lsr 8)
+    c := tbl 0 ((!c lxor Char.code (String.unsafe_get s p)) land 0xff) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
 
-let crc32 ?(crc = 0) ?(pos = 0) ?len s =
-  let n = String.length s in
-  let len = match len with Some l -> l | None -> n - pos in
+let crc32_sub crc s pos len =
   (* the range check covers every unchecked access in the update *)
-  if pos < 0 || len < 0 || pos > n - len then
-    invalid_arg "Codec.crc32: range out of bounds";
+  bounds "Codec.crc32" s pos len;
   crc32_update_sub crc s pos len
 
-let crc32_update crc s = crc32_update_sub crc s 0 (String.length s)
+let crc32 ?(crc = 0) ?(pos = 0) ?len s =
+  let len = match len with Some l -> l | None -> String.length s - pos in
+  crc32_sub crc s pos len
 
 (* CRC-32 combination, in zlib's allocation-free form: polynomials over
    GF(2) modulo the CRC polynomial, reflected, so x^0 is bit 31.

@@ -5,7 +5,9 @@
     pattern, so round trips are exact), length-prefixed strings and lists,
     and tagged {!Strip_relational.Value.t} cells.  Decoding is strict —
     any truncation or unknown tag raises {!Decode_error}, which the WAL
-    reader turns into torn-tail / corruption verdicts. *)
+    reader turns into torn-tail / corruption verdicts.  A checking reader
+    runs the same grammar without building what it reads, so integrity
+    scans of stored bytes cost no allocation per byte. *)
 
 exception Decode_error of string
 
@@ -30,9 +32,27 @@ val put_ty : Buffer.t -> Strip_relational.Value.ty -> unit
 
 type reader
 
-val reader : ?pos:int -> string -> reader
+val reader : ?pos:int -> ?len:int -> ?check:bool -> string -> reader
+(** A reader over the [len] bytes of [s] from [pos] (default: the rest of
+    [s]); reading past them raises {!Decode_error}.  With [~check:true]
+    (default false) it is verdict-only: every tag, length and bounds
+    check still runs and fails as it would when decoding, but nothing is
+    built — {!get_string} returns [""], {!get_float} [0.0], {!get_i64}
+    [0L], {!get_int} [0], {!get_value} [Null], {!get_values} [[||]] and
+    {!get_list} [[]] (after running its element reader once per
+    element), so a checking reader allocates nothing.
+    @raise Invalid_argument if [pos]/[len] do not name a substring of [s]. *)
+
+val seek : reader -> pos:int -> len:int -> unit
+(** Re-aim the reader at [len] bytes of the same string from [pos] — one
+    reader walks many frames of a log in place.
+    @raise Invalid_argument if the range is not inside the string. *)
+
 val position : reader -> int
+
 val remaining : reader -> int
+(** Bytes left before the end of the reader's range. *)
+
 val get_u8 : reader -> int
 val get_u32 : reader -> int
 val get_i64 : reader -> int64
@@ -40,6 +60,10 @@ val get_int : reader -> int
 val get_float : reader -> float
 val get_string : reader -> string
 val get_list : reader -> (reader -> 'a) -> 'a list
+(** A count larger than {!remaining} raises {!Decode_error} before any
+    element is read: every element must take at least one byte.  The
+    same holds for {!get_values}. *)
+
 val get_value : reader -> Strip_relational.Value.t
 val get_values : reader -> Strip_relational.Value.t array
 val get_ty : reader -> Strip_relational.Value.ty
@@ -53,9 +77,11 @@ val crc32 : ?crc:int -> ?pos:int -> ?len:int -> string -> int
     CRC: [crc32 ~crc:(crc32 a) b = crc32 (a ^ b)].
     @raise Invalid_argument if [pos]/[len] do not name a substring of [s]. *)
 
-val crc32_update : int -> string -> int
-(** [crc32_update crc s = crc32 ~crc s], positional so that a loop over
-    many pieces does not box [crc] in an option at every call. *)
+val crc32_sub : int -> string -> int -> int -> int
+(** [crc32_sub crc s pos len = crc32 ~crc ~pos ~len s], positional so that
+    a loop over many pieces (every frame of a log, checked in place) does
+    not box its arguments in options at every call.
+    @raise Invalid_argument if [pos]/[len] do not name a substring of [s]. *)
 
 val crc32_combine : int -> int -> int -> int
 (** [crc32_combine (crc32 a) (crc32 b) (String.length b) = crc32 (a ^ b)],

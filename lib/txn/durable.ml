@@ -88,23 +88,36 @@ let install_checkpoint t ~encoded ~lsn ~time =
 
 let last_checkpoint_bytes t = match t.slots with [] -> 0 | s :: _ -> s.s_len
 
-(* Re-read every byte: the CRC is streamed across the parts, checked
-   against the slot's stored CRC, never against the parts' own. *)
-let rec stream_crc crc = function
-  | [] -> crc
-  | p :: rest -> stream_crc (Codec.crc32_update crc p.bytes) rest
+(* One verification pass re-reads every byte of every physically
+   distinct part once: [seen] memoizes the fresh CRC of each part's bytes
+   by physical identity, so a segment that several slots share is read
+   once per pass, and each slot's CRC is combined from the fresh part
+   CRCs and checked against the slot's stored CRC, never against the
+   parts' own.  A [seen] lives for one pass only. *)
+let fresh_crc seen p =
+  match List.assq_opt p.bytes !seen with
+  | Some crc -> crc
+  | None ->
+    let crc = Codec.crc32 p.bytes in
+    seen := (p.bytes, crc) :: !seen;
+    crc
 
-let slot_valid s = stream_crc 0 s.s_parts = s.s_crc
+let slot_valid seen s =
+  List.fold_left
+    (fun crc p -> Codec.crc32_combine crc (fresh_crc seen p) (String.length p.bytes))
+    0 s.s_parts
+  = s.s_crc
 
 let verified_slot t =
   (* a usable slot must pass its CRC *and* still have its redo tail: a
      slot whose LSN fell behind the log's base (an emergency scrub
      checkpoint truncated aggressively) cannot be replayed from *)
   let base = Wal.base_lsn t.wal in
+  let seen = ref [] in
   let rec go skipped = function
     | [] -> None
     | s :: rest ->
-      if slot_valid s && s.s_lsn >= base then
+      if slot_valid seen s && s.s_lsn >= base then
         Some (flatten s, s.s_lsn, s.s_time, skipped)
       else go (skipped + 1) rest
   in
@@ -203,14 +216,15 @@ let flip_snapshot_byte t ~frac =
 let scrub_slots t =
   (* drop (quarantine) every slot whose image no longer matches its CRC;
      returns how many were dropped *)
-  let bad, good = List.partition (fun s -> not (slot_valid s)) t.slots in
+  let seen = ref [] in
+  let bad, good = List.partition (fun s -> not (slot_valid seen s)) t.slots in
   if bad <> [] then begin
     t.slots <- good;
     note_cp_detected t
   end;
   List.length bad
 
-let slots_valid t = List.for_all slot_valid t.slots
+let slots_valid t = List.for_all (slot_valid (ref [])) t.slots
 
 type media_counts = {
   injected_bitrot_wal : int;

@@ -12,9 +12,11 @@
     (a checkpoint's head, one segment per table, its tail), each with its
     own CRC; the slot's CRC is combined from those, so installing an
     image copies and CRCs no byte.  Parts are shared with the checkpoint
-    cache and between slots; verification still re-reads every byte of
-    every slot, and the image is flattened into one string only when a
-    caller asks for it ({!snapshot}, {!verified_slot}).  Up to [retain]
+    cache and between slots; verification still re-reads every stored
+    byte on every call — each physically distinct part once per call,
+    however many slots share it, with each slot's CRC combined from the
+    fresh part CRCs — and the image is flattened into one string only
+    when a caller asks for it ({!snapshot}, {!verified_slot}).  Up to [retain]
     slots are kept, newest first; with [retain >= 2] recovery can fall
     back to the previous slot when the newest image fails its CRC,
     provided the log is truncated no further than {!truncation_floor}.
@@ -81,13 +83,15 @@ val truncation_floor : t -> int
 
 val slots_valid : t -> bool
 (** All retained slots pass their CRC.  Re-reads every byte of every
-    slot, streaming the CRC across its parts. *)
+    physically distinct part (compared with [==] on its bytes) exactly
+    once, and checks each slot's stored CRC against the combination of
+    the fresh CRCs of its parts.  Nothing is remembered between calls. *)
 
 val scrub_slots : t -> int
 (** Drop every slot whose image fails its CRC (marking matching ledger
     faults [Detected]); returns how many were dropped.  Re-reads every
-    byte, like {!slots_valid}.  The caller is expected to take a fresh
-    checkpoint when the count is nonzero. *)
+    distinct part once, like {!slots_valid}.  The caller is expected to
+    take a fresh checkpoint when the count is nonzero. *)
 
 (** {1 Media-fault ledger} *)
 

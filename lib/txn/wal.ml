@@ -502,61 +502,68 @@ type read_result = {
   corrupt_at : int option;
 }
 
-(* Scan framed entries in [data], whose first byte has LSN [base]. *)
-let scan ~base data =
+type verdict = Clean | Torn_at of int | Corrupt_at of int
+
+(* A frame that fails is a torn write when it is the final one (it ends
+   at or past the end of the bytes) and corruption otherwise. *)
+let bad ~last lsn = if last then Torn_at lsn else Corrupt_at lsn
+
+(* Walk the framed entries of [data] from offset [pos] to its end, in
+   place: the byte at offset [p] has LSN [base + p].  Each frame's
+   payload is handed to [f lsn r] through one reader re-aimed at it; a
+   payload that fails its CRC, or that [f] rejects with
+   [Codec.Decode_error], ends the walk. *)
+let walk ~check ~base data pos f =
   let n = String.length data in
-  let rec go pos acc =
-    if pos >= n then
-      { records = List.rev acc; torn_at = None; corrupt_at = None }
+  let r = Codec.reader ~check data in
+  let rec go pos =
+    if pos >= n then Clean
     else if n - pos < 8 then
       (* a header that never finished writing: torn tail *)
-      {
-        records = List.rev acc;
-        torn_at = Some (base + pos);
-        corrupt_at = None;
-      }
+      Torn_at (base + pos)
     else begin
-      let r = Codec.reader ~pos data in
+      Codec.seek r ~pos ~len:8;
       let len = Codec.get_u32 r in
       let crc = Codec.get_u32 r in
       if n - pos - 8 < len then
         (* payload cut short: torn tail *)
-        {
-          records = List.rev acc;
-          torn_at = Some (base + pos);
-          corrupt_at = None;
-        }
+        Torn_at (base + pos)
       else begin
         let fin = pos + 8 + len in
-        let bad verdict =
-          if verdict then
-            (* the final entry failing its checksum is a torn write;
-               anything earlier is real corruption *)
-            {
-              records = List.rev acc;
-              torn_at = Some (base + pos);
-              corrupt_at = None;
-            }
-          else
-            {
-              records = List.rev acc;
-              torn_at = None;
-              corrupt_at = Some (base + pos);
-            }
-        in
-        if Codec.crc32 ~pos:(pos + 8) ~len data <> crc then bad (fin >= n)
-        else
-          let payload = String.sub data (pos + 8) len in
-          match decode_record (Codec.reader payload) with
-          | rec_ -> go fin ((base + pos, rec_) :: acc)
-          | exception Codec.Decode_error _ -> bad (fin >= n)
+        if Codec.crc32_sub 0 data (pos + 8) len <> crc then
+          bad ~last:(fin >= n) (base + pos)
+        else begin
+          Codec.seek r ~pos:(pos + 8) ~len;
+          match f (base + pos) r with
+          | () -> go fin
+          | exception Codec.Decode_error _ -> bad ~last:(fin >= n) (base + pos)
+        end
       end
     end
   in
-  go 0 []
+  go pos
+
+(* The verdict alone: the record grammar runs on a checking reader, so
+   nothing is built. *)
+let check_from ~base data pos =
+  walk ~check:true ~base data pos (fun _ r -> ignore (decode_record r))
+
+(* Scan framed entries in [data], whose first byte has LSN [base]. *)
+let scan ~base data =
+  let acc = ref [] in
+  let verdict =
+    walk ~check:false ~base data 0 (fun lsn r ->
+        acc := (lsn, decode_record r) :: !acc)
+  in
+  let records = List.rev !acc in
+  match verdict with
+  | Clean -> { records; torn_at = None; corrupt_at = None }
+  | Torn_at l -> { records; torn_at = Some l; corrupt_at = None }
+  | Corrupt_at l -> { records; torn_at = None; corrupt_at = Some l }
 
 let read t = scan ~base:t.base_lsn (Buffer.contents t.durable)
 let scan_bytes ~base data = scan ~base data
+let check_bytes ~base data = check_from ~base data 0
 
 let read_from t ~lsn =
   check_range t "Wal.read_from" lsn;
@@ -594,43 +601,49 @@ let flip_byte t ~lsn =
   Buffer.clear t.durable;
   Buffer.add_bytes t.durable b
 
-let next_valid_lsn t ~after =
-  let dend = durable_end t in
-  let data = Buffer.contents t.durable in
-  let n = String.length data in
+(* The first LSN strictly after [after] from which the frame chain of
+   [data] (one copy of the durable log, first byte at LSN [base]) parses
+   a frame right there and stays clean to the end of the log (a torn
+   tail is fine); the end of the log if there is none.  Every probe is a
+   verdict-only walk in place. *)
+let resync ~base data ~after =
+  let dend = base + String.length data in
   let rec go lsn =
     if lsn >= dend then dend
-    else begin
-      let off = lsn - t.base_lsn in
-      let rd = scan ~base:lsn (String.sub data off (n - off)) in
-      (* a genuine resync point parses a frame right here and stays
-         clean to the end of the log (a torn tail is fine) *)
-      if rd.corrupt_at = None && rd.records <> [] then lsn else go (lsn + 1)
-    end
+    else
+      match check_from ~base data (lsn - base) with
+      | Clean -> lsn
+      | Torn_at l when l <> lsn -> lsn
+      | Torn_at _ | Corrupt_at _ -> go (lsn + 1)
   in
   go (after + 1)
 
+let next_valid_lsn t ~after =
+  resync ~base:t.base_lsn (Buffer.contents t.durable) ~after
+
 let verify t =
-  let dend = durable_end t in
+  (* one copy of the log per pass; every frame is checked in place *)
+  let base = t.base_lsn in
+  let data = Buffer.contents t.durable in
+  let dend = base + String.length data in
   let rec go from acc =
     if from >= dend then List.rev acc
     else
-      let rd = read_from t ~lsn:from in
-      match (rd.corrupt_at, rd.torn_at) with
-      | Some l, _ ->
-        let r = next_valid_lsn t ~after:l in
+      match check_from ~base data (from - base) with
+      | Corrupt_at l ->
+        let r = resync ~base data ~after:l in
         go r ((l, r) :: acc)
-      | None, Some l ->
+      | Torn_at l ->
         (* A frame that parses past the end of the log looks torn — but a
            genuine torn write can only be the final append.  If the chain
            re-synchronizes at a valid frame strictly before the end, the
            "torn" frame is really rot (e.g. a flipped length header that
            swallowed the rest of the log). *)
-        let r = next_valid_lsn t ~after:l in
+        let r = resync ~base data ~after:l in
         if r >= dend then List.rev acc else go r ((l, r) :: acc)
-      | None, None -> List.rev acc
+      | Clean -> List.rev acc
   in
-  go t.base_lsn []
+  go base []
 
 let splice t ~lsn ~bytes =
   let len = String.length bytes in

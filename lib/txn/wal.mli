@@ -168,9 +168,29 @@ val read_from : t -> lsn:int -> read_result
     [[base_lsn, durable_end]]. *)
 
 val scan_bytes : base:int -> string -> read_result
-(** Scan already-framed bytes whose first byte has LSN [base] without
-    installing them anywhere — integrity verification of a shipped
-    segment or a salvage candidate before it is grafted onto a log. *)
+(** Decode already-framed bytes whose first byte has LSN [base] without
+    installing them anywhere. *)
+
+(** {1 Integrity verdicts} *)
+
+type verdict =
+  | Clean  (** every frame passes to the end of the bytes *)
+  | Torn_at of int
+      (** the final frame, at this LSN, is incomplete or fails its
+          check — what a torn write leaves *)
+  | Corrupt_at of int
+      (** the frame at this LSN fails its check and is not the last *)
+
+val check_bytes : base:int -> string -> verdict
+(** The verdict {!scan_bytes} would reach ([Torn_at l] iff its [torn_at]
+    is [Some l], [Corrupt_at l] iff its [corrupt_at] is), without
+    building a record: each frame's CRC is checked and its payload runs
+    the full record grammar (every tag, length and trailing-byte check)
+    on a checking {!Codec.reader}, in place.  Integrity verification of a
+    shipped segment or a salvage candidate before it is grafted onto a
+    log.  The grammar check matters: a zero gap left by a lying fsync
+    passes every CRC ([len = 0], [crc = 0], and the CRC of no bytes is
+    0), and only the grammar rejects its empty payloads. *)
 
 (** {1 Log shipping} *)
 
@@ -216,7 +236,9 @@ val lied_bytes : t -> int
 (** {1 Scrub and salvage} *)
 
 val verify : t -> (int * int) list
-(** Re-read the durable log and return the corrupt LSN ranges
+(** Re-read every byte of the durable log (one copy of it per call, each
+    frame checked in place as by {!check_bytes}, no record built) and
+    return the corrupt LSN ranges
     [(start, resync)] — [start] is where frame verification first
     failed, [resync] the first later offset from which the frame chain
     parses cleanly to the end of the log ({!durable_end} if none).
@@ -228,8 +250,10 @@ val verify : t -> (int * int) list
 
 val next_valid_lsn : t -> after:int -> int
 (** First LSN strictly after [after] at which the durable frame chain
-    re-synchronizes (parses cleanly to the end of the log), or
-    {!durable_end} if the rest of the log is unusable. *)
+    re-synchronizes (a frame parses right there and the chain stays clean
+    to the end of the log, a torn final frame allowed), or {!durable_end}
+    if the rest of the log is unusable.  Each candidate is probed with
+    the verdict-only walk of {!check_bytes} over one copy of the log. *)
 
 val splice : t -> lsn:int -> bytes:string -> unit
 (** Overwrite the durable range starting at [lsn] with clean bytes

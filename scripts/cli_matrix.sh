@@ -74,3 +74,6 @@ scenario scrub scrub --seed 16
 # Seed 9 rots a checkpoint slot as well as the WAL: the scrubber must
 # find the slot by re-reading it and repair it with a fresh checkpoint.
 scenario scrub-cp scrub --seed 9
+# Seed 1 lies at two fsyncs: the zero gaps pass every frame CRC and only
+# the record grammar, checked without building records, finds them.
+scenario scrub-lie scrub --seed 1

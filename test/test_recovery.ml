@@ -279,6 +279,38 @@ let test_crc32 () =
         (match Codec.crc32 ~pos ~len data with
         | exception Invalid_argument _ -> true
         | _ -> false))
+    [ (-1, 4); (0, -1); (1020, 5); (1025, 0); (0, 1025) ];
+  (* the word-at-a-time kernel at every alignment of its two 32-bit
+     loads and at lengths past many 8-byte steps, over random bytes and
+     over all-0xff bytes (whose loads sign-extend); continued across a
+     random split through the positional [crc32_sub], which must reject
+     the same ranges as [crc32] *)
+  let big = String.init 65536 (fun _ -> Char.chr (Random.State.int st 256)) in
+  let ones = String.make 4096 '\xff' in
+  List.iter
+    (fun (name, data) ->
+      for i = 1 to 3000 do
+        let len =
+          if i <= 400 then i mod 40
+          else Random.State.int st (min 5000 (String.length data))
+        in
+        let pos = Random.State.int st (String.length data - len + 1) in
+        let what = Printf.sprintf "%s pos=%d len=%d" name pos len in
+        let want = crc32_bytewise data ~pos ~len in
+        Alcotest.(check int) what want (Codec.crc32 ~pos ~len data);
+        let k = Random.State.int st (len + 1) in
+        Alcotest.(check int) ("split " ^ what) want
+          (Codec.crc32_sub (Codec.crc32_sub 0 data pos k) data (pos + k) (len - k))
+      done)
+    [ ("random", big); ("0xff", ones) ];
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "crc32_sub range pos=%d len=%d rejected" pos len)
+        true
+        (match Codec.crc32_sub 0 data pos len with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
     [ (-1, 4); (0, -1); (1020, 5); (1025, 0); (0, 1025) ]
 
 (* CRC-32 combination and continuation, both against the CRC of the
@@ -342,8 +374,9 @@ let test_crc32_continue () =
     in
     Alcotest.(check int) ("continue " ^ what) whole
       (Codec.crc32 ~crc:(Codec.crc32 a) b);
-    Alcotest.(check int) ("update " ^ what) whole
-      (Codec.crc32_update (Codec.crc32_update 0 a) b);
+    Alcotest.(check int) ("positional " ^ what) whole
+      (Codec.crc32_sub (Codec.crc32_sub 0 a 0 (String.length a)) b 0
+         (String.length b));
     Alcotest.(check int) ("continue = combine " ^ what)
       (Codec.crc32_combine (Codec.crc32 a) (Codec.crc32 b) (String.length b))
       (Codec.crc32 ~crc:(Codec.crc32 a) b);
@@ -352,6 +385,68 @@ let test_crc32_continue () =
     Alcotest.(check int) ("continue a substring " ^ what) whole
       (Codec.crc32 ~crc:(Codec.crc32 ~len:(String.length a) ab)
          ~pos:(String.length a) ab)
+  done
+
+(* A checking reader runs the decoding grammar without building: over
+   random value encodings, cut short, padded or with one byte changed,
+   it accepts exactly what a decoding reader accepts, stops at the same
+   position, fails on the same inputs, and allocates nothing. *)
+let test_check_reader () =
+  let st = Random.State.make [| 99 |] in
+  let value () =
+    match Random.State.int st 5 with
+    | 0 -> Value.Null
+    | 1 -> Value.Bool (Random.State.bool st)
+    | 2 -> Value.Int (Random.State.bits st - (1 lsl 29))
+    | 3 -> Value.Float (Random.State.float st 1e6)
+    | _ -> Value.Str (random_string st (Random.State.int st 9))
+  in
+  let read r =
+    ignore (Codec.get_float r);
+    ignore (Codec.get_list r Codec.get_values);
+    ignore (Codec.get_string r);
+    ignore (Codec.get_ty r);
+    ignore (Codec.get_int r)
+  in
+  let outcome ~check s =
+    let r = Codec.reader ~pos:1 ~len:(String.length s - 2) ~check s in
+    match read r with
+    | _ -> Ok (Codec.position r)
+    | exception Codec.Decode_error _ -> Error ()
+  in
+  for i = 1 to 2000 do
+    let b = Buffer.create 64 in
+    Codec.put_float b (Random.State.float st 1.0);
+    Codec.put_list b Codec.put_values
+      (List.init (Random.State.int st 4) (fun _ ->
+           Array.init (Random.State.int st 4) (fun _ -> value ())));
+    Codec.put_string b (random_string st (Random.State.int st 6));
+    Codec.put_ty b Value.TFloat;
+    Codec.put_int b (Random.State.bits st);
+    let enc = Buffer.contents b in
+    let enc =
+      match Random.State.int st 4 with
+      | 0 -> enc
+      | 1 -> String.sub enc 0 (Random.State.int st (String.length enc))
+      | 2 -> enc ^ "\000"
+      | _ ->
+        let k = Random.State.int st (String.length enc) in
+        String.mapi
+          (fun j c -> if j = k then Char.chr (Random.State.int st 256) else c)
+          enc
+    in
+    (* one guard byte each side: the reader's range, not the string,
+       bounds it *)
+    let s = "\001" ^ enc ^ "\001" in
+    let what = Printf.sprintf "#%d |enc|=%d" i (String.length enc) in
+    Alcotest.(check bool) what true (outcome ~check:false s = outcome ~check:true s);
+    if outcome ~check:true s <> Error () then begin
+      let r = Codec.reader ~pos:1 ~len:(String.length enc) ~check:true s in
+      let before = Gc.minor_words () in
+      read r;
+      Alcotest.(check (float 0.)) ("no allocation " ^ what) 0.
+        (Gc.minor_words () -. before)
+    end
   done
 
 let test_int_writers () =
@@ -978,6 +1073,8 @@ let suite =
           `Quick test_crc32_combine;
         Alcotest.test_case "crc32 continuation equals the CRC of the concatenation"
           `Quick test_crc32_continue;
+        Alcotest.test_case "a checking reader accepts what decoding accepts"
+          `Quick test_check_reader;
         Alcotest.test_case "integer writers are little-endian" `Quick
           test_int_writers;
       ] );

@@ -148,6 +148,226 @@ let test_bound_rows_flip_and_splice () =
     (List.exists (fun (_, rec_) -> rec_ = enq) rd'.Wal.records)
 
 (* ------------------------------------------------------------------ *)
+(* Verdict-only scans against a decoding reference: the same verify and
+   resync algorithm, but every probe decodes the rest of the log into
+   records through the public [read_from] / [scan_bytes]. *)
+
+let ref_next_valid w ~after =
+  let dend = Wal.durable_end w in
+  let rec go lsn =
+    if lsn >= dend then dend
+    else
+      let rd = Wal.read_from w ~lsn in
+      if rd.Wal.corrupt_at = None && rd.Wal.records <> [] then lsn
+      else go (lsn + 1)
+  in
+  go (after + 1)
+
+let ref_verify w =
+  let dend = Wal.durable_end w in
+  let rec go from acc =
+    if from >= dend then List.rev acc
+    else
+      let rd = Wal.read_from w ~lsn:from in
+      match (rd.Wal.corrupt_at, rd.Wal.torn_at) with
+      | Some l, _ ->
+        let r = ref_next_valid w ~after:l in
+        go r ((l, r) :: acc)
+      | None, Some l ->
+        let r = ref_next_valid w ~after:l in
+        if r >= dend then List.rev acc else go r ((l, r) :: acc)
+      | None, None -> List.rev acc
+  in
+  go (Wal.base_lsn w) []
+
+let ref_check_bytes ~base bytes =
+  let rd = Wal.scan_bytes ~base bytes in
+  match (rd.Wal.corrupt_at, rd.Wal.torn_at) with
+  | Some l, _ -> Wal.Corrupt_at l
+  | None, Some l -> Wal.Torn_at l
+  | None, None -> Wal.Clean
+
+(* Records of every kind, with every value tag. *)
+let random_record st =
+  let int () = Random.State.int st 1000 in
+  let float () = Random.State.float st 100.0 in
+  let str () = String.init (Random.State.int st 6) (fun _ -> 'a') in
+  let value () =
+    match Random.State.int st 5 with
+    | 0 -> Value.Null
+    | 1 -> Value.Bool (Random.State.bool st)
+    | 2 -> Value.Int (int ())
+    | 3 -> Value.Float (float ())
+    | _ -> Value.Str (str ())
+  in
+  let list n f = List.init (Random.State.int st n) (fun _ -> f ()) in
+  let row () = Array.init (Random.State.int st 4) (fun _ -> value ()) in
+  let key () = list 3 value in
+  let bound () = list 3 (fun () -> (str (), list 3 row)) in
+  let op () =
+    match Random.State.int st 3 with
+    | 0 -> Wal.Insert { table = str (); order = int (); values = row () }
+    | 1 -> Wal.Delete { table = str (); order = int (); values = row () }
+    | _ ->
+      Wal.Update
+        { table = str (); order = int (); old_values = row (); new_values = row () }
+  in
+  match Random.State.int st 10 with
+  | 0 -> Wal.Commit { txid = int (); time = float (); ops = list 4 op }
+  | 1 ->
+    Wal.Uq_enqueue
+      {
+        func = str ();
+        key = key ();
+        release_time = float ();
+        created_at = float ();
+        bound = bound ();
+      }
+  | 2 -> Wal.Uq_merge { func = str (); key = key (); bound = bound () }
+  | 3 -> Wal.Uq_release { func = str (); key = key () }
+  | 4 -> Wal.Checkpoint_mark { time = float (); lsn = int () }
+  | 5 ->
+    let subject =
+      if Random.State.bool st then Wal.For_txn (int ())
+      else Wal.For_uq { func = str (); key = key () }
+    in
+    Wal.Trace_note { subject; trace = int (); span = int () }
+  | 6 ->
+    Wal.Shard_out
+      { seq = int (); dst = int (); key = key (); delta = float (); created_at = float () }
+  | 7 ->
+    Wal.Shard_in
+      { src = int (); seq = int (); key = key (); delta = float (); created_at = float () }
+  | 8 -> Wal.Shard_release { key = key () }
+  | _ ->
+    Wal.Shard_state
+      {
+        next_seq = int ();
+        seen = list 3 (fun () -> (int (), int ()));
+        pending = list 3 (fun () -> (key (), float (), float ()));
+        unacked = list 3 (fun () -> (int (), int (), key (), float (), float ()));
+      }
+
+(* A frame whose CRC is right for a payload the grammar may reject:
+   the rot a checksum cannot see. *)
+let reframe payload =
+  let b = Buffer.create (String.length payload + 8) in
+  Codec.put_u32 b (String.length payload);
+  Codec.put_u32 b (Codec.crc32 payload);
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+let mangle_payload st payload =
+  let n = String.length payload in
+  match Random.State.int st 3 with
+  | 0 -> String.sub payload 0 (Random.State.int st (max 1 n))
+  | 1 -> payload ^ String.make (1 + Random.State.int st 3) '\000'
+  | _ ->
+    let k = Random.State.int st (max 1 n) in
+    String.mapi
+      (fun j c -> if j = k then Char.chr (Random.State.int st 256) else c)
+      payload
+
+(* A random log: fsynced batches of random records, some acked by a
+   lying fsync (a zero gap), some replaced by a re-CRC'd frame the
+   grammar rejects, then byte flips, length-header flips and a torn
+   tail. *)
+let random_log st =
+  let w = Wal.create ~base_lsn:(Random.State.int st 100) () in
+  let frames = ref [] in
+  for _ = 1 to 2 + Random.State.int st 12 do
+    if Random.State.int st 6 = 0 then
+      Wal.arm_fsync_lie w ~notify:(fun ~lsn:_ ~len:_ -> ());
+    for _ = 0 to Random.State.int st 3 do
+      frames := Wal.append w (random_record st) :: !frames
+    done;
+    Wal.fsync w
+  done;
+  let frames = Array.of_list (List.rev !frames) in
+  let nframes = Array.length frames in
+  let base = Wal.base_lsn w in
+  let data = ref (Wal.durable_contents w) in
+  let frame_span i =
+    let start = frames.(i) - base in
+    let stop =
+      if i + 1 < nframes then frames.(i + 1) - base else String.length !data
+    in
+    (start, stop)
+  in
+  if Random.State.int st 3 = 0 then begin
+    (* a grammar-invalid payload with a valid CRC, in place of one frame *)
+    let i = Random.State.int st nframes in
+    let start, stop = frame_span i in
+    let payload = String.sub !data (start + 8) (stop - start - 8) in
+    data :=
+      String.sub !data 0 start
+      ^ reframe (mangle_payload st payload)
+      ^ String.sub !data stop (String.length !data - stop)
+  end;
+  Wal.set_durable_for_test w !data;
+  let n = String.length !data in
+  for _ = 1 to Random.State.int st 3 do
+    match Random.State.int st 3 with
+    | 0 -> Wal.flip_byte w ~lsn:(base + Random.State.int st n)
+    | _ ->
+      (* a length header: its low byte, or its high byte (a length that
+         runs past the end of the log) *)
+      let start = frames.(Random.State.int st nframes) in
+      if start - base < n then
+        Wal.flip_byte w ~lsn:(start + if Random.State.bool st then 0 else 3)
+  done;
+  if Random.State.int st 3 = 0 then begin
+    let d = Wal.durable_contents w in
+    Wal.set_durable_for_test w
+      (String.sub d 0 (String.length d - 1 - Random.State.int st (min 20 (String.length d))))
+  end;
+  w
+
+let verdict_str = function
+  | Wal.Clean -> "clean"
+  | Wal.Torn_at l -> Printf.sprintf "torn@%d" l
+  | Wal.Corrupt_at l -> Printf.sprintf "corrupt@%d" l
+
+let test_verdict_scans_match_decoding () =
+  let ranges = Alcotest.(list (pair int int)) in
+  let verdict = Alcotest.testable (Fmt.of_to_string verdict_str) ( = ) in
+  let st = Random.State.make [| 2024 |] in
+  let dirty = ref 0 in
+  for i = 1 to 300 do
+    let w = random_log st in
+    let what = Printf.sprintf "log #%d" i in
+    let base = Wal.base_lsn w and dend = Wal.durable_end w in
+    let want = ref_verify w in
+    if want <> [] then incr dirty;
+    Alcotest.check ranges (what ^ ": verify") want (Wal.verify w);
+    (* resync probes from every corrupt start, and from random points *)
+    let afters =
+      List.map fst want
+      @ List.init 6 (fun _ -> base - 1 + Random.State.int st (dend - base + 1))
+    in
+    List.iter
+      (fun after ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s: next_valid_lsn after %d" what after)
+          (ref_next_valid w ~after)
+          (Wal.next_valid_lsn w ~after))
+      afters;
+    (* shipped segments and salvage candidates: any sub-range *)
+    let d = Wal.durable_contents w in
+    for _ = 1 to 8 do
+      let off = Random.State.int st (String.length d + 1) in
+      let len = Random.State.int st (String.length d - off + 1) in
+      let bytes = String.sub d off len in
+      Alcotest.check verdict
+        (Printf.sprintf "%s: check_bytes [%d, +%d)" what off len)
+        (ref_check_bytes ~base:(base + off) bytes)
+        (Wal.check_bytes ~base:(base + off) bytes)
+    done
+  done;
+  (* the generator really does produce damage the scans must find *)
+  Alcotest.(check bool) "most logs carry damage" true (!dirty > 150)
+
+(* ------------------------------------------------------------------ *)
 (* Checkpoint slots: per-slot CRCs and fallback past a rotted image *)
 
 let test_slot_crc_fallback () =
@@ -200,19 +420,28 @@ let checkpoint_is_capture db d ~what =
   Test_recovery.checkpoint_matches_capture ~what d db;
   Option.get (Durable.snapshot d)
 
-let test_slot_rot_stays_private () =
+(* [retain] images that all share [big]'s segment; the flip offsets land
+   in it.  A verifier that reused one slot's verdict on a part for
+   another slot's copy at the same position would fail an older slot
+   with the newest or pass the newest with an older one. *)
+let slot_rot_stays_private ~retain =
   List.iter
     (fun frac ->
-      let what = Printf.sprintf "flip at %g" frac in
-      let d = Durable.create ~retain:2 () in
+      let what = Printf.sprintf "retain %d, flip at %g" retain frac in
+      let d = Durable.create ~retain () in
       Durable.arm_media d;
       let db = Strip_db.create ~durable:d () in
       Strip_db.exec_script db shared_segments_script;
-      let older = checkpoint_is_capture db d ~what:(what ^ ", older") in
-      (* only [small] changes: both slots share [big]'s segment, which
-         the flip offset lands in *)
-      ignore (Strip_db.exec db "update small set v = 9.0 where k = 1");
-      let newer = checkpoint_is_capture db d ~what:(what ^ ", newer") in
+      (* only [small] changes between images *)
+      let images =
+        List.init retain (fun i ->
+            if i > 0 then
+              ignore
+                (Strip_db.exec db
+                   (Printf.sprintf "update small set v = %d.0 where k = 1" (i + 8)));
+            checkpoint_is_capture db d ~what:(Printf.sprintf "%s, image %d" what i))
+      in
+      let older = List.nth images (retain - 2) and newer = List.nth images (retain - 1) in
       Alcotest.(check bool) (what ^ ": the images differ") true (older <> newer);
       Alcotest.(check bool) (what ^ ": flip lands") true
         (Durable.flip_snapshot_byte d ~frac);
@@ -221,18 +450,21 @@ let test_slot_rot_stays_private () =
       (match Durable.verified_slot d with
       | Some (img, _, _, skipped) ->
         Alcotest.(check int) (what ^ ": one slot passed over") 1 skipped;
-        Alcotest.(check bool) (what ^ ": the older slot is served intact") true
-          (img = older)
+        Alcotest.(check bool) (what ^ ": the next older slot is served intact")
+          true (img = older)
       | None -> Alcotest.fail (what ^ ": the older slot no longer verifies"));
       Alcotest.(check int) (what ^ ": scrub drops only the newest slot") 1
         (Durable.scrub_slots d);
-      Alcotest.(check bool) (what ^ ": the older slot still verifies") true
+      Alcotest.(check bool) (what ^ ": the older slots still verify") true
         (Durable.slots_valid d);
       (* the cache kept clean segments: the next image is exact *)
       ignore (checkpoint_is_capture db d ~what:(what ^ ", after the rot"));
-      Alcotest.(check bool) (what ^ ": both slots verify again") true
+      Alcotest.(check bool) (what ^ ": every slot verifies again") true
         (Durable.slots_valid d))
     [ 0.1; 0.3; 0.5; 0.7; 0.9 ]
+
+let test_slot_rot_stays_private () = slot_rot_stays_private ~retain:2
+let test_slot_rot_three_slots () = slot_rot_stays_private ~retain:3
 
 (* The same image installed as parts and as one encoded string must look
    the same to every verifier, before and after rot in either. *)
@@ -576,6 +808,8 @@ let suite =
           test_truncation_boundary_flip;
         Alcotest.test_case "bound-rows rot splices back byte-identically"
           `Quick test_bound_rows_flip_and_splice;
+        Alcotest.test_case "verdict-only scans agree with decoding" `Quick
+          test_verdict_scans_match_decoding;
       ] );
     ( "storage/checkpoint",
       [
@@ -583,6 +817,8 @@ let suite =
           test_slot_crc_fallback;
         Alcotest.test_case "rot stays in the slot it hit (shared segments)"
           `Quick test_slot_rot_stays_private;
+        Alcotest.test_case "three slots share a segment; rot hits one" `Quick
+          test_slot_rot_three_slots;
         Alcotest.test_case "parts and one string verify alike" `Quick
           test_parts_match_encoded;
       ] );
