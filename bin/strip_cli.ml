@@ -812,10 +812,11 @@ let run_scrub seed scale every retain json =
     | None -> ()
     | Some st ->
       Printf.printf
-        "  scrub: %d pass(es) over %d bytes; %d WAL + %d checkpoint \
-         corruption(s); repaired %d from replicas, %d from checkpoints; \
-         salvage cpu %.1fms\n"
+        "  scrub: %d pass(es) over %d WAL + %d slot bytes; %d WAL + %d \
+         checkpoint corruption(s); repaired %d from replicas, %d from \
+         checkpoints; salvage cpu %.1fms\n"
         st.Experiment.scrub_passes st.Experiment.scrub_bytes
+        st.Experiment.scrub_slot_bytes
         st.Experiment.wal_corruptions st.Experiment.cp_corruptions
         st.Experiment.repaired_replica st.Experiment.repaired_checkpoint
         (1e3 *. st.Experiment.salvage_s)

@@ -117,6 +117,13 @@ let check ?extra (m : Experiment.metrics) =
            "%d injected media fault(s) outstanding — never detected by \
             scrub, shipping or recovery"
            s.Experiment.faults_outstanding);
+    if s.Experiment.faults_late > 0 then
+      add "detected_within_bound"
+        (Printf.sprintf
+           "%d injected media fault(s) still outstanding more than \
+            ceil(retained bytes / scrub budget) + 1 scrub passes after \
+            injection"
+           s.Experiment.faults_late);
     if not s.Experiment.final_clean then
       add "salvage_converges"
         "durable media still corrupt at end of run (WAL chain or a \

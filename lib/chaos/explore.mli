@@ -22,11 +22,16 @@
     fault reproducers like any other violation.
 
     Storage-fault schedules ({!Schedule.generate_storage}, or any
-    schedule carrying media events) arm two more:
+    schedule carrying media events) arm three more:
 
     - [no_silent_corruption]: every injected media fault left the
       [Outstanding] ledger state — something (scrub, ship-time
       verification, or recovery) detected it before the end of the run;
+    - [detected_within_bound]: every injected media fault whose bytes
+      were still retained left [Outstanding] within
+      [ceil (retained bytes / Scrub.budget) + 1] scrub passes of its
+      injection — the paced scrubber's round-robin cycle reaches every
+      retained byte within that many passes;
     - [salvage_converges]: the durable media verifies clean at the end —
       the WAL frame chain parses end-to-end and every retained
       checkpoint slot passes its CRC.

@@ -220,8 +220,10 @@ type storage_metrics = {
   faults_quarantined : int;
   faults_expunged : int;
   faults_outstanding : int;
+  faults_late : int;
   scrub_passes : int;
   scrub_bytes : int;
+  scrub_slot_bytes : int;
   wal_corruptions : int;
   cp_corruptions : int;
   repaired_replica : int;
@@ -1080,14 +1082,14 @@ let run (cfg : config) =
       (dbs, cluster, None)
   in
   let db0 = finals.(0) in
-  (* One last scrub pass before the administrative catch-up, so a fault
-     injected after the final periodic tick is still detected and
+  (* One last whole scrub cycle before the administrative catch-up, so a
+     fault injected after the final periodic tick is still detected and
      repaired before the run is judged (and before replicas converge on
      the final log). *)
   (match (cfg.storage, scrub_stats) with
   | Some { scrub_every = Some _; _ }, Some st when Strip_db.durable db0 <> None
     ->
-    Scrub.scrub ?fetch:(fetch_of cluster) st db0
+    Scrub.scrub_cycle ?fetch:(fetch_of cluster) st db0
   | _ -> ());
   (* Converge the replicas administratively so end-of-run lag/LSN metrics
      (and the tests) compare equals against the final primary. *)
@@ -1328,8 +1330,10 @@ let run (cfg : config) =
           faults_quarantined = counts.Durable.quarantined;
           faults_expunged = counts.Durable.expunged;
           faults_outstanding = counts.Durable.outstanding;
+          faults_late = counts.Durable.late;
           scrub_passes = sget Scrub.passes;
           scrub_bytes = sget Scrub.bytes_scanned;
+          scrub_slot_bytes = sget Scrub.slot_bytes_scanned;
           wal_corruptions = sget Scrub.wal_corruptions;
           cp_corruptions = sget Scrub.cp_corruptions;
           repaired_replica = sget Scrub.repaired_replica;

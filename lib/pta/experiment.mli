@@ -272,8 +272,14 @@ type storage_metrics = {
       (** injected and never noticed — any nonzero value is silent
           corruption, and the [no_silent_corruption] chaos invariant
           fails the run *)
+  faults_late : int;
+      (** faults that stayed [Outstanding] for more than
+          [ceil (retained bytes / Scrub.budget) + 1] scrub passes after
+          their injection while their bytes were still retained — the
+          [detected_within_bound] chaos invariant *)
   scrub_passes : int;
-  scrub_bytes : int;  (** durable bytes re-read and re-verified *)
+  scrub_bytes : int;  (** durable WAL bytes re-read and re-verified *)
+  scrub_slot_bytes : int;  (** checkpoint-slot bytes re-read *)
   wal_corruptions : int;  (** corrupt WAL ranges the scrubber found *)
   cp_corruptions : int;  (** checkpoint slots that failed their CRC *)
   repaired_replica : int;  (** ranges healed by replica re-fetch *)

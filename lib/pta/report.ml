@@ -136,12 +136,12 @@ let print_storage (m : Experiment.metrics) =
       s.faults_outstanding
       (if s.faults_outstanding > 0 then " [SILENT CORRUPTION]" else "");
     Printf.printf
-      "  scrub: %d pass(es) over %d bytes; %d wal + %d checkpoint \
-       corruption(s); repaired %d via replica (%d bytes), %d via \
+      "  scrub: %d pass(es) over %d wal + %d slot bytes; %d wal + %d \
+       checkpoint corruption(s); repaired %d via replica (%d bytes), %d via \
        checkpoint (%d bytes expunged)\n%!"
-      s.scrub_passes s.scrub_bytes s.wal_corruptions s.cp_corruptions
-      s.repaired_replica s.scrub_salvaged_bytes s.repaired_checkpoint
-      s.scrub_expunged_bytes;
+      s.scrub_passes s.scrub_bytes s.scrub_slot_bytes s.wal_corruptions
+      s.cp_corruptions s.repaired_replica s.scrub_salvaged_bytes
+      s.repaired_checkpoint s.scrub_expunged_bytes;
     if
       s.salvaged_ranges + s.cp_fallbacks + s.orphan_merges > 0
       || s.quarantined_bytes > 0
@@ -321,8 +321,10 @@ let storage_json (s : Experiment.storage_metrics) =
       ("faults_quarantined", Json.Int s.faults_quarantined);
       ("faults_expunged", Json.Int s.faults_expunged);
       ("faults_outstanding", Json.Int s.faults_outstanding);
+      ("faults_late", Json.Int s.faults_late);
       ("scrub_passes", Json.Int s.scrub_passes);
       ("scrub_bytes", Json.Int s.scrub_bytes);
+      ("scrub_slot_bytes", Json.Int s.scrub_slot_bytes);
       ("wal_corruptions", Json.Int s.wal_corruptions);
       ("cp_corruptions", Json.Int s.cp_corruptions);
       ("repaired_replica", Json.Int s.repaired_replica);

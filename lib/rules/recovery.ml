@@ -66,7 +66,7 @@ let recover ?salvage db ~reinstall =
       if skipped > 0 then begin
         (* newer slot(s) failed their CRC: note the detection, fall back
            to the older verified image and redo its longer tail *)
-        Durable.note_cp_detected d;
+        Durable.note_cp_detected d ~newest:skipped;
         Meter.tick_n "recovery_cp_fallback" skipped
       end;
       (Checkpoint.decode s, skipped)

@@ -2,11 +2,16 @@
     and checkpoint slots, with in-place repair.
 
     Real storage rots at rest, so detection cannot wait for the next
-    crash: a scrub pass re-reads every durable WAL byte, re-verifies the
-    frame chain ({!Strip_txn.Wal.verify}) and every retained checkpoint
-    slot's CRC, and reports each corruption with its exact LSN range
-    (["wal_corruption"] / ["checkpoint_corruption"] trace instants, the
-    store's media-fault ledger, and the ["scrub_*"] meters).
+    crash.  The scrubber re-reads every retained byte of the store in a
+    round-robin cycle — the durable WAL frames, then each distinct
+    checkpoint part, newest slot first ({!Strip_txn.Durable.scrub_step})
+    — but at a fixed pace: one pass re-reads at most {!budget} bytes and
+    resumes where the last one stopped, so its cost per pass does not
+    grow with the store.  A fault anywhere in the retained bytes is read
+    within [ceil (retained / budget) + 1] passes.  It reports each
+    corruption with its exact LSN range (["wal_corruption"] /
+    ["checkpoint_corruption"] trace instants, the store's media-fault
+    ledger, and the ["scrub_*"] meters).
 
     Repair ladder, per corrupt WAL range:
     + {b replica fetch} — re-fetch clean bytes for exactly that range
@@ -20,8 +25,9 @@
     and a rotted checkpoint slot is dropped and replaced by a fresh
     checkpoint the same way.  A scheduled scrub runs as a background
     task (never inside a transaction); its work is metered
-    (["scrub_pass"], ["scrub_byte"], ["salvage_byte"],
-    ["quarantine_byte"]) so the cost model can charge it. *)
+    (["scrub_pass"]; ["scrub_byte"] for every WAL and checkpoint byte it
+    re-reads; ["salvage_byte"], ["quarantine_byte"]) so the cost model
+    can charge it. *)
 
 type t
 (** Scrub statistics, owned by the driver so they survive restarts. *)
@@ -32,9 +38,20 @@ type fetch = from_lsn:int -> len:int -> string option
 
 val create : unit -> t
 
+val budget : int
+(** Bytes one pass re-reads at most (128 KiB).  A pass stops before a WAL
+    frame that would take it past the budget, except that it always
+    checks at least one whole frame, and a corrupt frame's resync probes
+    are not budgeted. *)
+
 val scrub : ?fetch:fetch -> t -> Strip_db.t -> unit
-(** One pass over [db]'s durable store.  No-op without a durability
-    layer. *)
+(** One pass: the next {!budget} bytes of [db]'s durable store's scrub
+    cycle, then the repair ladder for what they held.  No-op without a
+    durability layer. *)
+
+val scrub_cycle : ?fetch:fetch -> t -> Strip_db.t -> unit
+(** Restart the store's cycle and run passes until it closes: every
+    retained byte is re-read once.  The end-of-run scrub. *)
 
 val schedule :
   t ->
@@ -46,7 +63,9 @@ val schedule :
   unit ->
   unit
 (** Run {!scrub} every [every] simulated seconds (first at [start],
-    default [every] from now) until [until].
+    default [every] from now) until [until], and register
+    ["scrub_bytes_total"] and ["scrub_slot_bytes_total"] (this
+    scrubber's counters) in [db]'s metrics registry — once per [db].
     @raise Invalid_argument if [every <= 0] or [db] has no durability
     layer. *)
 
@@ -54,6 +73,11 @@ val schedule :
 
 val passes : t -> int
 val bytes_scanned : t -> int
+(** WAL bytes re-read and re-verified. *)
+
+val slot_bytes_scanned : t -> int
+(** Checkpoint-part bytes re-read. *)
+
 val wal_corruptions : t -> int
 val cp_corruptions : t -> int
 val repaired_replica : t -> int

@@ -4,9 +4,10 @@ type part = { bytes : string; crc : int }
 
 (* A slot's image is the concatenation of its parts.  Parts are
    immutable and shared: an unchanged table's segment sits in the
-   checkpoint cache and in every slot that contains it. *)
+   checkpoint cache and in every slot that contains it.  A slot is
+   identified physically; only rot replaces its parts. *)
 type slot = {
-  s_parts : part list;
+  mutable s_parts : part list;
   s_len : int;
   s_crc : int;  (* CRC32 of the image, combined from the parts' at install *)
   s_lsn : int;
@@ -28,7 +29,37 @@ type media_fault = {
   f_kind : fault_kind;
   f_lsn : int;
   f_len : int;
+  f_slot : slot option;  (* the slot a checkpoint fault hit *)
   mutable f_state : fault_state;
+  mutable f_passes : int;  (* scrub passes that ended with it Outstanding *)
+  mutable f_retained : int;  (* most retained bytes seen at those passes *)
+  mutable f_late : bool;  (* stayed Outstanding past the detection bound *)
+}
+
+(* Where a scrub cycle over one store stands: the retained WAL frames
+   from [c_wal], then the slots in [c_todo] — the slots retained when the
+   WAL side finished, newest first, minus those already judged — so a
+   slot installed after that waits for the next cycle, and one dropped
+   or rotated out before its turn is skipped.  [c_seen] holds the fresh
+   CRC of every part read this cycle, by physical identity, so a part
+   several slots share is read once per cycle; [c_part] is the part
+   being read across steps, [c_off] bytes in with CRC [c_crc] so far. *)
+type cursor = {
+  mutable c_in_wal : bool;
+  mutable c_wal : int;
+  mutable c_todo : slot list option;  (* [None] until the WAL side is done *)
+  mutable c_seen : (string * int) list;
+  mutable c_part : string;
+  mutable c_off : int;
+  mutable c_crc : int;
+}
+
+type step = {
+  wal_ranges : (int * int) list;
+  bad_slots : slot list;
+  wal_bytes : int;
+  slot_bytes : int;
+  closed : bool;
 }
 
 type t = {
@@ -93,7 +124,8 @@ let last_checkpoint_bytes t = match t.slots with [] -> 0 | s :: _ -> s.s_len
    by physical identity, so a segment that several slots share is read
    once per pass, and each slot's CRC is combined from the fresh part
    CRCs and checked against the slot's stored CRC, never against the
-   parts' own.  A [seen] lives for one pass only. *)
+   parts' own.  A [seen] lives for one check, or for one scrub cycle
+   (a cursor's [c_seen]). *)
 let fresh_crc seen p =
   match List.assq_opt p.bytes !seen with
   | Some crc -> crc
@@ -134,9 +166,21 @@ let truncation_floor t =
 let arm_media t = t.media_armed <- true
 let media_armed t = t.media_armed
 
-let note_injected t ~kind ~lsn ~len =
-  t.ledger <- { f_kind = kind; f_lsn = lsn; f_len = len; f_state = Outstanding }
-              :: t.ledger
+let record t ~kind ~lsn ~len ~slot =
+  t.ledger <-
+    {
+      f_kind = kind;
+      f_lsn = lsn;
+      f_len = len;
+      f_slot = slot;
+      f_state = Outstanding;
+      f_passes = 0;
+      f_retained = 0;
+      f_late = false;
+    }
+    :: t.ledger
+
+let note_injected t ~kind ~lsn ~len = record t ~kind ~lsn ~len ~slot:None
 
 let wal_kind = function Bitrot_wal | Fsync_lie -> true | Bitrot_checkpoint -> false
 
@@ -170,15 +214,17 @@ let note_truncated t ~below =
     ~select:(fun f -> wal_kind f.f_kind && f.f_lsn + f.f_len <= below)
     ~from:[ Outstanding; Detected ] ~to_:Expunged
 
-let note_cp_detected t =
-  transition t
-    ~select:(fun f -> f.f_kind = Bitrot_checkpoint)
-    ~from:[ Outstanding ] ~to_:Detected
+let in_slot s f = match f.f_slot with Some s' -> s' == s | None -> false
 
-let note_cp_repaired t =
-  transition t
-    ~select:(fun f -> f.f_kind = Bitrot_checkpoint)
-    ~from:[ Outstanding; Detected ] ~to_:Repaired
+let slot_detected t s =
+  transition t ~select:(in_slot s) ~from:[ Outstanding ] ~to_:Detected
+
+let note_cp_detected t ~newest =
+  List.iteri (fun i s -> if i < newest then slot_detected t s) t.slots
+
+let note_cp_repaired t s =
+  transition t ~select:(in_slot s) ~from:[ Outstanding; Detected ]
+    ~to_:Repaired
 
 let note_abandoned t =
   (* the whole store left service (failover elected another node);
@@ -189,7 +235,7 @@ let note_abandoned t =
 let flip_snapshot_byte t ~frac =
   match t.slots with
   | [] -> false
-  | s :: rest ->
+  | s :: _ ->
     let n = s.s_len in
     if n = 0 then false
     else begin
@@ -208,21 +254,143 @@ let flip_snapshot_byte t ~frac =
              bytes, so verification now fails — that is the point *)
           { p with bytes = Bytes.unsafe_to_string b } :: ps
       in
-      t.slots <- { s with s_parts = rot off s.s_parts } :: rest;
-      note_injected t ~kind:Bitrot_checkpoint ~lsn:s.s_lsn ~len:1;
+      s.s_parts <- rot off s.s_parts;
+      record t ~kind:Bitrot_checkpoint ~lsn:s.s_lsn ~len:1 ~slot:(Some s);
       true
     end
 
+(* ------------------------------------------------------------------ *)
+(* Paced scrubbing: one step of a round-robin cycle over the retained
+   WAL frames and then each distinct checkpoint part, newest slot first.
+   A slot is judged once every one of its parts has been read in the
+   current cycle; a bad one is dropped and its faults marked Detected. *)
+
+let cursor () =
+  {
+    c_in_wal = true;
+    c_wal = min_int;
+    c_todo = None;
+    c_seen = [];
+    c_part = "";
+    c_off = 0;
+    c_crc = 0;
+  }
+
+let rewind c =
+  c.c_in_wal <- true;
+  c.c_wal <- min_int;
+  c.c_todo <- None;
+  c.c_seen <- [];
+  c.c_part <- "";
+  c.c_off <- 0;
+  c.c_crc <- 0
+
+(* Read part [p] into cursor [c] for at most [!left] bytes, resuming it
+   where an earlier step stopped; true once its fresh CRC is in
+   [c.c_seen].  [read] counts the bytes re-read. *)
+let read_part c ~left ~read p =
+  List.mem_assq p.bytes c.c_seen
+  ||
+  let len = String.length p.bytes in
+  let off, crc = if c.c_part == p.bytes then (c.c_off, c.c_crc) else (0, 0) in
+  let k = max 0 (min !left (len - off)) in
+  if k = 0 && off < len then false
+  else begin
+    let crc = Codec.crc32_sub crc p.bytes off k in
+    left := !left - k;
+    read := !read + k;
+    if off + k = len then begin
+      c.c_seen <- (p.bytes, crc) :: c.c_seen;
+      c.c_part <- "";
+      true
+    end
+    else begin
+      c.c_part <- p.bytes;
+      c.c_off <- off + k;
+      c.c_crc <- crc;
+      false
+    end
+  end
+
+let scrub_step t c ~budget =
+  let wal_ranges, wal_bytes =
+    if not c.c_in_wal then ([], 0)
+    else begin
+      let from = max c.c_wal (Wal.base_lsn t.wal) in
+      let next, ranges = Wal.verify_step t.wal ~from ~budget in
+      c.c_wal <- next;
+      if next >= Wal.durable_end t.wal then c.c_in_wal <- false;
+      (ranges, next - from)
+    end
+  in
+  let left = ref (budget - wal_bytes) and read = ref 0 and bad = ref [] in
+  let rec slots = function
+    | [] ->
+      rewind c;
+      true
+    | s :: rest when not (List.memq s t.slots) -> slots rest
+    | s :: rest ->
+      if List.for_all (read_part c ~left ~read) s.s_parts then begin
+        (* every part's fresh CRC is in [c_seen]: nothing is re-read *)
+        if not (slot_valid (ref c.c_seen) s) then begin
+          t.slots <- List.filter (fun s' -> s' != s) t.slots;
+          slot_detected t s;
+          bad := s :: !bad
+        end;
+        slots rest
+      end
+      else begin
+        c.c_todo <- Some (s :: rest);
+        false
+      end
+  in
+  let closed =
+    (not c.c_in_wal)
+    && slots (match c.c_todo with Some todo -> todo | None -> t.slots)
+  in
+  { wal_ranges; bad_slots = List.rev !bad; wal_bytes; slot_bytes = !read; closed }
+
+let slot_time s = s.s_time
+
+let retained_bytes t =
+  let parts =
+    List.fold_left
+      (fun acc s ->
+        List.fold_left
+          (fun acc p -> if List.memq p.bytes acc then acc else p.bytes :: acc)
+          acc s.s_parts)
+      [] t.slots
+  in
+  List.fold_left (fun n b -> n + String.length b) (Wal.durable_bytes t.wal) parts
+
+let note_scrub_pass t ~budget =
+  (* the checkpoint counterpart of [note_truncated]: a slot that left
+     retention before the cycle reached it took its faults with it *)
+  transition t
+    ~select:(fun f ->
+      match f.f_slot with
+      | Some s -> not (List.memq s t.slots)
+      | None -> false)
+    ~from:[ Outstanding; Detected ] ~to_:Expunged;
+  if List.exists (fun f -> f.f_state = Outstanding) t.ledger then begin
+    let retained = retained_bytes t in
+    List.iter
+      (fun f ->
+        if f.f_state = Outstanding then begin
+          f.f_passes <- f.f_passes + 1;
+          f.f_retained <- max f.f_retained retained;
+          if f.f_passes >= ((f.f_retained + budget - 1) / budget) + 1 then
+            f.f_late <- true
+        end)
+      t.ledger
+  end
+
 let scrub_slots t =
-  (* drop (quarantine) every slot whose image no longer matches its CRC;
-     returns how many were dropped *)
-  let seen = ref [] in
-  let bad, good = List.partition (fun s -> not (slot_valid seen s)) t.slots in
-  if bad <> [] then begin
-    t.slots <- good;
-    note_cp_detected t
-  end;
-  List.length bad
+  (* one whole slot-side cycle: drop every slot whose image no longer
+     matches its CRC; returns how many were dropped *)
+  let c = cursor () in
+  c.c_in_wal <- false;
+  List.length (scrub_step t c ~budget:max_int).bad_slots
 
 let slots_valid t = List.for_all (slot_valid (ref [])) t.slots
 
@@ -235,6 +403,7 @@ type media_counts = {
   quarantined : int;
   expunged : int;
   outstanding : int;
+  late : int;
 }
 
 let zero_counts =
@@ -247,11 +416,13 @@ let zero_counts =
     quarantined = 0;
     expunged = 0;
     outstanding = 0;
+    late = 0;
   }
 
 let add_counts t c =
   List.fold_left
     (fun c f ->
+      let c = if f.f_late then { c with late = c.late + 1 } else c in
       let c =
         match f.f_kind with
         | Bitrot_wal -> { c with injected_bitrot_wal = c.injected_bitrot_wal + 1 }

@@ -512,11 +512,16 @@ let bad ~last lsn = if last then Torn_at lsn else Corrupt_at lsn
    place: the byte at offset [p] has LSN [base + p].  Each frame's
    payload is handed to [f lsn r] through one reader re-aimed at it; a
    payload that fails its CRC, or that [f] rejects with
-   [Codec.Decode_error], ends the walk. *)
-let walk ~check ~base data pos f =
-  let n = String.length data in
+   [Codec.Decode_error], ends the walk.  [data] may be a slice that
+   stops short of the log's end, [total] bytes from its start (default:
+   none): only the log's end makes a frame the last, and a frame the
+   slice cuts short looks torn — telling the two apart is the caller's
+   job. *)
+let walk ~check ~base ?total data pos f =
+  let total = match total with Some m -> m | None -> String.length data in
   let r = Codec.reader ~check data in
   let rec go pos =
+    let n = String.length data in
     if pos >= n then Clean
     else if n - pos < 8 then
       (* a header that never finished writing: torn tail *)
@@ -531,12 +536,13 @@ let walk ~check ~base data pos f =
       else begin
         let fin = pos + 8 + len in
         if Codec.crc32_sub 0 data (pos + 8) len <> crc then
-          bad ~last:(fin >= n) (base + pos)
+          bad ~last:(fin >= total) (base + pos)
         else begin
           Codec.seek r ~pos:(pos + 8) ~len;
           match f (base + pos) r with
           | () -> go fin
-          | exception Codec.Decode_error _ -> bad ~last:(fin >= n) (base + pos)
+          | exception Codec.Decode_error _ ->
+            bad ~last:(fin >= total) (base + pos)
         end
       end
     end
@@ -545,8 +551,8 @@ let walk ~check ~base data pos f =
 
 (* The verdict alone: the record grammar runs on a checking reader, so
    nothing is built. *)
-let check_from ~base data pos =
-  walk ~check:true ~base data pos (fun _ r -> ignore (decode_record r))
+let check_from ~base ?total data pos =
+  walk ~check:true ~base ?total data pos (fun _ r -> ignore (decode_record r))
 
 (* Scan framed entries in [data], whose first byte has LSN [base]. *)
 let scan ~base data =
@@ -621,29 +627,57 @@ let resync ~base data ~after =
 let next_valid_lsn t ~after =
   resync ~base:t.base_lsn (Buffer.contents t.durable) ~after
 
-let verify t =
-  (* one copy of the log per pass; every frame is checked in place *)
-  let base = t.base_lsn in
-  let data = Buffer.contents t.durable in
-  let dend = base + String.length data in
-  let rec go from acc =
-    if from >= dend then List.rev acc
-    else
-      match check_from ~base data (from - base) with
-      | Corrupt_at l ->
-        let r = resync ~base data ~after:l in
-        go r ((l, r) :: acc)
-      | Torn_at l ->
-        (* A frame that parses past the end of the log looks torn — but a
-           genuine torn write can only be the final append.  If the chain
-           re-synchronizes at a valid frame strictly before the end, the
-           "torn" frame is really rot (e.g. a flipped length header that
-           swallowed the rest of the log). *)
-        let r = resync ~base data ~after:l in
-        if r >= dend then List.rev acc else go r ((l, r) :: acc)
-      | Clean -> List.rev acc
+(* Offset just past the frame whose header starts at offset [off] of
+   the durable log, as its length field claims; -1 unless the frame is
+   whole in the log. *)
+let frame_end t off =
+  let n = Buffer.length t.durable in
+  if n - off < 8 then -1
+  else begin
+    let byte i = Char.code (Buffer.nth t.durable (off + i)) in
+    let len =
+      byte 0 lor (byte 1 lsl 8) lor (byte 2 lsl 16) lor (byte 3 lsl 24)
+    in
+    if len > n - off - 8 then -1 else off + 8 + len
+  end
+
+let verify_step t ~from ~budget =
+  let base = t.base_lsn and n = Buffer.length t.durable in
+  let dend = base + n in
+  let rec go from left acc =
+    if from >= dend then (max from dend, List.rev acc)
+    else if left <= 0 then (from, List.rev acc)
+    else begin
+      (* only the slice is copied: [left] bytes, stretched so the first
+         frame is whole — every step makes progress *)
+      let off = from - base in
+      let len = max (min left (n - off)) (frame_end t off - off) in
+      let data = Buffer.sub t.durable off len in
+      match check_from ~base:from ~total:(n - off) data 0 with
+      | Clean -> (from + len, List.rev acc)
+      | Torn_at l when frame_end t (l - base) > off + len ->
+        (* a frame whole in the log that the slice cut short *)
+        (l, List.rev acc)
+      | (Corrupt_at l | Torn_at l) as v ->
+        (* resynchronizing probes the chain to the end of the log *)
+        let r =
+          if off + len = n then resync ~base:from data ~after:l
+          else resync ~base (Buffer.contents t.durable) ~after:l
+        in
+        (match v with
+        | Torn_at _ when r >= dend ->
+          (* A frame that parses past the end of the log looks torn — but
+             a genuine torn write can only be the final append.  If the
+             chain re-synchronizes at a valid frame strictly before the
+             end, the "torn" frame is really rot (e.g. a flipped length
+             header that swallowed the rest of the log). *)
+          (dend, List.rev acc)
+        | _ -> go r (left - (r - from)) ((l, r) :: acc))
+    end
   in
-  go base []
+  go (max from base) budget []
+
+let verify t = snd (verify_step t ~from:t.base_lsn ~budget:max_int)
 
 let splice t ~lsn ~bytes =
   let len = String.length bytes in

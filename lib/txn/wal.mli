@@ -235,10 +235,26 @@ val lied_bytes : t -> int
 
 (** {1 Scrub and salvage} *)
 
+val verify_step : t -> from:int -> budget:int -> int * (int * int) list
+(** One paced slice of {!verify}: check frames in place from the frame
+    boundary [from] (clamped up to {!base_lsn}, so a cursor survives
+    {!truncate_to}) until about [budget] bytes are covered, and return
+    [(next, ranges)] — the frame boundary to resume at and the corrupt
+    ranges found, exactly as {!verify} reports them.  [next >=]
+    {!durable_end} means the rest of the log verified; a cursor beyond
+    the end (after {!drop_from}) comes back unchanged.  Only the slice is
+    copied.  A step stops before the first frame that would take it past
+    [budget], but always checks at least one whole frame, so a frame
+    longer than [budget] is read in one step.  A frame that fails its
+    check resynchronizes as {!verify} does, probing the chain to the end
+    of the log, and the step continues from the resync point while
+    budget is left; the corrupt range counts toward the bytes covered. *)
+
 val verify : t -> (int * int) list
-(** Re-read every byte of the durable log (one copy of it per call, each
-    frame checked in place as by {!check_bytes}, no record built) and
-    return the corrupt LSN ranges
+(** Re-read every byte of the durable log ({!verify_step} with an
+    unbounded budget: one copy of it per call, each frame checked in
+    place as by {!check_bytes}, no record built) and return the corrupt
+    LSN ranges
     [(start, resync)] — [start] is where frame verification first
     failed, [resync] the first later offset from which the frame chain
     parses cleanly to the end of the log ({!durable_end} if none).

@@ -77,3 +77,7 @@ scenario scrub-cp scrub --seed 9
 # Seed 1 lies at two fsyncs: the zero gaps pass every frame CRC and only
 # the record grammar, checked without building records, finds them.
 scenario scrub-lie scrub --seed 1
+# At scale 0.2 the retained log and slots are many scrub budgets long,
+# so a scrub cycle spans many passes; seed 6 rots a checkpoint slot that
+# the paced cycle must still reach and repair.
+scenario scrub-paced scrub --chaos-scale 0.2 --seed 6

@@ -525,6 +525,236 @@ let test_parts_match_encoded () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Paced scrubbing: a cycle of budgeted steps must report exactly what
+   one whole-log verify and one full slot pass report. *)
+
+(* Run [d]'s cycle to its close in steps of [budget] bytes; the corrupt
+   WAL ranges and the install times of the dropped slots.  Every step
+   keeps to its budget, but for a WAL frame longer than it and for a
+   corrupt frame's resync. *)
+let paced_cycle ~what d ~budget =
+  let c = Durable.cursor () in
+  let rec go ranges bad steps =
+    let st = Durable.scrub_step d c ~budget in
+    if st.Durable.wal_ranges = [] && st.Durable.wal_bytes <= budget then
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: step %d keeps to the budget" what steps)
+        true
+        (st.Durable.wal_bytes + st.Durable.slot_bytes <= budget);
+    let ranges = ranges @ st.Durable.wal_ranges
+    and bad = bad @ List.map Durable.slot_time st.Durable.bad_slots in
+    if st.Durable.closed then (ranges, bad, steps + 1)
+    else go ranges bad (steps + 1)
+  in
+  go [] [] 0
+
+(* Flip one byte of a string we own the bytes of: rot in place, in a
+   part every slot containing it shares. *)
+let rot_in_place st b =
+  let k = Random.State.int st (Bytes.length b) in
+  Bytes.set b k (Char.chr (Char.code (Bytes.get b k) lxor 0xff))
+
+let test_paced_matches_reference () =
+  let ranges = Alcotest.(list (pair int int)) in
+  let st = Random.State.make [| 1997 |] in
+  let dirty_wal = ref 0 and dirty_slots = ref 0 and multi_step = ref 0 in
+  for i = 1 to 200 do
+    let what = Printf.sprintf "store #%d" i in
+    let w = random_log st in
+    let retain = 1 + Random.State.int st 3 in
+    let d = Durable.create ~wal:w ~retain () in
+    (* a pool of shared parts; some are rotted in place later *)
+    let pool =
+      Array.init 3 (fun _ ->
+          Bytes.of_string
+            (Test_recovery.random_string st (1 + Random.State.int st 200)))
+    in
+    let pool_parts = Array.map (fun b -> Durable.part (Bytes.unsafe_to_string b)) pool in
+    (* the model: each install's time and parts, newest first *)
+    let slots = ref [] and flipped = ref [] in
+    for k = 1 to 1 + Random.State.int st 5 do
+      let time = float_of_int k in
+      let parts =
+        List.init (Random.State.int st 5) (fun _ ->
+            if Random.State.bool st then pool_parts.(Random.State.int st 3)
+            else
+              Durable.part
+                (Test_recovery.random_string st (Random.State.int st 150)))
+      in
+      Durable.install_parts d ~parts ~lsn:0 ~time;
+      slots := (time, parts) :: !slots;
+      (* rot a private copy in the newest slot, at most once per slot *)
+      if Random.State.int st 3 = 0 && Durable.flip_snapshot_byte d
+           ~frac:(Random.State.float st 1.0)
+      then flipped := time :: !flipped
+    done;
+    let rotted = Array.map (fun _ -> Random.State.int st 4 = 0) pool in
+    Array.iteri (fun j r -> if r then rot_in_place st pool.(j)) rotted;
+    let retained = List.filteri (fun j _ -> j < retain) !slots in
+    let want_bad =
+      List.filter_map
+        (fun (time, parts) ->
+          let shared_rot =
+            List.exists
+              (fun p ->
+                let rec find j =
+                  j < 3 && ((pool_parts.(j) == p && rotted.(j)) || find (j + 1))
+                in
+                find 0)
+              parts
+          in
+          if shared_rot || List.mem time !flipped then Some time else None)
+        retained
+    in
+    let want_ranges = ref_verify w in
+    if want_ranges <> [] then incr dirty_wal;
+    if want_bad <> [] then incr dirty_slots;
+    let budget = 1 + Random.State.int st 300 in
+    let got_ranges, got_bad, steps = paced_cycle ~what d ~budget in
+    if steps > 2 then incr multi_step;
+    Alcotest.check ranges (what ^ ": corrupt WAL ranges") want_ranges got_ranges;
+    Alcotest.(check (list (float 0.0))) (what ^ ": bad slots, newest first")
+      want_bad got_bad;
+    Alcotest.(check bool) (what ^ ": the survivors verify") true
+      (Durable.slots_valid d)
+  done;
+  (* the generator exercises what the cycle must find, across steps *)
+  Alcotest.(check bool) "many logs carry damage" true (!dirty_wal > 100);
+  Alcotest.(check bool) "many slot sets carry rot" true (!dirty_slots > 50);
+  Alcotest.(check bool) "most cycles span several steps" true
+    (!multi_step > 150)
+
+(* The WAL cursor survives truncation, a tail drop and a splice between
+   steps: each later cycle reports exactly the rot still retained. *)
+let test_cursor_survives_log_changes () =
+  let ranges = Alcotest.(list (pair int int)) in
+  let w, lsns = filled_wal 80 in
+  let d = Durable.create ~wal:w () in
+  let c = Durable.cursor () in
+  let step () = Durable.scrub_step d c ~budget:200 in
+  let rec finish acc =
+    let st = step () in
+    let acc = acc @ st.Durable.wal_ranges in
+    if st.Durable.closed then acc else finish acc
+  in
+  ignore (step ());
+  ignore (step ());
+  (* truncation past the cursor: it resumes at the new base *)
+  Wal.truncate_to w ~lsn:lsns.(40);
+  Wal.flip_byte w ~lsn:(lsns.(60) + 9);
+  Alcotest.check ranges "rot past the truncation is found"
+    [ (lsns.(60), lsns.(61)) ] (finish []);
+  (* a tail dropped behind the cursor ends the WAL side at the new end *)
+  ignore (step ());
+  Wal.flip_byte w ~lsn:(lsns.(75) + 9);
+  let dropped = Wal.drop_from w ~lsn:lsns.(70) in
+  Alcotest.(check bool) "the rotten tail left" true (dropped > 0);
+  Alcotest.check ranges "only the retained rot is reported"
+    [ (lsns.(60), lsns.(61)) ] (finish []);
+  (* splice the clean frame back: the next cycle is clean *)
+  let clean, _ = filled_wal 80 in
+  Wal.splice w ~lsn:lsns.(60)
+    ~bytes:(String.sub (Wal.durable_contents clean) lsns.(60)
+              (lsns.(61) - lsns.(60)));
+  Alcotest.check ranges "the spliced log verifies clean" [] (finish [])
+
+(* Two rotted slots, and the budget lets only the newest be read before
+   the older one is rotated out: the ledger detects exactly the slot it
+   read and expunges the one that left unread. *)
+let test_two_rotted_slots_one_read () =
+  let d = Durable.create ~retain:2 () in
+  Durable.arm_media d;
+  let image c = String.make 100 c in
+  Durable.install_checkpoint d ~encoded:(image 'a') ~lsn:0 ~time:1.0;
+  Alcotest.(check bool) "the older slot rots" true
+    (Durable.flip_snapshot_byte d ~frac:0.5);
+  Durable.install_checkpoint d ~encoded:(image 'b') ~lsn:0 ~time:2.0;
+  Alcotest.(check bool) "the newer slot rots" true
+    (Durable.flip_snapshot_byte d ~frac:0.5);
+  let c = Durable.cursor () in
+  let st = Durable.scrub_step d c ~budget:100 in
+  Alcotest.(check (list (float 0.0))) "only the newest slot was read"
+    [ 2.0 ] (List.map Durable.slot_time st.Durable.bad_slots);
+  Alcotest.(check int) "it read just that image" 100 st.Durable.slot_bytes;
+  Alcotest.(check bool) "the cycle is still open" false st.Durable.closed;
+  let counts = Durable.media_counts d in
+  Alcotest.(check int) "one fault detected" 1 counts.Durable.detected;
+  Alcotest.(check int) "the unread one still outstanding" 1
+    counts.Durable.outstanding;
+  List.iter (Durable.note_cp_repaired d) st.Durable.bad_slots;
+  (* two fresh images rotate the unread slot out *)
+  Durable.install_checkpoint d ~encoded:(image 'c') ~lsn:0 ~time:3.0;
+  Durable.install_checkpoint d ~encoded:(image 'd') ~lsn:0 ~time:4.0;
+  Durable.note_scrub_pass d ~budget:100;
+  let counts = Durable.media_counts d in
+  Alcotest.(check int) "the read slot's fault repaired" 1 counts.Durable.repaired;
+  Alcotest.(check int) "the unread slot's fault expunged" 1
+    counts.Durable.expunged;
+  Alcotest.(check int) "nothing outstanding" 0 counts.Durable.outstanding;
+  Alcotest.(check int) "nothing late" 0 counts.Durable.late
+
+(* Rot injected at any point of the cycle is read within
+   ceil (retained / budget) + 1 passes — also when a later checkpoint has
+   made the rotted slot an older one. *)
+let test_detection_bound () =
+  let budget = 300 in
+  List.iter
+    (fun (phase, target) ->
+      let what = Printf.sprintf "phase %d, %s" phase target in
+      let w, _ = filled_wal 40 in
+      let d = Durable.create ~wal:w ~retain:3 () in
+      Durable.arm_media d;
+      let shared = Durable.part (String.make 700 's') in
+      let install time =
+        Durable.install_parts d
+          ~parts:[ Durable.part (Printf.sprintf "head-%g" time); shared ]
+          ~lsn:0 ~time
+      in
+      install 1.0;
+      install 2.0;
+      let c = Durable.cursor () in
+      let pass () =
+        let st = Durable.scrub_step d c ~budget in
+        List.iter (Durable.note_cp_repaired d) st.Durable.bad_slots;
+        List.iter
+          (fun (l, r) -> Durable.note_wal_repaired d ~lsn:l ~len:(r - l))
+          st.Durable.wal_ranges;
+        Durable.note_scrub_pass d ~budget
+      in
+      for _ = 1 to phase do
+        pass ()
+      done;
+      (match target with
+      | "wal" ->
+        let lsn = Wal.base_lsn w + (Wal.durable_bytes w / 2) in
+        Wal.flip_byte w ~lsn;
+        Durable.note_injected d ~kind:Durable.Bitrot_wal ~lsn ~len:1
+      | _ ->
+        ignore (Durable.flip_snapshot_byte d ~frac:0.9);
+        (* a newer image makes the rotted slot an older one *)
+        install 3.0);
+      let bound =
+        ((Durable.retained_bytes d + budget - 1) / budget) + 1
+      in
+      let rec count n =
+        if (Durable.media_counts d).Durable.outstanding = 0 then n
+        else if n > 3 * bound then n
+        else begin
+          pass ();
+          count (n + 1)
+        end
+      in
+      let n = count 0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: read within %d passes (took %d)" what bound n)
+        true (n <= bound);
+      Alcotest.(check int) (what ^ ": not late") 0
+        (Durable.media_counts d).Durable.late)
+    (List.concat_map
+       (fun phase -> [ (phase, "wal"); (phase, "slot") ])
+       (List.init 8 Fun.id))
+
+(* ------------------------------------------------------------------ *)
 (* Double fault: corruption discovered during crash recovery.  Rung 1
    (replica bytes available) splices and loses nothing; rung 3 (no
    replica) quarantines the tail and survives with the checkpoint. *)
@@ -713,6 +943,37 @@ let test_planted_silent_corruption_shrinks () =
   in
   Alcotest.(check bool) "replay reproduces the violation" true (silent replayed)
 
+(* Rot in a slot that a later checkpoint makes an older one: the paced
+   cycle still reaches it within the detection bound, while three slots
+   keep it retained long enough for a cycle stuck on the newest slot to
+   be caught out by [detected_within_bound]. *)
+let test_older_slot_rot_within_bound () =
+  let s =
+    {
+      Schedule.seed = 0;
+      scale = 0.02;
+      events =
+        [
+          Experiment.Bitrot_at { at = 18.2; target = `Checkpoint; frac = 0.5 };
+          Experiment.Checkpoint_at 18.3;
+        ];
+    }
+  in
+  let o =
+    Explore.run_schedule ~storage:{ Experiment.scrub_every = Some 0.5; retain = 3 } s
+  in
+  Alcotest.(check (list string)) "no invariant violated" []
+    (List.map (fun v -> v.Explore.invariant) o.Explore.violations);
+  match o.Explore.storage with
+  | Some sm ->
+    Alcotest.(check int) "the rotted slot was read and repaired" 1
+      sm.Experiment.faults_repaired;
+    Alcotest.(check int) "within the bound" 0 sm.Experiment.faults_late;
+    Alcotest.(check bool) "no pass re-read more than the budget" true
+      (sm.Experiment.scrub_bytes + sm.Experiment.scrub_slot_bytes
+      <= sm.Experiment.scrub_passes * Scrub.budget)
+  | None -> Alcotest.fail "expected storage metrics"
+
 (* ------------------------------------------------------------------ *)
 (* Storage sweep smoke + flag-off identity *)
 
@@ -822,6 +1083,17 @@ let suite =
         Alcotest.test_case "parts and one string verify alike" `Quick
           test_parts_match_encoded;
       ] );
+    ( "storage/scrub",
+      [
+        Alcotest.test_case "a paced cycle reports what a full pass does"
+          `Quick test_paced_matches_reference;
+        Alcotest.test_case "the WAL cursor survives truncate, drop, splice"
+          `Quick test_cursor_survives_log_changes;
+        Alcotest.test_case "two rotted slots, only one read" `Quick
+          test_two_rotted_slots_one_read;
+        Alcotest.test_case "rot is read within the detection bound" `Quick
+          test_detection_bound;
+      ] );
     ( "storage/recovery",
       [
         Alcotest.test_case "double fault: replica salvage during redo" `Slow
@@ -833,6 +1105,8 @@ let suite =
       [
         Alcotest.test_case "planted silent rot shrinks to 1-minimal" `Slow
           test_planted_silent_corruption_shrinks;
+        Alcotest.test_case "older-slot rot is read within the bound" `Slow
+          test_older_slot_rot_within_bound;
         Alcotest.test_case "storage sweep runs clean and deterministic" `Slow
           test_storage_sweep_smoke;
         Alcotest.test_case "flag-off leaves no storage surface" `Slow
