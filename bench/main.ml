@@ -1,5 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Table 1, Figures 9-14).
+   evaluation (Table 1, Figures 9-14), plus the lanes that gate the
+   later subsystems.
 
    - Table 1 micro-benchmarks the engine's primitive operations with
      Bechamel (real nanoseconds on this machine) and prints them alongside
@@ -11,53 +12,72 @@
      every transaction and rule, and verifies the maintained view against
      full recomputation.
 
-   Environment knobs:
+   Usage: main.exe [--lane NAME[,NAME]] [--trace FILE] [--metrics FILE]
+
+     --lane NAMES     run only these lanes; they always run in this order:
+                        table1 figures ablations sweep robustness recovery
+                        replication chaos storage shard wallclock
+                      (default: every lane but wallclock)
+     --trace FILE     merge every figure-sweep experiment's lifecycle
+                      trace into one Chrome trace_event file (open at
+                      chrome://tracing or ui.perfetto.dev)
+     --metrics FILE   write every figure-sweep experiment's
+                      metrics-registry snapshot (latency percentiles per
+                      task class, per-table staleness, failure counters)
+                      as JSON
+
+   Environment:
      STRIP_BENCH_SCALE    workload scale factor (default 1.0 = the paper's
                           30-minute, 60k-update, 400x200-composite, 50k-option
                           scenario)
      STRIP_BENCH_DELAYS   comma-separated delay windows (default 0.5,1,1.5,2,3)
-     STRIP_BENCH_SKIP_TABLE1 / STRIP_BENCH_SKIP_FIGURES /
-     STRIP_BENCH_SKIP_ABLATIONS / STRIP_BENCH_SKIP_SWEEP /
-     STRIP_BENCH_SKIP_ROBUSTNESS / STRIP_BENCH_SKIP_RECOVERY /
-     STRIP_BENCH_SKIP_REPLICATION / STRIP_BENCH_SKIP_CHAOS /
-     STRIP_BENCH_SKIP_STORAGE / STRIP_BENCH_SKIP_SHARD
-                          set to skip a part
-     STRIP_BENCH_CHAOS_SCHEDULES / STRIP_BENCH_CHAOS_SEED /
-     STRIP_BENCH_CHAOS_SCALE
-                          chaos-lane sweep size (min 25), seed, and scale
-     STRIP_BENCH_STORAGE_SCHEDULES / STRIP_BENCH_STORAGE_SEED /
-     STRIP_BENCH_STORAGE_SCALE
-                          storage-fault lane sweep size (min 6), seed, scale
 
-   Flags:
-     --trace FILE         merge every figure-sweep experiment's lifecycle
-                          trace into one Chrome trace_event file (open at
-                          chrome://tracing or ui.perfetto.dev)
-     --metrics FILE       write every experiment's metrics-registry
-                          snapshot (latency percentiles per task class,
-                          per-table staleness, failure counters) as JSON
-     --wallclock          time representative end-to-end scenarios in real
-                          wall-clock nanoseconds per transaction (median of
-                          5 runs each) and write BENCH_WALLCLOCK.json *)
+   A malformed argument or value exits 2 before any lane runs; a failed
+   lane gate exits 1.  The lanes sweep, recovery, replication, chaos,
+   storage, shard and wallclock each write one BENCH_*.json in the
+   current directory, all in one shape:
+     {"lane", "git_rev", "command", "params", "rows", "results"}
+   [params] are the lane's inputs, [rows] its points (one object per
+   sweep point, schedule or scenario) and [results] its lane-level
+   outputs ({} when it has none).  scripts/check_bench.py compares a
+   fresh run's files with the committed ones. *)
 
 open Strip_relational
 open Strip_txn
 open Strip_pta
 module Cost_model = Strip_sim.Cost_model
+module Json = Strip_obs.Json
 
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( try float_of_string s with _ -> default)
-  | None -> default
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 2)
+    fmt
 
-let env_delays () =
+let env_number name s ~valid ~what =
+  match float_of_string_opt (String.trim s) with
+  | Some f when Float.is_finite f && valid f -> f
+  | _ -> usage_error "%s: %S is not %s" name s what
+
+let scale =
+  match Sys.getenv_opt "STRIP_BENCH_SCALE" with
+  | None -> 1.0
+  | Some s ->
+    env_number "STRIP_BENCH_SCALE" s
+      ~valid:(fun f -> f > 0.0)
+      ~what:"a positive number"
+
+let delays =
   match Sys.getenv_opt "STRIP_BENCH_DELAYS" with
   | None -> [ 0.5; 1.0; 1.5; 2.0; 3.0 ]
   | Some s ->
-    String.split_on_char ',' s
-    |> List.filter_map (fun x -> float_of_string_opt (String.trim x))
-
-let scale = env_float "STRIP_BENCH_SCALE" 1.0
+    List.map
+      (fun x ->
+        env_number "STRIP_BENCH_DELAYS" x
+          ~valid:(fun f -> f >= 0.0)
+          ~what:"a delay in seconds")
+      (String.split_on_char ',' s)
 
 (* Observability exports.  Each experiment records into its own ring
    buffer; traces merge into one Chrome file (one pid per experiment) and
@@ -65,28 +85,11 @@ let scale = env_float "STRIP_BENCH_SCALE" 1.0
    one artifact per kind. *)
 let trace_file = ref None
 let metrics_file = ref None
-let wallclock = ref false
-
-let () =
-  let rec parse = function
-    | "--trace" :: f :: rest ->
-      trace_file := Some f;
-      parse rest
-    | "--metrics" :: f :: rest ->
-      metrics_file := Some f;
-      parse rest
-    | "--wallclock" :: rest ->
-      wallclock := true;
-      parse rest
-    | _ :: rest -> parse rest
-    | [] -> ()
-  in
-  parse (List.tl (Array.to_list Sys.argv))
 
 let observing () = !trace_file <> None || !metrics_file <> None
 
 let collected_traces : (string * Strip_obs.Trace.t) list ref = ref []
-let collected_metrics : Strip_obs.Json.t list ref = ref []
+let collected_metrics : Json.t list ref = ref []
 
 let collect (m : Experiment.metrics) tr =
   let open Strip_obs in
@@ -104,8 +107,12 @@ let collect (m : Experiment.metrics) tr =
       ]
     :: !collected_metrics
 
+let write_json path doc =
+  let oc = open_out path in
+  Json.to_channel oc doc;
+  close_out oc
+
 let write_exports () =
-  let open Strip_obs in
   (match !trace_file with
   | None -> ()
   | Some path ->
@@ -113,30 +120,101 @@ let write_exports () =
       List.concat
         (List.mapi
            (fun i (tag, tr) ->
-             Trace.chrome_events ~pid:(i + 1) ~process_name:tag tr)
+             Strip_obs.Trace.chrome_events ~pid:(i + 1) ~process_name:tag tr)
            (List.rev !collected_traces))
     in
-    let oc = open_out path in
-    Json.to_channel oc
+    write_json path
       (Json.Obj
          [
            ("traceEvents", Json.List events);
            ("displayTimeUnit", Json.Str "ms");
          ]);
-    close_out oc;
     Printf.printf "wrote Chrome trace (%d events) to %s\n%!"
       (List.length events) path);
   match !metrics_file with
   | None -> ()
   | Some path ->
-    let oc = open_out path in
-    Json.to_channel oc
+    write_json path
       (Json.Obj [ ("experiments", Json.List (List.rev !collected_metrics)) ]);
-    close_out oc;
     Printf.printf "wrote metrics snapshot to %s\n%!" path
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
+
+(* ================================================================== *)
+(* Lane plumbing: the running lane's name, its one failure path, its
+   gates and its one output file. *)
+
+let lane = ref ""
+
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.printf "%s FAILED: %s\n%!" (String.uppercase_ascii !lane) msg;
+      exit 1)
+    fmt
+
+let check_converged what (m : Experiment.metrics) =
+  if m.Experiment.verified <> Some true then
+    fail "%s did not converge (max error %g)" what m.Experiment.max_abs_error
+
+(* Fails the lane unless [value] rises (with [~falls], falls) from each
+   point to the next; with [~strict:false] it may also stay level. *)
+let check_monotone ?(strict = true) ?(falls = false) ~what ~at value points =
+  let rec go = function
+    | a :: (b :: _ as rest) ->
+      let va = value a and vb = value b in
+      let step = if falls then va -. vb else vb -. va in
+      if step < 0.0 || (strict && step = 0.0) then
+        fail "%s did not %s from %s to %s (%g -> %g)" what
+          (if falls then "fall" else "rise")
+          (at a) (at b) va vb;
+      go rest
+    | _ -> ()
+  in
+  go points
+
+let git_rev =
+  lazy
+    (try
+       let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
+       let rev = try input_line ic with End_of_file -> "" in
+       match Unix.close_process_in ic with
+       | Unix.WEXITED 0 when rev <> "" -> rev
+       | _ -> "unknown"
+     with Unix.Unix_error _ | Sys_error _ -> "unknown")
+
+(* The invocation that reproduces this run: the environment knobs that
+   were set, then the arguments. *)
+let command =
+  String.concat " "
+    (List.filter_map
+       (fun v -> Option.map (Printf.sprintf "%s=%s" v) (Sys.getenv_opt v))
+       [ "STRIP_BENCH_SCALE"; "STRIP_BENCH_DELAYS" ]
+    @ ("bench/main.exe" :: List.tl (Array.to_list Sys.argv)))
+
+let write_lane file ~params ?(results = []) rows =
+  write_json file
+    (Json.Obj
+       [
+         ("lane", Json.Str !lane);
+         ("git_rev", Json.Str (Lazy.force git_rev));
+         ("command", Json.Str command);
+         ("params", Json.Obj params);
+         ("rows", Json.List rows);
+         ("results", Json.Obj results);
+       ]);
+  Printf.printf "wrote %s lane results to %s\n%!" !lane file
+
+(* The server and shard sweeps de-rate the simulated CPU until one
+   server (one shard primary) cannot keep up with the feed. *)
+let slowdown = 250.0
+
+let derated_cost =
+  Cost_model.create
+    (List.map
+       (fun (name, us) -> (name, us *. slowdown))
+       (Cost_model.entries Cost_model.default))
 
 (* ================================================================== *)
 (* Table 1: primitive operation timings.                               *)
@@ -245,7 +323,7 @@ let bench_table1 () =
 (* ================================================================== *)
 (* Figures 9-14.                                                        *)
 
-let run_sweep rules delays =
+let run_sweep rules =
   (* The non-unique baseline ignores the delay window: run it once. *)
   List.concat_map
     (fun rule ->
@@ -290,7 +368,6 @@ let series_of metrics ~label_of ~value_of =
   List.rev_map (fun label -> (label, Hashtbl.find tbl label)) !order
 
 let figures () =
-  let delays = env_delays () in
   section
     (Printf.sprintf
        "Figures 9-14 (scale %.2f: %.0f s trace, ~%d updates; delays %s)" scale
@@ -306,7 +383,6 @@ let figures () =
         Experiment.Comp_view Comp_rules.Unique_on_symbol;
         Experiment.Comp_view Comp_rules.Unique_on_comp;
       ]
-      delays
   in
   let option_metrics =
     run_sweep
@@ -315,21 +391,13 @@ let figures () =
         Experiment.Option_view Option_rules.Unique_coarse;
         Experiment.Option_view Option_rules.Unique_on_symbol;
       ]
-      delays
   in
-  let unverified =
-    List.filter
-      (fun (m : Experiment.metrics) -> m.Experiment.verified = Some false)
-      (comp_metrics @ option_metrics)
-  in
-  if unverified <> [] then begin
-    List.iter
-      (fun (m : Experiment.metrics) ->
-        Printf.printf "VERIFICATION FAILED: %s delay %.1f (max error %g)\n"
+  List.iter
+    (fun (m : Experiment.metrics) ->
+      if m.Experiment.verified = Some false then
+        fail "%s delay %.1f diverged from full recomputation (max error %g)"
           m.Experiment.label m.Experiment.delay m.Experiment.max_abs_error)
-      unverified;
-    exit 1
-  end;
+    (comp_metrics @ option_metrics);
   let strip_prefix (m : Experiment.metrics) =
     match String.index_opt m.Experiment.label '/' with
     | Some i ->
@@ -478,13 +546,6 @@ let server_sweep () =
      are real: concurrent recomputes collide on shared composite rows and
      park/wake through the 2PL manager. *)
   let sw_scale = Float.min scale 0.05 in
-  let slowdown = 250.0 in
-  let slow =
-    Cost_model.create
-      (List.map
-         (fun (name, us) -> (name, us *. slowdown))
-         (Cost_model.entries Cost_model.default))
-  in
   let run_at servers =
     let cfg =
       Experiment.default_config (Experiment.Comp_view Comp_rules.Non_unique)
@@ -494,7 +555,7 @@ let server_sweep () =
     let cfg =
       {
         cfg with
-        Experiment.cost = slow;
+        Experiment.cost = derated_cost;
         verify = true;
         servers;
         (* With a de-rated CPU the queueing delay between a wake and the
@@ -510,37 +571,16 @@ let server_sweep () =
     let m = Experiment.run cfg in
     Report.print_metrics m;
     Report.print_servers m;
-    if m.Experiment.verified <> Some true then begin
-      Printf.printf
-        "SWEEP FAILED: %d-server run did not converge (max error %g)\n"
-        servers m.Experiment.max_abs_error;
-      exit 1
-    end;
+    check_converged (Printf.sprintf "%d-server run" servers) m;
     m
   in
   Report.print_metrics_header ();
   let ms = List.map run_at [ 1; 2; 4; 8 ] in
-  let rec check_monotone = function
-    | (a : Experiment.metrics) :: (b : Experiment.metrics) :: rest ->
-      if
-        b.Experiment.recompute_throughput_per_s
-        <= a.Experiment.recompute_throughput_per_s
-      then begin
-        Printf.printf
-          "SWEEP FAILED: recompute throughput did not improve %d -> %d \
-           servers (%.2f/s -> %.2f/s)\n"
-          a.Experiment.servers b.Experiment.servers
-          a.Experiment.recompute_throughput_per_s
-          b.Experiment.recompute_throughput_per_s;
-        exit 1
-      end;
-      check_monotone (b :: rest)
-    | _ -> ()
-  in
-  check_monotone ms;
-  (* BENCH_PR3.json at the repo root: the sweep's headline numbers, one
-     point per server count.  CI validates presence and well-formedness. *)
-  let open Strip_obs in
+  check_monotone ~what:"recompute throughput (/s)"
+    ~at:(fun (m : Experiment.metrics) ->
+      Printf.sprintf "%d servers" m.Experiment.servers)
+    (fun m -> m.Experiment.recompute_throughput_per_s)
+    ms;
   let point (m : Experiment.metrics) =
     Json.Obj
       [
@@ -551,7 +591,7 @@ let server_sweep () =
         ("p99_recompute_latency_us", Json.Float m.Experiment.p99_recompute_us);
         ( "staleness_p99_s",
           match List.assoc_opt "comp_prices" m.Experiment.staleness with
-          | Some (s : Histogram.summary) -> Json.Float s.p99
+          | Some (s : Strip_obs.Histogram.summary) -> Json.Float s.p99
           | None -> Json.Null );
         ( "per_server_utilization",
           Json.List
@@ -561,20 +601,10 @@ let server_sweep () =
         ("n_lock_timeouts", Json.Int m.Experiment.n_lock_timeouts);
       ]
   in
-  let doc =
-    Json.Obj
-      [
-        ( "benchmark",
-          Json.Str "multi-server sweep (comp_prices/non-unique, overloaded)" );
-        ("scale", Json.Float sw_scale);
-        ("cost_slowdown", Json.Float slowdown);
-        ("sweep", Json.List (List.map point ms));
-      ]
-  in
-  let oc = open_out "BENCH_PR3.json" in
-  Json.to_channel oc doc;
-  close_out oc;
-  Printf.printf "wrote server-sweep results to BENCH_PR3.json\n%!"
+  write_lane "BENCH_PR3.json"
+    ~params:
+      [ ("scale", Json.Float sw_scale); ("cost_slowdown", Json.Float slowdown) ]
+    (List.map point ms)
 
 (* ================================================================== *)
 (* Robustness: fault injection, retry convergence, overload shedding.   *)
@@ -610,18 +640,10 @@ let robustness () =
       Report.print_metrics m;
       Report.print_failures m;
       let accounted = m.Experiment.n_retries + m.Experiment.n_dead_letters in
-      if m.Experiment.n_aborts > accounted then begin
-        Printf.printf
-          "ROBUSTNESS FAILED: %d aborts but only %d retried+dead-lettered\n"
+      if m.Experiment.n_aborts > accounted then
+        fail "%d aborts but only %d retried+dead-lettered"
           m.Experiment.n_aborts accounted;
-        exit 1
-      end;
-      if m.Experiment.verified <> Some true then begin
-        Printf.printf
-          "ROBUSTNESS FAILED: %s did not converge under faults (max error %g)\n"
-          m.Experiment.label m.Experiment.max_abs_error;
-        exit 1
-      end)
+      check_converged (m.Experiment.label ^ " under faults") m)
     [
       Experiment.Comp_view Comp_rules.Unique_on_symbol;
       Experiment.Option_view Option_rules.Unique_on_symbol;
@@ -649,10 +671,7 @@ let robustness () =
   in
   let m = Experiment.run cfg in
   Report.print_failures m;
-  if m.Experiment.n_sheds = 0 then begin
-    Printf.printf "ROBUSTNESS FAILED: overload run shed nothing\n";
-    exit 1
-  end;
+  if m.Experiment.n_sheds = 0 then fail "overload run shed nothing";
   Printf.printf "   engine stayed live: %d updates served, %d batches shed\n%!"
     m.Experiment.n_updates m.Experiment.n_sheds
 
@@ -674,6 +693,10 @@ let recovery_sweep () =
     "\ncheckpoint-interval sweep: one crash at t=%.0fs of a %.0fs feed; \
      denser checkpoints must shrink the redo work\n%!"
     crash_at duration;
+  let interval = function
+    | Some s -> Printf.sprintf "%gs" s
+    | None -> "off"
+  in
   let run_at checkpoint_every =
     let cfg =
       {
@@ -693,60 +716,32 @@ let recovery_sweep () =
       "   checkpoint %-5s %2d checkpoints; redo %5d commits / %5d ops; \
        requeued %3d; recovery %.3fs; wal %.3fs cpu; checkpoint %.3fs cpu; \
        audit %s\n%!"
-      (match checkpoint_every with
-      | Some s -> Printf.sprintf "%gs" s
-      | None -> "off")
+      (interval checkpoint_every)
       r.Experiment.n_checkpoints r.Experiment.redo_commits
       r.Experiment.redo_ops r.Experiment.requeued
       r.Experiment.total_recovery_s r.Experiment.wal_overhead_s
       r.Experiment.checkpoint_overhead_s
       (if r.Experiment.audit_clean then "clean" else "DIVERGENT");
-    if m.Experiment.verified <> Some true then begin
-      Printf.printf
-        "RECOVERY FAILED: crashy run did not converge (max error %g)\n"
-        m.Experiment.max_abs_error;
-      exit 1
-    end;
-    if not r.Experiment.audit_clean then begin
-      Printf.printf "RECOVERY FAILED: final audit divergent (%d keys)\n"
-        r.Experiment.audit_divergences;
-      exit 1
-    end;
+    check_converged "crashy run" m;
+    if not r.Experiment.audit_clean then
+      fail "final audit divergent (%d keys)" r.Experiment.audit_divergences;
     (checkpoint_every, r)
   in
-  let intervals = [ Some 1.0; Some 5.0; Some 30.0; None ] in
-  let points = List.map run_at intervals in
+  let points = List.map run_at [ Some 1.0; Some 5.0; Some 30.0; None ] in
   (* Denser checkpoints must mean less log to redo: the replayed commit
      count may not grow as the interval shrinks, and the densest setting
      must replay strictly less than no checkpointing at all. *)
   let redo (_, (r : Experiment.recovery_metrics)) =
-    r.Experiment.redo_commits
+    float_of_int r.Experiment.redo_commits
   in
-  let rec check_monotone = function
-    | a :: b :: rest ->
-      if redo a > redo b then begin
-        Printf.printf
-          "RECOVERY FAILED: redo work grew as checkpoints densified (%d \
-           commits vs %d)\n"
-          (redo a) (redo b);
-        exit 1
-      end;
-      check_monotone (b :: rest)
-    | _ -> ()
-  in
-  check_monotone points;
+  check_monotone ~strict:false ~what:"redo commits"
+    ~at:(fun (every, _) -> "checkpoints every " ^ interval every)
+    redo points;
   (match (points, List.rev points) with
   | densest :: _, loosest :: _ when redo densest >= redo loosest ->
-    Printf.printf
-      "RECOVERY FAILED: 1s checkpoints redo as much as no checkpoints (%d \
-       vs %d commits)\n"
-      (redo densest) (redo loosest);
-    exit 1
+    fail "1s checkpoints redo as much as no checkpoints (%g vs %g commits)"
+      (redo densest) (redo loosest)
   | _ -> ());
-  (* BENCH_PR4.json at the repo root: recovery cost vs checkpoint
-     interval.  CI validates presence, shape, and the shrinking-redo
-     property. *)
-  let open Strip_obs in
   let point (every, (r : Experiment.recovery_metrics)) =
     Json.Obj
       [
@@ -763,22 +758,10 @@ let recovery_sweep () =
         ("audit_clean", Json.Bool r.Experiment.audit_clean);
       ]
   in
-  let doc =
-    Json.Obj
-      [
-        ( "benchmark",
-          Json.Str
-            "crash recovery sweep (comp_prices/unique-on-symbol, one crash \
-             at half the feed)" );
-        ("scale", Json.Float rc_scale);
-        ("crash_at_s", Json.Float crash_at);
-        ("sweep", Json.List (List.map point points));
-      ]
-  in
-  let oc = open_out "BENCH_PR4.json" in
-  Json.to_channel oc doc;
-  close_out oc;
-  Printf.printf "wrote recovery-sweep results to BENCH_PR4.json\n%!"
+  write_lane "BENCH_PR4.json"
+    ~params:
+      [ ("scale", Json.Float rc_scale); ("crash_at_s", Json.Float crash_at) ]
+    (List.map point points)
 
 (* ================================================================== *)
 (* Replication: WAL log shipping + read replicas (PR5).                *)
@@ -832,38 +815,15 @@ let replica_sweep () =
       replicas r.Experiment.n_reads r.Experiment.reads_primary
       r.Experiment.reads_replica r.Experiment.read_throughput_per_s
       (p99 *. 1000.0) r.Experiment.segments_sent r.Experiment.segments_dropped;
-    if m.Experiment.verified <> Some true then begin
-      Printf.printf
-        "REPLICATION FAILED: replicated run did not converge (max error %g)\n"
-        m.Experiment.max_abs_error;
-      exit 1
-    end;
+    check_converged "replicated run" m;
     (replicas, r.Experiment.read_throughput_per_s, p99)
   in
   let points = List.map run_at [ 0; 1; 2; 4 ] in
-  let rec check = function
-    | (na, ta, pa) :: ((nb, tb, pb) :: _ as rest) ->
-      if tb <= ta then begin
-        Printf.printf
-          "REPLICATION FAILED: read throughput did not rise from %d to %d \
-           replicas (%.1f/s vs %.1f/s)\n"
-          na nb ta tb;
-        exit 1
-      end;
-      if pb >= pa then begin
-        Printf.printf
-          "REPLICATION FAILED: p99 read latency did not fall from %d to %d \
-           replicas (%.1fms vs %.1fms)\n"
-          na nb (pa *. 1000.0) (pb *. 1000.0);
-        exit 1
-      end;
-      check rest
-    | _ -> ()
-  in
-  check points;
-  (* BENCH_PR5.json at the repo root: read scaling vs replica count.  CI
-     validates presence, shape, and the monotone-throughput property. *)
-  let open Strip_obs in
+  let at (n, _, _) = Printf.sprintf "%d replicas" n in
+  check_monotone ~what:"read throughput (/s)" ~at (fun (_, t, _) -> t) points;
+  check_monotone ~falls:true ~what:"p99 read latency (s)" ~at
+    (fun (_, _, p) -> p)
+    points;
   let point (replicas, throughput, p99) =
     Json.Obj
       [
@@ -872,85 +832,76 @@ let replica_sweep () =
         ("read_p99_latency_s", Json.Float p99);
       ]
   in
-  let doc =
-    Json.Obj
+  write_lane "BENCH_PR5.json"
+    ~params:
       [
-        ( "benchmark",
-          Json.Str
-            "replica sweep (comp_prices/unique-on-symbol, saturating \
-             open-loop read pump, policy any)" );
         ("scale", Json.Float rp_scale);
         ("read_rate_per_s", Json.Float read_rate);
         ("read_cost_s", Json.Float read_cost_s);
-        ("sweep", Json.List (List.map point points));
       ]
-  in
-  let oc = open_out "BENCH_PR5.json" in
-  Json.to_channel oc doc;
-  close_out oc;
-  Printf.printf "wrote replica-sweep results to BENCH_PR5.json\n%!"
+    (List.map point points)
 
 (* ------------------------------------------------------------------ *)
-(* PR 6: the chaos lane.  A seeded sweep of fault schedules — crashes,
-   partitions, drop bursts, checkpoint races — each run as a full
-   replicated, durable experiment and checked against the explorer's
-   five invariants.  The gate is absolute: any violation fails the
-   bench.  BENCH_PR6.json captures the whole sweep for CI. *)
+(* The chaos and storage lanes run a seeded sweep of fault schedules
+   through the explorer.  Any invariant violation fails the lane after
+   each violating schedule is shrunk to a 1-minimal reproducer and
+   written out by [report]. *)
 
-let chaos_lane () =
-  let n_schedules =
-    max 25 (int_of_float (env_float "STRIP_BENCH_CHAOS_SCHEDULES" 25.0))
-  in
-  let seed = int_of_float (env_float "STRIP_BENCH_CHAOS_SEED" 7.0) in
-  let chaos_scale = env_float "STRIP_BENCH_CHAOS_SCALE" 0.05 in
-  Printf.printf
-    "\n== Chaos lane: %d seeded fault schedules (seed %d, scale %g) ==\n%!"
-    n_schedules seed chaos_scale;
-  let outcomes =
-    Strip_chaos.Explore.explore ~scale:chaos_scale ~seed
-      ~schedules:n_schedules ()
-  in
-  Strip_chaos.Explore.print_summary outcomes;
-  let open Strip_obs in
-  let doc = Strip_chaos.Explore.summary_json ~seed ~scale:chaos_scale outcomes in
-  let oc = open_out "BENCH_PR6.json" in
-  Json.to_channel oc doc;
-  close_out oc;
-  Printf.printf "wrote chaos-lane results to BENCH_PR6.json\n%!";
+let explore_params ~seed ~scale ~schedules =
+  [
+    ("seed", Json.Int seed);
+    ("scale", Json.Float scale);
+    ("schedules", Json.Int schedules);
+  ]
+
+let fail_on_violations outcomes ~file ~report =
   let violations = Strip_chaos.Explore.total_violations outcomes in
   if violations > 0 then begin
-    Printf.printf
-      "CHAOS FAILED: %d invariant violation(s) across the sweep\n" violations;
     List.iter
       (fun (o : Strip_chaos.Explore.outcome) ->
         if o.Strip_chaos.Explore.violations <> [] then begin
+          let sched = o.Strip_chaos.Explore.schedule in
           Printf.printf "  shrinking seed %d...\n%!"
-            o.Strip_chaos.Explore.schedule.Strip_chaos.Schedule.seed;
-          let shrunk = Strip_chaos.Explore.shrink o.Strip_chaos.Explore.schedule in
-          let file =
-            Printf.sprintf "chaos_failure_seed%d.json"
-              o.Strip_chaos.Explore.schedule.Strip_chaos.Schedule.seed
-          in
-          let oc = open_out file in
-          output_string oc
-            (Strip_chaos.Schedule.to_string
-               shrunk.Strip_chaos.Explore.schedule);
-          close_out oc;
-          Printf.printf "  reproducer: strip-cli chaos --replay %s\n%!" file
+            sched.Strip_chaos.Schedule.seed;
+          let shrunk = Strip_chaos.Explore.shrink sched in
+          let path = file sched.Strip_chaos.Schedule.seed in
+          write_json path (report o shrunk.Strip_chaos.Explore.schedule);
+          Printf.printf "  reproducer: %s\n%!" path
         end)
       outcomes;
-    exit 1
+    fail "%d invariant violation(s) across the sweep" violations
   end
 
-(* ------------------------------------------------------------------ *)
-(* PR 9: the storage-fault lane.  A seeded sweep of media-fault
-   schedules — at-rest bit rot on the WAL and checkpoint images, lying
-   fsyncs, disk-full backpressure, half of them racing a crash or a
-   partition — each run as a full replicated durable experiment and
-   checked against the explorer's invariants, now including
-   no_silent_corruption and salvage_converges.  Any violation writes a
-   quarantine report (the outcome's full media ledger plus a shrunk
-   reproducer) and fails the bench.
+(* The chaos lane: crashes, partitions, drop bursts and checkpoint
+   races, each run as a full replicated, durable experiment and checked
+   against the explorer's invariants.  A reproducer replays with
+   [strip-cli chaos --replay FILE]. *)
+
+let chaos_lane () =
+  let seed = 7 and schedules = 25 and ch_scale = 0.05 in
+  Printf.printf
+    "\n== Chaos lane: %d seeded fault schedules (seed %d, scale %g) ==\n%!"
+    schedules seed ch_scale;
+  let outcomes =
+    Strip_chaos.Explore.explore ~scale:ch_scale ~seed ~schedules ()
+  in
+  Strip_chaos.Explore.print_summary outcomes;
+  let violations = Strip_chaos.Explore.total_violations outcomes in
+  write_lane "BENCH_PR6.json"
+    ~params:(explore_params ~seed ~scale:ch_scale ~schedules)
+    ~results:[ ("violations", Json.Int violations) ]
+    (List.map Strip_chaos.Explore.outcome_json outcomes);
+  fail_on_violations outcomes
+    ~file:(Printf.sprintf "chaos_failure_seed%d.json")
+    ~report:(fun _ shrunk -> Strip_chaos.Schedule.to_json shrunk)
+
+(* The storage-fault lane.  Media-fault schedules — at-rest bit rot
+   on the WAL and checkpoint images, lying fsyncs, disk-full
+   backpressure, half of them racing a crash or a partition — checked
+   against the explorer's invariants, now including
+   no_silent_corruption and salvage_converges.  A violation's quarantine
+   report holds the outcome's full media ledger plus the shrunk
+   reproducer.
 
    The lane then isolates the salvage ladder: the same WAL-bitrot run
    with replicas (rung 1: re-fetch clean bytes and splice in place)
@@ -958,56 +909,26 @@ let chaos_lane () =
    retained log away).  The gate is the rungs' byte cost: replica-served
    salvage must rewrite strictly fewer bytes than checkpoint-based
    repair destroys, which is the whole reason the ladder tries replicas
-   first.  BENCH_PR9.json captures the sweep and the comparison. *)
+   first. *)
 
 let storage_lane () =
-  let n_schedules =
-    max 6 (int_of_float (env_float "STRIP_BENCH_STORAGE_SCHEDULES" 6.0))
-  in
-  let seed = int_of_float (env_float "STRIP_BENCH_STORAGE_SEED" 11.0) in
-  let st_scale = env_float "STRIP_BENCH_STORAGE_SCALE" 0.05 in
+  let seed = 11 and schedules = 6 and st_scale = 0.05 in
   Printf.printf
     "\n== Storage-fault lane: %d seeded media-fault schedules (seed %d, \
      scale %g) ==\n%!"
-    n_schedules seed st_scale;
+    schedules seed st_scale;
   let outcomes =
-    Strip_chaos.Explore.explore_storage ~scale:st_scale ~seed
-      ~schedules:n_schedules ()
+    Strip_chaos.Explore.explore_storage ~scale:st_scale ~seed ~schedules ()
   in
   Strip_chaos.Explore.print_summary outcomes;
-  let open Strip_obs in
-  let violations = Strip_chaos.Explore.total_violations outcomes in
-  if violations > 0 then begin
-    Printf.printf
-      "STORAGE FAILED: %d invariant violation(s) across the sweep\n"
-      violations;
-    List.iter
-      (fun (o : Strip_chaos.Explore.outcome) ->
-        if o.Strip_chaos.Explore.violations <> [] then begin
-          let sched_seed =
-            o.Strip_chaos.Explore.schedule.Strip_chaos.Schedule.seed
-          in
-          Printf.printf "  shrinking seed %d...\n%!" sched_seed;
-          let shrunk =
-            Strip_chaos.Explore.shrink o.Strip_chaos.Explore.schedule
-          in
-          let file = Printf.sprintf "quarantine_report_seed%d.json" sched_seed in
-          let oc = open_out file in
-          Json.to_channel oc
-            (Json.Obj
-               [
-                 ("outcome", Strip_chaos.Explore.outcome_json o);
-                 ( "reproducer",
-                   Strip_chaos.Schedule.to_json
-                     shrunk.Strip_chaos.Explore.schedule );
-               ]);
-          close_out oc;
-          Printf.printf "  quarantine report: %s (replay with: strip-cli \
-                         chaos --replay %s)\n%!" file file
-        end)
-      outcomes;
-    exit 1
-  end;
+  fail_on_violations outcomes
+    ~file:(Printf.sprintf "quarantine_report_seed%d.json")
+    ~report:(fun o shrunk ->
+      Json.Obj
+        [
+          ("outcome", Strip_chaos.Explore.outcome_json o);
+          ("reproducer", Strip_chaos.Schedule.to_json shrunk);
+        ]);
   (* Salvage micro-comparison: one WAL bit-rot mid-run plus a crash later,
      scrubber on.  With replicas the scrubber splices clean bytes back
      (rung 1); without, it must take an emergency checkpoint and truncate
@@ -1040,28 +961,16 @@ let storage_lane () =
       }
     in
     let m = Experiment.run cfg in
-    if m.Experiment.verified <> Some true then begin
-      Printf.printf
-        "STORAGE FAILED: salvage run (replicas %d) did not converge (max \
-         error %g)\n"
-        replicas m.Experiment.max_abs_error;
-      exit 1
-    end;
+    check_converged (Printf.sprintf "salvage run (replicas %d)" replicas) m;
     match m.Experiment.storage with
-    | None ->
-      Printf.printf
-        "STORAGE FAILED: salvage run (replicas %d) has no storage metrics\n"
-        replicas;
-      exit 1
+    | None -> fail "salvage run (replicas %d) has no storage metrics" replicas
     | Some st ->
       if st.Experiment.faults_outstanding > 0 || not st.Experiment.final_clean
-      then begin
-        Printf.printf
-          "STORAGE FAILED: salvage run (replicas %d) left media faults \
-           behind (%d outstanding, clean %b)\n"
+      then
+        fail
+          "salvage run (replicas %d) left media faults behind (%d \
+           outstanding, clean %b)"
           replicas st.Experiment.faults_outstanding st.Experiment.final_clean;
-        exit 1
-      end;
       st
   in
   Printf.printf
@@ -1078,42 +987,25 @@ let storage_lane () =
   in
   describe "replicas=2" with_replicas;
   describe "replicas=0" without;
-  if with_replicas.Experiment.repaired_replica < 1 then begin
-    Printf.printf
-      "STORAGE FAILED: replicated salvage run never served a repair from a \
-       replica\n";
-    exit 1
-  end;
-  if without.Experiment.repaired_checkpoint < 1 then begin
-    Printf.printf
-      "STORAGE FAILED: replica-free salvage run never fell back to the \
-       checkpoint rung\n";
-    exit 1
-  end;
+  if with_replicas.Experiment.repaired_replica < 1 then
+    fail "replicated salvage run never served a repair from a replica";
+  if without.Experiment.repaired_checkpoint < 1 then
+    fail "replica-free salvage run never fell back to the checkpoint rung";
   if
     with_replicas.Experiment.scrub_salvaged_bytes
     >= without.Experiment.scrub_expunged_bytes
-  then begin
-    Printf.printf
-      "STORAGE FAILED: replica-served salvage (%dB spliced) did not beat \
-       checkpoint-based repair (%dB of redo log destroyed)\n"
+  then
+    fail
+      "replica-served salvage (%dB spliced) did not beat checkpoint-based \
+       repair (%dB of redo log destroyed)"
       with_replicas.Experiment.scrub_salvaged_bytes
       without.Experiment.scrub_expunged_bytes;
-    exit 1
-  end;
-  let doc =
-    Json.Obj
+  write_lane "BENCH_PR9.json"
+    ~params:(explore_params ~seed ~scale:st_scale ~schedules)
+    ~results:
       [
-        ( "benchmark",
-          Json.Str
-            "storage-fault lane (media-fault schedule sweep + salvage \
-             rung comparison)" );
-        ("seed", Json.Int seed);
-        ("scale", Json.Float st_scale);
-        ("schedules", Json.Int n_schedules);
-        ("violations", Json.Int violations);
-        ( "sweep",
-          Json.List (List.map Strip_chaos.Explore.outcome_json outcomes) );
+        ( "violations",
+          Json.Int (Strip_chaos.Explore.total_violations outcomes) );
         ( "salvage_comparison",
           Json.Obj
             [
@@ -1125,11 +1017,7 @@ let storage_lane () =
                 Json.Int without.Experiment.scrub_expunged_bytes );
             ] );
       ]
-  in
-  let oc = open_out "BENCH_PR9.json" in
-  Json.to_channel oc doc;
-  close_out oc;
-  Printf.printf "wrote storage-fault results to BENCH_PR9.json\n%!"
+    (List.map Strip_chaos.Explore.outcome_json outcomes)
 
 (* ------------------------------------------------------------------ *)
 (* PR 10: the shard sweep.  Partition the write path across 1/2/4/8
@@ -1138,26 +1026,19 @@ let storage_lane () =
    hash-partitioned on symbol and every shard runs its own engine, WAL
    and checkpoints; composites whose members live on other shards are
    maintained through shipped weighted partial deltas, so the sweep
-   exercises the full cross-shard protocol at every point.  The
-   non-unique rule keeps total maintenance work fixed, so adding shard
-   primaries must raise write throughput (updates applied per simulated
-   second of makespan) monotonically — that is the gate — and the
-   cross-shard composite audit must come back clean at every point.
-   Every point, including shards=1, carries a shard config and so runs
-   under the coordinator: all pay identical durability and coordinator
-   machinery and the sweep isolates partitioning itself.  BENCH_PR10.json captures the curve
-   for CI. *)
+   exercises the full cross-shard protocol at every point beyond one
+   shard, and only there.  The non-unique rule keeps total maintenance
+   work fixed, so adding shard primaries must raise write throughput
+   (updates applied per simulated second of makespan) monotonically —
+   that is the gate — and the cross-shard composite audit must come
+   back clean at every point.  Every point, including shards=1, carries
+   a shard config and so runs under the coordinator: all pay identical
+   durability and coordinator machinery and the sweep isolates
+   partitioning itself. *)
 
 let shard_sweep () =
   section "Shard sweep (partitioned write path, cross-shard composites)";
   let sh_scale = Float.min scale 0.05 in
-  let slowdown = 250.0 in
-  let slow =
-    Cost_model.create
-      (List.map
-         (fun (name, us) -> (name, us *. slowdown))
-         (Cost_model.entries Cost_model.default))
-  in
   let run_at shards =
     let cfg =
       Experiment.default_config (Experiment.Comp_view Comp_rules.Non_unique)
@@ -1167,7 +1048,7 @@ let shard_sweep () =
     let cfg =
       {
         cfg with
-        Experiment.cost = slow;
+        Experiment.cost = derated_cost;
         verify = true;
         shard = Some (Experiment.default_shard ~shards);
       }
@@ -1175,27 +1056,18 @@ let shard_sweep () =
     let m = Experiment.run cfg in
     Report.print_metrics m;
     Report.print_shard m;
-    if m.Experiment.verified <> Some true then begin
-      Printf.printf
-        "SHARD SWEEP FAILED: %d-shard run did not converge (max error %g)\n"
-        shards m.Experiment.max_abs_error;
-      exit 1
-    end;
+    check_converged (Printf.sprintf "%d-shard run" shards) m;
     let s =
       match m.Experiment.shard with
       | Some s -> s
-      | None ->
-        Printf.printf "SHARD SWEEP FAILED: %d-shard run has no shard metrics\n"
-          shards;
-        exit 1
+      | None -> fail "%d-shard run has no shard metrics" shards
     in
-    if s.Experiment.cross_divergences > 0 then begin
-      Printf.printf
-        "SHARD SWEEP FAILED: cross-shard audit divergent at %d shards (%d of \
-         %d composites)\n"
+    if s.Experiment.cross_divergences > 0 then
+      fail "cross-shard audit divergent at %d shards (%d of %d composites)"
         shards s.Experiment.cross_divergences s.Experiment.cross_checks;
-      exit 1
-    end;
+    if (s.Experiment.sh_partials > 0) <> (shards > 1) then
+      fail "%d-shard run shipped %d partials (none at 1 shard, some beyond)"
+        shards s.Experiment.sh_partials;
     (m, s)
   in
   Report.print_metrics_header ();
@@ -1203,34 +1075,16 @@ let shard_sweep () =
   let write_tput ((m : Experiment.metrics), _) =
     float_of_int m.Experiment.n_updates /. m.Experiment.makespan_s
   in
-  let rec check_monotone = function
-    | ((_, (sa : Experiment.shard_metrics)) as a)
-      :: ((_, (sb : Experiment.shard_metrics)) as b)
-      :: rest ->
-      if write_tput b <= write_tput a then begin
-        Printf.printf
-          "SHARD SWEEP FAILED: write throughput did not improve %d -> %d \
-           shards (%.2f/s -> %.2f/s)\n"
-          sa.Experiment.n_shards sb.Experiment.n_shards (write_tput a)
-          (write_tput b);
-        exit 1
-      end;
-      check_monotone (b :: rest)
-    | _ -> ()
-  in
-  check_monotone points;
-  (* BENCH_PR10.json at the repo root: the sweep's headline numbers, one
-     point per shard count.  CI validates presence, shape, and the
-     monotone write-throughput property. *)
-  let open Strip_obs in
-  let point ((m : Experiment.metrics), (s : Experiment.shard_metrics)) =
+  check_monotone ~what:"write throughput (/s)"
+    ~at:(fun (_, (s : Experiment.shard_metrics)) ->
+      Printf.sprintf "%d shards" s.Experiment.n_shards)
+    write_tput points;
+  let point (((m : Experiment.metrics), (s : Experiment.shard_metrics)) as p) =
     Json.Obj
       [
         ("shards", Json.Int s.Experiment.n_shards);
         ("makespan_s", Json.Float m.Experiment.makespan_s);
-        ( "write_throughput_per_s",
-          Json.Float
-            (float_of_int m.Experiment.n_updates /. m.Experiment.makespan_s) );
+        ("write_throughput_per_s", Json.Float (write_tput p));
         ("n_updates", Json.Int m.Experiment.n_updates);
         ("partials_shipped", Json.Int s.Experiment.sh_partials);
         ("msgs_sent", Json.Int s.Experiment.sh_msgs);
@@ -1239,29 +1093,16 @@ let shard_sweep () =
         ("reships", Json.Int s.Experiment.sh_reships);
         ("cross_checks", Json.Int s.Experiment.cross_checks);
         ("cross_divergences", Json.Int s.Experiment.cross_divergences);
-        ( "audit_clean",
-          Json.Bool (s.Experiment.cross_divergences = 0) );
+        ("audit_clean", Json.Bool (s.Experiment.cross_divergences = 0));
       ]
   in
-  let doc =
-    Json.Obj
-      [
-        ( "benchmark",
-          Json.Str
-            "shard sweep (comp_prices/non-unique, hash-partitioned write \
-             path, overloaded)" );
-        ("scale", Json.Float sh_scale);
-        ("cost_slowdown", Json.Float slowdown);
-        ("sweep", Json.List (List.map point points));
-      ]
-  in
-  let oc = open_out "BENCH_PR10.json" in
-  Json.to_channel oc doc;
-  close_out oc;
-  Printf.printf "wrote shard-sweep results to BENCH_PR10.json\n%!"
+  write_lane "BENCH_PR10.json"
+    ~params:
+      [ ("scale", Json.Float sh_scale); ("cost_slowdown", Json.Float slowdown) ]
+    (List.map point points)
 
 (* ------------------------------------------------------------------ *)
-(* --wallclock: real elapsed time per simulated transaction for
+(* The wallclock lane: real elapsed time per simulated transaction for
    representative end-to-end scenarios.  The simulator reports virtual
    seconds everywhere else; this lane answers the orthogonal question
    "how fast does the harness itself run on this machine", so perf
@@ -1276,7 +1117,8 @@ let wallclock_lane () =
      minor heap makes the timings mostly GC noise at this working-set
      size.  Pin a larger minor heap and a lazier major GC for the
      measurement process so trials see the code, and drain major-GC debt
-     between trials so one trial's garbage is not another's pause. *)
+     between trials so one trial's garbage is not another's pause.  The
+     lane runs last, so no other lane sees these settings. *)
   let gc = Gc.get () in
   Gc.set { gc with Gc.minor_heap_size = 2 * 1024 * 1024; space_overhead = 256 };
   let wc_scale = Float.min scale 0.02 in
@@ -1340,63 +1182,87 @@ let wallclock_lane () =
   in
   Printf.printf "%-20s %8s %14s %14s\n" "scenario" "txns" "median ns/op"
     "median ms/run";
-  let points =
-    List.map
-      (fun (name, mk_cfg) ->
-        let runs = List.init trials (fun _ -> time_one mk_cfg) in
-        let ops = snd (List.hd runs) in
-        let ns_per_op =
-          List.map
-            (fun (ns, n) -> if n = 0 then nan else ns /. float_of_int n)
-            runs
-        in
-        let med = median ns_per_op in
-        let med_run_ms = median (List.map fst runs) /. 1e6 in
-        Printf.printf "%-20s %8d %14.0f %14.1f\n%!" name ops med med_run_ms;
-        (name, ops, med, ns_per_op))
-      scenarios
-  in
-  let open Strip_obs in
-  let doc =
+  let row (name, mk_cfg) =
+    let runs = List.init trials (fun _ -> time_one mk_cfg) in
+    let ops = snd (List.hd runs) in
+    let ns_per_op =
+      List.map
+        (fun (ns, n) -> if n = 0 then nan else ns /. float_of_int n)
+        runs
+    in
+    let med = median ns_per_op in
+    Printf.printf "%-20s %8d %14.0f %14.1f\n%!" name ops med
+      (median (List.map fst runs) /. 1e6);
     Json.Obj
       [
-        ("benchmark", Json.Str "wall-clock scenario timings");
-        ("scale", Json.Float wc_scale);
-        ("trials", Json.Int trials);
-        ( "scenarios",
-          Json.List
-            (List.map
-               (fun (name, ops, med, ns_per_op) ->
-                 Json.Obj
-                   [
-                     ("name", Json.Str name);
-                     ("transactions", Json.Int ops);
-                     ("median_ns_per_op", Json.Float med);
-                     ( "ns_per_op",
-                       Json.List (List.map (fun v -> Json.Float v) ns_per_op)
-                     );
-                   ])
-               points) );
+        ("name", Json.Str name);
+        ("transactions", Json.Int ops);
+        ("median_ns_per_op", Json.Float med);
+        ("ns_per_op", Json.List (List.map (fun v -> Json.Float v) ns_per_op));
       ]
   in
-  let oc = open_out "BENCH_WALLCLOCK.json" in
-  Json.to_channel oc doc;
-  close_out oc;
-  Printf.printf "wrote wall-clock timings to BENCH_WALLCLOCK.json\n%!"
+  write_lane "BENCH_WALLCLOCK.json"
+    ~params:[ ("scale", Json.Float wc_scale); ("trials", Json.Int trials) ]
+    (List.map row scenarios)
+
+(* ------------------------------------------------------------------ *)
+(* The lane table, in run order. *)
+
+let lanes =
+  [
+    ("table1", bench_table1);
+    ("figures", figures);
+    ("ablations", ablations);
+    ("sweep", server_sweep);
+    ("robustness", robustness);
+    ("recovery", recovery_sweep);
+    ("replication", replica_sweep);
+    ("chaos", chaos_lane);
+    ("storage", storage_lane);
+    ("shard", shard_sweep);
+    ("wallclock", wallclock_lane);
+  ]
 
 let () =
+  let names = List.map fst lanes in
+  let chosen = ref (List.filter (( <> ) "wallclock") names) in
+  let set flag v =
+    match flag with
+    | "--lane" ->
+      chosen :=
+        List.map
+          (fun n ->
+            if List.mem n names then n
+            else
+              usage_error "unknown lane %S; lanes are: %s" n
+                (String.concat ", " names))
+          (String.split_on_char ',' v)
+    | "--trace" -> trace_file := Some v
+    | _ -> metrics_file := Some v
+  in
+  let rec parse = function
+    | [] -> ()
+    | (("--lane" | "--trace" | "--metrics") as flag) :: rest -> (
+      match rest with
+      | v :: rest when v <> "" && v.[0] <> '-' ->
+        set flag v;
+        parse rest
+      | _ -> usage_error "%s needs a value" flag)
+    | a :: _ ->
+      usage_error
+        "unknown argument %S; usage: main.exe [--lane NAME[,NAME]] [--trace \
+         FILE] [--metrics FILE]"
+        a
+  in
+  parse (List.tl (Array.to_list Sys.argv));
   Printf.printf
     "STRIP reproduction benchmarks (paper: Adelberg, Garcia-Molina, Widom, \
      SIGMOD 1997)\n";
-  if Sys.getenv_opt "STRIP_BENCH_SKIP_TABLE1" = None then bench_table1 ();
-  if Sys.getenv_opt "STRIP_BENCH_SKIP_FIGURES" = None then figures ();
-  if Sys.getenv_opt "STRIP_BENCH_SKIP_ABLATIONS" = None then ablations ();
-  if Sys.getenv_opt "STRIP_BENCH_SKIP_SWEEP" = None then server_sweep ();
-  if Sys.getenv_opt "STRIP_BENCH_SKIP_ROBUSTNESS" = None then robustness ();
-  if Sys.getenv_opt "STRIP_BENCH_SKIP_RECOVERY" = None then recovery_sweep ();
-  if Sys.getenv_opt "STRIP_BENCH_SKIP_REPLICATION" = None then replica_sweep ();
-  if Sys.getenv_opt "STRIP_BENCH_SKIP_CHAOS" = None then chaos_lane ();
-  if Sys.getenv_opt "STRIP_BENCH_SKIP_STORAGE" = None then storage_lane ();
-  if Sys.getenv_opt "STRIP_BENCH_SKIP_SHARD" = None then shard_sweep ();
-  if !wallclock then wallclock_lane ();
+  List.iter
+    (fun (name, run) ->
+      if List.mem name !chosen then begin
+        lane := name;
+        run ()
+      end)
+    lanes;
   if observing () then write_exports ()

@@ -810,16 +810,7 @@ let run_scrub seed scale every retain json =
     Strip_chaos.Explore.print_outcome o;
     match o.Strip_chaos.Explore.storage with
     | None -> ()
-    | Some st ->
-      Printf.printf
-        "  scrub: %d pass(es) over %d WAL + %d slot bytes; %d WAL + %d \
-         checkpoint corruption(s); repaired %d from replicas, %d from \
-         checkpoints; salvage cpu %.1fms\n"
-        st.Experiment.scrub_passes st.Experiment.scrub_bytes
-        st.Experiment.scrub_slot_bytes
-        st.Experiment.wal_corruptions st.Experiment.cp_corruptions
-        st.Experiment.repaired_replica st.Experiment.repaired_checkpoint
-        (1e3 *. st.Experiment.salvage_s)
+    | Some st -> Report.print_storage st
   end;
   if o.Strip_chaos.Explore.violations = [] then 0 else 1
 

@@ -122,44 +122,14 @@ let print_repl (m : Experiment.metrics) =
             (1e3 *. s.p99) (1e3 *. s.max))
         r.read_throughput_per_s
 
-let print_storage (m : Experiment.metrics) =
-  match m.storage with
-  | None -> ()
-  | Some (s : Experiment.storage_metrics) ->
-    Printf.printf
-      "  storage faults: %d injected (%d wal rot, %d cp rot, %d fsync \
-       lies); ledger: %d repaired, %d quarantined, %d expunged, %d \
-       outstanding%s\n%!"
-      (s.injected_bitrot_wal + s.injected_bitrot_cp + s.injected_fsync_lie)
-      s.injected_bitrot_wal s.injected_bitrot_cp s.injected_fsync_lie
-      s.faults_repaired s.faults_quarantined s.faults_expunged
-      s.faults_outstanding
-      (if s.faults_outstanding > 0 then " [SILENT CORRUPTION]" else "");
-    Printf.printf
-      "  scrub: %d pass(es) over %d wal + %d slot bytes; %d wal + %d \
-       checkpoint corruption(s); repaired %d via replica (%d bytes), %d via \
-       checkpoint (%d bytes expunged)\n%!"
-      s.scrub_passes s.scrub_bytes s.scrub_slot_bytes s.wal_corruptions
-      s.cp_corruptions s.repaired_replica s.scrub_salvaged_bytes
-      s.repaired_checkpoint s.scrub_expunged_bytes;
-    if
-      s.salvaged_ranges + s.cp_fallbacks + s.orphan_merges > 0
-      || s.quarantined_bytes > 0
-    then
-      Printf.printf
-        "  salvage recovery: %d range(s) hit during redo (%d bytes \
-         replica-fetched, %d quarantined); %d checkpoint fallback(s); %d \
-         orphan merge(s)\n%!"
-        s.salvaged_ranges s.salvaged_bytes s.quarantined_bytes s.cp_fallbacks
-        s.orphan_merges;
-    if s.disk_fulls + s.lied_bytes + s.ship_verify_skips > 0 then
-      Printf.printf
-        "  backpressure: %d disk-full stall(s); %d bytes zeroed by lying \
-         fsyncs; %d shipped segment(s) cut at corruption\n%!"
-        s.disk_fulls s.lied_bytes s.ship_verify_skips;
-    Printf.printf "  media: %s (%.3fs salvage cpu)\n%!"
-      (if s.final_clean then "clean" else "CORRUPT AT END OF RUN")
-      s.salvage_s
+let print_storage (s : Experiment.storage_metrics) =
+  Printf.printf
+    "  scrub: %d pass(es) over %d WAL + %d slot bytes; %d WAL + %d \
+     checkpoint corruption(s); repaired %d from replicas, %d from \
+     checkpoints; salvage cpu %.1fms\n"
+    s.scrub_passes s.scrub_bytes s.scrub_slot_bytes s.wal_corruptions
+    s.cp_corruptions s.repaired_replica s.repaired_checkpoint
+    (1e3 *. s.salvage_s)
 
 let print_shard (m : Experiment.metrics) =
   match m.shard with

@@ -32,13 +32,9 @@ val print_repl : Experiment.metrics -> unit
     and throughput.  Silent for runs without a [repl] config, so
     historical reports are unchanged. *)
 
-val print_storage : Experiment.metrics -> unit
-(** Indented storage-fault rows: injected-fault census and ledger
-    outcomes (with a [SILENT CORRUPTION] marker on any outstanding
-    fault), scrubber volume and repair-source mix, salvage-recovery
-    work, backpressure counters, and the final media verdict.  Silent
-    for runs without a [storage] config, so historical reports are
-    unchanged. *)
+val print_storage : Experiment.storage_metrics -> unit
+(** One indented storage row: scrub passes and bytes re-read, WAL and
+    checkpoint corruptions found, repairs by source, and salvage CPU. *)
 
 val print_shard : Experiment.metrics -> unit
 (** Indented sharding rows: shard count and partial-delta protocol volume
