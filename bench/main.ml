@@ -923,12 +923,7 @@ let storage_lane () =
   Strip_chaos.Explore.print_summary outcomes;
   fail_on_violations outcomes
     ~file:(Printf.sprintf "quarantine_report_seed%d.json")
-    ~report:(fun o shrunk ->
-      Json.Obj
-        [
-          ("outcome", Strip_chaos.Explore.outcome_json o);
-          ("reproducer", Strip_chaos.Schedule.to_json shrunk);
-        ]);
+    ~report:Strip_chaos.Explore.quarantine_report;
   (* Salvage micro-comparison: one WAL bit-rot mid-run plus a crash later,
      scrubber on.  With replicas the scrubber splices clean bytes back
      (rung 1); without, it must take an emergency checkpoint and truncate

@@ -691,7 +691,7 @@ let run_chaos schedules seed scale storage replay out slo_specs json =
     match replay with
     | Some path ->
     let s =
-      try Ok (Strip_chaos.Schedule.of_string (read_file path)) with
+      try Ok (Strip_chaos.Explore.reproducer_of_string (read_file path)) with
       | Sys_error msg -> Error msg
       | Invalid_argument msg | Strip_obs.Json.Parse_error msg ->
         Error (Printf.sprintf "%s: %s" path msg)

@@ -255,6 +255,15 @@ let outcome_json o =
     | None -> []
     | Some s -> [ ("storage", Report.storage_json s) ])
 
+let quarantine_report o reproducer =
+  Json.Obj
+    [ ("outcome", outcome_json o); ("reproducer", Schedule.to_json reproducer) ]
+
+let reproducer_of_string s =
+  let j = Json.parse s in
+  Schedule.of_json
+    (match Json.member "reproducer" j with Some r -> r | None -> j)
+
 let summary_json ~seed ~scale outcomes =
   Json.Obj
     [

@@ -119,6 +119,15 @@ val explore_storage :
 val total_violations : outcome list -> int
 
 val outcome_json : outcome -> Strip_obs.Json.t
+val quarantine_report : outcome -> Schedule.t -> Strip_obs.Json.t
+(** A storage violation's report: the outcome, media ledger included,
+    under ["outcome"] and the shrunk reproducer under ["reproducer"]. *)
+
+val reproducer_of_string : string -> Schedule.t
+(** Read a file as [strip-cli chaos --replay] does: a {!quarantine_report}
+    yields its ["reproducer"], anything else is a bare schedule.
+    @raise Invalid_argument or {!Strip_obs.Json.Parse_error}. *)
+
 val summary_json : seed:int -> scale:float -> outcome list -> Strip_obs.Json.t
 val print_outcome : outcome -> unit
 val print_summary : outcome list -> unit

@@ -560,25 +560,7 @@ let arm_chaos cfg db ~now =
       | Drop_burst _ -> ())
     cfg.chaos
 
-(* Interleave policy-routed read-only queries with the engine: run to the
-   next read's release time, serve it at that instant against whichever
-   node the router picks, repeat.  With no cluster this is exactly
-   [Strip_db.run] — the replication-free path is untouched. *)
-let run_with_reads ~cluster db =
-  match cluster with
-  | None -> Strip_db.run db
-  | Some c ->
-    let rec loop () =
-      match Strip_repl.Cluster.next_read_time c with
-      | Some tr ->
-        Strip_db.run ~until:tr db;
-        Strip_repl.Cluster.serve_read c ~now:tr;
-        loop ()
-      | None -> Strip_db.run db
-    in
-    loop ()
-
-(* One run's primaries and what their drive loops share.  An unsharded
+(* One run's primaries and what their drive loop shares.  An unsharded
    run has one primary; a sharded run has one per shard, each with its
    own durable store, tables and slice of the feed. *)
 type run = {
@@ -610,11 +592,6 @@ let budget_fault r =
 let next_fault r =
   r.totals.t_crashes <- r.totals.t_crashes + 1;
   budget_fault r
-
-(* A fresh incarnation of primary [sid] on its own durable store. *)
-let remake r sid ~now =
-  let fault = next_fault r in
-  mk_db ~now ?durable:r.durables.(sid) ?fault r.cfg
 
 let install (cfg : config) part sid db h =
   match (cfg.rule, part) with
@@ -733,198 +710,205 @@ let setup (cfg : config) =
     dbs;
   (r, dbs)
 
-(* The single-primary drive: run the engine until it drains.  A
-   {!Strip_txn.Fault.Crashed} escape condemns the volatile state and
-   either restarts in place against the shared durable store or, with
-   replicas attached, fails over to the replica with the highest applied
-   LSN; a partition longer than the detection timeout fails over too,
-   while the deposed primary rides out its split brain.  Either way
+(* Past the feed, a sharded run ticks until the partial-delta protocol
+   is quiescent; this many extra ticks without it is a protocol that
+   cannot converge (a link that drops everything), not a slow one. *)
+let max_quiesce_ticks = 10_000
+
+let not_quiescent c n =
+  let stuck =
+    List.filter (fun (_, k) -> k > 0)
+      (List.init n (fun i -> (i, Coordinator.unacked c i)))
+  in
+  failwith
+    (Printf.sprintf
+       "Experiment.run: shards not quiescent %d ticks past the feed: %d \
+        partial(s) unacked, on shard(s) %s"
+       max_quiesce_ticks
+       (List.fold_left (fun t (_, k) -> t + k) 0 stuck)
+       (String.concat ", " (List.map (fun (i, _) -> string_of_int i) stuck)))
+
+(* The one drive loop.  It advances every primary (one unsharded, one
+   per shard) from horizon to horizon, where a horizon is the next read
+   of the pump, the next coordinator tick or the end of the run, and
+   does that horizon's work there.  A horizon has no side effect on an
+   engine ({!Strip_sim.Engine.run}), so where the run is cut never
+   changes what it simulates.  Every {!Strip_txn.Fault.Crashed} or
+   [Partitioned] escape goes to one handler, which fails over when the
+   cluster has replicas and otherwise restarts in place; either way
    {!Recovery.until_up} charges the modeled recovery latency as downtime
-   before the rest of the feed resumes on the new instance. *)
-let drive r rcfg ~mk_cluster ~arm_scrub ~abandon db0 =
+   before the rest of the feed resumes on the new instance, which [arm]
+   re-arms.  [dbs] holds each primary's live incarnation. *)
+let drive r ~cluster ~coord ~arm ~abandon dbs =
   let open Strip_txn in
   let module C = Strip_repl.Cluster in
   let cfg = r.cfg in
-  Strip_db.checkpoint db0;
-  (* Bound the checkpoint schedule by the feed: an unbounded schedule would
-     keep the event queue non-empty forever and the engine would never
-     drain.  The tail of the run past the last periodic checkpoint is
-     covered by the WAL. *)
-  let cp_until = cfg.feed.Feed.duration in
-  (* The cluster bootstraps its replicas from the checkpoint just taken. *)
-  let cluster = mk_cluster db0 in
-  (match cluster with
-  | Some c ->
-    C.register_metrics c (Strip_db.metrics db0);
-    C.schedule_shipping c ~until:cp_until
-  | None -> ());
-  (* Checkpoints, chaos events and the scrubber die with their engine,
-     so every incarnation re-arms them; only the first gets the
-     scheduled crash. *)
-  let arm ?crash_at db =
-    (match rcfg.checkpoint_every with
-    | Some every -> Strip_db.schedule_checkpoints db ~every ~until:cp_until ()
-    | None -> ());
-    Option.iter (fun at -> Strip_db.schedule_crash db ~at) crash_at;
-    arm_chaos cfg db ~now:(Strip_db.now db);
-    arm_scrub db cluster
+  let until = cfg.feed.Feed.duration in
+  let replicated =
+    match cluster with Some c when C.n_replicas c > 0 -> Some c | _ -> None
   in
-  arm ?crash_at:rcfg.crash_at db0;
-  let db = ref db0 in
   (* Back in service: book the recovery, re-seed a failed-over cluster
      from the new primary's fresh checkpoint (after the downtime
      accounting — resynchronization proceeds in parallel with resumed
-     service), let [settle] dispose of the old primary, then resume the
+     service), let [retire_old] dispose of the old primary, rebuild a
+     [restarted] shard's protocol state from its log, then resume the
      feed past [cut] on the new instance. *)
-  let resume ?(settle = ignore) ~cut ~failover (ndb, rs, down_s) =
+  let resume sid ?failover ?(retire_old = ignore) ?restarted ~cut
+      (ndb, rs, down_s) =
     add_recovery r.totals rs ~down_s;
     Option.iter
       (fun c ->
-        C.resume c ~now:(Strip_db.now ndb) ~ship_until:cp_until;
+        C.resume c ~now:(Strip_db.now ndb) ~ship_until:until;
         C.register_metrics c (Strip_db.metrics ndb))
       failover;
-    settle ();
-    requote r 0 ndb ~after:cut;
+    retire_old ();
+    Option.iter (fun (c, log) -> Coordinator.on_restart c sid ~log ndb) restarted;
+    requote r sid ndb ~after:cut;
     arm ndb;
-    db := ndb
+    dbs.(sid) <- ndb
   in
-  let finished = ref false in
-  while not !finished do
-    match run_with_reads ~cluster !db with
-    | () -> finished := true
-    | exception Fault.Crashed _ -> (
-      let t_crash = Strip_db.now !db in
-      accumulate r.tallies.(0) !db;
-      Strip_db.crash !db;
-      match cluster with
-      | Some c when C.n_replicas c > 0 ->
-        (* Failover: promotion recovers from the elected replica's
-           durable copy (bootstrap image + shipped tail), and the dead
-           primary's store leaves service. *)
-        abandon !db;
-        resume ~cut:t_crash ~failover:(Some c)
-          (Recovery.until_up ~cost:cfg.cost (fun () ->
-               let fault = next_fault r in
-               let ndb, rs, p =
-                 C.promote c ~now:t_crash
-                   ~mk_db:(fun durable -> mk_db ~now:t_crash ~durable ?fault cfg)
-                   ~reinstall:(reinstall r 0)
-               in
-               note_promotion r.totals p;
-               (ndb, rs)))
-      | _ ->
-        resume ~cut:t_crash ~failover:None
-          (Recovery.restart ~cost:cfg.cost
-             ~fresh:(fun () -> remake r 0 ~now:t_crash)
-             ~reinstall:(reinstall r 0) ()))
-    | exception Fault.Partitioned { heal_after_s; _ } -> (
-      let t_part = Strip_db.now !db in
-      let detect_s =
-        match cfg.repl with Some rp -> rp.partition_detect_s | None -> 0.1
+  let crashed sid =
+    let db = dbs.(sid) in
+    let t_crash = Strip_db.now db in
+    accumulate r.tallies.(sid) db;
+    Strip_db.crash db;
+    match replicated with
+    | Some c ->
+      (* Failover: promotion recovers from the elected replica's durable
+         copy (bootstrap image + shipped tail), and the dead primary's
+         store leaves service. *)
+      abandon db;
+      resume sid ~failover:c ~cut:t_crash
+        (Recovery.until_up ~cost:cfg.cost (fun () ->
+             let fault = next_fault r in
+             let ndb, rs, p =
+               C.promote c ~now:t_crash
+                 ~mk_db:(fun durable -> mk_db ~now:t_crash ~durable ?fault cfg)
+                 ~reinstall:(reinstall r sid)
+             in
+             note_promotion r.totals p;
+             (ndb, rs)))
+    | None ->
+      (* Restart in place.  A shard's protocol state lives in the log
+         that recovery's checkpoint truncates, so it is scanned first. *)
+      let restarted = Option.map (fun c -> (c, Coordinator.scan_db db)) coord in
+      resume sid ?restarted ~cut:t_crash
+        (Recovery.restart ~cost:cfg.cost
+           ~condemned:(accumulate r.tallies.(sid))
+           ~fresh:(fun () ->
+             mk_db ~now:t_crash ?durable:r.durables.(sid) ?fault:(next_fault r)
+               cfg)
+           ~reinstall:(reinstall r sid) ())
+  in
+  (* A partition longer than the detection timeout fails over too, while
+     the deposed primary rides out its split brain. *)
+  let partitioned sid ~heal_after_s =
+    let old_db = dbs.(sid) in
+    let t_part = Strip_db.now old_db in
+    let detect_s =
+      match cfg.repl with Some rp -> rp.partition_detect_s | None -> 0.1
+    in
+    match replicated with
+    | Some c when heal_after_s > detect_s ->
+      let heal_at = t_part +. heal_after_s in
+      let detect_at = t_part +. detect_s in
+      r.totals.t_partitions <- r.totals.t_partitions + 1;
+      C.begin_partition c ~now:t_part ~heal_at;
+      (* The isolated primary is alive, not dead: it keeps committing
+         and its surviving shipping chain keeps sending in the old term,
+         but every send dies on the epoch-tagged partition windows.  A
+         nested crash fells it for good; a nested partition of an
+         already-cut node changes nothing. *)
+      let old_alive = ref true in
+      let rec run_doomed until =
+        match Strip_db.run ~until old_db with
+        | () -> ()
+        | exception Fault.Crashed _ -> old_alive := false
+        | exception Fault.Partitioned _ -> run_doomed until
       in
-      match cluster with
-      | Some c when C.n_replicas c > 0 && heal_after_s > detect_s ->
-        let heal_at = t_part +. heal_after_s in
-        let detect_at = t_part +. detect_s in
-        r.totals.t_partitions <- r.totals.t_partitions + 1;
-        C.begin_partition c ~now:t_part ~heal_at;
-        (* The isolated primary is alive, not dead: it keeps committing
-           and its surviving shipping chain keeps sending in the old
-           term, but every send dies on the epoch-tagged partition
-           windows.  A nested crash fells it for good; a nested
-           partition of an already-cut node changes nothing. *)
-        let old_db = !db in
-        let old_alive = ref true in
-        let rec run_doomed until =
-          match Strip_db.run ~until old_db with
-          | () -> ()
-          | exception Fault.Crashed _ -> old_alive := false
-          | exception Fault.Partitioned _ -> run_doomed until
-        in
-        run_doomed detect_at;
-        (* Detection timeout expired: the majority side elects a new
-           primary over the partition.  A candidate that crashes
-           mid-recovery retries the election, spending crash budget. *)
-        let retrying = ref false in
-        let up =
-          Recovery.until_up ~cost:cfg.cost ~record_crash:false (fun () ->
-              let fault = if !retrying then next_fault r else budget_fault r in
-              retrying := true;
-              let ndb, rs, p =
-                C.promote_isolated c ~now:detect_at
-                  ~mk_db:(fun durable -> mk_db ~now:detect_at ~durable ?fault cfg)
-                  ~reinstall:(reinstall r 0)
-              in
-              note_promotion r.totals p;
-              (ndb, rs))
-        in
-        (* Split brain, contained: the new term opens at once while the
-           old primary runs to the heal point, accumulating a divergent
-           tail nobody will ever see; then it is fenced — it discards
-           that tail and stands by to rejoin as a replica at the next
-           re-seed.  Quotes after the cut belong to the new timeline. *)
-        resume
-          ~settle:(fun () ->
-            if !old_alive then run_doomed heal_at;
-            accumulate r.tallies.(0) old_db;
-            Strip_db.crash old_db;
-            ignore (C.heal c ~now:heal_at);
-            abandon old_db)
-          ~cut:t_part ~failover:(Some c) up
-      | _ ->
-        (* No cluster to fail over to, or a blip shorter than the
-           detection timeout: the node keeps running (volatile state is
-           intact — only the raising task was discarded).  With a
-           cluster attached, the blip still drops its sends for the
-           window; the shipper re-covers the gap on later ticks. *)
-        (match cluster with
-        | Some c when C.n_replicas c > 0 && heal_after_s > 0.0 ->
-          r.totals.t_partitions <- r.totals.t_partitions + 1;
-          C.begin_partition c ~now:t_part ~heal_at:(t_part +. heal_after_s)
-        | _ -> ()))
-  done;
-  (!db, cluster)
-
-(* The sharded drive: the primaries run under the {!Coordinator}'s
-   partial-delta protocol; a crashed shard restarts in place and each
-   dead incarnation folds into its shard's tally. *)
-let drive_shards r (s : shard_cfg) dbs =
-  let cfg = r.cfg in
-  let cb =
-    {
-      Coordinator.remake = (fun ~sid ~now -> remake r sid ~now);
-      reinstall = (fun ~sid db -> reinstall r sid db);
-      apply =
-        (fun ~sid _db txn ~key ~delta ->
-          match cfg.rule with
-          | Comp_view _ ->
-            Comp_rules.apply_partial r.handles.(sid) txn ~key ~delta
-          | Option_view _ -> ());
-      requote = (fun ~sid db ~after -> requote r sid db ~after);
-      recovered = (fun ~sid:_ ~down_s rs -> add_recovery r.totals rs ~down_s);
-      retired = (fun ~sid db -> accumulate r.tallies.(sid) db);
-    }
+      run_doomed detect_at;
+      (* Detection timeout expired: the majority side elects a new
+         primary over the partition.  A candidate that crashes
+         mid-recovery retries the election, spending crash budget. *)
+      let retrying = ref false in
+      let up =
+        Recovery.until_up ~cost:cfg.cost ~record_crash:false (fun () ->
+            let fault = if !retrying then next_fault r else budget_fault r in
+            retrying := true;
+            let ndb, rs, p =
+              C.promote_isolated c ~now:detect_at
+                ~mk_db:(fun durable -> mk_db ~now:detect_at ~durable ?fault cfg)
+                ~reinstall:(reinstall r sid)
+            in
+            note_promotion r.totals p;
+            (ndb, rs))
+      in
+      (* Split brain, contained: the new term opens at once while the old
+         primary runs to the heal point, accumulating a divergent tail
+         nobody will ever see; then it is fenced — it discards that tail
+         and stands by to rejoin as a replica at the next re-seed.
+         Quotes after the cut belong to the new timeline. *)
+      resume sid ~failover:c
+        ~retire_old:(fun () ->
+          if !old_alive then run_doomed heal_at;
+          accumulate r.tallies.(sid) old_db;
+          Strip_db.crash old_db;
+          ignore (C.heal c ~now:heal_at);
+          abandon old_db)
+        ~cut:t_part up
+    | Some c when heal_after_s > 0.0 ->
+      (* A blip shorter than the detection timeout: the node keeps
+         running (volatile state is intact — only the raising task was
+         discarded), but its sends drop for the window; the shipper
+         re-covers the gap on later ticks. *)
+      r.totals.t_partitions <- r.totals.t_partitions + 1;
+      C.begin_partition c ~now:t_part ~heal_at:(t_part +. heal_after_s)
+    | _ -> ()
   in
-  let ccfg =
-    {
-      Coordinator.link = s.shard_link;
-      ship_every = s.shard_ship_every;
-      resend_after = s.shard_resend_after;
-      checkpoint_every = s.shard_checkpoint_every;
-      cost = cfg.cost;
-    }
+  let rec advance sid ~until =
+    match Strip_db.run ~until dbs.(sid) with
+    | () -> ()
+    | exception Fault.Crashed _ when cfg.recovery <> None ->
+      crashed sid;
+      advance sid ~until
+    | exception Fault.Partitioned { heal_after_s; _ } when cfg.recovery <> None
+      ->
+      partitioned sid ~heal_after_s;
+      advance sid ~until
   in
-  let coord = Coordinator.create ~cfg:ccfg ~cb dbs in
-  Coordinator.checkpoint_all coord;
-  (match s.shard_crash_at with
-  | Some (sid, at) when sid >= 0 && sid < Array.length dbs ->
-    Strip_db.schedule_crash dbs.(sid) ~at
-  | Some (sid, _) ->
-    invalid_arg
-      (Printf.sprintf "Experiment.run: shard_crash_at shard %d out of range" sid)
-  | None -> ());
-  Coordinator.run coord ~until:cfg.feed.Feed.duration;
-  coord
+  (* The horizons, each with its work, in order.  A sharded run ticks
+     the coordinator up to the end of the feed, once at its end, then
+     until the protocol is quiescent; an unsharded one stops at each
+     read of the pump, then drains. *)
+  let horizons =
+    match (coord, cfg.shard) with
+    | Some c, Some s ->
+      let tick = max 1e-6 s.shard_ship_every in
+      let step now = (now, fun () -> Coordinator.step c ~now) in
+      let rec quiesce now k () =
+        if Coordinator.quiescent c then Seq.Nil
+        else if k = max_quiesce_ticks then not_quiescent c (Array.length dbs)
+        else Seq.Cons (step now, quiesce (now +. tick) (k + 1))
+      in
+      Seq.append
+        (Seq.init
+           (int_of_float (ceil (until /. tick)))
+           (fun i -> step (float_of_int (i + 1) *. tick)))
+        (Seq.cons (step until) (quiesce (until +. tick) 0))
+    | _ ->
+      let rec reads () =
+        match Option.map (fun c -> (c, C.next_read_time c)) cluster with
+        | Some (c, Some tr) ->
+          Seq.Cons ((tr, fun () -> C.serve_read c ~now:tr), reads)
+        | _ -> Seq.Cons ((infinity, ignore), Seq.empty)
+      in
+      reads
+  in
+  Seq.iter
+    (fun (h, act) ->
+      Array.iteri (fun sid _ -> advance sid ~until:h) dbs;
+      act ())
+    horizons
 
 (* Consistency audit over every primary: the recovered queues have
    drained, so each view must equal its recomputation; divergences
@@ -1062,26 +1046,69 @@ let run (cfg : config) =
         cfg.chaos;
       Some c
   in
-  let finals, cluster, coord =
-    match (cfg.shard, cfg.recovery) with
-    | Some s, _ ->
-      let coord = drive_shards r s dbs in
-      (Array.mapi (fun i _ -> Coordinator.db coord i) dbs, None, Some coord)
-    | None, Some rcfg ->
-      let db, cluster = drive r rcfg ~mk_cluster ~arm_scrub ~abandon dbs.(0) in
-      ([| db |], cluster, None)
-    | None, None ->
-      (* Only reachable with zero replicas: a read pump with no shipping
-         needs no durability layer. *)
-      let cluster = mk_cluster dbs.(0) in
+  let cluster, coord, arm =
+    match cfg.shard with
+    | Some s ->
+      let apply ~sid txn ~key ~delta =
+        match cfg.rule with
+        | Comp_view _ -> Comp_rules.apply_partial r.handles.(sid) txn ~key ~delta
+        | Option_view _ -> ()
+      in
+      let coord =
+        Coordinator.create ~apply dbs
+          ~cfg:
+            {
+              link = s.shard_link;
+              resend_after = s.shard_resend_after;
+              checkpoint_every = s.shard_checkpoint_every;
+            }
+      in
+      Coordinator.checkpoint_all coord;
+      (match s.shard_crash_at with
+      | Some (sid, at) when sid >= 0 && sid < Array.length dbs ->
+        Strip_db.schedule_crash dbs.(sid) ~at
+      | Some (sid, _) ->
+        invalid_arg
+          (Printf.sprintf "Experiment.run: shard_crash_at shard %d out of range"
+             sid)
+      | None -> ());
+      (* Shard checkpoints are driven by the coordinator, not the engine. *)
+      (None, Some coord, ignore)
+    | None ->
+      let db0 = dbs.(0) in
+      if cfg.recovery <> None then Strip_db.checkpoint db0;
+      (* The cluster bootstraps its replicas from the checkpoint just
+         taken.  Shipping is bounded by the feed, like the checkpoint
+         schedule: an unbounded one would keep the event queue non-empty
+         forever and the engine would never drain.  The tail of the run
+         past the last periodic checkpoint is covered by the WAL. *)
+      let cluster = mk_cluster db0 in
       Option.iter
         (fun c ->
-          Strip_repl.Cluster.register_metrics c (Strip_db.metrics dbs.(0)))
+          Strip_repl.Cluster.register_metrics c (Strip_db.metrics db0);
+          Strip_repl.Cluster.schedule_shipping c ~until:cfg.feed.Feed.duration)
         cluster;
-      run_with_reads ~cluster dbs.(0);
-      (dbs, cluster, None)
+      (* Checkpoints, chaos events and the scrubber die with their
+         engine, so every incarnation re-arms them; only the first gets
+         the scheduled crash. *)
+      let arm ?crash_at db =
+        match cfg.recovery with
+        | None -> ()
+        | Some rcfg ->
+          Option.iter
+            (fun every ->
+              Strip_db.schedule_checkpoints db ~every
+                ~until:cfg.feed.Feed.duration ())
+            rcfg.checkpoint_every;
+          Option.iter (fun at -> Strip_db.schedule_crash db ~at) crash_at;
+          arm_chaos cfg db ~now:(Strip_db.now db);
+          arm_scrub db cluster
+      in
+      arm ?crash_at:(Option.bind cfg.recovery (fun rc -> rc.crash_at)) db0;
+      (cluster, None, fun db -> arm db)
   in
-  let db0 = finals.(0) in
+  drive r ~cluster ~coord ~arm ~abandon dbs;
+  let db0 = dbs.(0) in
   (* One last whole scrub cycle before the administrative catch-up, so a
      fault injected after the final periodic tick is still detected and
      repaired before the run is judged (and before replicas converge on
@@ -1097,15 +1124,15 @@ let run (cfg : config) =
     (fun c -> Strip_repl.Cluster.final_sync c ~now:(Strip_db.now db0))
     cluster;
   (* Consistency audit (recovery runs only). *)
-  let audit = Option.map (fun _ -> audit_and_repair cfg finals) cfg.recovery in
+  let audit = Option.map (fun _ -> audit_and_repair cfg dbs) cfg.recovery in
   (* Close any violation window still open at end of run (audit repairs
      above were the last possible staleness samples). *)
   Option.iter Strip_obs.Slo.finish cfg.slo;
   (* The live incarnations join the fold: every count below sums over
      all primaries and every incarnation each one burned through. *)
-  Array.iteri (fun sid db -> accumulate r.tallies.(sid) db) finals;
+  Array.iteri (fun sid db -> accumulate r.tallies.(sid) db) dbs;
   let open Strip_txn in
-  let n = Array.length finals in
+  let n = Array.length dbs in
   let duration_s = cfg.feed.Feed.duration in
   let eps = verify_tolerance cfg.rule in
   (* The from-scratch oracle over every primary's base tables; on a
@@ -1146,14 +1173,14 @@ let run (cfg : config) =
   let sum f = List.fold_left (fun t a -> t + f a) 0 tallies in
   let sumf f = List.fold_left (fun t a -> t +. f a) 0.0 tallies in
   let merged f = Strip_obs.Histogram.merge (List.map f tallies) in
-  let stats = Array.map Strip_db.stats finals in
+  let stats = Array.map Strip_db.stats dbs in
   (* Makespan: the simulated instant the last dispatched task finished
      (each clock ends on its completion event).  Recompute throughput
      over the makespan is the quantity the server sweep improves: an
      overloaded single server drains its backlog long after the feed
      ends, and extra servers shrink that tail. *)
   let makespan_s =
-    Array.fold_left (fun m db -> Float.max m (Strip_db.now db)) 0.0 finals
+    Array.fold_left (fun m db -> Float.max m (Strip_db.now db)) 0.0 dbs
   in
   let n_recompute = sum (fun a -> a.a_recompute) in
   (* Service-time percentiles report the busiest primary's recompute
@@ -1188,7 +1215,7 @@ let run (cfg : config) =
       (* One report, N registries: every shard's rows tagged with a
          [shard] label and re-sorted into a single deterministic
          snapshot. *)
-      Array.to_list finals
+      Array.to_list dbs
       |> List.mapi (fun i db ->
              List.map
                (fun (row : Strip_obs.Metrics.row) ->
@@ -1203,7 +1230,7 @@ let run (cfg : config) =
   in
   (* After a failover a primary's live durable store is the promoted
      replica's copy, not the one the run started with. *)
-  let live = Array.to_list finals |> List.filter_map Strip_db.durable in
+  let live = Array.to_list dbs |> List.filter_map Strip_db.durable in
   let sum_live f = List.fold_left (fun t d -> t + f d) 0 live in
   let sum_live_wal f = sum_live (fun d -> f (Durable.wal d)) in
   let recovery =
@@ -1373,14 +1400,14 @@ let run (cfg : config) =
                   sh_recomputes = a.a_recompute;
                   sh_firings = a.a_firings;
                   sh_partials_out =
-                    Rule_manager.partial_seq (Strip_db.rules finals.(i));
+                    Rule_manager.partial_seq (Strip_db.rules dbs.(i));
                   sh_offered = Strip_shard.Dqueue.n_offered dq;
                   sh_duplicates = Strip_shard.Dqueue.n_duplicates dq;
                   sh_merged = Strip_shard.Dqueue.n_merged dq;
                   sh_applied = Strip_shard.Dqueue.n_applied dq;
                   sh_crashes = Coordinator.crashes coord i;
                   sh_final_lsn =
-                    (match Strip_db.durable finals.(i) with
+                    (match Strip_db.durable dbs.(i) with
                     | Some d -> Wal.durable_end (Durable.wal d)
                     | None -> 0);
                 });

@@ -430,11 +430,17 @@ val run : config -> metrics
     primary, or [shard.shards] primaries under the coordinator.
     Replicas, a chaos schedule or sharding imply {!default_recovery};
     storage-fault chaos events imply {!default_storage}.  Setup, the
-    crash budget, the audit and the metrics assembly are the same for
-    every topology; a single primary is the one-element case of the
-    sharded fold.
+    drive loop, the crash budget, the audit and the metrics assembly are
+    the same for every topology; a single primary is the one-element
+    case of the sharded fold.  The one drive loop advances every primary
+    from horizon to horizon (the next read, the next coordinator tick,
+    or the end of the run), and sends every crash or partition to one
+    handler: failover when a cluster has replicas, restart in place
+    otherwise.
     @raise Invalid_argument with [shard.shards < 1] or a
-    [shard_crash_at] shard id out of range. *)
+    [shard_crash_at] shard id out of range.
+    @raise Failure if a sharded run is not quiescent 10,000 coordinator
+    ticks past the feed, naming the unacked partials and their shards. *)
 
 val verify_tolerance : rule_choice -> float
 (** Comparison tolerance: composites accumulate float increments;

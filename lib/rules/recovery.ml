@@ -268,7 +268,7 @@ let until_up ~cost ?(record_crash = true) attempt =
     Strip_sim.Stats.record_crash (Strip_db.stats db) ~recovery_s:down_s;
   (db, x, down_s)
 
-let restart ~cost ?(condemned = ignore) ~fresh ~reinstall () =
+let restart ~cost ~condemned ~fresh ~reinstall () =
   until_up ~cost (fun () ->
       let db = fresh () in
       match recover db ~reinstall:(fun () -> reinstall db) with

@@ -78,7 +78,7 @@ val until_up :
 
 val restart :
   cost:Strip_sim.Cost_model.t ->
-  ?condemned:(Strip_db.t -> unit) ->
+  condemned:(Strip_db.t -> unit) ->
   fresh:(unit -> Strip_db.t) ->
   reinstall:(Strip_db.t -> unit) ->
   unit ->

@@ -237,7 +237,9 @@ let slo t = t.slo
 let provenance t = t.prov
 let now t = Clock.now t.clk
 
+(* A direct transaction settles zombie holders first (no-op in a body). *)
 let with_txn t f =
+  Engine.settle t.eng;
   let txn = Transaction.begin_ ~cat:t.cat ~locks:t.lcks ~clock:t.clk () in
   match f txn with
   | v ->
@@ -448,6 +450,7 @@ let checkpoint t =
   match t.dur with
   | None -> invalid_arg "Strip_db.checkpoint: no durability layer"
   | Some d ->
+    Engine.settle t.eng;
     let w = Durable.wal d in
     (* The image's LSN is only meaningful over stable log, so flush any
        riders first (there are none between transactions, but a direct

@@ -126,7 +126,10 @@ val query_rows : t -> string -> Strip_relational.Value.t array list
 
 val with_txn : t -> (Strip_txn.Transaction.t -> 'a) -> 'a
 (** Run several statements in one transaction; commits through the rule
-    manager on normal return, aborts if the callback raises. *)
+    manager on normal return, aborts if the callback raises.  Called
+    between engine runs (a direct transaction), it first settles the
+    zombie locks of tasks already dispatched ({!Strip_sim.Engine.settle});
+    {!exec}, {!query} and {!checkpoint} do the same. *)
 
 (** {1 Rules and user functions} *)
 
@@ -170,7 +173,8 @@ val schedule_periodic :
     @raise Invalid_argument if [every <= 0]. *)
 
 val run : ?until:float -> t -> unit
-(** Drain the engine: release delayed tasks and execute everything. *)
+(** Drain the engine: release delayed tasks and execute everything
+    ({!Strip_sim.Engine.run}; a horizon leaves no side effect). *)
 
 val stats : t -> Strip_sim.Stats.t
 

@@ -6,26 +6,11 @@ module Span = Strip_obs.Span
 
 type config = {
   link : Link.config;
-  ship_every : float;
   resend_after : float;
   checkpoint_every : float option;
-  cost : Strip_sim.Cost_model.t;
 }
 
-type callbacks = {
-  remake : sid:int -> now:float -> Strip_db.t;
-  reinstall : sid:int -> Strip_db.t -> unit;
-  apply :
-    sid:int ->
-    Strip_db.t ->
-    Transaction.t ->
-    key:Value.t list ->
-    delta:float ->
-    unit;
-  requote : sid:int -> Strip_db.t -> after:float -> unit;
-  recovered : sid:int -> down_s:float -> Recovery.stats -> unit;
-  retired : sid:int -> Strip_db.t -> unit;
-}
+type apply = sid:int -> Transaction.t -> key:Value.t list -> delta:float -> unit
 
 type unacked = { p : Partial.t; mutable last_sent : float }
 
@@ -42,7 +27,7 @@ type shard = {
 
 type t = {
   cfg : config;
-  cb : callbacks;
+  apply : apply;
   shards : shard array;
   links : Link.t array array;  (* links.(src).(dst); diagonal unused *)
   mutable msgs : int;
@@ -93,6 +78,12 @@ let append_state sh =
     ignore (Wal.append_batch w [ state ]);
     Wal.fsync w
 
+(* A checkpoint truncates the log: put the protocol baseline back. *)
+let checkpoint sh ~now =
+  Strip_db.checkpoint sh.db;
+  append_state sh;
+  sh.last_cp <- now
+
 type log_state = {
   next_seq : int;
   queue : Dqueue.t;
@@ -124,6 +115,11 @@ let scan_log records =
   in
   { next_seq; queue; outstanding = List.rev unacked }
 
+let scan_db db =
+  match Strip_db.durable db with
+  | Some d -> scan_log (Wal.read (Durable.wal d)).Wal.records
+  | None -> invalid_arg "Coordinator.scan_db: shard has no durability layer"
+
 (* ------------------------------------------------------------------ *)
 (* Shipping.                                                            *)
 
@@ -146,37 +142,21 @@ let submit_apply t sh ~key ~ctx =
       match Dqueue.peek sh.dq ~key with
       | None -> ()
       | Some (delta, _created_at) ->
-        t.cb.apply ~sid:sh.sid sh.db txn ~key ~delta;
+        t.apply ~sid:sh.sid txn ~key ~delta;
         Rule_manager.note_shard_release (Strip_db.rules sh.db) ~key)
 
 (* ------------------------------------------------------------------ *)
-(* Crash recovery: restart in place (see the .mli for why never         *)
-(* failover), rebuild protocol state, re-ship, resubmit applies.        *)
+(* After a restart in place (see the .mli for why never failover):      *)
+(* rebuild protocol state, re-ship, resubmit applies.                   *)
 
-let handle_crash t sh =
-  let t_crash = Strip_db.now sh.db in
+let on_restart t sid ~log db =
+  let sh = t.shards.(sid) in
   sh.crashes <- sh.crashes + 1;
-  Strip_db.crash sh.db;
-  t.cb.retired ~sid:sh.sid sh.db;
-  let dur =
-    match Strip_db.durable sh.db with
-    | Some d -> d
-    | None ->
-      invalid_arg "Coordinator: crashed shard has no durability layer"
-  in
-  (* Must run BEFORE Recovery.recover: recovery ends with a checkpoint
-     that truncates the log these records live in. *)
-  let st = scan_log (Wal.read (Durable.wal dur)).Wal.records in
-  let ndb, stats, down_s =
-    Recovery.restart ~cost:t.cfg.cost ~condemned:(t.cb.retired ~sid:sh.sid)
-      ~fresh:(fun () -> t.cb.remake ~sid:sh.sid ~now:t_crash)
-      ~reinstall:(t.cb.reinstall ~sid:sh.sid) ()
-  in
-  sh.db <- ndb;
+  sh.db <- db;
   install_sinks sh;
-  Rule_manager.set_partial_seq (Strip_db.rules ndb) st.next_seq;
-  Dqueue.restore sh.dq ~seen:(Dqueue.seen_list st.queue)
-    ~pending:(Dqueue.pending_list st.queue);
+  Rule_manager.set_partial_seq (Strip_db.rules db) log.next_seq;
+  Dqueue.restore sh.dq ~seen:(Dqueue.seen_list log.queue)
+    ~pending:(Dqueue.pending_list log.queue);
   sh.outbox <- [];
   sh.acks <- [];
   (* Everything logged but unacknowledged re-ships immediately; the
@@ -184,35 +164,18 @@ let handle_crash t sh =
   sh.unacked <-
     List.map
       (fun (seq, dst, key, delta, created_at) ->
-        {
-          p =
-            {
-              Partial.src = sh.sid;
-              seq;
-              dst;
-              key;
-              delta;
-              created_at;
-              ctx = None;
-            };
-          last_sent = neg_infinity;
-        })
-      st.outstanding;
+        let p =
+          { Partial.src = sid; seq; dst; key; delta; created_at; ctx = None }
+        in
+        { p; last_sent = neg_infinity })
+      log.outstanding;
   List.iter
     (fun key -> submit_apply t sh ~key ~ctx:None)
     (Dqueue.pending_keys sh.dq);
-  t.cb.requote ~sid:sh.sid ndb ~after:t_crash;
   (* Recovery's final checkpoint truncated the log; put the protocol
      baseline back so a second crash still finds it. *)
   append_state sh;
-  sh.last_cp <- Strip_db.now ndb;
-  t.cb.recovered ~sid:sh.sid ~down_s stats
-
-let rec run_guarded t sh ~until =
-  try Strip_db.run ~until sh.db with
-  | Fault.Crashed _ ->
-    handle_crash t sh;
-    run_guarded t sh ~until
+  sh.last_cp <- Strip_db.now db
 
 (* ------------------------------------------------------------------ *)
 (* Receive side.                                                        *)
@@ -265,21 +228,22 @@ let receive t sh (m : Link.message) =
 (* The tick.                                                            *)
 
 let step t ~now =
-  (* 1: advance every shard's engine, restarting any that crash *)
-  Array.iter (fun sh -> run_guarded t sh ~until:now) t.shards;
-  (* 1b: coordinator-driven fuzzy checkpoints (truncation is always
+  (* 0: the tick acts on every shard directly — it takes checkpoints,
+     appends Shard_in records and submits applies — so, like a direct
+     transaction, it first settles the zombie holders of the tasks each
+     shard has dispatched *)
+  Array.iter
+    (fun sh -> Strip_sim.Engine.settle (Strip_db.engine sh.db))
+    t.shards;
+  (* 1: coordinator-driven fuzzy checkpoints (truncation is always
      immediately followed by a fresh Shard_state) *)
   (match t.cfg.checkpoint_every with
   | None -> ()
   | Some every ->
     Array.iter
       (fun sh ->
-        if now -. sh.last_cp >= every && Strip_db.durable sh.db <> None
-        then begin
-          Strip_db.checkpoint sh.db;
-          append_state sh;
-          sh.last_cp <- now
-        end)
+        if now -. sh.last_cp >= every && Strip_db.durable sh.db <> None then
+          checkpoint sh ~now)
       t.shards);
   (* 2: flush outboxes and acks, emit order *)
   Array.iter
@@ -356,26 +320,9 @@ let quiescent t =
        (fun row -> Array.for_all (fun l -> Link.in_flight l = 0) row)
        t.links
 
-let run t ~until =
-  let tick = max 1e-6 t.cfg.ship_every in
-  let n_ticks = int_of_float (ceil (until /. tick)) in
-  for i = 1 to n_ticks do
-    step t ~now:(float_of_int i *. tick)
-  done;
-  step t ~now:until;
-  (* Quiesce: in-flight partials, resends and their applies may still be
-     working through the links past [until]. *)
-  let now = ref until in
-  let guard = ref 0 in
-  while (not (quiescent t)) && !guard < 10_000 do
-    incr guard;
-    now := !now +. tick;
-    step t ~now:!now
-  done
-
 (* ------------------------------------------------------------------ *)
 
-let create ~cfg ~cb dbs =
+let create ~cfg ~apply dbs =
   let n = Array.length dbs in
   if n = 0 then invalid_arg "Coordinator.create: no shards";
   let shards =
@@ -400,7 +347,7 @@ let create ~cfg ~cb dbs =
   let t =
     {
       cfg;
-      cb;
+      apply;
       shards;
       links;
       msgs = 0;
@@ -416,16 +363,13 @@ let create ~cfg ~cb dbs =
 let checkpoint_all t =
   Array.iter
     (fun sh ->
-      if Strip_db.durable sh.db <> None then begin
-        Strip_db.checkpoint sh.db;
-        append_state sh;
-        sh.last_cp <- Strip_db.now sh.db
-      end)
+      if Strip_db.durable sh.db <> None then
+        checkpoint sh ~now:(Strip_db.now sh.db))
     t.shards
 
-let db t i = t.shards.(i).db
 let queue t i = t.shards.(i).dq
 let crashes t i = t.shards.(i).crashes
+let unacked t i = List.length t.shards.(i).unacked
 let msgs_sent t = t.msgs
 let bytes_shipped t = t.bytes
 let partials_shipped t = t.partials

@@ -41,53 +41,37 @@
     from its own WAL + checkpoint), not failed over: an unshipped
     [Shard_out] tail is durable only in the primary's log, so promoting
     a replica that never saw those bytes could silently lose committed
-    partials.  The restart itself is {!Strip_core.Recovery.restart}.
-    Recovery scans the log {e before}
+    partials.  The restart itself belongs to the experiment's drive
+    loop, the one place {!Strip_core.Recovery.restart} is called for
+    every topology; the coordinator only rebuilds its protocol state.
+    The loop {!scan_db}s the dead incarnation's log {e before}
     {!Strip_core.Recovery.recover} truncates it (rebuilding the dedup
     set, pending merges, unacked ships and the sequence counter from
-    [Shard_state] + subsequent records), re-ships everything
-    unacknowledged, resubmits an apply task per pending key, and
-    appends a fresh [Shard_state] past the recovery checkpoint's
-    truncation point. *)
+    [Shard_state] + subsequent records), and {!on_restart} then
+    re-ships everything unacknowledged, resubmits an apply task per
+    pending key, and appends a fresh [Shard_state] past the recovery
+    checkpoint's truncation point. *)
 
 type config = {
   link : Strip_repl.Link.config;  (** shard-to-shard link model *)
-  ship_every : float;  (** coordinator tick, seconds of virtual time *)
   resend_after : float;  (** unacked partials are re-shipped after this *)
   checkpoint_every : float option;
       (** coordinator-driven fuzzy checkpoints; driven here rather than
           by {!Strip_core.Strip_db.schedule_checkpoints} so every log
           truncation is immediately followed by a fresh [Shard_state] *)
-  cost : Strip_sim.Cost_model.t;  (** charges recovery work *)
 }
 
-type callbacks = {
-  remake : sid:int -> now:float -> Strip_core.Strip_db.t;
-      (** fresh database bound to shard [sid]'s durable store *)
-  reinstall : sid:int -> Strip_core.Strip_db.t -> unit;
-      (** re-register user functions / rules / view defs during recovery *)
-  apply :
-    sid:int ->
-    Strip_core.Strip_db.t ->
-    Strip_txn.Transaction.t ->
-    key:Strip_relational.Value.t list ->
-    delta:float ->
-    unit;
-      (** fold a merged partial delta into shard [sid]'s composite row *)
-  requote : sid:int -> Strip_core.Strip_db.t -> after:float -> unit;
-      (** resubmit the shard's undelivered feed updates after a crash *)
-  recovered : sid:int -> down_s:float -> Strip_core.Recovery.stats -> unit;
-      (** post-recovery hook: the recovery's stats and the downtime
-          charged for it *)
-  retired : sid:int -> Strip_core.Strip_db.t -> unit;
-      (** an incarnation of shard [sid] died — the crashed primary, or a
-          fresh instance that crashed mid-recovery.  Fold its counters
-          now: the coordinator keeps no reference to it. *)
-}
+type apply =
+  sid:int ->
+  Strip_txn.Transaction.t ->
+  key:Strip_relational.Value.t list ->
+  delta:float ->
+  unit
+(** Fold a merged partial delta into shard [sid]'s composite row. *)
 
 type t
 
-val create : cfg:config -> cb:callbacks -> Strip_core.Strip_db.t array -> t
+val create : cfg:config -> apply:apply -> Strip_core.Strip_db.t array -> t
 (** Installs the partial and release sinks on every shard's rule
     manager.  @raise Invalid_argument on an empty array. *)
 
@@ -96,17 +80,16 @@ val checkpoint_all : t -> unit
     snapshot after each truncation (also the initial baseline). *)
 
 val step : t -> now:float -> unit
-(** One coordinator tick: advance every shard's engine to [now]
-    (recovering any that crash), take due checkpoints, flush outboxes
-    and acks, resend stale unacked partials, then deliver and process
-    everything arrived, in the deterministic order above. *)
+(** One coordinator tick, after the caller has advanced every shard's
+    engine to [now]: take due checkpoints, flush outboxes and acks,
+    resend stale unacked partials, then deliver and process everything
+    arrived, in the deterministic order above. *)
 
-val run : t -> until:float -> unit
-(** Tick every [ship_every] up to [until], then keep ticking until the
-    system is quiescent: all engines drained, no partial unshipped,
-    unacked or unapplied, no message in flight. *)
+val quiescent : t -> bool
+(** No engine task pending, no partial unshipped, unacked or unapplied,
+    no message in flight. *)
 
-(** {1 Recovery scan} *)
+(** {1 Restart} *)
 
 type log_state = {
   next_seq : int;  (** the partial sequence counter to resume from *)
@@ -127,13 +110,24 @@ val scan_log : (int * Strip_txn.Wal.record) list -> log_state
     [Shard_out] added to the unacked ships.  Crash recovery restores the
     live queue from the result. *)
 
-(** {1 Inspection} *)
+val scan_db : Strip_core.Strip_db.t -> log_state
+(** {!scan_log} over a shard's durable log.
+    @raise Invalid_argument if it has no durability layer. *)
 
-val db : t -> int -> Strip_core.Strip_db.t
-(** Shard [i]'s live incarnation. *)
+val on_restart : t -> int -> log:log_state -> Strip_core.Strip_db.t -> unit
+(** Shard [i] was restarted in place as the given incarnation, from a
+    log whose protocol state was [log] ({!scan_db} of the dead
+    incarnation): adopt it and rebuild the protocol state, as described
+    above.  Counts one crash of shard [i]. *)
+
+(** {1 Inspection} *)
 
 val queue : t -> int -> Dqueue.t
 val crashes : t -> int -> int
+
+val unacked : t -> int -> int
+(** Partials shard [i] shipped and has no ack for yet. *)
+
 val msgs_sent : t -> int
 val bytes_shipped : t -> int
 val partials_shipped : t -> int

@@ -57,6 +57,7 @@ type t = {
   mutable backlog_hint : int;
       (* optimistic count of live pending non-update tasks; may overcount
          externally-cancelled entries, resynced on every overload check *)
+  mutable in_body : bool;  (* a task body is executing *)
   trace : Trace.t option;
 }
 
@@ -85,6 +86,7 @@ let create ~clock ?policy ?(cost = Cost_model.default) ?retry ?overload ?locks
     on_shed = None;
     fatal = (fun _ -> false);
     backlog_hint = 0;
+    in_body = false;
     trace;
   }
 
@@ -454,9 +456,11 @@ let dispatch t task =
   let before = Meter.snapshot () in
   Meter.tick_c c_task_dispatch;
   (match t.locks with Some lk -> Lock.begin_defer lk | None -> ());
+  t.in_body <- true;
   let failure =
     match Task.run task with () -> None | exception e -> Some e
   in
+  t.in_body <- false;
   let owners = match t.locks with Some lk -> Lock.end_defer lk | None -> [] in
   let after = Meter.snapshot () in
   (* A lock-blocked attempt parks on the conflicting holder instead of
@@ -596,54 +600,38 @@ let run ?(until = infinity) t =
         | Some task -> dispatch t task
         | None -> ()
     end
-  done;
-  (* Exiting with completion events still queued (an [until] horizon cut
-     before some dispatched task's finish instant): flush the zombie locks
-     and wake their waiters without advancing the clock, so a caller
-     resuming with direct transactions — or a later [run] — never collides
-     with holders whose transactions are already over. *)
-  let rec drain () =
+  done
+
+(* A direct action (a transaction or checkpoint made between [run]s,
+   not from a task body) happens after every dispatched body: flush the
+   zombie locks of the queued completions and wake their waiters, without
+   advancing the clock, so it never collides with a holder whose
+   transaction is already over.  Inside a body it is a no-op — there the
+   zombies are the contention being simulated. *)
+let rec settle t =
+  if not t.in_body then
     match Event_queue.pop t.completions with
     | None -> ()
     | Some (time, owners) ->
       complete t ~advance:false time owners;
-      drain ()
-  in
-  drain ()
+      settle t
 
 (* Crash: every queued, delayed, parked or in-flight task dies with the
    process.  Discarding (rather than cancelling) retires the tasks' bound
    tables so the temp-table pool stays balanced across a restart; parked
    waiters are explicitly drained so none leak as zombies — recovery
    re-creates the work they carried from the durable queue log. *)
+let rec drain pop f = match pop () with None -> () | Some x -> f x; drain pop f
+
 let discard_all t =
-  let rec drain_events () =
-    match Event_queue.pop t.events with
-    | None -> ()
-    | Some (_, task) ->
-      Task.discard task;
-      drain_events ()
-  in
-  drain_events ();
-  let rec drain_ready () =
-    match Queues.dequeue t.ready with
-    | None -> ()
-    | Some task ->
-      Task.discard task;
-      drain_ready ()
-  in
-  drain_ready ();
+  drain (fun () -> Event_queue.pop t.events) (fun (_, task) -> Task.discard task);
+  drain (fun () -> Queues.dequeue t.ready) Task.discard;
   Hashtbl.iter
     (fun _ lst -> List.iter (fun (task, _) -> Task.discard task) !lst)
     t.parked;
   Hashtbl.reset t.parked;
   t.n_parked <- 0;
-  let rec drain_completions () =
-    match Event_queue.pop t.completions with
-    | None -> ()
-    | Some _ -> drain_completions ()
-  in
-  drain_completions ();
+  drain (fun () -> Event_queue.pop t.completions) ignore;
   Hashtbl.reset t.inflight;
   t.backlog_hint <- 0;
   Queue.clear t.recent_dispatches

@@ -151,9 +151,16 @@ val delayed_length : t -> int
 val run : ?until:float -> t -> unit
 (** Drain the system: process releases, completions and dispatches in
     event order until everything is empty (or the next timed event lies
-    beyond [until]).  On exit any still-queued completion events are
-    flushed without advancing the clock, so no zombie lock outlives a
-    [run] call. *)
+    beyond [until]).  A horizon has no side effect: completions due past
+    it stay queued, their zombie locks held, for the next [run], so
+    [run ~until:a; run ~until:b] is exactly [run ~until:b]. *)
+
+val settle : t -> unit
+(** Flush the zombie locks of every queued completion and wake their
+    waiters, without advancing the clock.  A direct transaction or
+    checkpoint made between [run]s calls it first: it happens after
+    every dispatched body, so it must not collide with their holders.
+    A no-op while a task body executes. *)
 
 val discard_all : t -> unit
 (** Crash semantics: discard every delayed, ready, parked and in-flight

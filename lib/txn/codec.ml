@@ -113,11 +113,9 @@ let get_i64 r =
   end
   else begin
     if remaining r < 8 then fail "get_i64: truncated input at %d" r.pos;
-    let v = ref 0L in
-    for k = 0 to 7 do
-      v := Int64.logor !v (Int64.shift_left (Int64.of_int (get_u8 r)) (8 * k))
-    done;
-    !v
+    let v = String.get_int64_le r.data r.pos in
+    r.pos <- r.pos + 8;
+    v
   end
 
 let get_int r = Int64.to_int (get_i64 r)

@@ -29,7 +29,8 @@ type media_fault = {
   f_kind : fault_kind;
   f_lsn : int;
   f_len : int;
-  f_slot : slot option;  (* the slot a checkpoint fault hit *)
+  mutable f_slot : slot option;
+      (* the slot a checkpoint fault hit, until the fault is settled *)
   mutable f_state : fault_state;
   mutable f_passes : int;  (* scrub passes that ended with it Outstanding *)
   mutable f_retained : int;  (* most retained bytes seen at those passes *)
@@ -186,9 +187,16 @@ let wal_kind = function Bitrot_wal | Fsync_lie -> true | Bitrot_checkpoint -> fa
 
 let overlaps f ~lsn ~len = f.f_lsn < lsn + len && lsn < f.f_lsn + f.f_len
 
+(* A fault that reaches a terminal state lets go of its slot, so the
+   ledger does not keep a rotated-out slot's parts alive: only
+   [Outstanding] and [Detected] faults are ever selected by slot. *)
 let transition t ~select ~from ~to_ =
   List.iter
-    (fun f -> if List.mem f.f_state from && select f then f.f_state <- to_)
+    (fun f ->
+      if List.mem f.f_state from && select f then begin
+        f.f_state <- to_;
+        if to_ <> Outstanding && to_ <> Detected then f.f_slot <- None
+      end)
     t.ledger
 
 let note_wal_detected t ~lsn ~len =

@@ -43,6 +43,12 @@ exp comps-comp --view comps --variant comp
 exp options-none --view options --variant none
 exp servers-4 "${symbol[@]}" --servers 4
 exp servers-4-watermark "${symbol[@]}" --servers 4 --watermark 4
+# Four servers contend on locks.  A replica-less read pump cuts the same
+# run into 2000 slices per second and serves its reads without locks, so
+# it must simulate exactly the same lock waits.
+exp servers-4-none --view comps --variant none --servers 4
+exp servers-4-reads --view comps --variant none --servers 4 \
+  --replicas 0 --read-rate 2000
 exp aborts "${symbol[@]}" --abort-rate 0.1 --fault-seed 2025
 exp crash "${symbol[@]}" --crash-at 45 --checkpoint-interval 5
 exp crash-servers-4 "${symbol[@]}" --crash-at 45 --checkpoint-interval 5 \

@@ -237,6 +237,32 @@ let test_shrink_to_minimal_reproducer () =
   Alcotest.(check int) "benign stays clean" 0
     (List.length ob.Explore.violations)
 
+(* A storage quarantine report ({"outcome", "reproducer"}) replays
+   through the parse path of [strip-cli chaos --replay]: the schedule
+   under "reproducer" runs again to the identical outcome. *)
+let test_quarantine_report_replays () =
+  let s =
+    {
+      Schedule.seed = 5;
+      scale = 0.02;
+      events =
+        [ Experiment.Bitrot_at { at = 10.0; target = `Wal; frac = 0.5 } ];
+    }
+  in
+  let o = Explore.run_schedule s in
+  let report = Strip_obs.Json.to_string (Explore.quarantine_report o s) in
+  Alcotest.check_raises "the whole report is not a schedule"
+    (Invalid_argument "Schedule.of_json: missing seed") (fun () ->
+      ignore (Schedule.of_string report));
+  let parsed = Explore.reproducer_of_string report in
+  Alcotest.(check string) "the reproducer round-trips" (Schedule.to_string s)
+    (Schedule.to_string parsed);
+  Alcotest.(check bool) "replay reproduces the outcome" true
+    (Explore.run_schedule parsed = o);
+  Alcotest.(check string) "a bare schedule still parses"
+    (Schedule.to_string s)
+    (Schedule.to_string (Explore.reproducer_of_string (Schedule.to_string s)))
+
 let test_explore_smoke () =
   let outcomes = Explore.explore ~scale:0.02 ~seed:5 ~schedules:2 () in
   Alcotest.(check int) "every schedule ran" 2 (List.length outcomes);
@@ -356,6 +382,8 @@ let suite =
           test_run_schedule_deterministic;
         Alcotest.test_case "planted violations shrink to 1-minimal" `Slow
           test_shrink_to_minimal_reproducer;
+        Alcotest.test_case "a quarantine report replays" `Slow
+          test_quarantine_report_replays;
         Alcotest.test_case "a small sweep runs clean" `Slow test_explore_smoke;
         Alcotest.test_case "failover spans stay linked across epochs" `Slow
           test_failover_spans_cross_epochs;

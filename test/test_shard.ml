@@ -655,6 +655,41 @@ let test_shard_crash_fold () =
       (r.Experiment.total_recovery_s > 0.0)
   | None -> Alcotest.fail "recovery metrics missing"
 
+(* A link that drops every message: no partial is ever acked, so the
+   protocol can never quiesce.  The run must say so, not end silently
+   with only a cross-shard divergence to show for it. *)
+let test_never_quiescent_raises () =
+  let cfg =
+    sharded_cfg ~shards:2
+      (Experiment.Comp_view Comp_rules.Unique_on_comp)
+      ~delay:1.0
+  in
+  let s = Option.get cfg.Experiment.shard in
+  let cfg =
+    {
+      (Experiment.quick cfg 0.2) with
+      Experiment.shard =
+        Some
+          {
+            s with
+            Experiment.shard_link =
+              { s.Experiment.shard_link with Strip_repl.Link.drop_rate = 1.0 };
+          };
+    }
+  in
+  match Experiment.run cfg with
+  | _ -> Alcotest.fail "the run ended although no partial was ever acked"
+  | exception Failure msg ->
+    let ticks, unacked, sids =
+      Scanf.sscanf msg
+        "Experiment.run: shards not quiescent %d ticks past the feed: %d \
+         partial(s) unacked, on shard(s) %[0-9, ]"
+        (fun t u s -> (t, u, s))
+    in
+    Alcotest.(check int) "names the bound" 10_000 ticks;
+    Alcotest.(check bool) "counts the unacked partials" true (unacked > 0);
+    Alcotest.(check bool) "names the shards" true (sids <> "")
+
 let suite =
   [
     ( "shard",
@@ -689,5 +724,7 @@ let suite =
           `Slow test_topology_rule;
         Alcotest.test_case "shard crash: counters fold over shards" `Slow
           test_shard_crash_fold;
+        Alcotest.test_case "a protocol that never quiesces raises" `Slow
+          test_never_quiescent_raises;
       ] );
   ]

@@ -242,6 +242,61 @@ let test_lock_timeout_retry () =
   Alcotest.(check (float 1e-9)) "still converges to three increments" 3.0
     (read_v cat)
 
+(* Transparent slicing: a lock-contended 4-server workload cut at many
+   [~until] horizons simulates exactly what the uncut run does — the
+   same lock waits and timeouts, service histograms and makespan.  A
+   horizon that flushed in-flight zombie locks would let later tasks
+   skip waits the uncut run has. *)
+let contended_run ~horizons =
+  Task.reset_ids ();
+  let cat = Catalog.create () in
+  ignore (Sql_exec.exec_string cat ~env:[] "create table t (k int, v float)");
+  ignore
+    (Sql_exec.exec_string cat ~env:[] "insert into t values (0, 0.0), (1, 0.0)");
+  let clock = Clock.create () in
+  let locks = Lock.create () in
+  let eng =
+    Engine.create ~clock ~locks ~servers:4 ~retry:Engine.default_retry ()
+  in
+  for i = 0 to 39 do
+    let klass = if i mod 3 = 0 then Task.Update else Task.Recompute in
+    Engine.submit eng
+      (task ~klass ~at:(float_of_int i *. 2e-4) (fun _ ->
+           let txn = Transaction.begin_ ~cat ~locks ~clock () in
+           try
+             ignore
+               (Transaction.exec txn
+                  (Printf.sprintf "update t set v = v + 1.0 where k = %d"
+                     (i mod 2)));
+             Meter.tick_n "bs_eval" (1 + (i mod 4));
+             Transaction.commit txn
+           with e ->
+             if Transaction.status txn = Transaction.Active then
+               Transaction.abort txn;
+             raise e))
+  done;
+  List.iter (fun until -> Engine.run ~until eng) horizons;
+  Engine.run eng;
+  let s = Engine.stats eng in
+  ( (Stats.n_lock_waits s, Stats.n_lock_timeouts s),
+    List.map
+      (fun k -> Strip_obs.Histogram.summary (Stats.service_hist s k))
+      [ Task.Update; Task.Recompute ],
+    Clock.now clock )
+
+let test_slicing_is_transparent () =
+  let whole = contended_run ~horizons:[] in
+  let sliced =
+    contended_run ~horizons:(List.init 400 (fun i -> float_of_int i *. 5e-5))
+  in
+  let (waits, timeouts), hists, makespan = whole in
+  Alcotest.(check bool) "the workload contends" true (waits > 0);
+  let (waits', timeouts'), hists', makespan' = sliced in
+  Alcotest.(check int) "lock waits" waits waits';
+  Alcotest.(check int) "lock timeouts" timeouts timeouts';
+  Alcotest.(check bool) "service histograms" true (hists = hists');
+  Alcotest.(check (float 0.0)) "makespan" makespan makespan'
+
 let suite =
   [
     ( "sim",
@@ -267,5 +322,7 @@ let suite =
           test_park_wake_fifo;
         Alcotest.test_case "multi-server: lock timeout routes to retry" `Quick
           test_lock_timeout_retry;
+        Alcotest.test_case "multi-server: slicing at horizons is transparent"
+          `Quick test_slicing_is_transparent;
       ] );
   ]

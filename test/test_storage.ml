@@ -693,6 +693,28 @@ let test_two_rotted_slots_one_read () =
   Alcotest.(check int) "nothing outstanding" 0 counts.Durable.outstanding;
   Alcotest.(check int) "nothing late" 0 counts.Durable.late
 
+(* A settled checkpoint fault lets go of its slot: once the rotted slot
+   has rotated out and the pass expunged its fault, nothing keeps the
+   slot's parts alive. *)
+let test_settled_fault_frees_slot () =
+  let d = Durable.create ~retain:1 () in
+  Durable.arm_media d;
+  Durable.install_checkpoint d ~encoded:(String.make 4096 'a') ~lsn:0 ~time:1.0;
+  Alcotest.(check bool) "the slot rots" true
+    (Durable.flip_snapshot_byte d ~frac:0.5);
+  (* a one-part slot's image is that part: the rotted private copy *)
+  let weak = Weak.create 1 in
+  (Sys.opaque_identity (fun () -> Weak.set weak 0 (Durable.snapshot d))) ();
+  Alcotest.(check bool) "the rotted part is live" true (Weak.check weak 0);
+  Durable.install_checkpoint d ~encoded:(String.make 100 'b') ~lsn:0 ~time:2.0;
+  Durable.note_scrub_pass d ~budget:100;
+  Gc.full_major ();
+  Alcotest.(check bool) "the rotted part was collected" false
+    (Weak.check weak 0);
+  (* the store, and so its ledger, is still live here *)
+  Alcotest.(check int) "the fault is expunged" 1
+    (Durable.media_counts d).Durable.expunged
+
 (* Rot injected at any point of the cycle is read within
    ceil (retained / budget) + 1 passes — also when a later checkpoint has
    made the rotted slot an older one. *)
@@ -1091,6 +1113,8 @@ let suite =
           `Quick test_cursor_survives_log_changes;
         Alcotest.test_case "two rotted slots, only one read" `Quick
           test_two_rotted_slots_one_read;
+        Alcotest.test_case "a settled fault frees its slot" `Quick
+          test_settled_fault_frees_slot;
         Alcotest.test_case "rot is read within the detection bound" `Quick
           test_detection_bound;
       ] );
