@@ -747,20 +747,23 @@ let drive r ~cluster ~coord ~arm ~abandon dbs =
   let replicated =
     match cluster with Some c when C.n_replicas c > 0 -> Some c | _ -> None
   in
-  (* Back in service: book the recovery, re-seed a failed-over cluster
-     from the new primary's fresh checkpoint (after the downtime
-     accounting — resynchronization proceeds in parallel with resumed
-     service), let [retire_old] dispose of the old primary, rebuild a
-     [restarted] shard's protocol state from its log, then resume the
-     feed past [cut] on the new instance. *)
-  let resume sid ?failover ?(retire_old = ignore) ?restarted ~cut
+  (* Back in service: book the recovery, point the cluster at the new
+     instance — re-seeding a failed-over cluster from the new primary's
+     fresh checkpoint (after the downtime accounting — resynchronization
+     proceeds in parallel with resumed service) — let [retire_old]
+     dispose of the old primary, rebuild a [restarted] shard's protocol
+     state from its log, then resume the feed past [cut] on the new
+     instance. *)
+  let resume sid ?(failover = false) ?(retire_old = ignore) ?restarted ~cut
       (ndb, rs, down_s) =
     add_recovery r.totals rs ~down_s;
     Option.iter
       (fun c ->
-        C.resume c ~now:(Strip_db.now ndb) ~ship_until:until;
+        let now = Strip_db.now ndb in
+        if failover then C.resume c ~now ~ship_until:until
+        else C.restarted c ~now ndb;
         C.register_metrics c (Strip_db.metrics ndb))
-      failover;
+      cluster;
     retire_old ();
     Option.iter (fun (c, log) -> Coordinator.on_restart c sid ~log ndb) restarted;
     requote r sid ndb ~after:cut;
@@ -778,7 +781,7 @@ let drive r ~cluster ~coord ~arm ~abandon dbs =
          copy (bootstrap image + shipped tail), and the dead primary's
          store leaves service. *)
       abandon db;
-      resume sid ~failover:c ~cut:t_crash
+      resume sid ~failover:true ~cut:t_crash
         (Recovery.until_up ~cost:cfg.cost (fun () ->
              let fault = next_fault r in
              let ndb, rs, p =
@@ -848,7 +851,7 @@ let drive r ~cluster ~coord ~arm ~abandon dbs =
          nobody will ever see; then it is fenced — it discards that tail
          and stands by to rejoin as a replica at the next re-seed.
          Quotes after the cut belong to the new timeline. *)
-      resume sid ~failover:c
+      resume sid ~failover:true
         ~retire_old:(fun () ->
           if !old_alive then run_doomed heal_at;
           accumulate r.tallies.(sid) old_db;

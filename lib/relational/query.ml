@@ -54,6 +54,9 @@ type xdesc = {
   schema : Schema.t;
   nslots : int;
   colprov : colprov array;
+  (* bound layouts of this descriptor, one per list of overridden column
+     names, computed on first bind (see [layout_for]) *)
+  mutable layouts : (string list * Temp_table.layout) list;
 }
 
 type xrow = {
@@ -98,6 +101,7 @@ let scan_desc relation alias =
       schema;
       nslots = 1;
       colprov = Array.init (Schema.arity schema) (fun i -> Slot (0, i));
+      layouts = [];
     }
   | Catalog.Tmp tmp ->
     let prov = Temp_table.static_map tmp in
@@ -110,6 +114,7 @@ let scan_desc relation alias =
             | Temp_table.From_record (s, o) -> Slot (s, o)
             | Temp_table.Computed _ -> Mat)
           prov;
+      layouts = [];
     }
 
 let join_desc dl dr =
@@ -122,6 +127,7 @@ let join_desc dl dr =
     schema;
     nslots = dl.nslots + dr.nslots;
     colprov = Array.append dl.colprov (Array.map shift dr.colprov);
+    layouts = [];
   }
 
 let project_desc d items =
@@ -146,7 +152,7 @@ let project_desc d items =
              plan_error "unknown column %s" c)
     |> Array.of_list
   in
-  { schema; nslots = d.nslots; colprov }
+  { schema; nslots = d.nslots; colprov; layouts = [] }
 
 let group_desc d keys aggs =
   let key_cols =
@@ -165,6 +171,7 @@ let group_desc d keys aggs =
     schema;
     nslots = 0;
     colprov = Array.make (Schema.arity schema) Mat;
+    layouts = [];
   }
 
 let rec desc_of cat ~env = function
@@ -912,94 +919,215 @@ let result_schema r = r.desc.schema
 let row_count r = List.length r.xrows
 let rows r = List.map (fun x -> Array.copy x.vals) r.xrows
 
+(* ------------------------------------------------------------------ *)
+(* Row selections and the Appendix-A partition.                         *)
+
+(* A partition groups a result's rows by the values at [ppos] without
+   building a key per row: [porder] lists row indices key by key (result
+   order within a key), key [k] owning [porder.(pstart.(k))] up to
+   [porder.(pstart.(k + 1) - 1)]; keys are numbered in first-seen order. *)
+type partition = {
+  pdesc : xdesc;
+  prows : xrow array;  (* result order *)
+  porder : int array;
+  pstart : int array;  (* one entry per key, plus the end *)
+  ppos : int array;  (* partition column positions *)
+}
+
+type rows = All of result | Range of partition * int
+
+let all_rows r = All r
+let key_rows p k = Range (p, k)
+
+let rows_length = function
+  | All r -> List.length r.xrows
+  | Range (p, k) -> p.pstart.(k + 1) - p.pstart.(k)
+
+let rows_desc = function All r -> r.desc | Range (p, _) -> p.pdesc
+
+let iter_rows rows f =
+  match rows with
+  | All r -> List.iter f r.xrows
+  | Range (p, k) ->
+    for i = p.pstart.(k) to p.pstart.(k + 1) - 1 do
+      f p.prows.(p.porder.(i))
+    done
+
+let key_hash vals pos =
+  let h = ref 0 in
+  for i = 0 to Array.length pos - 1 do
+    h := (!h * 31) + Value.hash vals.(pos.(i))
+  done;
+  !h land max_int
+
+let same_key pos a b =
+  let i = ref 0 in
+  while !i < Array.length pos && Value.equal a.(pos.(!i)) b.(pos.(!i)) do
+    incr i
+  done;
+  !i = Array.length pos
+
 let partition r ~cols =
-  let positions =
-    List.map
-      (fun c ->
-        match Schema.find r.desc.schema c with
-        | Some i -> i
-        | None -> plan_error "partition: unknown column %s" c
-        | exception Schema.Ambiguous c -> plan_error "partition: ambiguous column %s" c)
-      cols
+  let pos =
+    Array.of_list
+      (List.map
+         (fun c ->
+           match Schema.find r.desc.schema c with
+           | Some i -> i
+           | None -> plan_error "partition: unknown column %s" c
+           | exception Schema.Ambiguous c ->
+             plan_error "partition: ambiguous column %s" c)
+         cols)
   in
-  let tbl = VTbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun x ->
-      Meter.tick_c c_partition_row;
-      let key = List.map (fun i -> x.vals.(i)) positions in
-      match VTbl.find_opt tbl key with
-      | Some l -> l := x :: !l
-      | None ->
-        VTbl.add tbl key (ref [ x ]);
-        order := key :: !order)
-    r.xrows;
-  List.rev_map
-    (fun key ->
-      let rows = List.rev !(VTbl.find tbl key) in
-      (key, { desc = r.desc; xrows = rows }))
-    !order
+  let rows = Array.of_list r.xrows in
+  let n = Array.length rows in
+  (* open addressing over key ids, at most half full *)
+  let cap = ref 16 in
+  while !cap < 2 * n do
+    cap := !cap * 2
+  done;
+  let mask = !cap - 1 in
+  let bucket = Array.make !cap (-1) in
+  let first = Array.make n 0 and khash = Array.make n 0 in
+  let kid = Array.make n 0 and count = Array.make n 0 in
+  let nkeys = ref 0 in
+  for i = 0 to n - 1 do
+    Meter.tick_c c_partition_row;
+    let vals = rows.(i).vals in
+    let h = key_hash vals pos in
+    let b = ref (h land mask) in
+    while
+      bucket.(!b) >= 0
+      && not
+           (khash.(bucket.(!b)) = h
+           && same_key pos rows.(first.(bucket.(!b))).vals vals)
+    do
+      b := (!b + 1) land mask
+    done;
+    let k =
+      if bucket.(!b) >= 0 then bucket.(!b)
+      else begin
+        let k = !nkeys in
+        incr nkeys;
+        bucket.(!b) <- k;
+        first.(k) <- i;
+        khash.(k) <- h;
+        k
+      end
+    in
+    kid.(i) <- k;
+    count.(k) <- count.(k) + 1
+  done;
+  let pstart = Array.make (!nkeys + 1) 0 in
+  for k = 0 to !nkeys - 1 do
+    pstart.(k + 1) <- pstart.(k) + count.(k)
+  done;
+  (* a counting sort: [count] becomes each key's fill cursor *)
+  Array.blit pstart 0 count 0 !nkeys;
+  let porder = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let k = kid.(i) in
+    porder.(count.(k)) <- i;
+    count.(k) <- count.(k) + 1
+  done;
+  { pdesc = r.desc; prows = rows; porder; pstart; ppos = pos }
+
+let n_keys p = Array.length p.pstart - 1
+
+let key_value p k i = p.prows.(p.porder.(p.pstart.(k))).vals.(p.ppos.(i))
 
 (* ------------------------------------------------------------------ *)
 (* Binding results as temporary tables (§6.1).                          *)
 
-let bind ?(overrides = []) ~name r =
-  let schema = Schema.unqualify r.desc.schema in
-  let arity = Schema.arity schema in
-  let override_for col =
-    List.assoc_opt (Schema.col schema col).Schema.cname overrides
+(* Keep only pointer slots actually referenced by a non-overridden output
+   column (the §6.1 optimization; STRIP v2.0's footnote says it stored all
+   slots — we implement the described design).  An overridden column is a
+   materialized cell reading constant [k], [k] the position of its name in
+   [names]. *)
+let compute_layout desc names =
+  let schema = Schema.unqualify desc.schema in
+  let override_index col =
+    let name = (Schema.col schema col).Schema.cname in
+    let rec find k = function
+      | [] -> -1
+      | n :: rest -> if String.equal n name then k else find (k + 1) rest
+    in
+    find 0 names
   in
-  (* Keep only pointer slots actually referenced by a non-overridden output
-     column (the §6.1 optimization; STRIP v2.0's footnote says it stored all
-     slots — we implement the described design). *)
-  let used = Array.make (max r.desc.nslots 1) false in
+  let used = Array.make desc.nslots false in
   Array.iteri
     (fun col prov ->
-      match (prov, override_for col) with
-      | Slot (s, _), None -> used.(s) <- true
+      match prov with
+      | Slot (s, _) when override_index col < 0 -> used.(s) <- true
       | _ -> ())
-    r.desc.colprov;
-  let slot_map = Array.make (max r.desc.nslots 1) (-1) in
-  let nslots = ref 0 in
+    desc.colprov;
+  let slot_map = Array.make desc.nslots (-1) in
+  let slot_of = ref [] in
   Array.iteri
     (fun s u ->
       if u then begin
-        slot_map.(s) <- !nslots;
-        incr nslots
+        slot_map.(s) <- List.length !slot_of;
+        slot_of := s :: !slot_of
       end)
     used;
-  let nmat = ref 0 in
+  let cell_of = ref [] in
   let prov =
-    Array.init arity (fun col ->
-        match (r.desc.colprov.(col), override_for col) with
-        | Slot (s, o), None -> Temp_table.From_record (slot_map.(s), o)
+    Array.init (Schema.arity schema) (fun col ->
+        let k = override_index col in
+        match desc.colprov.(col) with
+        | Slot (s, o) when k < 0 -> Temp_table.From_record (slot_map.(s), o)
         | _ ->
-          let m = !nmat in
-          incr nmat;
+          let m = List.length !cell_of in
+          cell_of := (if k < 0 then col else -1 - k) :: !cell_of;
           Temp_table.Computed m)
   in
-  let tmp = Temp_table.create ~name ~schema ~nslots:!nslots ~prov in
-  List.iter
-    (fun x ->
-      let srcs =
-        Array.of_list
-          (List.filteri
-             (fun s _ -> s < r.desc.nslots && used.(s))
-             (Array.to_list x.srcs))
-      in
-      let mats = Array.make !nmat Value.Null in
-      Array.iteri
-        (fun col p ->
-          match p with
-          | Temp_table.Computed m -> (
-            match override_for col with
-            | Some v -> mats.(m) <- v
-            | None -> mats.(m) <- x.vals.(col))
-          | Temp_table.From_record _ -> ())
-        prov;
-      Temp_table.append tmp ~srcs ~mats)
-    r.xrows;
+  Temp_table.layout ~schema ~prov
+    ~slot_of:(Array.of_list (List.rev !slot_of))
+    ~cell_of:(Array.of_list (List.rev !cell_of))
+
+(* One layout per descriptor and list of overridden names: every table
+   bound from a compiled plan shares its schema and static map, so a merge
+   into a queued TCB recognizes the layout by physical equality. *)
+let layout_for desc overrides =
+  let rec same names ovs =
+    match (names, ovs) with
+    | [], [] -> true
+    | n :: names, (o, _) :: ovs -> String.equal n o && same names ovs
+    | _ -> false
+  in
+  match List.find_opt (fun (names, _) -> same names overrides) desc.layouts with
+  | Some (_, l) -> l
+  | None ->
+    let names = List.map fst overrides in
+    let l = compute_layout desc names in
+    desc.layouts <- (names, l) :: desc.layouts;
+    l
+
+let consts_of = function
+  | [] -> [||]
+  | overrides -> Array.of_list (List.map snd overrides)
+
+let append_rows ?(overrides = []) rows dst =
+  let l = layout_for (rows_desc rows) overrides in
+  let consts = consts_of overrides in
+  iter_rows rows (fun x ->
+      Temp_table.append_from dst l ~srcs:x.srcs ~vals:x.vals ~consts)
+
+let bind ?(overrides = []) ~name rows =
+  let l = layout_for (rows_desc rows) overrides in
+  let tmp = Temp_table.of_layout ~name ~rows:(rows_length rows) l in
+  let consts = consts_of overrides in
+  iter_rows rows (fun x ->
+      Temp_table.append_from tmp l ~srcs:x.srcs ~vals:x.vals ~consts);
   tmp
+
+let row_images ?(overrides = []) rows =
+  let l = layout_for (rows_desc rows) overrides in
+  let consts = consts_of overrides in
+  let acc = ref [] in
+  iter_rows rows (fun x ->
+      acc := Temp_table.layout_row l ~srcs:x.srcs ~vals:x.vals ~consts :: !acc);
+  List.rev !acc
 
 (* ------------------------------------------------------------------ *)
 

@@ -87,16 +87,56 @@ val row_count : result -> int
 val rows : result -> Value.t array list
 (** Fully-materialized rows, in result order. *)
 
-val partition : result -> cols:string list -> (Value.t list * result) list
-(** Split the result by the values of the named (unqualified) columns,
-    preserving provenance; keys appear in first-seen order.  This is the
-    Appendix-A partitioning step behind [unique on].
-    @raise Plan_error on an unknown column. *)
+(** {2 Binding (§6.1) and the Appendix-A partition} *)
 
-val bind : ?overrides:(string * Value.t) list -> name:string -> result -> Temp_table.t
-(** Materialize a result as a named bound table using pointer provenance
-    where possible (§6.1).  [overrides] force named columns to a constant —
-    the rule system uses this to stamp [commit_time] at bind time. *)
+type rows
+(** A selection of one result's rows, in result order: all of them, or
+    one key's range of a {!partition}. *)
+
+val all_rows : result -> rows
+
+val rows_length : rows -> int
+
+type partition
+(** A result's rows grouped by the values of some columns: per-key row
+    ranges over an index array.  No key is built per row; keys are
+    numbered [0 .. n_keys - 1] in first-seen order. *)
+
+val partition : result -> cols:string list -> partition
+(** Group the result by the values of the named (unqualified) columns,
+    preserving provenance.  This is the Appendix-A partitioning step
+    behind [unique on]; it ticks ["partition_row"] once per row.
+    @raise Plan_error on an unknown or ambiguous column. *)
+
+val n_keys : partition -> int
+
+val key_value : partition -> int -> int -> Value.t
+(** [key_value p k i]: the value of the [i]-th partition column in key
+    [k]. *)
+
+val key_rows : partition -> int -> rows
+(** Key [k]'s rows. *)
+
+val bind : ?overrides:(string * Value.t) list -> name:string -> rows -> Temp_table.t
+(** Materialize rows as a named bound table using pointer provenance where
+    possible (§6.1).  [overrides] force named columns to a constant — the
+    rule system uses this to stamp [commit_time] at bind time.  The
+    table's layout is computed once per result descriptor and list of
+    overridden names, and shared by every table bound from it.  Ticks
+    ["bound_append"] once per row. *)
+
+val append_rows : ?overrides:(string * Value.t) list -> rows -> Temp_table.t -> unit
+(** Append rows to an existing bound table exactly as {!bind} would
+    lay them out, each straight from its source row (no intermediate
+    table): the unique-transaction merge of paper §2.  A fully
+    materialized destination with the same column schema (a TCB rebuilt
+    by crash recovery) receives the rows by value.  Ticks
+    ["bound_append"] once per row.
+    @raise Invalid_argument on any other destination layout. *)
+
+val row_images : ?overrides:(string * Value.t) list -> rows -> Value.t array list
+(** The rows as {!bind} then {!Temp_table.to_rows} would give them —
+    the bound-row images a WAL record carries.  Ticks nothing. *)
 
 val explain : ?cat:Catalog.t -> ?env:Catalog.env -> plan -> string
 (** Multi-line plan rendering.  With [?cat] (and optionally [?env]), each

@@ -26,9 +26,9 @@ type t = {
 
 let initial_cap = 8
 
-let create ~name ~schema ~nslots ~prov =
+let validate fn ~schema ~nslots prov =
   if Array.length prov <> Schema.arity schema then
-    invalid_arg "Temp_table.create: static map arity mismatch";
+    invalid_arg (fn ^ ": static map arity mismatch");
   let nmats =
     Array.fold_left
       (fun acc p -> match p with Computed _ -> acc + 1 | From_record _ -> acc)
@@ -40,24 +40,31 @@ let create ~name ~schema ~nslots ~prov =
       match p with
       | Computed i ->
         if i < 0 || i >= nmats || seen.(i) then
-          invalid_arg "Temp_table.create: materialized cells not dense";
+          invalid_arg (fn ^ ": materialized cells not dense");
         seen.(i) <- true
       | From_record (s, _) ->
         if s < 0 || s >= nslots then
-          invalid_arg "Temp_table.create: pointer slot out of range")
+          invalid_arg (fn ^ ": pointer slot out of range"))
     prov;
+  nmats
+
+let make ~name ~schema ~nslots ~nmats ~prov ~cap =
   {
     tname = name;
     tschema = schema;
     nslots;
     nmats;
     prov;
-    srcs = (if nslots = 0 then [||] else Array.make (initial_cap * nslots) Record.dummy);
-    mats = (if nmats = 0 then [||] else Array.make (initial_cap * nmats) Value.Null);
-    cap = initial_cap;
+    srcs = (if nslots = 0 then [||] else Array.make (cap * nslots) Record.dummy);
+    mats = (if nmats = 0 then [||] else Array.make (cap * nmats) Value.Null);
+    cap;
     nrows = 0;
     is_retired = false;
   }
+
+let create ~name ~schema ~nslots ~prov =
+  let nmats = validate "Temp_table.create" ~schema ~nslots prov in
+  make ~name ~schema ~nslots ~nmats ~prov ~cap:initial_cap
 
 let create_materialized ~name ~schema =
   let prov = Array.init (Schema.arity schema) (fun i -> Computed i) in
@@ -117,6 +124,89 @@ let append_values t values =
       | From_record _ -> assert false)
     t.prov;
   t.nrows <- t.nrows + 1
+
+(* A bind layout: where each column of one query-result shape lands in a
+   bound table.  Bound slot [s] points at source-row slot [slot_of.(s)];
+   materialized cell [m] copies source-row column [cell_of.(m)], or, when
+   that is negative, constant [-1 - cell_of.(m)] (an override). *)
+type layout = {
+  lschema : Schema.t;
+  lprov : provenance array;
+  lnmats : int;
+  slot_of : int array;
+  cell_of : int array;
+}
+
+let layout ~schema ~prov ~slot_of ~cell_of =
+  let nslots = Array.length slot_of in
+  let nmats = validate "Temp_table.layout" ~schema ~nslots prov in
+  if Array.length cell_of <> nmats then
+    invalid_arg "Temp_table.layout: cell map arity mismatch";
+  { lschema = schema; lprov = prov; lnmats = nmats; slot_of; cell_of }
+
+let of_layout ~name ?(rows = 0) l =
+  make ~name ~schema:l.lschema ~nslots:(Array.length l.slot_of)
+    ~nmats:l.lnmats ~prov:l.lprov ~cap:(max initial_cap rows)
+
+let cell l ~vals ~consts m =
+  let c = l.cell_of.(m) in
+  if c >= 0 then vals.(c) else consts.(-1 - c)
+
+(* Column [col] of the bound row made from one source row, as [get] would
+   read it back. *)
+let layout_value l ~srcs ~vals ~consts col =
+  match l.lprov.(col) with
+  | From_record (s, off) -> Record.value srcs.(l.slot_of.(s)) off
+  | Computed m -> cell l ~vals ~consts m
+
+let layout_row l ~srcs ~vals ~consts =
+  Array.init (Array.length l.lprov) (fun col ->
+      layout_value l ~srcs ~vals ~consts col)
+
+(* Physical equality first: tables bound from one cached layout share its
+   schema and static map, so the common check is O(1). *)
+let has_layout t l =
+  (t.prov == l.lprov && t.tschema == l.lschema)
+  || t.nslots = Array.length l.slot_of
+     && Schema.equal_layout t.tschema l.lschema
+     && t.prov = l.lprov
+
+let append_from t l ~srcs ~vals ~consts =
+  if t.is_retired then invalid_arg "Temp_table.append_from: table is retired";
+  if has_layout t l then begin
+    Meter.tick_c c_bound_append;
+    reserve t 1;
+    let base = t.nrows * t.nslots in
+    for s = 0 to t.nslots - 1 do
+      let r = srcs.(l.slot_of.(s)) in
+      Record.pin r;
+      t.srcs.(base + s) <- r
+    done;
+    let base = t.nrows * t.nmats in
+    for m = 0 to t.nmats - 1 do
+      t.mats.(base + m) <- cell l ~vals ~consts m
+    done;
+    t.nrows <- t.nrows + 1
+  end
+  else if t.nslots = 0 && Schema.equal_layout t.tschema l.lschema then begin
+    (* A fully materialized destination (a TCB rebuilt by crash recovery):
+       copy by value, as [absorb]'s slow path does. *)
+    Meter.tick_c c_bound_append;
+    reserve t 1;
+    let base = t.nrows * t.nmats in
+    for col = 0 to Array.length t.prov - 1 do
+      match t.prov.(col) with
+      | Computed m -> t.mats.(base + m) <- layout_value l ~srcs ~vals ~consts col
+      | From_record _ -> assert false
+    done;
+    t.nrows <- t.nrows + 1
+  end
+  else
+    invalid_arg
+      (Printf.sprintf "Temp_table.append_from: %s does not have the bound layout"
+         t.tname)
+
+let tick_appends n = Meter.tick_cn c_bound_append n
 
 let get t row col =
   match t.prov.(col) with
@@ -193,5 +283,5 @@ let retire t =
 
 let retired t = t.is_retired
 
-let to_rows t =
-  List.init t.nrows (fun i -> row_values t i)
+let to_rows ?(limit = max_int) t =
+  List.init (min t.nrows limit) (fun i -> row_values t i)

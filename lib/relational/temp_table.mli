@@ -53,6 +53,57 @@ val append : t -> srcs:Record.t array -> mats:Value.t array -> unit
 val append_values : t -> Value.t array -> unit
 (** Add a fully-materialized tuple (table must have zero slots). *)
 
+(** {2 Bind layouts}
+
+    How the rows of one query-result shape land in a bound table: the
+    table's schema and static map, plus where each pointer slot and
+    materialized cell is read from in a source row (its record pointers
+    [srcs] and column values [vals]).  The query layer computes one per
+    result descriptor, so binding a result and merging it into a queued
+    TCB copy each source row straight into the destination arena. *)
+
+type layout
+
+val layout :
+  schema:Schema.t ->
+  prov:provenance array ->
+  slot_of:int array ->
+  cell_of:int array ->
+  layout
+(** Bound slot [s] points at source slot [slot_of.(s)]; materialized cell
+    [m] copies source column [cell_of.(m)], or constant [-1 - cell_of.(m)]
+    of the [consts] given per append when negative.
+    @raise Invalid_argument as {!create} does, or if [cell_of] has not one
+    entry per materialized cell. *)
+
+val of_layout : name:string -> ?rows:int -> layout -> t
+(** An empty table with the layout's schema and static map (shared, not
+    copied), its arenas sized for [rows] tuples. *)
+
+val append_from :
+  t ->
+  layout ->
+  srcs:Record.t array ->
+  vals:Value.t array ->
+  consts:Value.t array ->
+  unit
+(** Append the tuple that one source row makes under [layout]; ticks
+    ["bound_append"] once.  When the table has the layout (schema and
+    static map), the source pointers are pinned and stored; when the table
+    is fully materialized with the same column schema (a TCB rebuilt by
+    crash recovery), the row is copied by value.
+    @raise Invalid_argument on a retired table or any other layout. *)
+
+val layout_row :
+  layout -> srcs:Record.t array -> vals:Value.t array -> consts:Value.t array ->
+  Value.t array
+(** The values of the tuple {!append_from} would append, as {!row_values}
+    reads them back.  Ticks nothing. *)
+
+val tick_appends : int -> unit
+(** Tick ["bound_append"] [n] times without appending: the charge of a
+    bind that the caller performs as a direct append instead. *)
+
 val get : t -> row -> int -> Value.t
 (** Column value, through the static map. *)
 
@@ -70,8 +121,8 @@ val iter : t -> (row -> unit) -> unit
 val fold : t -> init:'a -> f:('a -> row -> 'a) -> 'a
 
 val absorb : t -> t -> unit
-(** [absorb dst src] moves every tuple of [src] to the end of [dst] — the
-    unique-transaction merge of paper §2.  When the layouts (schema and
+(** [absorb dst src] moves every tuple of [src] to the end of [dst] — how
+    overload shedding coalesces one queued TCB into another.  When the layouts (schema and
     static map) match, pins transfer with the tuples; when [dst] is fully
     materialized (no pointer slots, as in a TCB rebuilt by crash recovery)
     and only the column schemas match, the rows are copied by value and
@@ -85,5 +136,6 @@ val retire : t -> unit
 
 val retired : t -> bool
 
-val to_rows : t -> Value.t array list
-(** Materialized snapshot, insertion order. *)
+val to_rows : ?limit:int -> t -> Value.t array list
+(** Materialized snapshot, insertion order; only the first [limit] rows
+    when given. *)

@@ -564,6 +564,10 @@ let resume t ~now ~ship_until =
   Stats.record_failover (Strip_db.stats t.primary);
   schedule_shipping t ~until:ship_until
 
+let restarted t ~now db =
+  t.primary <- db;
+  t.primary_busy <- Float.max t.primary_busy now
+
 let final_sync t ~now =
   if Array.length t.replicas > 0 then begin
     let d = primary_durable t in

@@ -172,6 +172,11 @@ val resume : t -> now:float -> ship_until:float -> unit
     replica slot from the promoted primary's fresh checkpoint, bump the
     primary read lane past the outage, and restart shipping. *)
 
+val restarted : t -> now:float -> Strip_db.t -> unit
+(** After a restart in place (no replica to fail over to): the restarted
+    instance is the primary from now on, and reads routed to it during
+    the outage queue behind it, as after {!resume}. *)
+
 val final_sync : t -> now:float -> unit
 (** End of run: deliver everything in flight and graft any remaining
     durable tail so replicas converge to the primary (no lag samples are

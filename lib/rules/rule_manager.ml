@@ -334,12 +334,10 @@ let render_row row =
 let prov_inputs (task : Task.t) =
   List.concat_map
     (fun (name, tmp) ->
-      let rows = Temp_table.to_rows tmp in
-      let n = List.length rows in
-      let shown = List.filteri (fun i _ -> i < max_prov_inputs) rows in
+      let n = Temp_table.cardinal tmp in
       List.map
         (fun row -> { Provenance.src_table = name; src_desc = render_row row })
-        shown
+        (Temp_table.to_rows ~limit:max_prov_inputs tmp)
       @
       if n > max_prov_inputs then
         [
@@ -474,6 +472,7 @@ let rec run_action t task =
 
 and fire t compiled (named_results : (string * Query.result) list) =
   let rule = compiled.rule in
+  let func = rule.Rule_ast.func in
   let now = Clock.now t.clock in
   let release = now +. rule.Rule_ast.delay in
   t.firings <- t.firings + 1;
@@ -482,14 +481,24 @@ and fire t compiled (named_results : (string * Query.result) list) =
       [ ("commit_time", Value.Float now) ]
     else []
   in
+  (* A firing's share of one bound table: (name, rows, overrides). *)
+  let whole (name, result) =
+    (name, Query.all_rows result, overrides_for result)
+  in
   let bind_all parts =
     List.map
-      (fun (name, result) ->
-        (name, Query.bind ~overrides:(overrides_for result) ~name result))
+      (fun (name, rows, overrides) ->
+        (name, Query.bind ~overrides ~name rows))
       parts
   in
-  let merge_or_create ~key named =
-    match Unique.find t.reg ~func:rule.Rule_ast.func ~key with
+  let images parts =
+    List.map
+      (fun (name, rows, overrides) ->
+        (name, Query.row_images ~overrides rows))
+      parts
+  in
+  let merge_or_create ~key parts =
+    match Unique.find t.reg ~func ~key with
     | Some queued ->
       (* Append this firing's rows to the queued TCB's bound tables. *)
       t.merges <- t.merges + 1;
@@ -512,42 +521,46 @@ and fire t compiled (named_results : (string * Query.result) list) =
           ~args:
             ([
                ("task", Trace.Int queued.Task.task_id);
-               ("func", Trace.Str rule.Rule_ast.func);
+               ("func", Trace.Str func);
                ( "key",
                  Trace.Str
                    (String.concat "," (List.map Value.to_string key)) );
              ]
             @ ctx_args queued @ from_args)
           "merge");
-      let fresh = bind_all named in
-      if t.dur <> None then
-        log_uq t
-          (Wal.Uq_merge
-             { func = rule.Rule_ast.func; key; bound = bound_rows_of fresh });
+      (* The rows go straight from the condition result into the queued
+         bound tables.  The cost model still charges a merge as a bind
+         into a fresh table plus an absorb of it (Table 1): the bind's
+         share is ticked here, before the log record as the bind was, and
+         the absorb's share as each row is appended. *)
       List.iter
-        (fun (name, tmp) ->
+        (fun (_, rows, _) -> Temp_table.tick_appends (Query.rows_length rows))
+        parts;
+      if t.dur <> None then
+        log_uq t (Wal.Uq_merge { func; key; bound = images parts });
+      List.iter
+        (fun (name, rows, overrides) ->
           match List.assoc_opt name queued.Task.bound with
-          | Some dst -> Temp_table.absorb dst tmp
+          | Some dst -> Query.append_rows ~overrides rows dst
           | None ->
-            Temp_table.retire tmp;
             rule_error
               "rule %s: queued transaction for %s lacks bound table %s"
-              rule.Rule_ast.rname rule.Rule_ast.func name)
-        fresh
+              rule.Rule_ast.rname func name)
+        parts
     | None ->
       t.created <- t.created + 1;
-      let bound = bind_all named in
+      let bound = bind_all parts in
       (* The rule task is a child span of the transaction that fired it. *)
       let ctx = Option.map Span.child t.cur_ctx in
       if t.dur <> None then begin
         log_uq t
           (Wal.Uq_enqueue
              {
-               func = rule.Rule_ast.func;
+               func;
                key;
                release_time = release;
                created_at = now;
-               bound = bound_rows_of bound;
+               bound = images parts;
              });
         match ctx with
         | None -> ()
@@ -557,17 +570,17 @@ and fire t compiled (named_results : (string * Query.result) list) =
           log_uq t
             (Wal.Trace_note
                {
-                 subject = Wal.For_uq { func = rule.Rule_ast.func; key };
+                 subject = Wal.For_uq { func; key };
                  trace = c.Span.trace;
                  span = c.Span.span;
                })
       end;
       let task =
-        Task.create ~klass:Task.Recompute ~func_name:rule.Rule_ast.func
-          ~unique_key:key ~bound ?ctx ~release_time:release ~created_at:now
+        Task.create ~klass:Task.Recompute ~func_name:func ~unique_key:key
+          ~bound ?ctx ~release_time:release ~created_at:now
           (fun task -> run_action t task)
       in
-      Unique.register t.reg ~func:rule.Rule_ast.func ~key task;
+      Unique.register t.reg ~func ~key task;
       submit t task
   in
   match rule.Rule_ast.uniqueness with
@@ -575,18 +588,19 @@ and fire t compiled (named_results : (string * Query.result) list) =
     t.created <- t.created + 1;
     let ctx = Option.map Span.child t.cur_ctx in
     let task =
-      Task.create ~klass:Task.Recompute ~func_name:rule.Rule_ast.func
-        ~bound:(bind_all named_results) ?ctx ~release_time:release
-        ~created_at:now
+      Task.create ~klass:Task.Recompute ~func_name:func
+        ~bound:(bind_all (List.map whole named_results))
+        ?ctx ~release_time:release ~created_at:now
         (fun task -> run_action t task)
     in
     submit t task
-  | Rule_ast.Unique -> merge_or_create ~key:[] named_results
+  | Rule_ast.Unique ->
+    merge_or_create ~key:[] (List.map whole named_results)
   | Rule_ast.Unique_on cols ->
-    (* Appendix A: partition the bound tables that contain unique columns;
-       pass the others whole.  The unique key ranges over the cartesian
-       product of the per-table distinct sub-keys (column names are unique
-       across bound tables). *)
+    (* Appendix A: partition the bound tables that contain unique columns
+       into per-key row ranges; pass the others whole.  The unique key
+       ranges over the cartesian product of the per-table distinct
+       sub-keys (column names are unique across bound tables). *)
     let with_cols, without_cols =
       List.partition
         (fun (_, result) ->
@@ -603,43 +617,44 @@ and fire t compiled (named_results : (string * Query.result) list) =
               (fun col -> Schema.mem (Query.result_schema result) col)
               cols
           in
-          (name, owned, Query.partition result ~cols:owned))
+          (name, owned, Query.partition result ~cols:owned,
+           overrides_for result))
         with_cols
     in
-    (* Cartesian product across the partitioned tables. *)
-    let rec combos acc = function
-      | [] -> [ List.rev acc ]
-      | (name, owned, parts) :: rest ->
-        List.concat_map
-          (fun (key, sub) -> combos ((name, owned, key, sub) :: acc) rest)
-          parts
-    in
-    let all = combos [] parted in
-    List.iter
-      (fun combo ->
-        (* Key ordered by the rule's unique column list. *)
-        let key =
-          List.map
-            (fun col ->
-              let rec find = function
-                | [] -> assert false
-                | (_, owned, key, _) :: rest -> (
-                  match
-                    List.find_opt (fun (c, _) -> c = col)
-                      (List.combine owned key)
-                  with
-                  | Some (_, v) -> v
-                  | None -> find rest)
+    let rest = List.map whole without_cols in
+    (* The key of one combination, ordered by the rule's column list. *)
+    let key_of combo =
+      List.map
+        (fun col ->
+          let rec find = function
+            | [] -> assert false
+            | (_, owned, p, k, _) :: others ->
+              let rec pos i = function
+                | [] -> find others
+                | c :: cs -> if c = col then Query.key_value p k i else pos (i + 1) cs
               in
-              find combo)
-            cols
-        in
-        let named =
-          List.map (fun (name, _, _, sub) -> (name, sub)) combo
-          @ without_cols
-        in
-        merge_or_create ~key named)
-      all
+              pos 0 owned
+          in
+          find combo)
+        cols
+    in
+    (* Cartesian product across the partitioned tables, first table
+       outermost, each table's keys in first-seen order. *)
+    let rec each acc = function
+      | [] ->
+        let combo = List.rev acc in
+        merge_or_create ~key:(key_of combo)
+          (List.map
+             (fun (name, _, p, k, overrides) ->
+               (name, Query.key_rows p k, overrides))
+             combo
+          @ rest)
+      | (name, owned, p, overrides) :: tables ->
+        for k = 0 to Query.n_keys p - 1 do
+          each ((name, owned, p, k, overrides) :: acc) tables
+        done
+    in
+    each [] parted
 
 (* ------------------------------------------------------------------ *)
 (* Commit-time processing (§6.3).                                       *)

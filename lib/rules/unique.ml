@@ -10,7 +10,9 @@ module Key = struct
     && List.length k1 = List.length k2
     && List.for_all2 Value.equal k1 k2
 
-  let hash (f, k) = Hashtbl.hash (f, List.map Value.hash k)
+  (* a fold, so hashing a key allocates nothing *)
+  let hash (f, k) =
+    List.fold_left (fun h v -> (h * 31) + Value.hash v) (Hashtbl.hash f) k
 end
 
 module Tbl = Hashtbl.Make (Key)

@@ -57,8 +57,16 @@ exp crash-servers-4 "${symbol[@]}" --crash-at 45 --checkpoint-interval 5 \
 # of unchanged tables, and the crash recovers from one of them.
 exp crash-dense "${symbol[@]}" --crash-at 45 --checkpoint-interval 1
 exp crash-rate "${symbol[@]}" --crash-rate 0.001
+# Unique on comp over a crash: fan-in firings merge into the TCBs that
+# recovery rebuilt fully materialized, so their rows are copied by value.
+exp crash-comp --view comps --variant comp --crash-at 45 \
+  --checkpoint-interval 5
 exp failover "${symbol[@]}" --crash-at 45 --checkpoint-interval 5 \
   --replicas 2 --read-rate 50 --read-policy bounded:0.5
+# A read pump with no replica over a restart in place: later reads go to
+# the restarted instance, and reads during the outage wait for it.
+exp reads-crash "${symbol[@]}" --replicas 0 --read-rate 50 --crash-at 45 \
+  --checkpoint-interval 5
 # The text and JSON runs each write their own trace file.
 (cd "$out" && "$cli" experiment --delay 1.0 --scale 0.05 --verify \
   "${symbol[@]}" --replicas 2 --slo comp_prices:30 \

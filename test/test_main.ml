@@ -7,7 +7,7 @@ let () =
    @ Test_expr.suite @ Test_query.suite @ Test_query_model.suite
    @ Test_catalog.suite @ Test_sql.suite @ Test_txn.suite
    @ Test_queues.suite @ Test_sim.suite @ Test_robustness.suite
-   @ Test_rules.suite
+   @ Test_rules.suite @ Test_firing.suite
    @ Test_unique.suite @ Test_rule_properties.suite @ Test_finance.suite @ Test_market.suite
    @ Test_obs.suite
    @ Test_pta.suite @ Test_ivm.suite @ Test_ingest.suite

@@ -179,7 +179,7 @@ let test_bind_pointer_provenance () =
         scan "emp" )
   in
   let result = run cat plan in
-  let tmp = Query.bind ~name:"b" result in
+  let tmp = Query.bind ~name:"b" (Query.all_rows result) in
   Alcotest.(check int) "one pointer slot" 1 (Temp_table.slots tmp);
   (match Temp_table.static_map tmp with
   | [| Temp_table.From_record (0, 0); Temp_table.Computed 0 |] -> ()
@@ -208,7 +208,7 @@ let test_bind_overrides () =
         scan "emp" )
   in
   let tmp = Query.bind ~overrides:[ ("commit_time", Value.Float 42.5) ] ~name:"b"
-      (run cat plan)
+      (Query.all_rows (run cat plan))
   in
   List.iter
     (fun row ->
@@ -219,9 +219,23 @@ let test_partition () =
   let cat = setup () in
   let result = run cat (scan "emp") in
   let parts = Query.partition result ~cols:[ "dept" ] in
-  Alcotest.(check int) "three groups" 3 (List.length parts);
-  let sizes = List.map (fun (_, r) -> Query.row_count r) parts in
+  Alcotest.(check int) "three groups" 3 (Query.n_keys parts);
+  let sizes =
+    List.init (Query.n_keys parts) (fun k ->
+        Query.rows_length (Query.key_rows parts k))
+  in
   Alcotest.(check (list int)) "sizes in first-seen order" [ 2; 2; 1 ] sizes;
+  (* each key's range binds to exactly its rows, in result order *)
+  List.iter
+    (fun k ->
+      let dept = Query.key_value parts k 0 in
+      let tmp = Query.bind ~name:"b" (Query.key_rows parts k) in
+      Alcotest.(check bool) "rows of the key" true
+        (List.for_all
+           (fun row -> Value.equal row.(1) dept)
+           (Temp_table.to_rows tmp));
+      Temp_table.retire tmp)
+    [ 0; 1; 2 ];
   match Query.partition result ~cols:[ "nope" ] with
   | exception Query.Plan_error _ -> ()
   | _ -> Alcotest.fail "unknown partition column accepted"

@@ -468,6 +468,67 @@ let test_int_writers () =
         | () -> false))
     [ -1; 0x100000000 ]
 
+(* Reading an int boxes nothing and reading a float boxes only the float
+   it returns: neither goes through a boxed [int64] (3 words a read).
+   Decoding a list or a value array therefore allocates its cells and
+   constructors and nothing per 8-byte field beyond them. *)
+let test_fixed_width_reads_unboxed () =
+  let n = 1000 in
+  let b = Buffer.create (n * 9) in
+  for i = 1 to n do
+    Codec.put_int b (i * 7919)
+  done;
+  for i = 1 to n do
+    Codec.put_float b (float_of_int i /. 3.0)
+  done;
+  let data = Buffer.contents b in
+  let words f =
+    let r = Codec.reader data in
+    let before = Gc.minor_words () in
+    f r;
+    Gc.minor_words () -. before
+  in
+  let ints = ref 0 in
+  let w =
+    words (fun r ->
+        for _ = 1 to n do
+          ints := !ints + Codec.get_int r
+        done)
+  in
+  Alcotest.(check int) "ints read back" (7919 * n * (n + 1) / 2) !ints;
+  Alcotest.(check (float 0.)) "get_int allocates nothing" 0. w;
+  let w =
+    words (fun r ->
+        Codec.seek r ~pos:(8 * n) ~len:(8 * n);
+        for i = 1 to n do
+          if Codec.get_float r <> float_of_int i /. 3.0 then
+            Alcotest.fail "float read back wrong"
+        done)
+  in
+  (* the returned float's own box (2 words), no int64 box besides *)
+  Alcotest.(check bool)
+    (Printf.sprintf "get_float: %.1f words per read" (w /. float_of_int n))
+    true
+    (w <= 2.0 *. float_of_int n);
+  (* a decoded value array: one cell per element plus the Value
+     constructor and, for floats, the float box *)
+  let vb = Buffer.create (n * 9) in
+  Codec.put_values vb (Array.init n (fun i -> Value.Int i));
+  Codec.put_values vb (Array.init n (fun i -> Value.Float (float_of_int i)));
+  let vdata = Buffer.contents vb in
+  let r = Codec.reader vdata in
+  let before = Gc.minor_words () in
+  let ia = Codec.get_values r in
+  let fa = Codec.get_values r in
+  let w = Gc.minor_words () -. before in
+  Alcotest.(check int) "both arrays decoded" (2 * n)
+    (Array.length ia + Array.length fa);
+  (* cells 2n + headers, Int 2n, Float 2n + float boxes 2n *)
+  Alcotest.(check bool)
+    (Printf.sprintf "get_values: %.1f words per element" (w /. float_of_int (2 * n)))
+    true
+    (w <= (3.5 *. float_of_int (2 * n)) +. 64.)
+
 (* ------------------------------------------------------------------ *)
 (* Checkpoints *)
 
@@ -1077,6 +1138,8 @@ let suite =
           `Quick test_check_reader;
         Alcotest.test_case "integer writers are little-endian" `Quick
           test_int_writers;
+        Alcotest.test_case "fixed-width reads box no int64" `Quick
+          test_fixed_width_reads_unboxed;
       ] );
     ( "recovery/checkpoint",
       [

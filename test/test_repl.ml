@@ -572,6 +572,46 @@ let test_experiment_failover_determinism () =
     (Strip_obs.Json.to_string (Report.metrics_json a))
     (Strip_obs.Json.to_string (Report.metrics_json b))
 
+(* A replica-less read pump over a crash: the restart in place must
+   repoint the cluster, so reads after it are served by (and counted in
+   the registry of) the live incarnation, and reads arriving during the
+   recovery downtime wait for it, as they do after a failover. *)
+let test_reads_follow_restart_in_place () =
+  Task.reset_ids ();
+  let cfg = Test_recovery.crashy_cfg () in
+  let cfg =
+    {
+      cfg with
+      Experiment.repl =
+        Some
+          ({
+             Experiment.default_repl with
+             Experiment.replicas = 0;
+             read_rate = 50.0;
+           }
+            : Experiment.repl_cfg);
+    }
+  in
+  let m = Experiment.run cfg in
+  let r = Option.get m.Experiment.repl in
+  let rc = Option.get m.Experiment.recovery in
+  Alcotest.(check int) "restarted in place" 0 r.Experiment.n_failovers;
+  Alcotest.(check bool) "a crash was recovered" true
+    (rc.Experiment.total_recovery_s > 0.0);
+  Alcotest.(check bool) "audit clean" true rc.Experiment.audit_clean;
+  let primary_reads =
+    match
+      Strip_obs.Metrics.find m.Experiment.registry "repl_reads_primary_total"
+    with
+    | Some (Strip_obs.Metrics.Int n) -> Some n
+    | _ -> None
+  in
+  Alcotest.(check (option int)) "the live registry counts every read"
+    (Some r.Experiment.n_reads) primary_reads;
+  let lat = Option.get r.Experiment.read_latency in
+  Alcotest.(check bool) "reads in the outage wait for the restart" true
+    (lat.Strip_obs.Histogram.max >= rc.Experiment.total_recovery_s *. 0.5)
+
 let quick_cfg () =
   Experiment.quick
     (Experiment.default_config
@@ -742,6 +782,8 @@ let suite =
           test_any_policy_spreads_reads;
         Alcotest.test_case "unreplicated runs expose no repl surface" `Slow
           test_no_repl_surface_without_config;
+        Alcotest.test_case "a replica-less read pump follows a restart" `Slow
+          test_reads_follow_restart_in_place;
         Alcotest.test_case "split-brain: partition, fence, heal, converge"
           `Slow test_split_brain_failover;
         Alcotest.test_case "split-brain runs are deterministic" `Slow
