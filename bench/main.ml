@@ -704,7 +704,6 @@ let recovery_sweep () =
         Experiment.recovery =
           Some
             {
-              Experiment.default_recovery with
               Experiment.checkpoint_every;
               crash_at = Some crash_at;
             };

@@ -305,7 +305,6 @@ let run_experiment view variant delay scale verify seed abort_rate fault_seed
           Experiment.recovery =
             Some
               {
-                Experiment.default_recovery with
                 Experiment.checkpoint_every =
                   (match checkpoint_interval with
                   | Some i when i > 0.0 -> Some i

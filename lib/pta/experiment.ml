@@ -12,11 +12,14 @@ type recovery_cfg = {
   checkpoint_every : float option;
       (* None = only the initial post-population checkpoint *)
   crash_at : float option;
-  max_crashes : int;
 }
 
-let default_recovery =
-  { checkpoint_every = Some 5.0; crash_at = None; max_crashes = 8 }
+let default_recovery = { checkpoint_every = Some 5.0; crash_at = None }
+
+(* The run's crash and partition budget: past it, fresh instances get
+   zeroed crash/partition rates so a hostile seed cannot prevent
+   convergence (scheduled events fire once by construction). *)
+let max_crashes = 8
 
 type repl_cfg = {
   replicas : int;
@@ -25,7 +28,6 @@ type repl_cfg = {
   read_cost_s : float;
   link : Strip_repl.Link.config;
   ship_every : float;
-  partition_detect_s : float;
 }
 
 let default_repl =
@@ -36,8 +38,11 @@ let default_repl =
     read_cost_s = 0.0;
     link = Strip_repl.Link.default_config;
     ship_every = 0.05;
-    partition_detect_s = 0.1;
   }
+
+(* A partition longer than this is detected and elected over; a shorter
+   one is a blip. *)
+let partition_detect_s = 0.1
 
 type storage_cfg = {
   scrub_every : float option;
@@ -51,21 +56,17 @@ let default_storage = { scrub_every = Some 0.5; retain = 2 }
 type shard_cfg = {
   shards : int;
   shard_link : Strip_repl.Link.config;
-  shard_ship_every : float;
-  shard_resend_after : float;
   shard_crash_at : (int * float) option;  (* (shard id, simulated time) *)
-  shard_checkpoint_every : float option;
 }
 
 let default_shard ~shards =
-  {
-    shards;
-    shard_link = Strip_repl.Link.default_config;
-    shard_ship_every = 0.05;
-    shard_resend_after = 0.25;
-    shard_crash_at = None;
-    shard_checkpoint_every = Some 5.0;
-  }
+  { shards; shard_link = Strip_repl.Link.default_config; shard_crash_at = None }
+
+(* The coordinator's tick, its resend deadline for unacked partials and
+   its per-shard checkpoint period, in simulated seconds. *)
+let shard_tick_s = 0.05
+let shard_resend_after = 0.25
+let shard_checkpoint_every = Some 5.0
 
 (* One deterministic fault in a chaos schedule, in absolute simulated
    time.  Crash and partition events are armed as scheduled engine tasks
@@ -360,7 +361,7 @@ let install_rules cfg db h =
   | Comp_view v -> Comp_rules.install db h v ~delay:cfg.delay
   | Option_view v -> Option_rules.install db h v ~delay:cfg.delay
 
-let mk_db ?now ?durable ?fault (cfg : config) =
+let mk_db ?now ?durable ?fault ?stats (cfg : config) =
   (* Storage-fault runs arm every durable store a primary incarnation
      uses — including a promoted replica's copy — before the instance
      registers its metrics, so the media probes exist on every registry
@@ -370,11 +371,12 @@ let mk_db ?now ?durable ?fault (cfg : config) =
   | _ -> ());
   (* The trace buffer, SLO monitor and provenance store are caller-owned
      and shared across every instance a crashy run burns through, so one
-     causal story spans restarts and failovers. *)
+     causal story spans restarts and failovers; so is [stats], which a
+     later incarnation takes over from its predecessor. *)
   Strip_db.create ~cost:cfg.cost ?now ?durable ?fault ?retry:cfg.retry
     ?overload:cfg.overload ~servers:cfg.servers
     ~lock_timeout_s:cfg.lock_timeout_s ?trace:cfg.trace ?slo:cfg.slo
-    ?provenance:cfg.provenance ()
+    ?provenance:cfg.provenance ?stats ()
 
 (* Config implications, resolved once.  Replicas bootstrap from
    checkpoints and apply shipped WAL bytes, a chaos schedule needs the
@@ -400,134 +402,6 @@ let resolve (cfg : config) =
   if cfg.storage = None && List.exists is_storage_event cfg.chaos then
     { cfg with storage = Some default_storage }
   else cfg
-
-(* Counters of one primary, folded from each incarnation as it dies and
-   from the live one when the run ends: an instance's {!Strip_sim.Stats}
-   covers only its own life.  Histograms merge exactly, so lock waits
-   and retry latencies span every incarnation too. *)
-type acc = {
-  mutable a_updates : int;
-  mutable a_recompute : int;
-  mutable a_firings : int;
-  mutable a_merges : int;
-  mutable a_injected : int;
-  mutable a_aborts : int;
-  mutable a_retries : int;
-  mutable a_sheds : int;
-  mutable a_dead : int;
-  mutable a_ctxsw : int;
-  mutable a_lock_waits : int;
-  mutable a_lock_timeouts : int;
-  mutable a_busy_update_us : float;
-  mutable a_busy_recompute_us : float;
-  a_lock_h : Strip_obs.Histogram.t;
-  a_retry_h : Strip_obs.Histogram.t;  (* first failure -> eventual success *)
-}
-
-let zero_acc () =
-  {
-    a_updates = 0;
-    a_recompute = 0;
-    a_firings = 0;
-    a_merges = 0;
-    a_injected = 0;
-    a_aborts = 0;
-    a_retries = 0;
-    a_sheds = 0;
-    a_dead = 0;
-    a_ctxsw = 0;
-    a_lock_waits = 0;
-    a_lock_timeouts = 0;
-    a_busy_update_us = 0.0;
-    a_busy_recompute_us = 0.0;
-    a_lock_h = Strip_obs.Histogram.create ();
-    a_retry_h = Strip_obs.Histogram.create ();
-  }
-
-let accumulate acc db =
-  let open Strip_txn in
-  let st = Strip_db.stats db in
-  let mgr = Strip_db.rules db in
-  acc.a_updates <- acc.a_updates + Strip_sim.Stats.tasks_run st Task.Update;
-  acc.a_recompute <- acc.a_recompute + Strip_sim.Stats.n_recompute st;
-  acc.a_firings <- acc.a_firings + Rule_manager.n_rule_firings mgr;
-  acc.a_merges <- acc.a_merges + Rule_manager.n_merges mgr;
-  acc.a_injected <-
-    (acc.a_injected
-    +
-    match Strip_db.fault_injector db with
-    | Some fi -> Fault.total_injected fi
-    | None -> 0);
-  acc.a_aborts <- acc.a_aborts + Strip_sim.Stats.n_aborts st;
-  acc.a_retries <- acc.a_retries + Strip_sim.Stats.n_retries st;
-  acc.a_sheds <- acc.a_sheds + Strip_sim.Stats.n_sheds st;
-  acc.a_dead <- acc.a_dead + Strip_sim.Stats.n_dead_letters st;
-  acc.a_ctxsw <- acc.a_ctxsw + Strip_sim.Stats.context_switches st;
-  acc.a_lock_waits <- acc.a_lock_waits + Strip_sim.Stats.n_lock_waits st;
-  acc.a_lock_timeouts <-
-    acc.a_lock_timeouts + Strip_sim.Stats.n_lock_timeouts st;
-  acc.a_busy_update_us <-
-    acc.a_busy_update_us +. Strip_sim.Stats.busy_us_of st Task.Update;
-  acc.a_busy_recompute_us <-
-    acc.a_busy_recompute_us +. Strip_sim.Stats.busy_us_of st Task.Recompute;
-  Strip_obs.Histogram.merge_into ~dst:acc.a_lock_h
-    (Strip_sim.Stats.lock_wait_hist st);
-  Strip_obs.Histogram.merge_into ~dst:acc.a_retry_h
-    (Strip_sim.Stats.recovery_hist st)
-
-(* Running totals of recovery work across all crashes of one run. *)
-type rec_totals = {
-  mutable t_crashes : int;  (* every restart attempt, retries included *)
-  mutable t_partitions : int;
-  mutable t_promotions : (int * int * int) list;
-      (* (epoch, promoted id, promoted lsn), newest first *)
-  mutable t_redo_commits : int;
-  mutable t_redo_ops : int;
-  mutable t_requeued : int;
-  mutable t_restored_rows : int;
-  mutable t_recovery_s : float;
-  mutable t_cp_fallbacks : int;
-  mutable t_salvaged_ranges : int;
-  mutable t_salvaged_bytes : int;
-  mutable t_quarantined_bytes : int;
-  mutable t_orphan_merges : int;
-}
-
-let zero_totals () =
-  {
-    t_crashes = 0;
-    t_partitions = 0;
-    t_promotions = [];
-    t_redo_commits = 0;
-    t_redo_ops = 0;
-    t_requeued = 0;
-    t_restored_rows = 0;
-    t_recovery_s = 0.0;
-    t_cp_fallbacks = 0;
-    t_salvaged_ranges = 0;
-    t_salvaged_bytes = 0;
-    t_quarantined_bytes = 0;
-    t_orphan_merges = 0;
-  }
-
-let add_recovery totals (rs : Recovery.stats) ~down_s =
-  totals.t_redo_commits <- totals.t_redo_commits + rs.Recovery.redo_commits;
-  totals.t_redo_ops <- totals.t_redo_ops + rs.Recovery.redo_ops;
-  totals.t_requeued <- totals.t_requeued + rs.Recovery.requeued;
-  totals.t_restored_rows <- totals.t_restored_rows + rs.Recovery.restored_rows;
-  totals.t_recovery_s <- totals.t_recovery_s +. down_s;
-  totals.t_cp_fallbacks <- totals.t_cp_fallbacks + rs.Recovery.cp_fallbacks;
-  totals.t_salvaged_ranges <-
-    totals.t_salvaged_ranges + rs.Recovery.salvaged_ranges;
-  totals.t_salvaged_bytes <- totals.t_salvaged_bytes + rs.Recovery.salvaged_bytes;
-  totals.t_quarantined_bytes <-
-    totals.t_quarantined_bytes + rs.Recovery.quarantined_bytes;
-  totals.t_orphan_merges <- totals.t_orphan_merges + rs.Recovery.orphan_merges
-
-let note_promotion totals (p : Strip_repl.Cluster.promotion) =
-  totals.t_promotions <-
-    (p.Strip_repl.Cluster.epoch, p.promoted, p.promoted_lsn)
-    :: totals.t_promotions
 
 (* (Re-)arm the chaos events still strictly in the future on the live
    instance — called at the start of the drive and after every crash or
@@ -562,7 +436,9 @@ let arm_chaos cfg db ~now =
 
 (* One run's primaries and what their drive loop shares.  An unsharded
    run has one primary; a sharded run has one per shard, each with its
-   own durable store, tables and slice of the feed. *)
+   own durable store, tables and slice of the feed.  Every count but the
+   recovery work lives in the primaries' {!Strip_sim.Stats}, which each
+   incarnation takes over from its predecessor. *)
 type run = {
   cfg : config;
   part : Partitioner.t option;  (* [Some _] iff sharded *)
@@ -571,27 +447,12 @@ type run = {
   quotes : Feed.quote array array;
       (* each primary's slice of the feed, kept to resubmit its tail
          after a crash (empty without recovery) *)
-  tallies : acc array;
-  totals : rec_totals;
   expected_fanout : float;  (* E[derived rows touched per update] *)
+  mutable promotions : (int * int * int) list;
+      (* (epoch, promoted id, promoted lsn), newest first *)
+  mutable recovered : Recovery.stats;  (* every recovery's work, summed *)
+  mutable down_s : float;  (* recovery downtime, summed *)
 }
-
-(* Crashes and partitions share one budget: past [max_crashes] escapes,
-   fresh instances get zeroed crash/partition rates so a hostile seed
-   cannot prevent convergence (scheduled events fire once by
-   construction). *)
-let budget_fault r =
-  let open Strip_txn.Fault in
-  match (r.cfg.recovery, r.cfg.fault) with
-  | Some rc, Some c
-    when r.totals.t_crashes + r.totals.t_partitions >= rc.max_crashes ->
-    Some { c with rates = { c.rates with crash = 0.0; partition = 0.0 } }
-  | _, fault -> fault
-
-(* Every restart attempt counts as a crash and spends budget. *)
-let next_fault r =
-  r.totals.t_crashes <- r.totals.t_crashes + 1;
-  budget_fault r
 
 let install (cfg : config) part sid db h =
   match (cfg.rule, part) with
@@ -699,8 +560,9 @@ let setup (cfg : config) =
       durables;
       handles;
       quotes = (if cfg.recovery = None then [||] else quotes);
-      tallies = Array.init n (fun _ -> zero_acc ());
-      totals = zero_totals ();
+      promotions = [];
+      recovered = Recovery.zero_stats;
+      down_s = 0.0;
       expected_fanout;
     }
   in
@@ -738,7 +600,8 @@ let not_quiescent c n =
    cluster has replicas and otherwise restarts in place; either way
    {!Recovery.until_up} charges the modeled recovery latency as downtime
    before the rest of the feed resumes on the new instance, which [arm]
-   re-arms.  [dbs] holds each primary's live incarnation. *)
+   re-arms.  [dbs] holds each primary's live incarnation; every new
+   incarnation takes over its predecessor's stats. *)
 let drive r ~cluster ~coord ~arm ~abandon dbs =
   let open Strip_txn in
   let module C = Strip_repl.Cluster in
@@ -746,6 +609,24 @@ let drive r ~cluster ~coord ~arm ~abandon dbs =
   let until = cfg.feed.Feed.duration in
   let replicated =
     match cluster with Some c when C.n_replicas c > 0 -> Some c | _ -> None
+  in
+  (* The budget spent: every crash of every primary, counted in its
+     run-long stats, and every partition the cluster opened. *)
+  let budget_fault () =
+    let open Strip_txn.Fault in
+    let spent =
+      Array.fold_left
+        (fun n db -> n + Strip_sim.Stats.n_crashes (Strip_db.stats db))
+        (Option.fold ~none:0 ~some:C.n_partitions cluster)
+        dbs
+    in
+    match (cfg.recovery, cfg.fault) with
+    | Some _, Some c when spent >= max_crashes ->
+      Some { c with rates = { c.rates with crash = 0.0; partition = 0.0 } }
+    | _, fault -> fault
+  in
+  let note_promotion (p : C.promotion) =
+    r.promotions <- (p.C.epoch, p.promoted, p.promoted_lsn) :: r.promotions
   in
   (* Back in service: book the recovery, point the cluster at the new
      instance — re-seeding a failed-over cluster from the new primary's
@@ -756,7 +637,8 @@ let drive r ~cluster ~coord ~arm ~abandon dbs =
      instance. *)
   let resume sid ?(failover = false) ?(retire_old = ignore) ?restarted ~cut
       (ndb, rs, down_s) =
-    add_recovery r.totals rs ~down_s;
+    r.recovered <- Recovery.add_stats r.recovered rs;
+    r.down_s <- r.down_s +. down_s;
     Option.iter
       (fun c ->
         let now = Strip_db.now ndb in
@@ -772,8 +654,7 @@ let drive r ~cluster ~coord ~arm ~abandon dbs =
   in
   let crashed sid =
     let db = dbs.(sid) in
-    let t_crash = Strip_db.now db in
-    accumulate r.tallies.(sid) db;
+    let t_crash = Strip_db.now db and stats = Strip_db.stats db in
     Strip_db.crash db;
     match replicated with
     | Some c ->
@@ -782,40 +663,36 @@ let drive r ~cluster ~coord ~arm ~abandon dbs =
          store leaves service. *)
       abandon db;
       resume sid ~failover:true ~cut:t_crash
-        (Recovery.until_up ~cost:cfg.cost (fun () ->
-             let fault = next_fault r in
+        (Recovery.until_up ~cost:cfg.cost ~stats (fun () ->
+             let fault = budget_fault () in
              let ndb, rs, p =
                C.promote c ~now:t_crash
-                 ~mk_db:(fun durable -> mk_db ~now:t_crash ~durable ?fault cfg)
+                 ~mk_db:(fun durable ->
+                   mk_db ~now:t_crash ~durable ?fault ~stats cfg)
                  ~reinstall:(reinstall r sid)
              in
-             note_promotion r.totals p;
+             note_promotion p;
              (ndb, rs)))
     | None ->
       (* Restart in place.  A shard's protocol state lives in the log
          that recovery's checkpoint truncates, so it is scanned first. *)
       let restarted = Option.map (fun c -> (c, Coordinator.scan_db db)) coord in
       resume sid ?restarted ~cut:t_crash
-        (Recovery.restart ~cost:cfg.cost
-           ~condemned:(accumulate r.tallies.(sid))
+        (Recovery.restart ~cost:cfg.cost ~stats
            ~fresh:(fun () ->
-             mk_db ~now:t_crash ?durable:r.durables.(sid) ?fault:(next_fault r)
-               cfg)
+             mk_db ~now:t_crash ?durable:r.durables.(sid)
+               ?fault:(budget_fault ()) ~stats cfg)
            ~reinstall:(reinstall r sid) ())
   in
   (* A partition longer than the detection timeout fails over too, while
      the deposed primary rides out its split brain. *)
   let partitioned sid ~heal_after_s =
     let old_db = dbs.(sid) in
-    let t_part = Strip_db.now old_db in
-    let detect_s =
-      match cfg.repl with Some rp -> rp.partition_detect_s | None -> 0.1
-    in
+    let t_part = Strip_db.now old_db and stats = Strip_db.stats old_db in
     match replicated with
-    | Some c when heal_after_s > detect_s ->
+    | Some c when heal_after_s > partition_detect_s ->
       let heal_at = t_part +. heal_after_s in
-      let detect_at = t_part +. detect_s in
-      r.totals.t_partitions <- r.totals.t_partitions + 1;
+      let detect_at = t_part +. partition_detect_s in
       C.begin_partition c ~now:t_part ~heal_at;
       (* The isolated primary is alive, not dead: it keeps committing
          and its surviving shipping chain keeps sending in the old term,
@@ -833,17 +710,16 @@ let drive r ~cluster ~coord ~arm ~abandon dbs =
       (* Detection timeout expired: the majority side elects a new
          primary over the partition.  A candidate that crashes
          mid-recovery retries the election, spending crash budget. *)
-      let retrying = ref false in
       let up =
-        Recovery.until_up ~cost:cfg.cost ~record_crash:false (fun () ->
-            let fault = if !retrying then next_fault r else budget_fault r in
-            retrying := true;
+        Recovery.until_up ~cost:cfg.cost ~stats ~crashed:false (fun () ->
+            let fault = budget_fault () in
             let ndb, rs, p =
               C.promote_isolated c ~now:detect_at
-                ~mk_db:(fun durable -> mk_db ~now:detect_at ~durable ?fault cfg)
+                ~mk_db:(fun durable ->
+                  mk_db ~now:detect_at ~durable ?fault ~stats cfg)
                 ~reinstall:(reinstall r sid)
             in
-            note_promotion r.totals p;
+            note_promotion p;
             (ndb, rs))
       in
       (* Split brain, contained: the new term opens at once while the old
@@ -854,7 +730,6 @@ let drive r ~cluster ~coord ~arm ~abandon dbs =
       resume sid ~failover:true
         ~retire_old:(fun () ->
           if !old_alive then run_doomed heal_at;
-          accumulate r.tallies.(sid) old_db;
           Strip_db.crash old_db;
           ignore (C.heal c ~now:heal_at);
           abandon old_db)
@@ -864,7 +739,6 @@ let drive r ~cluster ~coord ~arm ~abandon dbs =
          running (volatile state is intact — only the raising task was
          discarded), but its sends drop for the window; the shipper
          re-covers the gap on later ticks. *)
-      r.totals.t_partitions <- r.totals.t_partitions + 1;
       C.begin_partition c ~now:t_part ~heal_at:(t_part +. heal_after_s)
     | _ -> ()
   in
@@ -885,19 +759,18 @@ let drive r ~cluster ~coord ~arm ~abandon dbs =
      read of the pump, then drains. *)
   let horizons =
     match (coord, cfg.shard) with
-    | Some c, Some s ->
-      let tick = max 1e-6 s.shard_ship_every in
+    | Some c, Some _ ->
       let step now = (now, fun () -> Coordinator.step c ~now) in
       let rec quiesce now k () =
         if Coordinator.quiescent c then Seq.Nil
         else if k = max_quiesce_ticks then not_quiescent c (Array.length dbs)
-        else Seq.Cons (step now, quiesce (now +. tick) (k + 1))
+        else Seq.Cons (step now, quiesce (now +. shard_tick_s) (k + 1))
       in
       Seq.append
         (Seq.init
-           (int_of_float (ceil (until /. tick)))
-           (fun i -> step (float_of_int (i + 1) *. tick)))
-        (Seq.cons (step until) (quiesce (until +. tick) 0))
+           (int_of_float (ceil (until /. shard_tick_s)))
+           (fun i -> step (float_of_int (i + 1) *. shard_tick_s)))
+        (Seq.cons (step until) (quiesce (until +. shard_tick_s) 0))
     | _ ->
       let rec reads () =
         match Option.map (fun c -> (c, C.next_read_time c)) cluster with
@@ -1062,8 +935,8 @@ let run (cfg : config) =
           ~cfg:
             {
               link = s.shard_link;
-              resend_after = s.shard_resend_after;
-              checkpoint_every = s.shard_checkpoint_every;
+              resend_after = shard_resend_after;
+              checkpoint_every = shard_checkpoint_every;
             }
       in
       Coordinator.checkpoint_all coord;
@@ -1131,9 +1004,6 @@ let run (cfg : config) =
   (* Close any violation window still open at end of run (audit repairs
      above were the last possible staleness samples). *)
   Option.iter Strip_obs.Slo.finish cfg.slo;
-  (* The live incarnations join the fold: every count below sums over
-     all primaries and every incarnation each one burned through. *)
-  Array.iteri (fun sid db -> accumulate r.tallies.(sid) db) dbs;
   let open Strip_txn in
   let n = Array.length dbs in
   let duration_s = cfg.feed.Feed.duration in
@@ -1172,11 +1042,13 @@ let run (cfg : config) =
       (Some (err <= eps && (coord = None || audit_clean)), err)
     | _ -> (None, nan)
   in
-  let tallies = Array.to_list r.tallies in
-  let sum f = List.fold_left (fun t a -> t + f a) 0 tallies in
-  let sumf f = List.fold_left (fun t a -> t +. f a) 0.0 tallies in
-  let merged f = Strip_obs.Histogram.merge (List.map f tallies) in
-  let stats = Array.map Strip_db.stats dbs in
+  (* Each primary's stats cover every incarnation it burned through;
+     every count below sums them over the primaries. *)
+  let module S = Strip_sim.Stats in
+  let stats = Array.to_list (Array.map Strip_db.stats dbs) in
+  let sum f = List.fold_left (fun t st -> t + f st) 0 stats in
+  let sumf f = List.fold_left (fun t st -> t +. f st) 0.0 stats in
+  let merged f = Strip_obs.Histogram.merge (List.map f stats) in
   (* Makespan: the simulated instant the last dispatched task finished
      (each clock ends on its completion event).  Recompute throughput
      over the makespan is the quantity the server sweep improves: an
@@ -1185,31 +1057,19 @@ let run (cfg : config) =
   let makespan_s =
     Array.fold_left (fun m db -> Float.max m (Strip_db.now db)) 0.0 dbs
   in
-  let n_recompute = sum (fun a -> a.a_recompute) in
+  let n_recompute = sum S.n_recompute in
   (* Service-time percentiles report the busiest primary's recompute
      distribution. *)
   let busiest =
-    Array.fold_left
-      (fun best st ->
-        if Strip_sim.Stats.n_recompute st > Strip_sim.Stats.n_recompute best
-        then st
-        else best)
-      stats.(0) stats
+    List.fold_left
+      (fun best st -> if S.n_recompute st > S.n_recompute best then st else best)
+      (List.hd stats) stats
   in
   let staleness =
-    let tables =
-      Array.to_list stats
-      |> List.concat_map Strip_sim.Stats.staleness_tables
-      |> List.sort_uniq compare
-    in
-    List.map
-      (fun table ->
-        let hs =
-          Array.to_list stats
-          |> List.filter_map (fun st -> Strip_sim.Stats.staleness_of st table)
-        in
-        (table, Strip_obs.Histogram.summary (Strip_obs.Histogram.merge hs)))
-      tables
+    List.sort_uniq compare (List.concat_map S.staleness_tables stats)
+    |> List.map (fun table ->
+           let hs = List.filter_map (fun st -> S.staleness_of st table) stats in
+           (table, Strip_obs.Histogram.summary (Strip_obs.Histogram.merge hs)))
   in
   let registry =
     match coord with
@@ -1240,7 +1100,7 @@ let run (cfg : config) =
     Option.map
       (fun (_, divergences, repairs) ->
         {
-          n_crashes = r.totals.t_crashes;
+          n_crashes = sum S.n_crashes;
           n_checkpoints = sum_live Durable.n_checkpoints;
           checkpoint_bytes = sum_live Durable.last_checkpoint_bytes;
           wal_appends = sum_live_wal Wal.n_appends;
@@ -1257,11 +1117,11 @@ let run (cfg : config) =
             1e-6
             *. Strip_sim.Cost_model.charge cfg.cost
                  [ ("checkpoint_row", Meter.get "checkpoint_row") ];
-          redo_commits = r.totals.t_redo_commits;
-          redo_ops = r.totals.t_redo_ops;
-          requeued = r.totals.t_requeued;
-          restored_rows = r.totals.t_restored_rows;
-          total_recovery_s = r.totals.t_recovery_s;
+          redo_commits = r.recovered.Recovery.redo_commits;
+          redo_ops = r.recovered.Recovery.redo_ops;
+          requeued = r.recovered.Recovery.requeued;
+          restored_rows = r.recovered.Recovery.restored_rows;
+          total_recovery_s = r.down_s;
           audit_clean;
           audit_divergences = divergences + cross_divergences;
           repairs;
@@ -1294,7 +1154,7 @@ let run (cfg : config) =
           promotion_lost_bytes = C.lost_bytes_total c;
           epoch = C.epoch c;
           epochs = C.epoch_history c;
-          promotions = List.rev r.totals.t_promotions;
+          promotions = List.rev r.promotions;
           final_lsn =
             (match Strip_db.durable db0 with
             | Some d -> Wal.durable_end (Durable.wal d)
@@ -1370,11 +1230,11 @@ let run (cfg : config) =
           repaired_checkpoint = sget Scrub.repaired_checkpoint;
           scrub_salvaged_bytes = sget Scrub.salvaged_bytes;
           scrub_expunged_bytes = sget Scrub.expunged_bytes;
-          cp_fallbacks = r.totals.t_cp_fallbacks;
-          salvaged_ranges = r.totals.t_salvaged_ranges;
-          salvaged_bytes = r.totals.t_salvaged_bytes;
-          quarantined_bytes = r.totals.t_quarantined_bytes;
-          orphan_merges = r.totals.t_orphan_merges;
+          cp_fallbacks = r.recovered.Recovery.cp_fallbacks;
+          salvaged_ranges = r.recovered.Recovery.salvaged_ranges;
+          salvaged_bytes = r.recovered.Recovery.salvaged_bytes;
+          quarantined_bytes = r.recovered.Recovery.quarantined_bytes;
+          orphan_merges = r.recovered.Recovery.orphan_merges;
           disk_fulls = sum_wal Wal.n_disk_fulls;
           lied_bytes = sum_wal Wal.lied_bytes;
           ship_verify_skips =
@@ -1396,12 +1256,12 @@ let run (cfg : config) =
           n_shards = n;
           sh_rows =
             List.init n (fun i ->
-                let a = r.tallies.(i) and dq = Coordinator.queue coord i in
+                let st = List.nth stats i and dq = Coordinator.queue coord i in
                 {
                   sh_id = i;
-                  sh_updates = a.a_updates;
-                  sh_recomputes = a.a_recompute;
-                  sh_firings = a.a_firings;
+                  sh_updates = S.tasks_run st Task.Update;
+                  sh_recomputes = S.n_recompute st;
+                  sh_firings = S.n_firings st;
                   sh_partials_out =
                     Rule_manager.partial_seq (Strip_db.rules dbs.(i));
                   sh_offered = Strip_shard.Dqueue.n_offered dq;
@@ -1419,7 +1279,7 @@ let run (cfg : config) =
           sh_partials = Coordinator.partials_shipped coord;
           sh_acks = Coordinator.acks_sent coord;
           sh_reships = Coordinator.reships coord;
-          sh_recovery_s = r.totals.t_recovery_s;
+          sh_recovery_s = r.down_s;
           cross_checks;
           cross_divergences;
         })
@@ -1435,42 +1295,39 @@ let run (cfg : config) =
       (if makespan_s <= 0.0 then 0.0
        else float_of_int n_recompute /. makespan_s);
     per_server_utilization =
-      Array.to_list stats
-      |> List.concat_map (fun st ->
-             Strip_sim.Stats.per_server_utilization st
-               ~duration_s:(Float.max duration_s makespan_s));
-    n_lock_waits = sum (fun a -> a.a_lock_waits);
-    n_lock_timeouts = sum (fun a -> a.a_lock_timeouts);
-    lock_wait_s = summary_opt (merged (fun a -> a.a_lock_h));
-    utilization =
-      Array.fold_left
-        (fun t st -> t +. Strip_sim.Stats.utilization st ~duration_s)
-        0.0 stats
-      /. float_of_int n;
-    n_updates = sum (fun a -> a.a_updates);
+      List.concat_map
+        (fun st ->
+          S.per_server_utilization st
+            ~duration_s:(Float.max duration_s makespan_s))
+        stats;
+    n_lock_waits = sum S.n_lock_waits;
+    n_lock_timeouts = sum S.n_lock_timeouts;
+    lock_wait_s = summary_opt (merged S.lock_wait_hist);
+    utilization = sumf (fun st -> S.utilization st ~duration_s) /. float_of_int n;
+    n_updates = sum (fun st -> S.tasks_run st Task.Update);
     n_recompute;
-    mean_recompute_us = Strip_sim.Stats.mean_service_us busiest Task.Recompute;
+    mean_recompute_us = S.mean_service_us busiest Task.Recompute;
     p50_recompute_us =
-      Strip_sim.Stats.service_percentile_us busiest Task.Recompute 50.0;
+      S.service_percentile_us busiest Task.Recompute 50.0;
     p90_recompute_us =
-      Strip_sim.Stats.service_percentile_us busiest Task.Recompute 90.0;
+      S.service_percentile_us busiest Task.Recompute 90.0;
     p99_recompute_us =
-      Strip_sim.Stats.service_percentile_us busiest Task.Recompute 99.0;
-    max_recompute_us = Strip_sim.Stats.max_service_us busiest Task.Recompute;
-    busy_update_s = sumf (fun a -> a.a_busy_update_us) *. 1e-6;
-    busy_recompute_s = sumf (fun a -> a.a_busy_recompute_us) *. 1e-6;
-    n_firings = sum (fun a -> a.a_firings);
-    n_merges = sum (fun a -> a.a_merges);
-    context_switches = sum (fun a -> a.a_ctxsw);
+      S.service_percentile_us busiest Task.Recompute 99.0;
+    max_recompute_us = S.max_service_us busiest Task.Recompute;
+    busy_update_s = sumf (fun st -> S.busy_us_of st Task.Update) *. 1e-6;
+    busy_recompute_s = sumf (fun st -> S.busy_us_of st Task.Recompute) *. 1e-6;
+    n_firings = sum S.n_firings;
+    n_merges = sum S.n_merges;
+    context_switches = sum S.context_switches;
     expected_fanout = r.expected_fanout;
     verified;
     max_abs_error;
-    n_injected = sum (fun a -> a.a_injected);
-    n_aborts = sum (fun a -> a.a_aborts);
-    n_retries = sum (fun a -> a.a_retries);
-    n_sheds = sum (fun a -> a.a_sheds);
-    n_dead_letters = sum (fun a -> a.a_dead);
-    mean_recovery_s = Strip_obs.Histogram.mean (merged (fun a -> a.a_retry_h));
+    n_injected = sum S.n_injected;
+    n_aborts = sum S.n_aborts;
+    n_retries = sum S.n_retries;
+    n_sheds = sum S.n_sheds;
+    n_dead_letters = sum S.n_dead_letters;
+    mean_recovery_s = Strip_obs.Histogram.mean (merged S.recovery_hist);
     staleness;
     registry;
     recovery;

@@ -19,13 +19,12 @@ type recovery_cfg = {
           whole log *)
   crash_at : float option;
       (** schedule one deterministic crash at this simulated time *)
-  max_crashes : int;
-      (** after this many crashes the crash {e rate} is zeroed so a
-          hostile seed cannot prevent convergence *)
 }
 
 val default_recovery : recovery_cfg
-(** 5 s checkpoints, no scheduled crash, at most 8 crashes. *)
+(** 5 s checkpoints, no scheduled crash.  After 8 crashes and partitions
+    the crash and partition {e rates} are zeroed, so a hostile seed
+    cannot prevent convergence. *)
 
 type repl_cfg = {
   replicas : int;  (** read replicas fed by WAL log shipping *)
@@ -36,15 +35,13 @@ type repl_cfg = {
           cost *)
   link : Strip_repl.Link.config;  (** shipping-link latency/bandwidth/drops *)
   ship_every : float;  (** segment/heartbeat shipping period, seconds *)
-  partition_detect_s : float;
-      (** how long a primary must stay partitioned before the cluster
-          declares it down and elects over the cut; a shorter partition
-          is a blip — sends drop for the window but nobody fails over *)
 }
 
 val default_repl : repl_cfg
-(** 1 replica, default link, 50 ms shipping, policy [Any], no reads,
-    100 ms partition detection. *)
+(** 1 replica, default link, 50 ms shipping, policy [Any], no reads.  A
+    primary partitioned for more than 100 ms is declared down and the
+    cluster elects over the cut; a shorter partition is a blip — sends
+    drop for the window but nobody fails over. *)
 
 type storage_cfg = {
   scrub_every : float option;
@@ -63,20 +60,16 @@ type shard_cfg = {
   shards : int;  (** shard primaries; [1] is the unsharded path *)
   shard_link : Strip_repl.Link.config;
       (** shard-to-shard link model for partial/ack traffic *)
-  shard_ship_every : float;  (** coordinator tick, seconds *)
-  shard_resend_after : float;
-      (** unacked partials re-ship after this many seconds *)
   shard_crash_at : (int * float) option;
       (** schedule one deterministic crash of shard [fst] at time [snd];
           the shard restarts in place from its own WAL + checkpoint *)
-  shard_checkpoint_every : float option;
-      (** per-shard fuzzy-checkpoint period, driven by the coordinator so
-          every log truncation is followed by a protocol-state snapshot *)
 }
 
 val default_shard : shards:int -> shard_cfg
-(** Default link, 50 ms ticks, 250 ms resend, no scheduled crash, 5 s
-    checkpoints. *)
+(** Default link, no scheduled crash.  The coordinator ticks every
+    50 ms, re-ships partials unacked for 250 ms and checkpoints every
+    shard every 5 s, so every log truncation is followed by a
+    protocol-state snapshot. *)
 
 (** One deterministic fault in a chaos schedule, in absolute simulated
     seconds.  Crashes and partitions are armed as scheduled engine tasks
@@ -187,6 +180,8 @@ val quick : config -> float -> config
 
 type recovery_metrics = {
   n_crashes : int;
+      (** every crash, one during recovery included, summed over the
+          primaries *)
   n_checkpoints : int;  (** images installed (initial + periodic + post-recovery) *)
   checkpoint_bytes : int;  (** size of the last installed image *)
   wal_appends : int;
@@ -341,6 +336,12 @@ type shard_metrics = {
   cross_divergences : int;  (** comparisons beyond tolerance *)
 }
 
+(** One run's report.  Every primary records into one
+    {!Strip_sim.Stats.t} for the whole run — a restarted, promoted,
+    retried or split-brain incarnation continues its predecessor's — so
+    every number below covers the whole run, crashes, failovers and
+    elections included.  A sharded run sums its counts over the shard
+    primaries. *)
 type metrics = {
   label : string;
   delay : float;
@@ -359,10 +360,12 @@ type metrics = {
   n_lock_waits : int;  (** park → wake episodes on lock conflicts *)
   n_lock_timeouts : int;  (** waits presumed deadlocked and retried *)
   lock_wait_s : Strip_obs.Histogram.summary option;
-      (** park → wake wait distribution (seconds) over every primary and
-          incarnation, so its count is [n_lock_waits]; [None] when no
-          task ever waited *)
-  utilization : float;  (** fraction of the simulated CPU consumed *)
+      (** park → wake wait distribution (seconds), so its count is
+          [n_lock_waits]; [None] when no task ever waited *)
+  utilization : float;
+      (** fraction of the simulated CPU consumed over the feed duration,
+          averaged over the primaries: [utilization × duration_s] is the
+          busy time of every task class per primary *)
   n_updates : int;
   n_recompute : int;  (** the paper's N_r *)
   mean_recompute_us : float;
@@ -386,19 +389,18 @@ type metrics = {
   n_dead_letters : int;  (** tasks whose retry budget ran out *)
   mean_recovery_s : float;
       (** mean first-failure → eventual-success latency of retried
-          tasks, over every primary and incarnation (0 if none).  Crash
-          downtime is [recovery.total_recovery_s]. *)
+          tasks (0 if none).  Crash downtime is
+          [recovery.total_recovery_s]. *)
   staleness : (string * Strip_obs.Histogram.summary) list;
       (** per-derived-table staleness distribution (seconds), sampled at
           the commit of each maintenance transaction; sorted by table *)
   registry : Strip_obs.Metrics.row list;
-      (** full metrics-registry snapshot taken after the run drained *)
+      (** full metrics-registry snapshot taken after the run drained; its
+          probes read the same stats, so e.g. [tasks_total{class=recompute}]
+          is [n_recompute] and [crashes_total] is [recovery.n_crashes] *)
   recovery : recovery_metrics option;
       (** present iff the run had a [recovery] config (explicit or
-          implied).  Count-type fields above, [lock_wait_s] and
-          [mean_recovery_s] accumulate across crash epochs; the other
-          distributions (service percentiles, staleness, registry) cover
-          the final epoch only. *)
+          implied) *)
   repl : repl_metrics option;
       (** present iff the run had a [repl] config; cluster-owned counters
           survive failover epochs. *)
@@ -409,10 +411,9 @@ type metrics = {
           at failover. *)
   shard : shard_metrics option;
       (** present iff the config had a [shard] config; count fields
-          elsewhere in this record then sum over all shard primaries
-          (crashed incarnations included), service percentiles come from
-          the busiest shard, and staleness merges each shard's final
-          incarnation. *)
+          elsewhere in this record then sum over all shard primaries,
+          service percentiles come from the busiest shard, and staleness
+          merges every shard's. *)
   slo : Strip_obs.Slo.view_report list;
       (** per-view staleness SLO verdicts; empty unless the run had an
           [slo] config *)
@@ -456,8 +457,10 @@ val mk_db :
   ?now:float ->
   ?durable:Strip_txn.Durable.t ->
   ?fault:Strip_txn.Fault.config ->
+  ?stats:Strip_sim.Stats.t ->
   config ->
   Strip_core.Strip_db.t
 (** One database instance wired per the config (cost model, servers,
     fault injector, observability); {!run} calls it for every
-    incarnation against the same durable store. *)
+    incarnation against the same durable store, handing each one its
+    predecessor's [stats]. *)

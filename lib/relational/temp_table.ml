@@ -241,6 +241,14 @@ let clear_arena t =
   if t.nslots > 0 then Array.fill t.srcs 0 (t.nrows * t.nslots) Record.dummy;
   t.nrows <- 0
 
+(* [absorb]'s two paths: equal layouts, or a fully materialized
+   destination with the source's column schema. *)
+let into_materialized dst src =
+  dst.nslots = 0 && Schema.equal_layout dst.tschema src.tschema
+
+let can_absorb dst src =
+  (not dst.is_retired) && (same_layout dst src || into_materialized dst src)
+
 let absorb dst src =
   if dst.is_retired then invalid_arg "Temp_table.absorb: destination retired";
   if same_layout dst src then begin
@@ -256,7 +264,7 @@ let absorb dst src =
     dst.nrows <- dst.nrows + src.nrows;
     clear_arena src
   end
-  else if dst.nslots = 0 && Schema.equal_layout dst.tschema src.tschema then begin
+  else if into_materialized dst src then begin
     (* Fully-materialized destination (a recovered TCB rebuilt from the
        checkpoint/log, which carries no record pointers): copy the source
        rows by value.  append_values ticks "bound_append" per row, matching

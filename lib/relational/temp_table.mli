@@ -130,6 +130,10 @@ val absorb : t -> t -> unit
     retired).
     @raise Invalid_argument on any other layout mismatch. *)
 
+val can_absorb : t -> t -> bool
+(** [can_absorb dst src]: {!absorb}[ dst src] would succeed.  A
+    pointer-carrying [dst] cannot take a fully materialized [src]. *)
+
 val retire : t -> unit
 (** Drop the table's contents, unpinning every source record.  Idempotent.
     Called when the task owning a bound table finishes (§6.3). *)

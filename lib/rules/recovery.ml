@@ -19,6 +19,44 @@ type stats = {
   orphan_merges : int;
 }
 
+let zero_stats =
+  {
+    had_checkpoint = false;
+    restored_tables = 0;
+    restored_rows = 0;
+    redo_commits = 0;
+    redo_ops = 0;
+    requeued = 0;
+    requeued_rows = 0;
+    released = 0;
+    torn_tail = false;
+    corrupt_tail = false;
+    cp_fallbacks = 0;
+    salvaged_ranges = 0;
+    salvaged_bytes = 0;
+    quarantined_bytes = 0;
+    orphan_merges = 0;
+  }
+
+let add_stats a b =
+  {
+    had_checkpoint = a.had_checkpoint || b.had_checkpoint;
+    restored_tables = a.restored_tables + b.restored_tables;
+    restored_rows = a.restored_rows + b.restored_rows;
+    redo_commits = a.redo_commits + b.redo_commits;
+    redo_ops = a.redo_ops + b.redo_ops;
+    requeued = a.requeued + b.requeued;
+    requeued_rows = a.requeued_rows + b.requeued_rows;
+    released = a.released + b.released;
+    torn_tail = a.torn_tail || b.torn_tail;
+    corrupt_tail = a.corrupt_tail || b.corrupt_tail;
+    cp_fallbacks = a.cp_fallbacks + b.cp_fallbacks;
+    salvaged_ranges = a.salvaged_ranges + b.salvaged_ranges;
+    salvaged_bytes = a.salvaged_bytes + b.salvaged_bytes;
+    quarantined_bytes = a.quarantined_bytes + b.quarantined_bytes;
+    orphan_merges = a.orphan_merges + b.orphan_merges;
+  }
+
 type salvage = from_lsn:int -> len:int -> string option
 
 (* ------------------------------------------------------------------ *)
@@ -255,21 +293,26 @@ let recover ?salvage db ~reinstall =
 (* ------------------------------------------------------------------ *)
 (* Bringing a primary back: retry on fresh instances, charge downtime.  *)
 
-let until_up ~cost ?(record_crash = true) attempt =
+let until_up ~cost ~stats ?(crashed = true) attempt =
+  if crashed then Strip_sim.Stats.record_crash stats;
   let before = Meter.snapshot () in
-  let rec retry () = try attempt () with Fault.Crashed _ -> retry () in
+  let rec retry () =
+    try attempt ()
+    with Fault.Crashed _ ->
+      Strip_sim.Stats.record_crash stats;
+      retry ()
+  in
   let db, x = retry () in
   let down_s =
     1e-6
     *. Strip_sim.Cost_model.charge cost (Meter.diff before (Meter.snapshot ()))
   in
   Clock.advance_by (Strip_db.clock db) down_s;
-  if record_crash then
-    Strip_sim.Stats.record_crash (Strip_db.stats db) ~recovery_s:down_s;
+  if crashed then Strip_sim.Stats.record_restart stats ~recovery_s:down_s;
   (db, x, down_s)
 
-let restart ~cost ~condemned ~fresh ~reinstall () =
-  until_up ~cost (fun () ->
+let restart ~cost ~stats ~fresh ~reinstall () =
+  until_up ~cost ~stats (fun () ->
       let db = fresh () in
       match recover db ~reinstall:(fun () -> reinstall db) with
       | stats -> (db, stats)
@@ -277,7 +320,6 @@ let restart ~cost ~condemned ~fresh ~reinstall () =
         (* the durable state is untouched until the post-recovery
            checkpoint installs, so the next attempt starts clean *)
         Strip_db.crash db;
-        condemned db;
         raise e)
 
 let pp_stats ppf s =

@@ -48,6 +48,12 @@ type stats = {
           was created instead of aborting recovery *)
 }
 
+val zero_stats : stats
+(** No recovery: every count zero, every flag [false]. *)
+
+val add_stats : stats -> stats -> stats
+(** Two recoveries' work summed; a flag is set if set in either. *)
+
 type salvage = from_lsn:int -> len:int -> string option
 (** Fetch [len] clean bytes starting at [from_lsn] from any replica
     whose log copy covers the range; [None] when no replica can serve
@@ -64,28 +70,32 @@ val recover : ?salvage:salvage -> Strip_db.t -> reinstall:(unit -> unit) -> stat
 
 val until_up :
   cost:Strip_sim.Cost_model.t ->
-  ?record_crash:bool ->
+  stats:Strip_sim.Stats.t ->
+  ?crashed:bool ->
   (unit -> Strip_db.t * 'a) ->
   Strip_db.t * 'a * float
-(** [until_up ~cost attempt] retries [attempt] (bring up a fresh
+(** [until_up ~cost ~stats attempt] retries [attempt] (bring up a fresh
     instance and recover it, in place or by promotion) until one
-    survives without a {!Strip_txn.Fault.Crashed} escape.  The metered
-    work of every attempt is charged through [cost] as downtime: the
-    survivor's clock advances by it and, unless [record_crash] is
-    [false], it is recorded as one crash in the survivor's stats.
+    survives without a {!Strip_txn.Fault.Crashed} escape.  [stats] is
+    the primary's run-long statistics, which every attempt's instance
+    shares: each crash an attempt raises is counted there, as is the
+    crash that took the primary down unless [crashed] is [false] (an
+    election forced by a partition).  The metered work of every attempt
+    is charged through [cost] as downtime: the survivor's clock advances
+    by it and, when [crashed], it is recorded as one restart sample.
     Returns the survivor, [attempt]'s result and the downtime in
     seconds. *)
 
 val restart :
   cost:Strip_sim.Cost_model.t ->
-  condemned:(Strip_db.t -> unit) ->
+  stats:Strip_sim.Stats.t ->
   fresh:(unit -> Strip_db.t) ->
   reinstall:(Strip_db.t -> unit) ->
   unit ->
   Strip_db.t * stats * float
 (** Restart in place: {!until_up} over {!recover} on [fresh ()]
-    instances bound to the crashed primary's durable store.  An attempt
-    that crashes mid-recovery is condemned ({!Strip_db.crash}) and
-    passed to [condemned] before the next one. *)
+    instances bound to the crashed primary's durable store and created
+    with its [stats].  An attempt that crashes mid-recovery is condemned
+    ({!Strip_db.crash}) before the next one. *)
 
 val pp_stats : Format.formatter -> stats -> unit

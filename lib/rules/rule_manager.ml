@@ -37,9 +37,7 @@ type t = {
   mutable all_rules : compiled list;  (* creation order *)
   reg : Unique.t;
   mutable submit : (Task.t -> unit) option;
-  mutable firings : int;
-  mutable created : int;
-  mutable merges : int;
+  stats : Strip_sim.Stats.t;  (* firing, task and merge counters *)
   trace : Trace.t option;
   prov : Provenance.t option;
   (* trace context of the transaction currently committing through this
@@ -70,7 +68,7 @@ type t = {
   mutable release_sink : (key:Value.t list -> unit) option;
 }
 
-let create ~cat ~locks ~clock ?fault ?durable ?trace ?provenance () =
+let create ~cat ~locks ~clock ~stats ?fault ?durable ?trace ?provenance () =
   {
     cat;
     locks;
@@ -82,9 +80,7 @@ let create ~cat ~locks ~clock ?fault ?durable ?trace ?provenance () =
     all_rules = [];
     reg = Unique.create ();
     submit = None;
-    firings = 0;
-    created = 0;
-    merges = 0;
+    stats;
     trace;
     prov = provenance;
     cur_ctx = None;
@@ -194,14 +190,10 @@ let log_shed t ~(victim : Task.t) ~(into : Task.t option) =
       | None -> ())
     | _ -> ()
 
-let n_rule_firings t = t.firings
-let n_tasks_created t = t.created
-let n_merges t = t.merges
-
-let reset_stats t =
-  t.firings <- 0;
-  t.created <- 0;
-  t.merges <- 0
+let n_rule_firings t = Strip_sim.Stats.n_firings t.stats
+let n_tasks_created t = Strip_sim.Stats.n_rule_tasks t.stats
+let n_merges t = Strip_sim.Stats.n_merges t.stats
+let reset_stats t = Strip_sim.Stats.reset_rule_counters t.stats
 
 (* ------------------------------------------------------------------ *)
 (* Rule compilation.                                                    *)
@@ -475,7 +467,7 @@ and fire t compiled (named_results : (string * Query.result) list) =
   let func = rule.Rule_ast.func in
   let now = Clock.now t.clock in
   let release = now +. rule.Rule_ast.delay in
-  t.firings <- t.firings + 1;
+  Strip_sim.Stats.record_firing t.stats;
   let overrides_for result =
     if Schema.mem (Query.result_schema result) "commit_time" then
       [ ("commit_time", Value.Float now) ]
@@ -501,7 +493,7 @@ and fire t compiled (named_results : (string * Query.result) list) =
     match Unique.find t.reg ~func ~key with
     | Some queued ->
       (* Append this firing's rows to the queued TCB's bound tables. *)
-      t.merges <- t.merges + 1;
+      Strip_sim.Stats.record_merge t.stats;
       (match t.trace with
       | None -> ()
       | Some tr ->
@@ -548,7 +540,7 @@ and fire t compiled (named_results : (string * Query.result) list) =
               rule.Rule_ast.rname func name)
         parts
     | None ->
-      t.created <- t.created + 1;
+      Strip_sim.Stats.record_rule_task t.stats;
       let bound = bind_all parts in
       (* The rule task is a child span of the transaction that fired it. *)
       let ctx = Option.map Span.child t.cur_ctx in
@@ -585,7 +577,7 @@ and fire t compiled (named_results : (string * Query.result) list) =
   in
   match rule.Rule_ast.uniqueness with
   | Rule_ast.Not_unique ->
-    t.created <- t.created + 1;
+    Strip_sim.Stats.record_rule_task t.stats;
     let ctx = Option.map Span.child t.cur_ctx in
     let task =
       Task.create ~klass:Task.Recompute ~func_name:func
@@ -834,7 +826,7 @@ let resubmit_recovered t ~ctx ~func ~key ~release_time ~created_at
             (name, tmp))
         bound
     in
-    t.created <- t.created + 1;
+    Strip_sim.Stats.record_rule_task t.stats;
     let task =
       Task.create ~klass:Task.Recompute ~func_name:func ~unique_key:key
         ~bound:bound_tbls ?ctx ~release_time ~created_at

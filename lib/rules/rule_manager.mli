@@ -44,13 +44,15 @@ val create :
   cat:Strip_relational.Catalog.t ->
   locks:Strip_txn.Lock.t ->
   clock:Strip_txn.Clock.t ->
+  stats:Strip_sim.Stats.t ->
   ?fault:Strip_txn.Fault.t ->
   ?durable:Strip_txn.Durable.t ->
   ?trace:Strip_obs.Trace.t ->
   ?provenance:Strip_obs.Provenance.t ->
   unit ->
   t
-(** [fault] installs a fault injector consulted around every rule-action
+(** Firings, created rule tasks and merges are counted in [stats].
+    [fault] installs a fault injector consulted around every rule-action
     transaction (user-function entry, then pre-commit lock-conflict /
     deadlock / abort / crash sites).  [durable] wires the write-ahead log:
     every commit appends its redo images (plus unique-queue transitions)
@@ -210,7 +212,9 @@ val resubmit_recovered :
     linked to the original base write.
     @raise Rule_error if no installed rule executes [func]. *)
 
-(** {1 Statistics} *)
+(** {1 Statistics}
+
+    Read from, and reset in, the [stats] given to {!create}. *)
 
 val n_rule_firings : t -> int
 (** Rule activations whose condition evaluated to true. *)
@@ -220,3 +224,4 @@ val n_merges : t -> int
 (** Firings absorbed into an already-queued unique transaction. *)
 
 val reset_stats : t -> unit
+(** Zero the three counters above ({!Strip_sim.Stats.reset_rule_counters}). *)

@@ -84,9 +84,9 @@ let register_metrics reg ~stats ~mgr ~eng ~clk ~tracer ~fi ~dur ~slo ~prov =
   Metrics.probe_float reg "sim_now_s" (fun () -> Clock.now clk);
   (match fi with
   | None -> ()
-  | Some fi ->
+  | Some _ ->
     Metrics.probe_int reg "faults_injected_total" (fun () ->
-        Fault.total_injected fi));
+        Stats.n_injected stats));
   (* Durability metrics exist only when the layer is wired, so crash-free
      (non-durable) registry snapshots stay byte-identical to older runs. *)
   (match dur with
@@ -162,18 +162,25 @@ let register_metrics reg ~stats ~mgr ~eng ~clk ~tracer ~fi ~dur ~slo ~prov =
         Strip_obs.Provenance.truncated p)
 
 let create ?policy ?cost ?now ?fault ?durable ?retry ?overload ?servers
-    ?lock_timeout_s ?trace ?slo ?provenance () =
+    ?lock_timeout_s ?trace ?slo ?provenance ?stats () =
   let cat = Catalog.create () in
   let lcks = Lock.create () in
   let clk = Clock.create ?now () in
-  let fi = Option.map Fault.create fault in
+  let stats =
+    match stats with Some st -> st | None -> Stats.create ?servers ()
+  in
+  let fi =
+    Option.map
+      (Fault.create ~on_inject:(fun () -> Stats.record_injected stats))
+      fault
+  in
   let mgr =
-    Rule_manager.create ~cat ~locks:lcks ~clock:clk ?fault:fi ?durable ?trace
-      ?provenance ()
+    Rule_manager.create ~cat ~locks:lcks ~clock:clk ~stats ?fault:fi ?durable
+      ?trace ?provenance ()
   in
   let eng =
     Engine.create ~clock:clk ?policy ?cost ?retry ?overload ~locks:lcks
-      ?servers ?lock_timeout_s ?trace ()
+      ?servers ?lock_timeout_s ?trace ~stats ()
   in
   Rule_manager.set_submitter mgr (Engine.submit eng);
   (* Failure wiring: retried unique transactions re-enter the registry so
@@ -190,7 +197,6 @@ let create ?policy ?cost ?now ?fault ?durable ?retry ?overload ?servers
   (* Staleness sampling (paper §7): when a rule action commits, every table
      it wrote has just caught up with base changes first fired at the
      task's creation; the age of that oldest change is the sample. *)
-  let stats = Engine.stats eng in
   Rule_manager.set_commit_hook mgr (fun ~task ~tables ~now ->
       match task.Task.klass with
       | Task.Update -> ()

@@ -26,6 +26,7 @@ val create :
   ?trace:Strip_obs.Trace.t ->
   ?slo:Strip_obs.Slo.t ->
   ?provenance:Strip_obs.Provenance.t ->
+  ?stats:Strip_sim.Stats.t ->
   unit ->
   t
 (** [fault] installs a deterministic fault injector on every task
@@ -70,7 +71,11 @@ val create :
     injector are wired: task counts, service/queue-wait histograms per
     class, failure counters, rule firing/merge counts, queue depths, and
     per-derived-table staleness distributions sampled at the commit of
-    each rule transaction. *)
+    each rule transaction.
+
+    The engine and the rule manager record into [stats] (default a fresh
+    one); a restarted or promoted incarnation created with its
+    predecessor's reports, and registers, numbers for the whole run. *)
 
 (** {1 Component access} *)
 

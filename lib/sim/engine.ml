@@ -55,21 +55,22 @@ type t = {
   mutable on_shed : (victim:Task.t -> into:Task.t option -> unit) option;
   mutable fatal : exn -> bool;
   mutable backlog_hint : int;
-      (* optimistic count of live pending non-update tasks; may overcount
+      (* optimistic count of live pending rule tasks; may overcount
          externally-cancelled entries, resynced on every overload check *)
   mutable in_body : bool;  (* a task body is executing *)
   trace : Trace.t option;
 }
 
 let create ~clock ?policy ?(cost = Cost_model.default) ?retry ?overload ?locks
-    ?(servers = 1) ?(lock_timeout_s = 5.0) ?trace () =
+    ?(servers = 1) ?(lock_timeout_s = 5.0) ?trace ?stats () =
   if servers < 1 then invalid_arg "Engine.create: servers < 1";
   {
     eclock = clock;
     events = Event_queue.create ();
     ready = Queues.create ?policy ();
     cost;
-    estats = Stats.create ~servers ();
+    estats =
+      (match stats with Some st -> st | None -> Stats.create ~servers ());
     retry;
     overload;
     locks;
@@ -142,25 +143,27 @@ let min_server t =
 (* Overload control: when the live backlog of rule-triggered tasks
    exceeds the high watermark, shed delayed tasks — preferring expired
    deadlines, then low value, then staleness — so the engine keeps
-   serving updates instead of drowning in recomputations. *)
+   serving updates instead of drowning in recomputations.  Only rule
+   ([Recompute]) tasks count or are shed: updates must run, and
+   background tasks (checkpoints, scheduled faults, the scrubber) are
+   the system's own work, not a backlog of maintenance. *)
 
-let live_non_update acc (task : Task.t) =
+let live_rule_task acc (task : Task.t) =
   match (task.Task.klass, task.Task.state) with
-  | Task.Update, _ -> acc
-  | _, (Task.Pending | Task.Ready) -> acc + 1
+  | Task.Recompute, (Task.Pending | Task.Ready) -> acc + 1
   | _ -> acc
 
 let backlog t =
   let parked =
     Hashtbl.fold
       (fun _ lst acc ->
-        List.fold_left (fun acc (task, _) -> live_non_update acc task) acc !lst)
+        List.fold_left (fun acc (task, _) -> live_rule_task acc task) acc !lst)
       t.parked 0
   in
   Queues.fold
-    (fun acc task -> live_non_update acc task)
+    (fun acc task -> live_rule_task acc task)
     (Event_queue.fold
-       (fun acc _time task -> live_non_update acc task)
+       (fun acc _time task -> live_rule_task acc task)
        parked t.events)
     t.ready
 
@@ -186,26 +189,29 @@ let pick_victim t ~exclude =
   let now = Clock.now t.eclock in
   Event_queue.fold
     (fun best _time (task : Task.t) ->
-      match (task.Task.klass, task.Task.state) with
-      | Task.Update, _ -> best
-      | _, (Task.Ready | Task.Running | Task.Done | Task.Cancelled) -> best
-      | _, Task.Pending ->
-        if task == exclude then best
-        else (
-          match best with
-          | None -> Some task
-          | Some b -> if better_victim now task b then Some task else best))
+      match (task.Task.klass, task.Task.state, best) with
+      | Task.Recompute, Task.Pending, None when task != exclude -> Some task
+      | Task.Recompute, Task.Pending, Some b
+        when task != exclude && better_victim now task b ->
+        Some task
+      | _ -> best)
     None t.events
 
 (* The victim's bound rows can move into [into]'s TCB when the two tasks
-   run the same user function with the same bound-table names — degraded
-   batching (the rows lose their per-key transaction) but no lost data. *)
+   run the same user function and every victim table has a namesake in
+   [into] that can absorb it — degraded batching (the rows lose their
+   per-key transaction) but no lost data.  A TCB rebuilt by crash
+   recovery is fully materialized, and a live pointer TCB cannot take
+   it: such a victim is dropped instead. *)
 let can_coalesce ~into:(dst : Task.t) (victim : Task.t) =
   dst != victim
   && String.equal dst.Task.func_name victim.Task.func_name
   && victim.Task.bound <> []
   && List.for_all
-       (fun (name, _) -> List.mem_assoc name dst.Task.bound)
+       (fun (name, src) ->
+         match List.assoc_opt name dst.Task.bound with
+         | Some into -> Temp_table.can_absorb into src
+         | None -> false)
        victim.Task.bound
 
 let do_coalesce ~into:(dst : Task.t) (victim : Task.t) =
@@ -254,10 +260,8 @@ let shed t ~incoming ov =
 (* ------------------------------------------------------------------ *)
 
 let submit t task =
-  (match task.Task.klass with
-  | Task.Update -> ()
-  | Task.Recompute | Task.Background ->
-    t.backlog_hint <- t.backlog_hint + 1);
+  if task.Task.klass = Task.Recompute then
+    t.backlog_hint <- t.backlog_hint + 1;
   trace_instant t ~ts:(Clock.now t.eclock)
     ~extra:[ ("release", Trace.Float task.Task.release_time) ]
     "enqueue" task;
@@ -265,8 +269,8 @@ let submit t task =
     Queues.enqueue t.ready task
   else Event_queue.add t.events ~time:task.Task.release_time task;
   match (task.Task.klass, t.overload) with
-  | Task.Update, _ | _, None -> ()
-  | (Task.Recompute | Task.Background), Some ov -> shed t ~incoming:task ov
+  | Task.Recompute, Some ov -> shed t ~incoming:task ov
+  | _ -> ()
 
 let set_arrival_profile t arrivals = t.arrivals <- arrivals
 
@@ -423,9 +427,8 @@ let park t task ~start ~blocker ~finish =
   task.Task.attempts <- task.Task.attempts - 1;
   if Float.is_nan task.Task.first_blocked_at then
     task.Task.first_blocked_at <- start;
-  (match task.Task.klass with
-  | Task.Update -> ()
-  | Task.Recompute | Task.Background -> t.backlog_hint <- t.backlog_hint + 1);
+  if task.Task.klass = Task.Recompute then
+    t.backlog_hint <- t.backlog_hint + 1;
   t.n_parked <- t.n_parked + 1;
   trace_instant t ~ts:start
     ~extra:[ ("blocker", Trace.Int blocker); ("until", Trace.Float finish) ]
@@ -447,10 +450,8 @@ let dispatch t task =
   let s = min_server t in
   let start = Float.max (Clock.now t.eclock) t.servers.(s) in
   Clock.advance_to t.eclock start;
-  (match task.Task.klass with
-  | Task.Update -> ()
-  | Task.Recompute | Task.Background ->
-    t.backlog_hint <- t.backlog_hint - 1);
+  if task.Task.klass = Task.Recompute then
+    t.backlog_hint <- t.backlog_hint - 1;
   task.Task.dispatched_at <- start;
   let queue_us = Float.max 0.0 (start -. task.Task.release_time) *. 1e6 in
   let before = Meter.snapshot () in

@@ -57,14 +57,16 @@ type shed_policy =
 
 type overload = {
   high_watermark : int;
-      (** max live pending rule-triggered (non-update) tasks *)
+      (** max live pending rule ([Recompute]) tasks *)
   shed_policy : shed_policy;
 }
 (** Overload control: when a submitted rule task pushes the backlog past
-    the watermark, delayed tasks are shed — expired deadlines first, then
+    the watermark, delayed rule tasks are shed — expired deadlines first, then
     lowest value, then stalest — so the engine keeps serving updates
-    (the paper's soft-real-time degradation).  Every shed is recorded in
-    {!Stats} and ticks ["task_shed"]. *)
+    (the paper's soft-real-time degradation).  Updates and background
+    tasks (checkpoints, scheduled faults, the scrubber) are neither
+    counted nor shed.  Every shed is recorded in {!Stats} and ticks
+    ["task_shed"]. *)
 
 type t
 
@@ -78,6 +80,7 @@ val create :
   ?servers:int ->
   ?lock_timeout_s:float ->
   ?trace:Strip_obs.Trace.t ->
+  ?stats:Stats.t ->
   unit ->
   t
 (** Without [retry], a task failure discards the task and re-raises (the
@@ -89,7 +92,9 @@ val create :
     every task lifecycle step — [enqueue], [release], the execution span,
     [abort], [retry], [shed], [dead_letter], [lock_wait], [wake],
     [lock_timeout] — is emitted into the ring buffer, stamped with
-    simulated time.
+    simulated time.  The engine records into [stats] (default a fresh
+    one for [servers]), which a restarted database hands from one engine
+    to the next.
     @raise Invalid_argument if [servers < 1]. *)
 
 val clock : t -> Strip_txn.Clock.t
@@ -127,7 +132,7 @@ val set_shed_hook :
     the queue transition while the victim's TCB is still intact. *)
 
 val backlog : t -> int
-(** Live pending rule-triggered (non-update) tasks across the delay queue,
+(** Live pending rule ([Recompute]) tasks across the delay queue,
     the ready queue and the lock-wait parking lot — the quantity compared
     against the overload watermark. *)
 

@@ -23,6 +23,7 @@ type t = {
   mutable lock_timeouts : int;
   mutable ctx : int;
   (* failure subsystem *)
+  mutable injected : int;
   mutable aborts : int;
   mutable retries : int;
   mutable sheds : int;
@@ -34,9 +35,12 @@ type t = {
   recovery_h : Histogram.t;  (* s *)
   (* crash-restart subsystem *)
   mutable crashes : int;
-  mutable crash_recovery_s : float;  (* total *)
   crash_recovery_h : Histogram.t;  (* s, crash → engine back up *)
   mutable failovers : int;  (* crashes resolved by replica promotion *)
+  (* rule manager *)
+  mutable firings : int;
+  mutable rule_tasks : int;
+  mutable merges : int;
   (* per-derived-table staleness, sampled at recompute commit (s) *)
   staleness : (string, Histogram.t) Hashtbl.t;
 }
@@ -62,6 +66,7 @@ let create ?(servers = 1) () =
     lock_waits = 0;
     lock_timeouts = 0;
     ctx = 0;
+    injected = 0;
     aborts = 0;
     retries = 0;
     sheds = 0;
@@ -72,9 +77,11 @@ let create ?(servers = 1) () =
     max_recovery_s = 0.0;
     recovery_h = Histogram.create ();
     crashes = 0;
-    crash_recovery_s = 0.0;
     crash_recovery_h = Histogram.create ();
     failovers = 0;
+    firings = 0;
+    rule_tasks = 0;
+    merges = 0;
     staleness = Hashtbl.create 8;
   }
 
@@ -120,6 +127,7 @@ let per_server_utilization t ~duration_s =
          if duration_s <= 0.0 then 0.0 else busy *. 1e-6 /. duration_s)
        t.sbusy)
 
+let record_injected t = t.injected <- t.injected + 1
 let record_abort t = t.aborts <- t.aborts + 1
 let record_retry t = t.retries <- t.retries + 1
 
@@ -135,16 +143,26 @@ let record_recovery t ~latency_s =
   Histogram.add t.recovery_h latency_s;
   if latency_s > t.max_recovery_s then t.max_recovery_s <- latency_s
 
-let record_crash t ~recovery_s =
-  t.crashes <- t.crashes + 1;
-  t.crash_recovery_s <- t.crash_recovery_s +. recovery_s;
-  Histogram.add t.crash_recovery_h recovery_s
+let record_crash t = t.crashes <- t.crashes + 1
+
+let record_restart t ~recovery_s = Histogram.add t.crash_recovery_h recovery_s
 
 let n_crashes t = t.crashes
-let total_crash_recovery_s t = t.crash_recovery_s
 let crash_recovery_hist t = t.crash_recovery_h
 let record_failover t = t.failovers <- t.failovers + 1
 let n_failovers t = t.failovers
+
+let record_firing t = t.firings <- t.firings + 1
+let record_rule_task t = t.rule_tasks <- t.rule_tasks + 1
+let record_merge t = t.merges <- t.merges + 1
+let n_firings t = t.firings
+let n_rule_tasks t = t.rule_tasks
+let n_merges t = t.merges
+
+let reset_rule_counters t =
+  t.firings <- 0;
+  t.rule_tasks <- 0;
+  t.merges <- 0
 
 let staleness_hist t table =
   match Hashtbl.find_opt t.staleness table with
@@ -163,6 +181,7 @@ let staleness_tables t =
 
 let staleness_of t table = Hashtbl.find_opt t.staleness table
 
+let n_injected t = t.injected
 let n_aborts t = t.aborts
 let n_retries t = t.retries
 let n_sheds t = t.sheds

@@ -15,7 +15,9 @@ type t
 
 val create : ?servers:int -> unit -> t
 (** [servers] (default 1) sizes the per-server busy/task accounting the
-    multi-server engine fills in. *)
+    multi-server engine fills in.  One [t] may outlive an engine: every
+    incarnation of a crashed, restarted or promoted primary records into
+    its predecessor's, so its numbers cover the whole run. *)
 
 val record_task :
   ?server:int ->
@@ -65,6 +67,9 @@ val per_server_utilization : t -> duration_s:float -> float list
     (retries), overload sheds, exhausted tasks (dead letters), and the
     latency from a task's first failure to its eventual success. *)
 
+val record_injected : t -> unit
+(** One fault injected by the database's {!Strip_txn.Fault} injector. *)
+
 val record_abort : t -> unit
 val record_retry : t -> unit
 
@@ -75,6 +80,7 @@ val record_shed : t -> coalesced:bool -> unit
 val record_dead_letter : t -> unit
 val record_recovery : t -> latency_s:float -> unit
 
+val n_injected : t -> int
 val n_aborts : t -> int
 val n_retries : t -> int
 val n_sheds : t -> int
@@ -92,13 +98,16 @@ val recovery_hist : t -> Strip_obs.Histogram.t
 
 (** {1 Crash restarts}
 
-    Filled in by the crash-recovery driver: one sample per hard crash
-    ({!Strip_txn.Fault.Crashed}), measuring the simulated time from the
-    crash instant to the restarted engine accepting work again. *)
+    Filled in by the crash-recovery driver: one count per hard crash
+    ({!Strip_txn.Fault.Crashed}), a crash during recovery included, and
+    one sample per outage, measuring the simulated time from the crash
+    instant to the restarted engine accepting work again. *)
 
-val record_crash : t -> recovery_s:float -> unit
+val record_crash : t -> unit
 val n_crashes : t -> int
-val total_crash_recovery_s : t -> float
+
+val record_restart : t -> recovery_s:float -> unit
+(** One outage's downtime, however many crashes it took to end it. *)
 
 val crash_recovery_hist : t -> Strip_obs.Histogram.t
 (** Crash → engine-back-up restart-latency distribution, in seconds. *)
@@ -108,6 +117,21 @@ val record_failover : t -> unit
     place (replication subsystem). *)
 
 val n_failovers : t -> int
+
+(** {1 Rule firing}
+
+    Rule activations whose condition held, the rule tasks created, and
+    the firings merged into an already-queued unique transaction. *)
+
+val record_firing : t -> unit
+val record_rule_task : t -> unit
+val record_merge : t -> unit
+val n_firings : t -> int
+val n_rule_tasks : t -> int
+val n_merges : t -> int
+
+val reset_rule_counters : t -> unit
+(** Zero the three rule counters, leaving every other statistic. *)
 
 (** {1 Staleness}
 

@@ -83,11 +83,13 @@ type t = {
   mutable n_bitrot : int;
   mutable n_fsync_lie : int;
   mutable n_disk_full : int;
+  on_inject : unit -> unit;
 }
 
-let create cfg =
+let create ?(on_inject = ignore) cfg =
   {
     cfg;
+    on_inject;
     rng = Random.State.make [| cfg.seed; 0x5741; 0x9e37 |];
     n_abort = 0;
     n_conflict = 0;
@@ -119,7 +121,9 @@ let active t =
   || r.user_fun > 0.0 || r.crash > 0.0 || r.partition > 0.0
   || r.bitrot > 0.0 || r.fsync_lie > 0.0 || r.disk_full > 0.0
 
-let count t = function
+let count t site =
+  t.on_inject ();
+  match site with
   | Txn_abort -> t.n_abort <- t.n_abort + 1
   | Lock_conflict -> t.n_conflict <- t.n_conflict + 1
   | Deadlock -> t.n_deadlock <- t.n_deadlock + 1

@@ -79,7 +79,11 @@ val abort_only : ?seed:int -> float -> config
 
 type t
 
-val create : config -> t
+val create : ?on_inject:(unit -> unit) -> config -> t
+(** [on_inject] is called once per injected fault, fired or noted — how
+    a database counts injections in statistics that outlive the
+    injector. *)
+
 val config : t -> config
 
 val active : t -> bool

@@ -57,6 +57,9 @@ exp crash-servers-4 "${symbol[@]}" --crash-at 45 --checkpoint-interval 5 \
 # of unchanged tables, and the crash recovers from one of them.
 exp crash-dense "${symbol[@]}" --crash-at 45 --checkpoint-interval 1
 exp crash-rate "${symbol[@]}" --crash-rate 0.001
+# Overload sheds rule tasks, never the scheduled checkpoints and crash.
+exp crash-watermark "${symbol[@]}" --watermark 2 --crash-at 45 \
+  --checkpoint-interval 5
 # Unique on comp over a crash: fan-in firings merge into the TCBs that
 # recovery rebuilt fully materialized, so their rows are copied by value.
 exp crash-comp --view comps --variant comp --crash-at 45 \

@@ -946,7 +946,6 @@ let crashy_cfg () =
     Experiment.recovery =
       Some
         {
-          Experiment.default_recovery with
           Experiment.checkpoint_every = Some 5.0;
           crash_at = Some (cfg.Experiment.feed.Strip_market.Feed.duration /. 2.0);
         };
@@ -1016,7 +1015,6 @@ let test_lock_waits_span_incarnations () =
       recovery =
         Some
           {
-            Experiment.default_recovery with
             Experiment.checkpoint_every = Some 5.0;
             crash_at = Some 45.0;
           };
@@ -1110,6 +1108,148 @@ let test_absorb_into_materialized () =
         [| Value.Int 1; Value.Float 1.0 |]; [| Value.Int 2; Value.Float 2.0 |];
       ])
 
+(* ------------------------------------------------------------------ *)
+(* Whole-run statistics: every incarnation of a primary records into its
+   predecessor's stats, so the report, its distributions and the
+   registry all cover the whole run, crashes and elections included. *)
+
+let registry_sum (m : Experiment.metrics) ?klass name =
+  List.fold_left
+    (fun acc (row : Strip_obs.Metrics.row) ->
+      let wanted =
+        row.Strip_obs.Metrics.name = name
+        &&
+        match klass with
+        | None -> true
+        | Some k -> List.assoc_opt "class" row.Strip_obs.Metrics.labels = Some k
+      in
+      match row.Strip_obs.Metrics.datum with
+      | Strip_obs.Metrics.Int n when wanted -> acc +. float_of_int n
+      | Strip_obs.Metrics.Float x when wanted -> acc +. x
+      | _ -> acc)
+    0.0 m.Experiment.registry
+
+(* Rule-action commits that wrote [table], one ["commit"] instant each
+   in the trace. *)
+let traced_commits tr ~table =
+  Alcotest.(check int) "trace kept every event" 0 (Strip_obs.Trace.dropped tr);
+  List.length
+    (List.filter
+       (fun (e : Strip_obs.Trace.event) ->
+         e.Strip_obs.Trace.name = "commit"
+         &&
+         match List.assoc_opt "tables" e.Strip_obs.Trace.args with
+         | Some (Strip_obs.Trace.Str ts) ->
+           List.mem table (String.split_on_char ',' ts)
+         | _ -> false)
+       (Strip_obs.Trace.events tr))
+
+let check_whole_run name (cfg : Experiment.config) =
+  Task.reset_ids ();
+  let tr = Strip_obs.Trace.create ~capacity:(1 lsl 20) () in
+  let m = Experiment.run { cfg with Experiment.trace = Some tr } in
+  let rc = Option.get m.Experiment.recovery in
+  let primaries =
+    match m.Experiment.shard with Some s -> s.Experiment.n_shards | None -> 1
+  in
+  let busy_s =
+    m.Experiment.busy_update_s +. m.Experiment.busy_recompute_s
+    +. (1e-6 *. registry_sum m ~klass:"background" "busy_us_total")
+  in
+  let check_float what expected actual =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %s (%g vs %g)" name what expected actual)
+      true
+      (Float.abs (expected -. actual) <= 1e-9 *. Float.max 1.0 expected)
+  in
+  Alcotest.(check bool) (name ^ ": the run crashed or failed over") true
+    (rc.Experiment.n_crashes > 0
+    || match m.Experiment.repl with
+       | Some r -> r.Experiment.n_failovers > 0
+       | None -> false);
+  check_float "utilization x duration = busy time of every class" busy_s
+    (m.Experiment.utilization *. m.Experiment.duration_s
+    *. float_of_int primaries);
+  Alcotest.(check int)
+    (name ^ ": registry recompute tasks = N_r")
+    m.Experiment.n_recompute
+    (int_of_float (registry_sum m ~klass:"recompute" "tasks_total"));
+  Alcotest.(check int)
+    (name ^ ": registry crashes = reported crashes")
+    rc.Experiment.n_crashes
+    (int_of_float (registry_sum m "crashes_total"));
+  Alcotest.(check int)
+    (name ^ ": staleness samples = rule-action commits")
+    (traced_commits tr ~table:"comp_prices")
+    (match List.assoc_opt "comp_prices" m.Experiment.staleness with
+    | Some s -> s.Strip_obs.Histogram.n
+    | None -> 0)
+
+let symbol_cfg ~scale =
+  Experiment.quick
+    (Experiment.default_config
+       (Experiment.Comp_view Comp_rules.Unique_on_symbol) ~delay:1.0)
+    scale
+
+let crash_rate_fault =
+  {
+    Fault.default_config with
+    Fault.rates = { Fault.no_faults with Fault.crash = 0.001 };
+  }
+
+let test_whole_run_crash_at () = check_whole_run "crash-at" (crashy_cfg ())
+
+let test_whole_run_crash_rate () =
+  let cfg = symbol_cfg ~scale:0.05 in
+  check_whole_run "crash-rate"
+    {
+      cfg with
+      Experiment.fault = Some crash_rate_fault;
+      recovery = Some Experiment.default_recovery;
+    }
+
+let test_whole_run_failover () =
+  let cfg = crashy_cfg () in
+  check_whole_run "failover"
+    {
+      cfg with
+      Experiment.repl =
+        Some { Experiment.default_repl with Experiment.replicas = 2 };
+    }
+
+let test_whole_run_partition () =
+  let cfg = symbol_cfg ~scale:0.02 in
+  check_whole_run "partition"
+    {
+      cfg with
+      Experiment.repl =
+        Some { Experiment.default_repl with Experiment.replicas = 2 };
+      recovery = Some Experiment.default_recovery;
+      chaos =
+        [
+          Experiment.Partition_at { at = 9.0; heal_after_s = 1.5 };
+          Experiment.Crash_at 20.0;
+        ];
+    }
+
+let test_whole_run_sharded_crash () =
+  let cfg =
+    Experiment.quick
+      (Experiment.default_config
+         (Experiment.Comp_view Comp_rules.Unique_on_comp) ~delay:1.0)
+      0.05
+  in
+  check_whole_run "sharded-crash"
+    {
+      cfg with
+      Experiment.shard =
+        Some
+          {
+            (Experiment.default_shard ~shards:3) with
+            Experiment.shard_crash_at = Some (1, 45.0);
+          };
+    }
+
 let suite =
   [
     ( "recovery/wal",
@@ -1179,5 +1319,14 @@ let suite =
           test_crash_free_run_has_no_recovery_surface;
         Alcotest.test_case "lock waits span every incarnation" `Slow
           test_lock_waits_span_incarnations;
+      ] );
+    ( "recovery/whole-run",
+      [
+        Alcotest.test_case "scheduled crash" `Slow test_whole_run_crash_at;
+        Alcotest.test_case "crash rate" `Slow test_whole_run_crash_rate;
+        Alcotest.test_case "failover" `Slow test_whole_run_failover;
+        Alcotest.test_case "partition and crash" `Slow
+          test_whole_run_partition;
+        Alcotest.test_case "sharded crash" `Slow test_whole_run_sharded_crash;
       ] );
   ]

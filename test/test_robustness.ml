@@ -210,6 +210,77 @@ let test_overload_coalesce_absorbs_rows () =
   Engine.run eng;
   Alcotest.(check bool) "survivor ran" true (t_b.Task.state = Task.Done)
 
+(* Overload sheds rule tasks only: a checkpoint, a scheduled crash or a
+   scrub pass waiting in the delay queue is the system's own work, and
+   shedding it silently drops durability or a fault schedule. *)
+let test_overload_never_sheds_background () =
+  let clock = Clock.create () in
+  let eng =
+    Engine.create ~clock
+      ~overload:{ Engine.high_watermark = 1; shed_policy = Engine.Drop }
+      ()
+  in
+  let ran = ref [] in
+  let mk klass name =
+    Task.create ~klass ~func_name:name ~release_time:5.0 ~created_at:0.0
+      (fun t -> ran := t.Task.func_name :: !ran)
+  in
+  let checkpoint = mk Task.Background "checkpoint" in
+  let crash = mk Task.Background "crash" in
+  let r1 = mk Task.Recompute "r1" and r2 = mk Task.Recompute "r2" in
+  List.iter (Engine.submit eng) [ checkpoint; crash; r1 ];
+  Alcotest.(check int) "background tasks are no backlog" 1 (Engine.backlog eng);
+  Alcotest.(check int) "nothing shed at the watermark" 0
+    (Stats.n_sheds (Engine.stats eng));
+  Engine.submit eng r2;
+  Alcotest.(check bool) "the older rule task is shed" true
+    (r1.Task.state = Task.Cancelled);
+  Alcotest.(check int) "one shed" 1 (Stats.n_sheds (Engine.stats eng));
+  Engine.run eng;
+  Alcotest.(check (list string)) "background tasks all ran"
+    [ "checkpoint"; "crash"; "r2" ]
+    (List.sort compare !ran)
+
+(* A TCB rebuilt by crash recovery is fully materialized, and a live
+   pointer TCB of the same rule cannot absorb it: the shed path drops
+   such a victim instead of coalescing it into a layout mismatch. *)
+let test_coalesce_refuses_recovered_victim () =
+  let clock = Clock.create () in
+  let eng =
+    Engine.create ~clock
+      ~overload:{ Engine.high_watermark = 1; shed_policy = Engine.Coalesce }
+      ()
+  in
+  let schema = Schema.of_list [ ("k", Value.TInt); ("v", Value.TFloat) ] in
+  let recovered = Temp_table.create_materialized ~name:"b1" ~schema in
+  Temp_table.append_values recovered [| Value.Int 1; Value.Float 1.0 |];
+  let live =
+    Temp_table.create ~name:"b1" ~schema ~nslots:1
+      ~prov:[| Temp_table.From_record (0, 0); Temp_table.From_record (0, 1) |]
+  in
+  Temp_table.append live
+    ~srcs:[| Record.create [| Value.Int 2; Value.Float 2.0 |] |]
+    ~mats:[||];
+  Alcotest.(check bool) "absorb would refuse the pair" false
+    (Temp_table.can_absorb live recovered);
+  Alcotest.(check bool) "the reverse pair is absorbable" true
+    (Temp_table.can_absorb recovered live);
+  let mk bound =
+    Task.create ~klass:Task.Recompute ~func_name:"f" ~bound:[ ("b1", bound) ]
+      ~release_time:5.0 ~created_at:0.0 (fun _ -> ())
+  in
+  let victim = mk recovered and incoming = mk live in
+  Engine.submit eng victim;
+  Engine.submit eng incoming;
+  let s = Engine.stats eng in
+  Alcotest.(check bool) "victim shed" true (victim.Task.state = Task.Cancelled);
+  Alcotest.(check int) "one shed" 1 (Stats.n_sheds s);
+  Alcotest.(check int) "dropped, not coalesced" 0 (Stats.n_coalesced s);
+  Alcotest.(check int) "the live TCB kept only its own row" 1
+    (Temp_table.cardinal live);
+  Engine.run eng;
+  Alcotest.(check bool) "survivor ran" true (incoming.Task.state = Task.Done)
+
 (* ------------------------------------------------------------------ *)
 (* Unique batching across failures (the Figure 4/5 example, with the
    user function failing transiently on its first dispatch). *)
@@ -398,6 +469,10 @@ let suite =
           test_overload_sheds_worst_victims;
         Alcotest.test_case "coalesce shed absorbs rows" `Quick
           test_overload_coalesce_absorbs_rows;
+        Alcotest.test_case "overload never sheds background tasks" `Quick
+          test_overload_never_sheds_background;
+        Alcotest.test_case "coalesce refuses a recovered victim" `Quick
+          test_coalesce_refuses_recovered_victim;
         Alcotest.test_case "unique batch survives failure" `Quick
           test_unique_batch_survives_failure;
         Alcotest.test_case "rule errors fail fast" `Quick
