@@ -965,12 +965,12 @@ let storage_lane () =
           "salvage run (replicas %d) left media faults behind (%d \
            outstanding, clean %b)"
           replicas st.Experiment.faults_outstanding st.Experiment.final_clean;
-      st
+      (m.Experiment.registry, st)
   in
   Printf.printf
     "\nsalvage comparison: WAL bit-rot + later crash, scrubber every 1s\n%!";
-  let with_replicas = salvage_run 2 in
-  let without = salvage_run 0 in
+  let reg_with, with_replicas = salvage_run 2 in
+  let reg_without, without = salvage_run 0 in
   let describe tag (st : Experiment.storage_metrics) =
     Printf.printf
       "   %-16s repaired %d from replicas / %d from checkpoints; spliced \
@@ -1003,8 +1003,8 @@ let storage_lane () =
         ( "salvage_comparison",
           Json.Obj
             [
-              ("replicas_2", Report.storage_json with_replicas);
-              ("replicas_0", Report.storage_json without);
+              ("replicas_2", Report.storage_json reg_with with_replicas);
+              ("replicas_0", Report.storage_json reg_without without);
               ( "replica_salvaged_bytes",
                 Json.Int with_replicas.Experiment.scrub_salvaged_bytes );
               ( "checkpoint_expunged_bytes",

@@ -809,7 +809,7 @@ let run_scrub seed scale every retain json =
     Strip_chaos.Explore.print_outcome o;
     match o.Strip_chaos.Explore.storage with
     | None -> ()
-    | Some st -> Report.print_storage st
+    | Some st -> Report.print_storage o.Strip_chaos.Explore.registry st
   end;
   if o.Strip_chaos.Explore.violations = [] then 0 else 1
 

@@ -15,6 +15,7 @@ type outcome = {
   makespan_s : float;
   storage : Experiment.storage_metrics option;
       (* present iff the run armed the storage-fault substrate *)
+  registry : Metrics.row list;  (* the rest of the storage report *)
 }
 
 (* Every schedule drives the same replicated, durable, unique-rule
@@ -174,6 +175,7 @@ let run_schedule ?extra ?slo ?storage (s : Schedule.t) =
     fenced_bytes;
     makespan_s = m.Experiment.makespan_s;
     storage = m.Experiment.storage;
+    registry = m.Experiment.registry;
   }
 
 (* Delta-debugging-lite: drop event halves while the failure survives,
@@ -253,7 +255,7 @@ let outcome_json o =
     @
     match o.storage with
     | None -> []
-    | Some s -> [ ("storage", Report.storage_json s) ])
+    | Some s -> [ ("storage", Report.storage_json o.registry s) ])
 
 let quarantine_report o reproducer =
   Json.Obj

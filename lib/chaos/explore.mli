@@ -54,6 +54,9 @@ type outcome = {
   makespan_s : float;
   storage : Strip_pta.Experiment.storage_metrics option;
       (** present iff the run armed the storage-fault substrate *)
+  registry : Strip_obs.Metrics.row list;
+      (** the run's metrics-registry snapshot, which holds the rest of
+          the storage report ({!Strip_pta.Report.storage_json}) *)
 }
 
 val check :

@@ -34,11 +34,11 @@ type repl_cfg = {
       (** fixed per-read service overhead on top of the metered execution
           cost *)
   link : Strip_repl.Link.config;  (** shipping-link latency/bandwidth/drops *)
-  ship_every : float;  (** segment/heartbeat shipping period, seconds *)
 }
 
 val default_repl : repl_cfg
-(** 1 replica, default link, 50 ms shipping, policy [Any], no reads.  A
+(** 1 replica, default link, policy [Any], no reads; segments ship every
+    {!Strip_repl.Cluster.ship_every}.  A
     primary partitioned for more than 100 ms is declared down and the
     cluster elects over the cut; a shorter partition is a blip — sends
     drop for the window but nobody fails over. *)
@@ -182,11 +182,12 @@ type recovery_metrics = {
   n_crashes : int;
       (** every crash, one during recovery included, summed over the
           primaries *)
-  n_checkpoints : int;  (** images installed (initial + periodic + post-recovery) *)
-  checkpoint_bytes : int;  (** size of the last installed image *)
-  wal_appends : int;
-  wal_fsyncs : int;
-  wal_appended_bytes : int;
+  n_checkpoints : int;
+      (** images installed (initial + periodic + post-recovery), summed
+          over the primaries; a promoted replica's store continues its
+          deposed primary's count and the bootstrap image it was seeded
+          with is not one *)
+  wal_appended_bytes : int;  (** likewise continued across failovers *)
   wal_overhead_s : float;
       (** simulated CPU charged to WAL appends and fsyncs — this cost is
           inside the makespan, reported here rather than silently added *)
@@ -198,23 +199,14 @@ type recovery_metrics = {
   total_recovery_s : float;  (** simulated downtime charged to recovery *)
   audit_clean : bool;  (** final consistency audit (after any repairs) *)
   audit_divergences : int;  (** divergent keys remaining at the end *)
-  repairs : int;  (** repair transactions the first audit enqueued *)
 }
 
 type replica_metrics = {
   r_id : int;
   r_applied_lsn : int;  (** contiguous applied frontier at end of run *)
-  r_segments : int;  (** byte-carrying segments applied *)
-  r_duplicates : int;  (** messages fully below the applied frontier *)
-  r_reordered : int;  (** segments buffered for a gap ahead of them *)
-  r_bootstraps : int;  (** checkpoint re-seeds (truncation / failover) *)
-  r_reads : int;  (** reads this replica served *)
-  r_lag : Strip_obs.Histogram.summary option;
-      (** per-segment replication lag (arrival − send), seconds *)
 }
 
 type repl_metrics = {
-  n_replicas : int;
   read_policy : string;
   read_rate : float;
   n_reads : int;
@@ -240,15 +232,9 @@ type repl_metrics = {
       (** bytes deposed primaries discarded from their divergent tails
           when their partitions healed *)
   n_partitions : int;  (** partition windows the cluster lived through *)
-  partition_drops : int;  (** messages discarded by partition windows *)
-  fenced_messages : int;  (** stale-epoch messages replicas rejected *)
   segments_sent : int;
   segments_dropped : int;
   bytes_shipped : int;
-  cluster_lag : Strip_obs.Histogram.summary option;
-      (** replication lag merged across {e all} replicas — the cluster-wide
-          distribution, not any single node's ([None] when no segment ever
-          recorded lag) *)
   per_replica : replica_metrics list;
 }
 
@@ -272,27 +258,13 @@ type storage_metrics = {
           [ceil (retained bytes / Scrub.budget) + 1] scrub passes after
           their injection while their bytes were still retained — the
           [detected_within_bound] chaos invariant *)
-  scrub_passes : int;
   scrub_bytes : int;  (** durable WAL bytes re-read and re-verified *)
-  scrub_slot_bytes : int;  (** checkpoint-slot bytes re-read *)
-  wal_corruptions : int;  (** corrupt WAL ranges the scrubber found *)
-  cp_corruptions : int;  (** checkpoint slots that failed their CRC *)
   repaired_replica : int;  (** ranges healed by replica re-fetch *)
   repaired_checkpoint : int;  (** repairs via emergency checkpoint *)
   scrub_salvaged_bytes : int;  (** bytes spliced back from replicas *)
   scrub_expunged_bytes : int;
       (** log bytes whose redo capability the checkpoint rung destroyed
           (the whole truncated span, not just the rotten ranges) *)
-  cp_fallbacks : int;
-      (** recoveries that skipped a CRC-failing slot for an older one *)
-  salvaged_ranges : int;  (** corrupt ranges found during recovery redo *)
-  salvaged_bytes : int;  (** bytes replica-fetched during recovery *)
-  quarantined_bytes : int;
-      (** log tail dropped by recovery when no replica could serve;
-          the audit repairs whatever the lost records maintained *)
-  orphan_merges : int;
-      (** orphan [Uq_merge] records re-rooted as synthetic enqueues
-          instead of refusing recovery *)
   disk_fulls : int;  (** appends refused by the capacity clamp *)
   lied_bytes : int;  (** acked bytes silently zeroed by lying fsyncs *)
   ship_verify_skips : int;
@@ -306,19 +278,11 @@ type storage_metrics = {
           [salvage_converges] chaos invariant *)
 }
 
-(** One shard primary's slice of a sharded run. *)
+(** One shard primary's partial-delta queue. *)
 type shard_row = {
-  sh_id : int;
-  sh_updates : int;
-  sh_recomputes : int;
-  sh_firings : int;
-  sh_partials_out : int;  (** weighted partials this shard emitted *)
   sh_offered : int;  (** arrivals offered to this shard's queue *)
   sh_duplicates : int;  (** resends the [(src, seq)] dedup collapsed *)
   sh_merged : int;  (** arrivals folded into a pending entry *)
-  sh_applied : int;  (** merged entries applied and released *)
-  sh_crashes : int;
-  sh_final_lsn : int;  (** shard WAL durable end *)
 }
 
 type shard_metrics = {
@@ -329,19 +293,24 @@ type shard_metrics = {
   sh_partials : int;  (** first ships *)
   sh_acks : int;
   sh_reships : int;  (** resends past the ack deadline *)
-  sh_recovery_s : float;  (** downtime summed over shard restarts *)
   cross_checks : int;
       (** composites compared by the cross-shard audit (recomputed from
           all shards' base tables against the owners' maintained rows) *)
   cross_divergences : int;  (** comparisons beyond tolerance *)
 }
 
-(** One run's report.  Every primary records into one
-    {!Strip_sim.Stats.t} for the whole run — a restarted, promoted,
-    retried or split-brain incarnation continues its predecessor's — so
-    every number below covers the whole run, crashes, failovers and
-    elections included.  A sharded run sums its counts over the shard
-    primaries. *)
+(** One run's report: the fields some code other than {!Report} reads,
+    plus the [registry] snapshot that holds every other count.  Every
+    primary records into one {!Strip_sim.Stats.t} for the whole run — a
+    restarted, promoted, retried or split-brain incarnation continues its
+    predecessor's — and a promoted replica's durable store continues the
+    deposed primary's WAL and checkpoint counts, so the counts below
+    cover the whole run, crashes, failovers and elections included.  The
+    exceptions are gauges, which describe the end of the run (final
+    LSNs; in [registry], the last checkpoint's size and the queue
+    lengths), and a deposed primary's appends after the election that
+    replaced it, which its fenced tail discards.  A sharded run sums its
+    counts over the shard primaries. *)
 type metrics = {
   label : string;
   delay : float;
@@ -382,22 +351,20 @@ type metrics = {
       (** E[derived rows touched per update] for the chosen view *)
   verified : bool option;  (** [None] when verification was off *)
   max_abs_error : float;
-  n_injected : int;  (** faults fired by the injector *)
   n_aborts : int;  (** task transactions that failed *)
   n_retries : int;  (** failed tasks re-enqueued with backoff *)
   n_sheds : int;  (** tasks shed by overload control *)
   n_dead_letters : int;  (** tasks whose retry budget ran out *)
-  mean_recovery_s : float;
-      (** mean first-failure → eventual-success latency of retried
-          tasks (0 if none).  Crash downtime is
-          [recovery.total_recovery_s]. *)
   staleness : (string * Strip_obs.Histogram.summary) list;
       (** per-derived-table staleness distribution (seconds), sampled at
           the commit of each maintenance transaction; sorted by table *)
   registry : Strip_obs.Metrics.row list;
-      (** full metrics-registry snapshot taken after the run drained; its
-          probes read the same stats, so e.g. [tasks_total{class=recompute}]
-          is [n_recompute] and [crashes_total] is [recovery.n_crashes] *)
+      (** full metrics-registry snapshot of the live primary (every
+          shard's, labelled [shard], in a sharded run) taken after the run
+          drained; its probes read the same stats, so e.g.
+          [tasks_total{class=recompute}] is [n_recompute] and
+          [crashes_total] is [recovery.n_crashes].  {!Report.count} reads
+          the counts that have no field here. *)
   recovery : recovery_metrics option;
       (** present iff the run had a [recovery] config (explicit or
           implied) *)

@@ -1,4 +1,18 @@
-(** Tabular and JSON output for the figure-reproduction harness. *)
+(** Tabular and JSON output for the figure-reproduction harness.
+
+    A report renders the typed fields of {!Experiment.metrics} and, for
+    every count nothing else reads, the run's metrics-registry snapshot
+    ([registry]) through {!count}.  Adding such a counter takes one
+    probe in the subsystem that owns it and one line here. *)
+
+val count :
+  Strip_obs.Metrics.row list -> ?labels:Strip_obs.Metrics.labels -> string -> int
+(** [count registry ~labels name] is the counter row [name] whose labels,
+    a [shard] label aside, are [labels] (default none), summed over the
+    shard primaries of a sharded run; with a [shard] label among
+    [labels], that shard's row alone.
+    @raise Failure naming the row when the snapshot has none, or when
+    it is not a counter. *)
 
 val print_metrics_header : unit -> unit
 (** Column legend: [mean_rc_us] / [p50_rc_us] / [p99_rc_us] / [max_rc_us]
@@ -32,9 +46,11 @@ val print_repl : Experiment.metrics -> unit
     and throughput.  Silent for runs without a [repl] config, so
     historical reports are unchanged. *)
 
-val print_storage : Experiment.storage_metrics -> unit
+val print_storage :
+  Strip_obs.Metrics.row list -> Experiment.storage_metrics -> unit
 (** One indented storage row: scrub passes and bytes re-read, WAL and
-    checkpoint corruptions found, repairs by source, and salvage CPU. *)
+    checkpoint corruptions found, repairs by source, and salvage CPU.
+    The scrubber's counts come from the run's registry snapshot. *)
 
 val print_shard : Experiment.metrics -> unit
 (** Indented sharding rows: shard count and partial-delta protocol volume
@@ -57,13 +73,10 @@ val print_staleness : Experiment.metrics -> unit
     staleness in seconds (paper §7); silent when no maintenance
     transaction committed. *)
 
-val storage_json : Experiment.storage_metrics -> Strip_obs.Json.t
-(** The storage-fault block alone — the chaos explorer embeds it in
-    outcome and quarantine reports. *)
-
-val shard_json : Experiment.shard_metrics -> Strip_obs.Json.t
-(** The sharding block alone (protocol counters, per-shard rows,
-    cross-shard audit verdict). *)
+val storage_json :
+  Strip_obs.Metrics.row list -> Experiment.storage_metrics -> Strip_obs.Json.t
+(** The storage-fault block alone, given the run's registry snapshot —
+    the chaos explorer embeds it in outcome and quarantine reports. *)
 
 val metrics_json : Experiment.metrics -> Strip_obs.Json.t
 (** The full metrics record as a JSON object, including recompute-latency

@@ -14,18 +14,19 @@ let policy_string = function
 type config = {
   n_replicas : int;
   link : Link.config;
-  ship_every : float;
   read_policy : read_policy;
   read_rate : float;
   read_cost_s : float;
   seed : int;
 }
 
+(* The shipping / heartbeat period, in simulated seconds. *)
+let ship_every = 0.05
+
 let default_config =
   {
     n_replicas = 1;
     link = Link.default_config;
-    ship_every = 0.05;
     read_policy = Any;
     read_rate = 0.0;
     read_cost_s = 0.0;
@@ -285,8 +286,6 @@ let fetch_clean t ~from_lsn ~len =
 let schedule_shipping t ~until =
   if Array.length t.replicas = 0 then ()
   else begin
-    if t.cfg.ship_every <= 0.0 then
-      invalid_arg "Cluster.schedule_shipping: period <= 0";
     (* The chain belongs to the node that scheduled it, not to whoever is
        primary when a tick fires: after a failover the deposed node's
        surviving chain keeps shipping its own log in its frozen term
@@ -303,10 +302,10 @@ let schedule_shipping t ~until =
            else
              ship_tick_from t ~db:owner ~cursor:(Lazy.force stale_cursor)
                ~epoch:owner_epoch ~now:(Clock.now clk));
-          let next = at +. t.cfg.ship_every in
+          let next = at +. ship_every in
           if next <= until then Engine.submit eng (make next))
     in
-    let first = Clock.now clk +. t.cfg.ship_every in
+    let first = Clock.now clk +. ship_every in
     if first <= until then Engine.submit eng (make first)
   end
 
@@ -456,6 +455,7 @@ let promote t ~now ~mk_db ~reinstall =
         ~salvage:(fun ~from_lsn ~len -> fetch_clean t ~from_lsn ~len)
         ~reinstall:(fun () -> reinstall ndb)
     in
+    Durable.continue_counts (Replica.durable winner) ~from:(primary_durable t);
     t.primary <- ndb;
     t.failovers <- t.failovers + 1;
     t.lost <- t.lost + lost_bytes;
@@ -498,6 +498,7 @@ let promote_isolated t ~now ~mk_db ~reinstall =
       ~salvage:(fun ~from_lsn ~len -> fetch_clean t ~from_lsn ~len)
       ~reinstall:(fun () -> reinstall ndb)
   in
+  Durable.continue_counts (Replica.durable winner) ~from:(primary_durable t);
   t.primary <- ndb;
   t.failovers <- t.failovers + 1;
   open_epoch t ~winner_id:(Replica.id winner);
@@ -637,17 +638,21 @@ let register_metrics t reg =
   M.probe_int reg "repl_segments_sent_total" (fun () -> segments_sent t);
   M.probe_int reg "repl_segments_dropped_total" (fun () -> segments_dropped t);
   M.probe_int reg "repl_bytes_shipped_total" (fun () -> bytes_shipped t);
-  M.probe_family reg "repl_applied_lsn" (fun () ->
-      Array.to_list
-        (Array.map
-           (fun r ->
-             ( [ ("replica", string_of_int (Replica.id r)) ],
-               M.Sample_int (Replica.applied_lsn r) ))
-           t.replicas));
-  M.probe_family reg "repl_lag_s" (fun () ->
-      Array.to_list
-        (Array.map
-           (fun r ->
-             ( [ ("replica", string_of_int (Replica.id r)) ],
-               M.Sample_hist (Replica.lag r) ))
-           t.replicas))
+  M.probe_hist reg "repl_cluster_lag_s" (fun () ->
+      Strip_obs.Histogram.merge
+        (Array.to_list (Array.map Replica.lag t.replicas)));
+  let per_replica name sample =
+    M.probe_family reg name (fun () ->
+        Array.to_list
+          (Array.map
+             (fun r -> ([ ("replica", string_of_int (Replica.id r)) ], sample r))
+             t.replicas))
+  in
+  let count f r = M.Sample_int (f r) in
+  per_replica "repl_applied_lsn" (count Replica.applied_lsn);
+  per_replica "repl_lag_s" (fun r -> M.Sample_hist (Replica.lag r));
+  per_replica "repl_replica_segments_total" (count Replica.n_segments);
+  per_replica "repl_replica_duplicates_total" (count Replica.n_duplicates);
+  per_replica "repl_replica_reordered_total" (count Replica.n_reordered);
+  per_replica "repl_replica_bootstraps_total" (count Replica.n_bootstraps);
+  per_replica "repl_replica_reads_total" (count Replica.n_reads)

@@ -42,7 +42,6 @@ val policy_string : read_policy -> string
 type config = {
   n_replicas : int;
   link : Link.config;
-  ship_every : float;  (** shipping / heartbeat period, seconds *)
   read_policy : read_policy;
   read_rate : float;  (** read-only queries per simulated second *)
   read_cost_s : float;
@@ -52,7 +51,7 @@ type config = {
 }
 
 val default_config : config
-(** 1 replica, default link, 50 ms shipping, [Any], no reads. *)
+(** 1 replica, default link, [Any], no reads. *)
 
 type t
 
@@ -74,9 +73,12 @@ val create :
     @raise Invalid_argument if [n_replicas > 0] and the
     primary has no durability layer or no checkpoint installed. *)
 
+val ship_every : float
+(** The shipping / heartbeat period: 50 ms of simulated time. *)
+
 val schedule_shipping : t -> until:float -> unit
 (** Schedule the periodic shipping task chain on the current primary's
-    engine, first tick one period from now. *)
+    engine, first tick one {!ship_every} from now. *)
 
 val primary : t -> Strip_db.t
 val n_replicas : t -> int
@@ -132,7 +134,9 @@ val promote :
   reinstall:(Strip_db.t -> unit) ->
   Strip_db.t * Recovery.stats * promotion
 (** Elect, rebuild a primary from the winner's durable state via
-    {!Recovery.recover}, repoint the cluster, and open a new epoch.
+    {!Recovery.recover}, repoint the cluster, and open a new epoch.  The
+    winner's store continues the old primary's WAL and checkpoint counts
+    ({!Strip_txn.Durable.continue_counts}).
     In-flight link messages die with the old primary.  With zero
     replicas this degrades gracefully to crash-restart recovery from the
     dead primary's own durable store ([promoted = -1]) instead of
@@ -206,17 +210,15 @@ val segments_sent : t -> int
 val segments_dropped : t -> int
 val bytes_shipped : t -> int
 
-val partition_drops_total : t -> int
-(** Messages discarded by partition windows across all links. *)
-
-val fenced_messages_total : t -> int
-(** Stale-epoch messages rejected across all replicas. *)
-
 val ship_verify_skips : t -> int
 (** Outgoing segments cut short because ship-time verification found a
     corrupt frame in the slice (storage-fault injection only — clean
     runs never scan). *)
 
 val register_metrics : t -> Strip_obs.Metrics.t -> unit
-(** Probe lag/routing/shipping counters into a registry under [repl_*];
-    call again after {!promote} to wire the new primary's registry. *)
+(** Probe lag/routing/shipping counters into a registry under [repl_*]:
+    cluster-wide rows, the lag merged over every replica
+    ([repl_cluster_lag_s]), and per-replica rows labelled [replica]
+    (applied LSN, lag, and segments, duplicates, reordered segments,
+    bootstraps and reads as [repl_replica_*_total]).  Call again after
+    {!promote} to wire the new primary's registry. *)

@@ -21,7 +21,6 @@ type t = {
   mutable bootstraps : int;
   mutable fenced : int;
   mutable commits : int;
-  mutable ops : int;
   mutable busy : float;
   mutable reads : int;
   trace : Trace.t option;  (* this node's span buffer, when tracing *)
@@ -59,7 +58,6 @@ let bootstrap ?trace ~id ~image ~lsn ~time () =
     bootstraps = 0;
     fenced = 0;
     commits = 0;
-    ops = 0;
     busy = 0.0;
     reads = 0;
     trace;
@@ -87,7 +85,6 @@ let apply_tail t ~at =
       match record with
       | Wal.Commit { txid; ops; _ } ->
         t.commits <- t.commits + 1;
-        t.ops <- t.ops + List.length ops;
         Redo.apply_commit t.redo ops;
         (match t.trace with
         | None -> ()
@@ -241,7 +238,6 @@ let n_duplicates t = t.duplicates
 let n_reordered t = t.reordered
 let n_bootstraps t = t.bootstraps
 let n_commits_applied t = t.commits
-let n_ops_applied t = t.ops
 let busy_until t = t.busy
 let set_busy_until t v = t.busy <- v
 let n_reads t = t.reads

@@ -79,7 +79,6 @@ val n_duplicates : t -> int
 val n_reordered : t -> int
 val n_bootstraps : t -> int
 val n_commits_applied : t -> int
-val n_ops_applied : t -> int
 
 (** {1 Read lane} — a single service queue for the reads this replica
     serves; the router owns the arithmetic, the replica just stores the

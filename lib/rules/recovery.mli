@@ -48,12 +48,6 @@ type stats = {
           was created instead of aborting recovery *)
 }
 
-val zero_stats : stats
-(** No recovery: every count zero, every flag [false]. *)
-
-val add_stats : stats -> stats -> stats
-(** Two recoveries' work summed; a flag is set if set in either. *)
-
 type salvage = from_lsn:int -> len:int -> string option
 (** Fetch [len] clean bytes starting at [from_lsn] from any replica
     whose log copy covers the range; [None] when no replica can serve
@@ -72,18 +66,19 @@ val until_up :
   cost:Strip_sim.Cost_model.t ->
   stats:Strip_sim.Stats.t ->
   ?crashed:bool ->
-  (unit -> Strip_db.t * 'a) ->
-  Strip_db.t * 'a * float
+  (unit -> Strip_db.t * stats) ->
+  Strip_db.t * float
 (** [until_up ~cost ~stats attempt] retries [attempt] (bring up a fresh
     instance and recover it, in place or by promotion) until one
     survives without a {!Strip_txn.Fault.Crashed} escape.  [stats] is
     the primary's run-long statistics, which every attempt's instance
     shares: each crash an attempt raises is counted there, as is the
     crash that took the primary down unless [crashed] is [false] (an
-    election forced by a partition).  The metered work of every attempt
-    is charged through [cost] as downtime: the survivor's clock advances
-    by it and, when [crashed], it is recorded as one restart sample.
-    Returns the survivor, [attempt]'s result and the downtime in
+    election forced by a partition), and so is the survivor's recovery
+    work ({!Strip_sim.Stats.add_recovery_work}).  The metered work of
+    every attempt is charged through [cost] as downtime: the survivor's
+    clock advances by it and, when [crashed], it is recorded as one
+    restart sample.  Returns the survivor and the downtime in
     seconds. *)
 
 val restart :
@@ -92,10 +87,8 @@ val restart :
   fresh:(unit -> Strip_db.t) ->
   reinstall:(Strip_db.t -> unit) ->
   unit ->
-  Strip_db.t * stats * float
+  Strip_db.t * float
 (** Restart in place: {!until_up} over {!recover} on [fresh ()]
     instances bound to the crashed primary's durable store and created
     with its [stats].  An attempt that crashes mid-recovery is condemned
     ({!Strip_db.crash}) before the next one. *)
-
-val pp_stats : Format.formatter -> stats -> unit

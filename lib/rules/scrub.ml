@@ -33,11 +33,7 @@ let create () =
     cursors = [];
   }
 
-let passes t = t.passes
 let bytes_scanned t = t.bytes_scanned
-let slot_bytes_scanned t = t.slot_bytes
-let wal_corruptions t = t.wal_corruptions
-let cp_corruptions t = t.cp_corruptions
 let repaired_replica t = t.repaired_replica
 let repaired_checkpoint t = t.repaired_checkpoint
 let salvaged_bytes t = t.salvaged_bytes
@@ -147,10 +143,6 @@ let schedule t db ~every ?start ?(until = infinity) ?fetch () =
   if every <= 0.0 then invalid_arg "Scrub.schedule: period <= 0";
   if Strip_db.durable db = None then
     invalid_arg "Scrub.schedule: no durability layer";
-  let reg = Strip_db.metrics db in
-  Strip_obs.Metrics.probe_int reg "scrub_bytes_total" (fun () -> t.bytes_scanned);
-  Strip_obs.Metrics.probe_int reg "scrub_slot_bytes_total" (fun () ->
-      t.slot_bytes);
   let eng = Strip_db.engine db and clk = Strip_db.clock db in
   let first =
     match start with Some s -> s | None -> Clock.now clk +. every
@@ -166,3 +158,19 @@ let schedule t db ~every ?start ?(until = infinity) ?fetch () =
         if next <= until then Engine.submit eng (make next))
   in
   if first <= until then Engine.submit eng (make first)
+
+let register_metrics t reg =
+  List.iter
+    (fun (name, f) ->
+      Strip_obs.Metrics.probe_int reg ("scrub_" ^ name ^ "_total") f)
+    [
+      ("passes", fun () -> t.passes);
+      ("bytes", fun () -> t.bytes_scanned);
+      ("slot_bytes", fun () -> t.slot_bytes);
+      ("wal_corruptions", fun () -> t.wal_corruptions);
+      ("cp_corruptions", fun () -> t.cp_corruptions);
+      ("repaired_replica", fun () -> t.repaired_replica);
+      ("repaired_checkpoint", fun () -> t.repaired_checkpoint);
+      ("salvaged_bytes", fun () -> t.salvaged_bytes);
+      ("expunged_bytes", fun () -> t.expunged_bytes);
+    ]

@@ -63,23 +63,15 @@ val schedule :
   unit ->
   unit
 (** Run {!scrub} every [every] simulated seconds (first at [start],
-    default [every] from now) until [until], and register
-    ["scrub_bytes_total"] and ["scrub_slot_bytes_total"] (this
-    scrubber's counters) in [db]'s metrics registry — once per [db].
+    default [every] from now) until [until].
     @raise Invalid_argument if [every <= 0] or [db] has no durability
     layer. *)
 
 (** {1 Counters} *)
 
-val passes : t -> int
 val bytes_scanned : t -> int
 (** WAL bytes re-read and re-verified. *)
 
-val slot_bytes_scanned : t -> int
-(** Checkpoint-part bytes re-read. *)
-
-val wal_corruptions : t -> int
-val cp_corruptions : t -> int
 val repaired_replica : t -> int
 val repaired_checkpoint : t -> int
 val salvaged_bytes : t -> int
@@ -88,3 +80,12 @@ val expunged_bytes : t -> int
 (** Log bytes truncated away by the checkpoint rung — the whole span
     below the emergency image, whose redo capability is destroyed, not
     just the rotten ranges inside it. *)
+
+val register_metrics : t -> Strip_obs.Metrics.t -> unit
+(** Probe the scrubber's counts into a registry: passes, WAL and
+    checkpoint-slot bytes re-read, WAL and checkpoint corruptions found
+    and every counter above, as [scrub_passes_total], [scrub_bytes_total],
+    [scrub_slot_bytes_total], [scrub_wal_corruptions_total],
+    [scrub_cp_corruptions_total], [scrub_repaired_replica_total], ....
+    The scrubber outlives its primary's incarnations, so call it once per
+    incarnation's registry. *)

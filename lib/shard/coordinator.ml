@@ -38,9 +38,21 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Sinks: where durable partials and releases leave the rule manager.   *)
+(* Wiring a shard's live incarnation: the sinks where durable partials
+   and releases leave its rule manager, and this shard's protocol counts
+   in its metrics registry (a restarted incarnation has a fresh one).   *)
 
-let install_sinks sh =
+let attach sh =
+  let module M = Strip_obs.Metrics in
+  let reg = Strip_db.metrics sh.db in
+  M.probe_int reg "shard_partials_out_total" (fun () ->
+      Rule_manager.partial_seq (Strip_db.rules sh.db));
+  M.probe_int reg "shard_crashes_total" (fun () -> sh.crashes);
+  M.probe_int reg "dqueue_offered_total" (fun () -> Dqueue.n_offered sh.dq);
+  M.probe_int reg "dqueue_duplicates_total" (fun () ->
+      Dqueue.n_duplicates sh.dq);
+  M.probe_int reg "dqueue_merged_total" (fun () -> Dqueue.n_merged sh.dq);
+  M.probe_int reg "dqueue_applied_total" (fun () -> Dqueue.n_applied sh.dq);
   let mgr = Strip_db.rules sh.db in
   Rule_manager.set_partial_sink mgr
     (fun ~seq ~dst ~key ~delta ~created_at ~ctx ->
@@ -153,7 +165,7 @@ let on_restart t sid ~log db =
   let sh = t.shards.(sid) in
   sh.crashes <- sh.crashes + 1;
   sh.db <- db;
-  install_sinks sh;
+  attach sh;
   Rule_manager.set_partial_seq (Strip_db.rules db) log.next_seq;
   Dqueue.restore sh.dq ~seen:(Dqueue.seen_list log.queue)
     ~pending:(Dqueue.pending_list log.queue);
@@ -357,7 +369,7 @@ let create ~cfg ~apply dbs =
       n_reships = 0;
     }
   in
-  Array.iter install_sinks shards;
+  Array.iter attach shards;
   t
 
 let checkpoint_all t =
@@ -368,7 +380,6 @@ let checkpoint_all t =
     t.shards
 
 let queue t i = t.shards.(i).dq
-let crashes t i = t.shards.(i).crashes
 let unacked t i = List.length t.shards.(i).unacked
 let msgs_sent t = t.msgs
 let bytes_shipped t = t.bytes

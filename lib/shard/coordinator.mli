@@ -73,7 +73,11 @@ type t
 
 val create : cfg:config -> apply:apply -> Strip_core.Strip_db.t array -> t
 (** Installs the partial and release sinks on every shard's rule
-    manager.  @raise Invalid_argument on an empty array. *)
+    manager, and registers the shard's protocol counts in its metrics
+    registry: [shard_partials_out_total], [shard_crashes_total] and the
+    {!Dqueue}'s [dqueue_offered_total], [dqueue_duplicates_total],
+    [dqueue_merged_total] and [dqueue_applied_total].
+    @raise Invalid_argument on an empty array. *)
 
 val checkpoint_all : t -> unit
 (** Checkpoint every durable shard and append a fresh [Shard_state]
@@ -117,13 +121,12 @@ val scan_db : Strip_core.Strip_db.t -> log_state
 val on_restart : t -> int -> log:log_state -> Strip_core.Strip_db.t -> unit
 (** Shard [i] was restarted in place as the given incarnation, from a
     log whose protocol state was [log] ({!scan_db} of the dead
-    incarnation): adopt it and rebuild the protocol state, as described
-    above.  Counts one crash of shard [i]. *)
+    incarnation): adopt it, wire it like {!create} does, and rebuild the
+    protocol state, as described above.  Counts one crash of shard [i]. *)
 
 (** {1 Inspection} *)
 
 val queue : t -> int -> Dqueue.t
-val crashes : t -> int -> int
 
 val unacked : t -> int -> int
 (** Partials shard [i] shipped and has no ack for yet. *)

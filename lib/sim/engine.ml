@@ -338,48 +338,55 @@ let congestion_us t now =
 (* A failed attempt: re-enqueue with bounded exponential backoff while the
    retry budget lasts, dead-letter once it is exhausted, and fall back to
    the fail-fast contract (discard + propagate) when retry is off or the
-   error is classified fatal. *)
+   error is classified fatal.  A crash or partition escaping through the
+   task is a node fault, not a failed transaction: nothing aborted, and it
+   goes straight to the recovery driver. *)
 let handle_failure t ~now task e =
-  Stats.record_abort t.estats;
-  trace_instant t ~ts:now
-    ~extra:
-      [
-        ("attempt", Trace.Int task.Task.attempts);
-        ("error", Trace.Str (Printexc.to_string e));
-      ]
-    "abort" task;
-  if Float.is_nan task.Task.first_failed_at then
-    task.Task.first_failed_at <- now;
-  task.Task.first_blocked_at <- nan;
-  match t.retry with
-  | Some r when not (t.fatal e) ->
-    if task.Task.attempts < r.max_attempts then begin
-      let backoff =
-        Float.min r.max_backoff_s
-          (r.base_backoff_s
-          *. (2.0 ** float_of_int (task.Task.attempts - 1)))
-      in
-      task.Task.release_time <- now +. backoff;
-      Meter.tick_c c_task_retry;
-      trace_instant t ~ts:now
-        ~extra:[ ("backoff_s", Trace.Float backoff) ]
-        "retry" task;
-      Stats.record_retry t.estats;
-      (match t.on_requeue with Some f -> f task | None -> ());
-      submit t task
-    end
-    else begin
-      Task.discard task;
-      t.dead <- task :: t.dead;
-      Meter.tick_c c_task_dead_letter;
-      trace_instant t ~ts:now
-        ~extra:[ ("attempts", Trace.Int task.Task.attempts) ]
-        "dead_letter" task;
-      Stats.record_dead_letter t.estats
-    end
-  | Some _ | None ->
+  match e with
+  | Fault.Crashed _ | Fault.Partitioned _ ->
     Task.discard task;
     raise e
+  | _ -> (
+    Stats.record_abort t.estats;
+    trace_instant t ~ts:now
+      ~extra:
+        [
+          ("attempt", Trace.Int task.Task.attempts);
+          ("error", Trace.Str (Printexc.to_string e));
+        ]
+      "abort" task;
+    if Float.is_nan task.Task.first_failed_at then
+      task.Task.first_failed_at <- now;
+    task.Task.first_blocked_at <- nan;
+    match t.retry with
+    | Some r when not (t.fatal e) ->
+      if task.Task.attempts < r.max_attempts then begin
+        let backoff =
+          Float.min r.max_backoff_s
+            (r.base_backoff_s
+            *. (2.0 ** float_of_int (task.Task.attempts - 1)))
+        in
+        task.Task.release_time <- now +. backoff;
+        Meter.tick_c c_task_retry;
+        trace_instant t ~ts:now
+          ~extra:[ ("backoff_s", Trace.Float backoff) ]
+          "retry" task;
+        Stats.record_retry t.estats;
+        (match t.on_requeue with Some f -> f task | None -> ());
+        submit t task
+      end
+      else begin
+        Task.discard task;
+        t.dead <- task :: t.dead;
+        Meter.tick_c c_task_dead_letter;
+        trace_instant t ~ts:now
+          ~extra:[ ("attempts", Trace.Int task.Task.attempts) ]
+          "dead_letter" task;
+        Stats.record_dead_letter t.estats
+      end
+    | Some _ | None ->
+      Task.discard task;
+      raise e)
 
 (* Wake the tasks parked on [owner], FIFO by task id, at completion
    instant [time].  Tasks cancelled while parked (shed, discarded) are

@@ -122,7 +122,9 @@ val set_requeue_hook : t -> (Strip_txn.Task.t -> unit) -> unit
 val set_fatal_filter : t -> (exn -> bool) -> unit
 (** Exceptions matching the filter are never retried: the task is
     discarded and the exception propagates (used for programming errors
-    such as unregistered user functions). *)
+    such as unregistered user functions).  A {!Strip_txn.Fault.Crashed}
+    or [Partitioned] escape always propagates this way, and unlike a
+    failed transaction it is not counted or traced as an abort. *)
 
 val set_shed_hook :
   t -> (victim:Strip_txn.Task.t -> into:Strip_txn.Task.t option -> unit) -> unit

@@ -102,7 +102,7 @@ let rec take n = function
   | _ when n <= 0 -> []
   | x :: rest -> x :: take (n - 1) rest
 
-let install_parts t ~parts ~lsn ~time =
+let publish t ~parts ~lsn ~time =
   (* the image CRC is folded from the part CRCs: no byte is re-read *)
   let len, crc =
     List.fold_left
@@ -112,11 +112,18 @@ let install_parts t ~parts ~lsn ~time =
       (0, 0) parts
   in
   let s = { s_parts = parts; s_len = len; s_crc = crc; s_lsn = lsn; s_time = time } in
-  t.slots <- take t.retain (s :: t.slots);
+  t.slots <- take t.retain (s :: t.slots)
+
+let install_parts t ~parts ~lsn ~time =
+  publish t ~parts ~lsn ~time;
   t.checkpoints <- t.checkpoints + 1
 
 let install_checkpoint t ~encoded ~lsn ~time =
-  install_parts t ~parts:[ part encoded ] ~lsn ~time
+  publish t ~parts:[ part encoded ] ~lsn ~time
+
+let continue_counts t ~from =
+  Wal.continue_counts t.wal ~from:from.wal;
+  t.checkpoints <- from.checkpoints + t.checkpoints
 
 let last_checkpoint_bytes t = match t.slots with [] -> 0 | s :: _ -> s.s_len
 

@@ -58,6 +58,7 @@ val snapshot_crc : t -> int
 (** The install-time CRC-32 of the latest image; 0 when none exists. *)
 
 val n_checkpoints : t -> int
+(** Images {!install_parts} published. *)
 
 val last_checkpoint_bytes : t -> int
 (** Length of the latest image; 0 when none exists. *)
@@ -69,7 +70,14 @@ val install_parts : t -> parts:part list -> lsn:int -> time:float -> unit
     theirs. *)
 
 val install_checkpoint : t -> encoded:string -> lsn:int -> time:float -> unit
-(** [install_parts] of the one part [encoded]. *)
+(** Publish the one part [encoded] like {!install_parts}, as a seed image
+    (a replica's bootstrap), which {!n_checkpoints} does not count. *)
+
+val continue_counts : t -> from:t -> unit
+(** Add [from]'s checkpoint count and its log's counts
+    ({!Wal.continue_counts}) to [t]'s: a promoted replica's store takes
+    over the deposed primary's, so its counts cover the primary's whole
+    run. *)
 
 val verified_slot : t -> (string * int * float * int) option
 (** [(image, lsn, time, skipped)] for the newest slot whose image still

@@ -85,6 +85,21 @@ exp shards-3-crash --view comps --variant comp --shards 3 \
 # built over nearly the whole run, plus a Shard_in tail, and re-ships.
 exp shards-4-late-crash --view comps --variant comp --shards 4 \
   --shard-crash-at 2:80
+# Metrics-registry exports (--metrics) of a crash, a failover and a
+# sharded crash: the rows the report reads, per node, per replica and
+# per shard.  They are written next to the text and JSON outputs of the
+# same runs above, which they leave untouched.
+metrics() {
+  local name=$1
+  shift
+  (cd "$out" && "$cli" experiment --delay 1.0 --scale 0.05 --verify "$@" \
+    --metrics "$name.metrics.json" > /dev/null)
+}
+metrics crash "${symbol[@]}" --crash-at 45 --checkpoint-interval 5
+metrics failover "${symbol[@]}" --crash-at 45 --checkpoint-interval 5 \
+  --replicas 2 --read-rate 50 --read-policy bounded:0.5
+metrics shards-3-crash --view comps --variant comp --shards 3 \
+  --shard-crash-at 1:45
 scenario chaos chaos --schedules 8 --seed 7
 scenario chaos-storage chaos --storage --schedules 5 --seed 11
 scenario scrub scrub --seed 16

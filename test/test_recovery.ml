@@ -965,7 +965,8 @@ let test_experiment_crash_recovery () =
   Alcotest.(check bool) "recovery downtime charged" true
     (r.Experiment.total_recovery_s > 0.0);
   Alcotest.(check bool) "audit clean without repairs" true
-    (r.Experiment.audit_clean && r.Experiment.repairs = 0);
+    (r.Experiment.audit_clean
+    && Report.count m.Experiment.registry "recovery_repairs_total" = 0);
   Alcotest.(check (option bool)) "view verified against recomputation"
     (Some true) m.Experiment.verified
 
@@ -1178,6 +1179,20 @@ let check_whole_run name (cfg : Experiment.config) =
     (name ^ ": registry crashes = reported crashes")
     rc.Experiment.n_crashes
     (int_of_float (registry_sum m "crashes_total"));
+  (* A crash or partition is a node fault, not an aborted transaction. *)
+  Alcotest.(check int) (name ^ ": no transaction aborted") 0
+    (Report.count m.Experiment.registry "aborts_total");
+  Alcotest.(check int)
+    (name ^ ": every abort retried or dead-lettered")
+    m.Experiment.n_aborts
+    (m.Experiment.n_retries + m.Experiment.n_dead_letters);
+  (* A promoted replica's log continues its deposed primary's, so the
+     log's end never exceeds what the primary appended over the run. *)
+  Alcotest.(check bool)
+    (name ^ ": appended bytes cover the log")
+    true
+    (rc.Experiment.wal_appended_bytes
+    >= Report.count m.Experiment.registry "wal_durable_end_lsn");
   Alcotest.(check int)
     (name ^ ": staleness samples = rule-action commits")
     (traced_commits tr ~table:"comp_prices")

@@ -559,7 +559,8 @@ let test_experiment_failover () =
          pr.Experiment.r_applied_lsn > 0)
        r.Experiment.per_replica);
   Alcotest.(check bool) "audit clean without repairs" true
-    (rc.Experiment.audit_clean && rc.Experiment.repairs = 0);
+    (rc.Experiment.audit_clean
+    && Report.count m.Experiment.registry "recovery_repairs_total" = 0);
   Alcotest.(check (option bool)) "view verified against recomputation"
     (Some true) m.Experiment.verified
 
@@ -684,7 +685,7 @@ let test_split_brain_failover () =
   Alcotest.(check int) "fencing is not election data loss" 0
     r.Experiment.promotion_lost_bytes;
   Alcotest.(check bool) "replicas rejected stale-epoch traffic" true
-    (r.Experiment.fenced_messages > 0);
+    (Report.count m.Experiment.registry "repl_fenced_messages_total" > 0);
   (* no acked commit lost: every promotion's applied frontier is still
      inside the final log *)
   List.iter

@@ -417,7 +417,8 @@ let test_experiment_converges_under_faults () =
   let cfg = Experiment.quick cfg 0.02 in
   let cfg = Experiment.with_faults ~seed:7 ~abort_rate:0.15 cfg in
   let m = Experiment.run cfg in
-  Alcotest.(check bool) "faults were injected" true (m.Experiment.n_injected > 0);
+  Alcotest.(check bool) "faults were injected" true
+    (Report.count m.Experiment.registry "faults_injected_total" > 0);
   Alcotest.(check int) "every abort retried or dead-lettered"
     m.Experiment.n_aborts
     (m.Experiment.n_retries + m.Experiment.n_dead_letters);

@@ -991,9 +991,10 @@ let test_older_slot_rot_within_bound () =
     Alcotest.(check int) "the rotted slot was read and repaired" 1
       sm.Experiment.faults_repaired;
     Alcotest.(check int) "within the bound" 0 sm.Experiment.faults_late;
+    let scrub name = Report.count o.Explore.registry ("scrub_" ^ name ^ "_total") in
     Alcotest.(check bool) "no pass re-read more than the budget" true
-      (sm.Experiment.scrub_bytes + sm.Experiment.scrub_slot_bytes
-      <= sm.Experiment.scrub_passes * Scrub.budget)
+      (sm.Experiment.scrub_bytes + scrub "slot_bytes"
+      <= scrub "passes" * Scrub.budget)
   | None -> Alcotest.fail "expected storage metrics"
 
 (* ------------------------------------------------------------------ *)
@@ -1060,8 +1061,11 @@ let test_flag_off_no_storage_surface () =
      + sm.Experiment.injected_fsync_lie);
     Alcotest.(check int) "nothing outstanding" 0
       sm.Experiment.faults_outstanding;
+    let scrub name =
+      Report.count m'.Experiment.registry ("scrub_" ^ name ^ "_total")
+    in
     Alcotest.(check bool) "scrubber ran and found the media clean" true
-      (sm.Experiment.scrub_passes > 0 && sm.Experiment.wal_corruptions = 0);
+      (scrub "passes" > 0 && scrub "wal_corruptions" = 0);
     Alcotest.(check bool) "final media clean" true sm.Experiment.final_clean
   | None -> Alcotest.fail "expected storage metrics when armed");
   (* the workload itself is untouched — the scrubber only adds its own
