@@ -49,8 +49,6 @@ let register_fun name ?ret fn =
 
 let find_entry name = Hashtbl.find_opt funs (String.lowercase_ascii name)
 
-let find_fun name = Option.map (fun e -> e.fn) (find_entry name)
-
 let () =
   let num1 name f = function
     | [ v ] when not (Value.is_null v) -> Value.Float (f (Value.to_float v))

@@ -76,7 +76,5 @@ val register_fun : string -> ?ret:Value.ty -> (Value.t list -> Value.t) -> unit
 (** Register (or replace) a scalar function; names are case-insensitive.
     [ret] feeds {!infer_type}. *)
 
-val find_fun : string -> (Value.t list -> Value.t) option
-
 val pp : Format.formatter -> t -> unit
 (** SQL-ish rendering, for error messages and EXPLAIN output. *)

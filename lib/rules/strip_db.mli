@@ -96,6 +96,10 @@ val metrics : t -> Strip_obs.Metrics.t
     {!Strip_obs.Metrics.snapshot} and export with
     {!Strip_obs.Metrics.json_of_rows} / [csv_of_rows]. *)
 
+val recovery_work_row : Strip_sim.Stats.recovery_work -> string
+(** The registry row counting one kind of recovery work over the run,
+    [recovery_<kind>_total]. *)
+
 val trace : t -> Strip_obs.Trace.t option
 (** The lifecycle tracer passed to {!create}, if any. *)
 

@@ -199,7 +199,3 @@ let waiters t res =
   | None -> []
   | Some e -> e.lwaiters
 
-let locks_held t ~owner =
-  match Hashtbl.find_opt t.owned owner with
-  | None -> 0
-  | Some l -> List.length !l

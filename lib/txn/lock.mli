@@ -74,5 +74,3 @@ val holders : t -> resource -> (int * mode) list
 
 val waiters : t -> resource -> (int * mode) list
 
-val locks_held : t -> owner:int -> int
-(** Number of distinct resources the owner holds. *)

@@ -21,7 +21,6 @@ type t = {
   tenv : Catalog.env;
   mutable pinned : Record.t list;
   mutable st : status;
-  tstart : float;
   mutable tcommit : float option;
 }
 
@@ -39,7 +38,6 @@ let begin_ ~cat ~locks ~clock ?(env = []) () =
     tenv = env;
     pinned = [];
     st = Active;
-    tstart = Clock.now clock;
     tcommit = None;
   }
 
@@ -47,8 +45,6 @@ let txid t = t.id
 let status t = t.st
 let log t = t.tlog
 let env t = t.tenv
-let start_time t = t.tstart
-
 let commit_time t =
   match t.tcommit with
   | Some c -> c

@@ -43,7 +43,6 @@ val txid : t -> int
 val status : t -> status
 val log : t -> Tlog.t
 val env : t -> Strip_relational.Catalog.env
-val start_time : t -> float
 
 val commit_time : t -> float
 (** @raise Invalid_argument unless committed. *)
