@@ -344,7 +344,7 @@ let run_sweep rules =
           in
           let cfg = { cfg with Experiment.trace = tr } in
           let m = Experiment.run cfg in
-          Report.print_metrics m;
+          Report.print [ Report.Row ] (Report.metrics_json m);
           if observing () then collect m tr;
           m)
         deltas)
@@ -569,8 +569,7 @@ let server_sweep () =
       }
     in
     let m = Experiment.run cfg in
-    Report.print_metrics m;
-    Report.print_servers m;
+    Report.print Report.[ Row; Servers ] (Report.metrics_json m);
     check_converged (Printf.sprintf "%d-server run" servers) m;
     m
   in
@@ -637,8 +636,7 @@ let robustness () =
       in
       let m = Experiment.run cfg in
       Report.print_metrics_header ();
-      Report.print_metrics m;
-      Report.print_failures m;
+      Report.print Report.[ Row; Failures ] (Report.metrics_json m);
       let accounted = m.Experiment.n_retries + m.Experiment.n_dead_letters in
       if m.Experiment.n_aborts > accounted then
         fail "%d aborts but only %d retried+dead-lettered"
@@ -670,7 +668,7 @@ let robustness () =
     }
   in
   let m = Experiment.run cfg in
-  Report.print_failures m;
+  Report.print [ Report.Failures ] (Report.metrics_json m);
   if m.Experiment.n_sheds = 0 then fail "overload run shed nothing";
   Printf.printf "   engine stayed live: %d updates served, %d batches shed\n%!"
     m.Experiment.n_updates m.Experiment.n_sheds
@@ -1048,8 +1046,7 @@ let shard_sweep () =
       }
     in
     let m = Experiment.run cfg in
-    Report.print_metrics m;
-    Report.print_shard m;
+    Report.print Report.[ Row; Sharding ] (Report.metrics_json m);
     check_converged (Printf.sprintf "%d-shard run" shards) m;
     let s =
       match m.Experiment.shard with

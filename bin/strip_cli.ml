@@ -355,21 +355,7 @@ let run_experiment view variant delay scale verify seed abort_rate fault_seed
     if json then Report.print_metrics_json [ m ]
     else begin
       Report.print_metrics_header ();
-      Report.print_metrics m;
-      Report.print_failures m;
-      Report.print_servers m;
-      Report.print_recovery m;
-      Report.print_repl m;
-      Report.print_shard m;
-      Report.print_staleness m;
-      Report.print_slo m;
-      Report.print_trace m;
-      Printf.printf
-        "updates: %d; firings: %d; fanout E[rows/update]: %.1f; busy \
-         update/recompute: %.1fs/%.1fs\n"
-        m.Experiment.n_updates m.Experiment.n_firings
-        m.Experiment.expected_fanout m.Experiment.busy_update_s
-        m.Experiment.busy_recompute_s
+      Report.print Report.sections (Report.metrics_json m)
     end;
     (match (trace_file, tr) with
     | Some path, Some tr ->
@@ -807,9 +793,7 @@ let run_scrub seed scale every retain json =
   else begin
     Printf.printf "storage-fault schedule (seed %d, scale %g):\n" seed scale;
     Strip_chaos.Explore.print_outcome o;
-    match o.Strip_chaos.Explore.storage with
-    | None -> ()
-    | Some st -> Report.print_storage o.Strip_chaos.Explore.registry st
+    Report.print [ Report.Storage ] (Strip_chaos.Explore.outcome_json o)
   end;
   if o.Strip_chaos.Explore.violations = [] then 0 else 1
 

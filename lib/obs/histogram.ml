@@ -149,32 +149,14 @@ let summary t =
     p99 = percentile t 99.0;
   }
 
-let bucket_list = buckets
-
-let summary_json ?(buckets = true) t =
-  let s = summary t in
-  let base =
-    [
-      ("count", Json.Int s.n);
-      ("sum", Json.Float s.sum);
-      ("mean", Json.Float s.mean);
-      ("min", Json.Float s.min);
-      ("max", Json.Float s.max);
-      ("p50", Json.Float s.p50);
-      ("p90", Json.Float s.p90);
-      ("p99", Json.Float s.p99);
-    ]
-  in
-  let bucket_rows =
-    if not buckets then []
-    else
-      [
-        ( "buckets",
-          Json.List
-            (List.map
-               (fun (lo, hi, c) ->
-                 Json.List [ Json.Float lo; Json.Float hi; Json.Int c ])
-               (bucket_list t)) );
-      ]
-  in
-  Json.Obj (base @ bucket_rows)
+let summary_fields s =
+  [
+    ("count", Json.Int s.n);
+    ("sum", Json.Float s.sum);
+    ("mean", Json.Float s.mean);
+    ("min", Json.Float s.min);
+    ("max", Json.Float s.max);
+    ("p50", Json.Float s.p50);
+    ("p90", Json.Float s.p90);
+    ("p99", Json.Float s.p99);
+  ]

@@ -66,7 +66,6 @@ type summary = {
 
 val summary : t -> summary
 
-val summary_json : ?buckets:bool -> t -> Json.t
-(** Object with [count], [sum], [mean], [min], [max], [p50], [p90], [p99]
-    and, when [buckets] (default true), a [buckets] array of [[lo, hi,
-    count]] triples. *)
+val summary_fields : summary -> (string * Json.t) list
+(** The JSON members [count], [sum], [mean], [min], [max], [p50], [p90]
+    and [p99], in that order. *)

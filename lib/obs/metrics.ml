@@ -98,7 +98,26 @@ let row_of_entry e =
   in
   { name = e.name; labels = e.labels; datum }
 
-let by_identity a b = compare (a.name, a.labels) (b.name, b.labels)
+(* Integer label values ([shard=2], [replica=10]) order as numbers, the
+   shorter first, and before any other value; other values order as
+   strings.  That is a total order, as the sort needs. *)
+let digits s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s
+
+let compare_value a b =
+  match (digits a, digits b) with
+  | true, true -> (
+    match Int.compare (String.length a) (String.length b) with 0 -> String.compare a b | c -> c)
+  | true, false -> -1
+  | false, true -> 1
+  | false, false -> String.compare a b
+
+let compare_label (ka, va) (kb, vb) =
+  match String.compare ka kb with 0 -> compare_value va vb | c -> c
+
+let by_identity a b =
+  match String.compare a.name b.name with
+  | 0 -> List.compare compare_label a.labels b.labels
+  | c -> c
 
 let snapshot t =
   let fixed = List.rev_map row_of_entry t.entries in
@@ -157,17 +176,7 @@ let json_of_rows ?(buckets = true) rows =
     | Histo (s, bs) ->
       Json.Obj
         (head
-        @ [
-            ("type", Json.Str "histogram");
-            ("count", Json.Int s.Histogram.n);
-            ("sum", Json.Float s.Histogram.sum);
-            ("mean", Json.Float s.Histogram.mean);
-            ("min", Json.Float s.Histogram.min);
-            ("max", Json.Float s.Histogram.max);
-            ("p50", Json.Float s.Histogram.p50);
-            ("p90", Json.Float s.Histogram.p90);
-            ("p99", Json.Float s.Histogram.p99);
-          ]
+        @ (("type", Json.Str "histogram") :: Histogram.summary_fields s)
         @
         if not buckets then []
         else

@@ -62,7 +62,9 @@ type datum =
 type row = { name : string; labels : labels; datum : datum }
 
 val snapshot : t -> row list
-(** Current value of every instrument and probe, sorted by (name, labels).
+(** Current value of every instrument and probe, sorted by (name, labels);
+    two integer label values compare as numbers, so [shard=2] sorts
+    before [shard=10].
     @raise Duplicate if a probe family collides with another row. *)
 
 val find : row list -> ?labels:labels -> string -> datum option

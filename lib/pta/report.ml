@@ -1,4 +1,5 @@
 module Json = Strip_obs.Json
+module Histogram = Strip_obs.Histogram
 module Metrics = Strip_obs.Metrics
 module Stats = Strip_sim.Stats
 module Strip_db = Strip_core.Strip_db
@@ -29,7 +30,7 @@ let mean reg name =
   let sum, n =
     List.fold_left
       (fun (sum, n) -> function
-        | Metrics.Histo (s, _) -> (sum +. s.Strip_obs.Histogram.sum, n + s.n)
+        | Metrics.Histo (s, _) -> (sum +. s.Histogram.sum, n + s.n)
         | _ -> not_a "a histogram" name)
       (0.0, 0) (rows reg name)
   in
@@ -41,239 +42,195 @@ let summary reg ?labels name =
   | [ Metrics.Histo (s, _) ] -> if s.n = 0 then None else Some s
   | _ -> not_a "one histogram" name
 
-let print_metrics_header () =
-  Printf.printf "%-36s %6s %8s %9s %12s %10s %10s %12s %8s %8s %6s\n%!"
-    "configuration" "delay" "cpu%" "N_r" "mean_rc_us" "p50_rc_us" "p99_rc_us"
-    "max_rc_us" "merges" "ctxsw" "ok"
+(* ------------------------------------------------------------------ *)
+(* Text templates.  Each value is computed once, as a JSON entry; a text
+   line is a template over the entries of the same section.  A
+   placeholder is [{path*scale%format?yes|no|null}], all but the path
+   optional:
+   - [path] names an entry, dotted into a nested object
+     ([lock_wait_s.p50]); through a null it reads null;
+   - [*scale] multiplies a float (seconds to ms, a fraction to percent);
+   - [%format] is a printf format with one conversion ([%d], [%s] and
+     [%f] by default);
+   - [?yes|no|null] prints [yes] for a true, positive or present value,
+     [null] (default [no]) for a null, and [no] otherwise.
+   A list prints its elements joined by ", ".  A name that is no entry
+   fails the render instead of printing a blank. *)
 
-let print_metrics (m : Experiment.metrics) =
-  Printf.printf
-    "%-36s %6.2f %7.1f%% %9d %12.1f %10.1f %10.1f %12.0f %8d %8d %6s\n%!"
-    m.label m.delay
-    (100.0 *. m.utilization)
-    m.n_recompute m.mean_recompute_us m.p50_recompute_us m.p99_recompute_us
-    m.max_recompute_us m.n_merges m.context_switches
-    (match m.verified with
-    | Some true -> "yes"
-    | Some false -> "NO"
-    | None -> "-")
+type text =
+  | S of string  (* a template *)
+  | If of (Json.t -> bool) * text list * text list
+  | Each of string * text list
+      (* once per element of the list at a path ([""]: the scope itself);
+         an object's members are visited as [{"name", "value"}] pairs *)
 
-let print_failures (m : Experiment.metrics) =
-  let n_injected = count m.registry "faults_injected_total" in
-  let mean_recovery_s = mean m.registry "recovery_latency_s" in
-  if n_injected + m.n_aborts + m.n_retries + m.n_sheds + m.n_dead_letters > 0
-  then
-    Printf.printf
-      "  failures: %d injected, %d aborts, %d retries, %d sheds, %d dead%s\n%!"
-      n_injected m.n_aborts m.n_retries m.n_sheds m.n_dead_letters
-      (if mean_recovery_s > 0.0 then
-         Printf.sprintf ", mean recovery %.3fs" mean_recovery_s
-       else "")
-  else Printf.printf "  failures: (none)\n%!"
+let fail fmt = Printf.ksprintf failwith ("Report: " ^^ fmt)
 
-let print_servers (m : Experiment.metrics) =
-  if m.servers > 1 || m.n_lock_waits + m.n_lock_timeouts > 0 then begin
-    Printf.printf
-      "  servers: %d; makespan %.1fs; recompute throughput %.1f/s; \
-       utilization per server: %s\n%!"
-      m.servers m.makespan_s m.recompute_throughput_per_s
-      (String.concat ", "
-         (List.map (fun u -> Printf.sprintf "%.1f%%" (100.0 *. u))
-            m.per_server_utilization));
-    match m.lock_wait_s with
-    | None ->
-      Printf.printf "  lock waits: (none); timeouts: %d\n%!" m.n_lock_timeouts
-    | Some (s : Strip_obs.Histogram.summary) ->
-      Printf.printf
-        "  lock waits: %d (mean %.2fms p50 %.2fms p99 %.2fms max %.2fms); \
-         timeouts: %d\n%!"
-        m.n_lock_waits (1e3 *. s.mean) (1e3 *. s.p50) (1e3 *. s.p99)
-        (1e3 *. s.max) m.n_lock_timeouts
-  end
+let lookup scope path =
+  if path = "" then scope
+  else
+    List.fold_left
+      (fun v key ->
+        match v with
+        | Json.Null -> Json.Null
+        | Json.Obj ms -> (
+          match List.assoc_opt key ms with
+          | Some v -> v
+          | None -> fail "template names %s, which is no entry" path)
+        | _ -> fail "template path %s crosses a non-object" path)
+      scope
+      (String.split_on_char '.' path)
 
-let print_recovery (m : Experiment.metrics) =
-  match m.recovery with
-  | None -> ()
-  | Some (r : Experiment.recovery_metrics) ->
-    let reg = m.registry in
-    Printf.printf
-      "  durability: %d wal appends / %d fsyncs (%d bytes, %.3fs cpu); %d \
-       checkpoints (last %d bytes, %.3fs cpu)\n%!"
-      (count reg "wal_appends_total")
-      (count reg "wal_fsyncs_total")
-      r.wal_appended_bytes r.wal_overhead_s r.n_checkpoints
-      (count reg "checkpoint_bytes")
-      r.checkpoint_overhead_s;
-    if r.n_crashes > 0 then
-      Printf.printf
-        "  crashes: %d; recovery %.3fs total; restored %d rows; redo %d \
-         commits / %d ops; requeued %d\n%!"
-        r.n_crashes r.total_recovery_s r.restored_rows r.redo_commits
-        r.redo_ops r.requeued;
-    let repairs = count reg (Strip_db.recovery_work_row Stats.Repairs) in
-    Printf.printf "  audit: %s%s\n%!"
-      (if r.audit_clean then "clean" else "DIVERGENT")
-      (if repairs > 0 || r.audit_divergences > 0 then
-         Printf.sprintf " (%d divergences, %d repairs)" r.audit_divergences
-           repairs
-       else "")
+let truthy = function
+  | Json.Null | Json.Bool false -> false
+  | Json.Int n -> n > 0
+  | Json.Float x -> x > 0.0
+  | _ -> true
 
-let print_repl (m : Experiment.metrics) =
-  match m.repl with
-  | None -> ()
-  | Some (r : Experiment.repl_metrics) ->
-    let reg = m.registry in
-    Printf.printf
-      "  replication: %d replicas, policy %s; %d segments shipped (%d \
-       bytes, %d dropped); %d failover(s)%s; epoch %d; data loss: %d \
-       bytes lost, %d bytes fenced\n%!"
-      (count reg "repl_replicas")
-      r.read_policy r.segments_sent r.bytes_shipped r.segments_dropped
-      r.n_failovers
-      (if r.n_partitions > 0 then
-         Printf.sprintf "; %d partition(s) (%d sends cut, %d msgs fenced)"
-           r.n_partitions
-           (count reg "repl_partition_drops_total")
-           (count reg "repl_fenced_messages_total")
-       else "")
-      r.epoch r.promotion_lost_bytes r.fenced_bytes;
-    (* Cluster-wide lag, merged across replicas — the percentile row a
-       primary-only report would understate. *)
-    (match summary reg "repl_cluster_lag_s" with
-    | None -> ()
-    | Some (s : Strip_obs.Histogram.summary) ->
-      Printf.printf
-        "  cluster lag: n=%d p50 %.1fms p99 %.1fms max %.1fms (all replicas)\n%!"
-        s.n (1e3 *. s.p50) (1e3 *. s.p99) (1e3 *. s.max));
-    List.iter
-      (fun (pr : Experiment.replica_metrics) ->
-        let labels = [ ("replica", string_of_int pr.r_id) ] in
-        let replica name = count reg ~labels ("repl_replica_" ^ name ^ "_total") in
-        Printf.printf
-          "  replica %d: applied_lsn %d; %d segments (%d dup, %d reordered, \
-           %d reseeds); %d reads%s\n%!"
-          pr.r_id pr.r_applied_lsn (replica "segments") (replica "duplicates")
-          (replica "reordered") (replica "bootstraps") (replica "reads")
-          (match summary reg ~labels "repl_lag_s" with
-          | None -> ""
-          | Some s ->
-            Printf.sprintf "; lag p50 %.1fms p99 %.1fms" (1e3 *. s.p50)
-              (1e3 *. s.p99)))
-      r.per_replica;
-    if r.n_reads > 0 then
-      Printf.printf
-        "  reads: %d total (%d primary / %d replica), policy %s; %s \
-         throughput %.1f/s\n%!"
-        r.n_reads r.reads_primary r.reads_replica r.read_policy
-        (match r.read_latency with
-        | None -> "latency n/a;"
-        | Some s ->
-          Printf.sprintf "p50 %.2fms p99 %.2fms max %.2fms;" (1e3 *. s.p50)
-            (1e3 *. s.p99) (1e3 *. s.max))
-        r.read_throughput_per_s
+(* Any of the named entries is true, positive or present. *)
+let any names scope = List.exists (fun n -> truthy (lookup scope n)) names
 
-let print_storage reg (s : Experiment.storage_metrics) =
-  let scrub name = count reg ("scrub_" ^ name ^ "_total") in
-  Printf.printf
-    "  scrub: %d pass(es) over %d WAL + %d slot bytes; %d WAL + %d \
-     checkpoint corruption(s); repaired %d from replicas, %d from \
-     checkpoints; salvage cpu %.1fms\n"
-    (scrub "passes") s.scrub_bytes (scrub "slot_bytes")
-    (scrub "wal_corruptions") (scrub "cp_corruptions") s.repaired_replica
-    s.repaired_checkpoint (1e3 *. s.salvage_s)
+let cut c s =
+  match String.index_opt s c with
+  | None -> (s, None)
+  | Some i ->
+    (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
 
-(* A sharded run's shards are durable: their downtime is the recovery
-   downtime. *)
-let downtime (m : Experiment.metrics) =
-  match m.recovery with Some r -> r.total_recovery_s | None -> 0.0
-
-(* Shard [i]'s counts, in report order. *)
-let shard_counts reg i (r : Experiment.shard_row) =
-  let on ?(labels = []) name =
-    count reg ~labels:(("shard", string_of_int i) :: labels) name
+let rec show body ~scale ~spec ~alts v =
+  let printf ty x =
+    let spec = Option.value spec ~default:(string_of_format ty) in
+    match Scanf.format_from_string spec ty with
+    | f -> Printf.sprintf f x
+    | exception Scanf.Scan_failure _ ->
+      fail "{%s}: %s is no %s format" body spec (string_of_format ty)
   in
-  let tasks klass = on ~labels:[ ("class", klass) ] "tasks_total" in
+  match (alts, v) with
+  | Some alts, _ ->
+    printf "%s"
+      (match (String.split_on_char '|' alts, v) with
+      | [ _; _; null ], Json.Null -> null
+      | [ yes; _ ], v | [ yes; _; _ ], v when truthy v -> yes
+      | ([ _; no ] | [ _; no; _ ]), _ -> no
+      | _ -> fail "{%s}: a choice takes two or three texts" body)
+  | None, Json.List vs -> String.concat ", " (List.map (show body ~scale ~spec ~alts) vs)
+  | None, Json.Int i -> printf "%d" i
+  | None, Json.Float x -> printf "%f" (x *. scale)
+  | None, Json.Str s -> printf "%s" s
+  | None, v -> fail "{%s} cannot print %s" body (Json.to_string v)
+
+(* Expand [tmpl] against [scope] into [out]; with no [out], only check
+   that every placeholder names an entry. *)
+let fill out scope tmpl =
+  let rec go i =
+    match String.index_from_opt tmpl i '{' with
+    | None ->
+      Option.iter (fun b -> Buffer.add_substring b tmpl i (String.length tmpl - i)) out
+    | Some j ->
+      let k = String.index_from tmpl j '}' in
+      let body = String.sub tmpl (j + 1) (k - j - 1) in
+      let rest, alts = cut '?' body in
+      let rest, spec = cut '%' rest in
+      let path, scale = cut '*' rest in
+      let v = lookup scope path in
+      Option.iter
+        (fun b ->
+          Buffer.add_substring b tmpl i (j - i);
+          Buffer.add_string b
+            (show body ~alts
+               ~scale:(Option.fold ~none:1.0 ~some:float_of_string scale)
+               ~spec:(Option.map (( ^ ) "%") spec)
+               v))
+        out;
+      go (k + 1)
+  in
+  go 0
+
+let rec render out scope = function
+  | S tmpl -> fill out scope tmpl
+  | If (cond, yes, no) ->
+    (* The branch not taken is checked too, so a misspelt name fails
+       every render, not only the rare run that takes its branch. *)
+    let taken, other = if cond scope then (yes, no) else (no, yes) in
+    List.iter (render None scope) other;
+    List.iter (render out scope) taken
+  | Each (path, ts) ->
+    let elements =
+      match lookup scope path with
+      | Json.List vs -> vs
+      | Json.Obj ms ->
+        List.map (fun (n, v) -> Json.Obj [ ("name", Json.Str n); ("value", v) ]) ms
+      | _ -> fail "template iterates %s, which is no list" path
+    in
+    List.iter (fun v -> List.iter (render out v) ts) elements
+
+(* ------------------------------------------------------------------ *)
+(* Sections.  Each section's entries are built once, in JSON order, by
+   the builders below; its text lines, in [text], name them. *)
+
+type section =
+  | Row | Failures | Servers | Recovery | Replication | Storage | Sharding | Staleness | Slo
+  | Trace | Updates
+
+let sections =
+  [ Row; Failures; Servers; Recovery; Replication; Storage; Sharding; Staleness; Slo; Trace;
+    Updates ]
+
+(* The member a section's entries sit under, absent unless the run armed
+   it; [None] for the top level. *)
+let member = function
+  | Recovery -> Some "recovery"
+  | Replication -> Some "replication"
+  | Storage -> Some "storage"
+  | Sharding -> Some "sharding"
+  | Slo -> Some "slo"
+  | Trace -> Some "trace"
+  | Row | Failures | Servers | Staleness | Updates -> None
+
+let summary_json s = Json.Obj (Histogram.summary_fields s)
+let opt_summary = Option.fold ~none:Json.Null ~some:summary_json
+
+(* The top level: the row, failures, servers and lock waits, updates and
+   staleness all read these. *)
+let head (m : Experiment.metrics) =
   [
-    ("updates", tasks "update");
-    ("recomputes", tasks "recompute");
-    ("firings", on "rule_firings_total");
-    ("partials_out", on "shard_partials_out_total");
-    ("offered", r.sh_offered);
-    ("duplicates", r.sh_duplicates);
-    ("merged", r.sh_merged);
-    ("applied", on "dqueue_applied_total");
-    ("crashes", on "shard_crashes_total");
-    ("final_lsn", on "wal_durable_end_lsn");
+    ("label", Json.Str m.label);
+    ("delay_s", Json.Float m.delay);
+    ("duration_s", Json.Float m.duration_s);
+    ("servers", Json.Int m.servers);
+    ("makespan_s", Json.Float m.makespan_s);
+    ("recompute_throughput_per_s", Json.Float m.recompute_throughput_per_s);
+    ( "per_server_utilization",
+      Json.List (List.map (fun u -> Json.Float u) m.per_server_utilization) );
+    ("n_lock_waits", Json.Int m.n_lock_waits);
+    ("n_lock_timeouts", Json.Int m.n_lock_timeouts);
+    ("lock_wait_s", opt_summary m.lock_wait_s);
+    ("utilization", Json.Float m.utilization);
+    ("n_updates", Json.Int m.n_updates);
+    ("n_recompute", Json.Int m.n_recompute);
+    ("mean_recompute_us", Json.Float m.mean_recompute_us);
+    ("p50_recompute_us", Json.Float m.p50_recompute_us);
+    ("p90_recompute_us", Json.Float m.p90_recompute_us);
+    ("p99_recompute_us", Json.Float m.p99_recompute_us);
+    ("max_recompute_us", Json.Float m.max_recompute_us);
+    ("busy_update_s", Json.Float m.busy_update_s);
+    ("busy_recompute_s", Json.Float m.busy_recompute_s);
+    ("n_firings", Json.Int m.n_firings);
+    ("n_merges", Json.Int m.n_merges);
+    ("context_switches", Json.Int m.context_switches);
+    ("expected_fanout", Json.Float m.expected_fanout);
+    ("verified", Option.fold ~none:Json.Null ~some:(fun b -> Json.Bool b) m.verified);
+    ("max_abs_error", Json.Float m.max_abs_error);
+    ("n_injected", Json.Int (count m.registry "faults_injected_total"));
+    ("n_aborts", Json.Int m.n_aborts);
+    ("n_retries", Json.Int m.n_retries);
+    ("n_sheds", Json.Int m.n_sheds);
+    ("n_dead_letters", Json.Int m.n_dead_letters);
+    ("mean_recovery_s", Json.Float (mean m.registry "recovery_latency_s"));
+    ( "staleness_s",
+      Json.Obj (List.map (fun (t, s) -> (t, summary_json s)) m.staleness) );
   ]
 
-let print_shard (m : Experiment.metrics) =
-  match m.shard with
-  | None -> ()
-  | Some (s : Experiment.shard_metrics) ->
-    Printf.printf
-      "  sharding: %d shards; %d partials shipped (%d msgs, %d bytes, %d \
-       acks, %d reships); cross-shard audit: %s (%d composites)%s\n%!"
-      s.n_shards s.sh_partials s.sh_msgs s.sh_bytes s.sh_acks s.sh_reships
-      (if s.cross_divergences = 0 then "clean" else "DIVERGENT")
-      s.cross_checks
-      (if s.cross_divergences > 0 then
-         Printf.sprintf " (%d divergences)" s.cross_divergences
-       else "");
-    let down_s = downtime m in
-    if down_s > 0.0 then
-      Printf.printf "  shard downtime: %.3fs total across restarts\n%!" down_s;
-    List.iteri
-      (fun i r ->
-        let n k = List.assoc k (shard_counts m.registry i r) in
-        Printf.printf
-          "  shard %d: %d updates, %d recomputes, %d firings; %d partials \
-           out; queue %d offered (%d dup, %d merged, %d applied); %d \
-           crash(es); lsn %d\n%!"
-          i (n "updates") (n "recomputes") (n "firings") (n "partials_out")
-          (n "offered") (n "duplicates") (n "merged") (n "applied")
-          (n "crashes") (n "final_lsn"))
-      s.sh_rows
-
-let print_slo (m : Experiment.metrics) =
-  List.iter
-    (fun (r : Strip_obs.Slo.view_report) ->
-      Printf.printf
-        "  slo %-16s bound=%.3fs %s: %d/%d samples over bound in %d \
-         window(s) (%.3fs violating, worst %.3fs)\n%!"
-        r.r_view r.r_bound_s
-        (if r.r_met then "met" else "VIOLATED")
-        r.r_violations r.r_samples r.r_windows r.r_violation_s r.r_worst_s)
-    m.slo
-
-let print_trace (m : Experiment.metrics) =
-  List.iter
-    (fun (node, buffered, dropped) ->
-      Printf.printf "  trace %-16s %d span event(s) buffered, %d dropped\n%!"
-        node buffered dropped)
-    m.trace_spans
-
-let print_staleness (m : Experiment.metrics) =
-  List.iter
-    (fun (table, (s : Strip_obs.Histogram.summary)) ->
-      Printf.printf
-        "  staleness %-16s n=%-6d mean=%.3fs p50=%.3fs p90=%.3fs p99=%.3fs max=%.3fs\n%!"
-        table s.n s.mean s.p50 s.p90 s.p99 s.max)
-    m.staleness
-
-let summary_to_json (s : Strip_obs.Histogram.summary) =
-  Json.Obj
-    [
-      ("count", Json.Int s.n);
-      ("sum", Json.Float s.sum);
-      ("mean", Json.Float s.mean);
-      ("min", Json.Float s.min);
-      ("max", Json.Float s.max);
-      ("p50", Json.Float s.p50);
-      ("p90", Json.Float s.p90);
-      ("p99", Json.Float s.p99);
-    ]
-
-let recovery_json reg (r : Experiment.recovery_metrics) =
+let recovery reg (r : Experiment.recovery_metrics) =
   Json.Obj
     [
       ("n_crashes", Json.Int r.n_crashes);
@@ -294,9 +251,22 @@ let recovery_json reg (r : Experiment.recovery_metrics) =
       ("repairs", Json.Int (count reg (Strip_db.recovery_work_row Stats.Repairs)));
     ]
 
-let opt_summary = function None -> Json.Null | Some s -> summary_to_json s
-
-let repl_json reg (r : Experiment.repl_metrics) =
+let replication reg (r : Experiment.repl_metrics) =
+  let replica (pr : Experiment.replica_metrics) =
+    let labels = [ ("replica", string_of_int pr.r_id) ] in
+    let total name = Json.Int (count reg ~labels ("repl_replica_" ^ name ^ "_total")) in
+    Json.Obj
+      [
+        ("id", Json.Int pr.r_id);
+        ("applied_lsn", Json.Int pr.r_applied_lsn);
+        ("segments", total "segments");
+        ("duplicates", total "duplicates");
+        ("reordered", total "reordered");
+        ("bootstraps", total "bootstraps");
+        ("reads", total "reads");
+        ("lag_s", opt_summary (summary reg ~labels "repl_lag_s"));
+      ]
+  in
   Json.Obj
     [
       ("n_replicas", Json.Int (count reg "repl_replicas"));
@@ -313,8 +283,7 @@ let repl_json reg (r : Experiment.repl_metrics) =
       ( "epochs",
         Json.List
           (List.map
-             (fun (e, id) ->
-               Json.Obj [ ("epoch", Json.Int e); ("primary", Json.Int id) ])
+             (fun (e, id) -> Json.Obj [ ("epoch", Json.Int e); ("primary", Json.Int id) ])
              r.epochs) );
       ( "promotions",
         Json.List
@@ -336,33 +305,13 @@ let repl_json reg (r : Experiment.repl_metrics) =
       ("segments_dropped", Json.Int r.segments_dropped);
       ("bytes_shipped", Json.Int r.bytes_shipped);
       ("cluster_lag_s", opt_summary (summary reg "repl_cluster_lag_s"));
-      ( "replicas",
-        Json.List
-          (List.map
-             (fun (pr : Experiment.replica_metrics) ->
-               let labels = [ ("replica", string_of_int pr.r_id) ] in
-               let replica name =
-                 Json.Int (count reg ~labels ("repl_replica_" ^ name ^ "_total"))
-               in
-               Json.Obj
-                 [
-                   ("id", Json.Int pr.r_id);
-                   ("applied_lsn", Json.Int pr.r_applied_lsn);
-                   ("segments", replica "segments");
-                   ("duplicates", replica "duplicates");
-                   ("reordered", replica "reordered");
-                   ("bootstraps", replica "bootstraps");
-                   ("reads", replica "reads");
-                   ("lag_s", opt_summary (summary reg ~labels "repl_lag_s"));
-                 ])
-             r.per_replica) );
+      ("replicas", Json.List (List.map replica r.per_replica));
     ]
 
 let storage_json reg (s : Experiment.storage_metrics) =
   let scrub name = Json.Int (count reg ("scrub_" ^ name ^ "_total")) in
   let recovery kind =
-    ( Stats.recovery_work_name kind,
-      Json.Int (count reg (Strip_db.recovery_work_row kind)) )
+    (Stats.recovery_work_name kind, Json.Int (count reg (Strip_db.recovery_work_row kind)))
   in
   Json.Obj
     [
@@ -396,7 +345,27 @@ let storage_json reg (s : Experiment.storage_metrics) =
       ("final_clean", Json.Bool s.final_clean);
     ]
 
-let shard_json (m : Experiment.metrics) (s : Experiment.shard_metrics) =
+let sharding (m : Experiment.metrics) (s : Experiment.shard_metrics) =
+  let shard i (r : Experiment.shard_row) =
+    let on ?(labels = []) name =
+      Json.Int (count m.registry ~labels:(("shard", string_of_int i) :: labels) name)
+    in
+    let tasks klass = on ~labels:[ ("class", klass) ] "tasks_total" in
+    Json.Obj
+      [
+        ("id", Json.Int i);
+        ("updates", tasks "update");
+        ("recomputes", tasks "recompute");
+        ("firings", on "rule_firings_total");
+        ("partials_out", on "shard_partials_out_total");
+        ("offered", Json.Int r.sh_offered);
+        ("duplicates", Json.Int r.sh_duplicates);
+        ("merged", Json.Int r.sh_merged);
+        ("applied", on "dqueue_applied_total");
+        ("crashes", on "shard_crashes_total");
+        ("final_lsn", on "wal_durable_end_lsn");
+      ]
+  in
   Json.Obj
     [
       ("n_shards", Json.Int s.n_shards);
@@ -405,126 +374,166 @@ let shard_json (m : Experiment.metrics) (s : Experiment.shard_metrics) =
       ("partials_shipped", Json.Int s.sh_partials);
       ("acks_sent", Json.Int s.sh_acks);
       ("reships", Json.Int s.sh_reships);
-      ("recovery_s", Json.Float (downtime m));
+      (* A sharded run's shards are durable: their downtime is the
+         recovery downtime. *)
+      ( "recovery_s",
+        Json.Float (match m.recovery with Some r -> r.total_recovery_s | None -> 0.0) );
       ("cross_checks", Json.Int s.cross_checks);
       ("cross_divergences", Json.Int s.cross_divergences);
-      ( "shards",
-        Json.List
-          (List.mapi
-             (fun i r ->
-               Json.Obj
-                 (("id", Json.Int i)
-                 :: List.map
-                      (fun (k, n) -> (k, Json.Int n))
-                      (shard_counts m.registry i r)))
-             s.sh_rows) );
+      ("shards", Json.List (List.mapi shard s.sh_rows));
     ]
 
+let trace (node, buffered, dropped) =
+  Json.Obj
+    [ ("node", Json.Str node); ("buffered", Json.Int buffered); ("dropped", Json.Int dropped) ]
+
+(* [ts] only when one of [names] is true, positive or present. *)
+let opt names ts = If (any names, ts, [])
+
+let text = function
+  | Row ->
+    [ S "{label%-36s} {delay_s%6.2f} {utilization*100%7.1f}% {n_recompute%9d} \
+         {mean_recompute_us%12.1f} {p50_recompute_us%10.1f} {p99_recompute_us%10.1f} \
+         {max_recompute_us%12.0f} {n_merges%8d} {context_switches%8d} \
+         {verified%6s?yes|NO|-}\n" ]
+  | Failures ->
+    (* "(none)" tells a clean run from a missing report. *)
+    [ If (any [ "n_injected"; "n_aborts"; "n_retries"; "n_sheds"; "n_dead_letters" ],
+          [ S "  failures: {n_injected} injected, {n_aborts} aborts, {n_retries} retries, \
+               {n_sheds} sheds, {n_dead_letters} dead";
+            opt [ "mean_recovery_s" ] [ S ", mean recovery {mean_recovery_s%.3f}s" ];
+            S "\n" ],
+          [ S "  failures: (none)\n" ]) ]
+  | Servers ->
+    let many s = match lookup s "servers" with Json.Int n -> n > 1 | _ -> false in
+    [ If ((fun s -> many s || any [ "n_lock_waits"; "n_lock_timeouts" ] s),
+          [ S "  servers: {servers}; makespan {makespan_s%.1f}s; recompute throughput \
+               {recompute_throughput_per_s%.1f}/s; utilization per server: \
+               {per_server_utilization*100%.1f%%}\n";
+            If (any [ "lock_wait_s" ],
+                [ S "  lock waits: {n_lock_waits} (mean {lock_wait_s.mean*1e3%.2f}ms p50 \
+                     {lock_wait_s.p50*1e3%.2f}ms p99 {lock_wait_s.p99*1e3%.2f}ms max \
+                     {lock_wait_s.max*1e3%.2f}ms); timeouts: {n_lock_timeouts}\n" ],
+                [ S "  lock waits: (none); timeouts: {n_lock_timeouts}\n" ]) ],
+          []) ]
+  | Recovery ->
+    [ S "  durability: {wal_appends} wal appends / {wal_fsyncs} fsyncs ({wal_appended_bytes} \
+         bytes, {wal_overhead_s%.3f}s cpu); {n_checkpoints} checkpoints (last \
+         {checkpoint_bytes} bytes, {checkpoint_overhead_s%.3f}s cpu)\n";
+      opt [ "n_crashes" ]
+        [ S "  crashes: {n_crashes}; recovery {total_recovery_s%.3f}s total; restored \
+             {restored_rows} rows; redo {redo_commits} commits / {redo_ops} ops; requeued \
+             {requeued}\n" ];
+      S "  audit: {audit_clean?clean|DIVERGENT}";
+      opt [ "repairs"; "audit_divergences" ]
+        [ S " ({audit_divergences} divergences, {repairs} repairs)" ];
+      S "\n" ]
+  | Replication ->
+    [ S "  replication: {n_replicas} replicas, policy {read_policy}; {segments_sent} segments \
+         shipped ({bytes_shipped} bytes, {segments_dropped} dropped); {n_failovers} \
+         failover(s)";
+      opt [ "n_partitions" ]
+        [ S "; {n_partitions} partition(s) ({partition_drops} sends cut, {fenced_messages} \
+             msgs fenced)" ];
+      S "; epoch {epoch}; data loss: {promotion_lost_bytes} bytes lost, {fenced_bytes} \
+         bytes fenced\n";
+      (* Cluster-wide lag, merged across replicas: the percentile row a
+         primary-only report would understate. *)
+      opt [ "cluster_lag_s" ]
+        [ S "  cluster lag: n={cluster_lag_s.count} p50 {cluster_lag_s.p50*1e3%.1f}ms p99 \
+             {cluster_lag_s.p99*1e3%.1f}ms max {cluster_lag_s.max*1e3%.1f}ms (all \
+             replicas)\n" ];
+      Each ("replicas",
+            [ S "  replica {id}: applied_lsn {applied_lsn}; {segments} segments ({duplicates} \
+                 dup, {reordered} reordered, {bootstraps} reseeds); {reads} reads";
+              opt [ "lag_s" ] [ S "; lag p50 {lag_s.p50*1e3%.1f}ms p99 {lag_s.p99*1e3%.1f}ms" ];
+              S "\n" ]);
+      opt [ "n_reads" ]
+        [ S "  reads: {n_reads} total ({reads_primary} primary / {reads_replica} replica), \
+             policy {read_policy}; ";
+          If (any [ "read_latency_s" ],
+              [ S "p50 {read_latency_s.p50*1e3%.2f}ms p99 {read_latency_s.p99*1e3%.2f}ms \
+                   max {read_latency_s.max*1e3%.2f}ms;" ],
+              [ S "latency n/a;" ]);
+          S " throughput {read_throughput_per_s%.1f}/s\n" ] ]
+  | Storage ->
+    [ S "  scrub: {scrub_passes} pass(es) over {scrub_bytes} WAL + {scrub_slot_bytes} slot \
+         bytes; {wal_corruptions} WAL + {cp_corruptions} checkpoint corruption(s); repaired \
+         {repaired_replica} from replicas, {repaired_checkpoint} from checkpoints; salvage \
+         cpu {salvage_s*1e3%.1f}ms\n" ]
+  | Sharding ->
+    [ S "  sharding: {n_shards} shards; {partials_shipped} partials shipped ({msgs_sent} \
+         msgs, {bytes_shipped} bytes, {acks_sent} acks, {reships} reships); cross-shard \
+         audit: {cross_divergences?DIVERGENT|clean} ({cross_checks} composites)";
+      opt [ "cross_divergences" ] [ S " ({cross_divergences} divergences)" ];
+      S "\n";
+      opt [ "recovery_s" ] [ S "  shard downtime: {recovery_s%.3f}s total across restarts\n" ];
+      Each ("shards",
+            [ S "  shard {id}: {updates} updates, {recomputes} recomputes, {firings} firings; \
+                 {partials_out} partials out; queue {offered} offered ({duplicates} dup, \
+                 {merged} merged, {applied} applied); {crashes} crash(es); lsn \
+                 {final_lsn}\n" ]) ]
+  | Staleness ->
+    [ Each ("staleness_s",
+            [ S "  staleness {name%-16s} n={value.count%-6d} mean={value.mean%.3f}s \
+                 p50={value.p50%.3f}s p90={value.p90%.3f}s p99={value.p99%.3f}s \
+                 max={value.max%.3f}s\n" ]) ]
+  | Slo ->
+    [ Each ("",
+            [ S "  slo {view%-16s} bound={bound_s%.3f}s {met?met|VIOLATED}: {violations}/\
+                 {samples} samples over bound in {windows} window(s) ({violation_s%.3f}s \
+                 violating, worst {worst_s%.3f}s)\n" ]) ]
+  | Trace ->
+    [ Each ("", [ S "  trace {node%-16s} {buffered} span event(s) buffered, {dropped} dropped\n" ]) ]
+  | Updates ->
+    [ S "updates: {n_updates}; firings: {n_firings}; fanout E[rows/update]: \
+         {expected_fanout%.1f}; busy update/recompute: \
+         {busy_update_s%.1f}s/{busy_recompute_s%.1f}s\n" ]
+
 let metrics_json (m : Experiment.metrics) =
-  (* The "recovery" member appears only for durable runs, and the
-     "replication" member only for replicated runs, so crash-free /
-     replica-free reports stay byte-identical to earlier versions. *)
-  let recovery_field =
-    match m.recovery with
-    | None -> []
-    | Some r -> [ ("recovery", recovery_json m.registry r) ]
-  in
-  let repl_field =
-    match m.repl with
-    | None -> []
-    | Some r -> [ ("replication", repl_json m.registry r) ]
-  in
-  (* "storage" appears only for storage-fault runs, keeping every other
-     report byte-identical. *)
-  let storage_field =
-    match m.storage with
-    | None -> []
-    | Some s -> [ ("storage", storage_json m.registry s) ]
-  in
-  (* "sharding" appears only for sharded runs, keeping single-primary
-     reports byte-identical. *)
-  let shard_field =
-    match m.shard with
-    | None -> []
-    | Some s -> [ ("sharding", shard_json m s) ]
-  in
-  (* Likewise "slo" and "trace" appear only when those opt-in surfaces
-     were armed. *)
-  let slo_field =
-    match m.slo with
-    | [] -> []
-    | rs -> [ ("slo", Json.List (List.map Strip_obs.Slo.report_json rs)) ]
-  in
-  let trace_field =
-    match m.trace_spans with
-    | [] -> []
-    | spans ->
-      [
-        ( "trace",
-          Json.List
-            (List.map
-               (fun (node, buffered, dropped) ->
-                 Json.Obj
-                   [
-                     ("node", Json.Str node);
-                     ("buffered", Json.Int buffered);
-                     ("dropped", Json.Int dropped);
-                   ])
-               spans) );
-      ]
+  let reg = m.registry in
+  let listed f = function [] -> None | xs -> Some (Json.List (List.map f xs)) in
+  let blocks =
+    [
+      (Recovery, Option.map (recovery reg) m.recovery);
+      (Replication, Option.map (replication reg) m.repl);
+      (Storage, Option.map (storage_json reg) m.storage);
+      (Sharding, Option.map (sharding m) m.shard);
+      (Slo, listed Strip_obs.Slo.report_json m.slo);
+      (Trace, listed trace m.trace_spans);
+    ]
   in
   Json.Obj
-    ([
-      ("label", Json.Str m.label);
-      ("delay_s", Json.Float m.delay);
-      ("duration_s", Json.Float m.duration_s);
-      ("servers", Json.Int m.servers);
-      ("makespan_s", Json.Float m.makespan_s);
-      ("recompute_throughput_per_s", Json.Float m.recompute_throughput_per_s);
-      ( "per_server_utilization",
-        Json.List (List.map (fun u -> Json.Float u) m.per_server_utilization)
-      );
-      ("n_lock_waits", Json.Int m.n_lock_waits);
-      ("n_lock_timeouts", Json.Int m.n_lock_timeouts);
-      ( "lock_wait_s",
-        match m.lock_wait_s with
-        | None -> Json.Null
-        | Some s -> summary_to_json s );
-      ("utilization", Json.Float m.utilization);
-      ("n_updates", Json.Int m.n_updates);
-      ("n_recompute", Json.Int m.n_recompute);
-      ("mean_recompute_us", Json.Float m.mean_recompute_us);
-      ("p50_recompute_us", Json.Float m.p50_recompute_us);
-      ("p90_recompute_us", Json.Float m.p90_recompute_us);
-      ("p99_recompute_us", Json.Float m.p99_recompute_us);
-      ("max_recompute_us", Json.Float m.max_recompute_us);
-      ("busy_update_s", Json.Float m.busy_update_s);
-      ("busy_recompute_s", Json.Float m.busy_recompute_s);
-      ("n_firings", Json.Int m.n_firings);
-      ("n_merges", Json.Int m.n_merges);
-      ("context_switches", Json.Int m.context_switches);
-      ("expected_fanout", Json.Float m.expected_fanout);
-      ( "verified",
-        match m.verified with None -> Json.Null | Some b -> Json.Bool b );
-      ("max_abs_error", Json.Float m.max_abs_error);
-      ("n_injected", Json.Int (count m.registry "faults_injected_total"));
-      ("n_aborts", Json.Int m.n_aborts);
-      ("n_retries", Json.Int m.n_retries);
-      ("n_sheds", Json.Int m.n_sheds);
-      ("n_dead_letters", Json.Int m.n_dead_letters);
-      ("mean_recovery_s", Json.Float (mean m.registry "recovery_latency_s"));
-      ( "staleness_s",
-        Json.Obj (List.map (fun (t, s) -> (t, summary_to_json s)) m.staleness)
-      );
-     ]
-    @ recovery_field @ repl_field @ storage_field @ shard_field @ slo_field
-    @ trace_field)
+    (head m
+    @ List.filter_map
+        (fun (s, v) -> Option.map (fun v -> (Option.get (member s), v)) v)
+        blocks)
+
+let print sections report =
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun s ->
+      let scope =
+        match member s with None -> Some report | Some k -> Json.member k report
+      in
+      Option.iter (fun scope -> List.iter (render (Some b) scope) (text s)) scope)
+    sections;
+  print_string (Buffer.contents b);
+  flush stdout
 
 let print_metrics_json ms =
   print_string
     (Json.to_string (Json.Obj [ ("experiments", Json.List (List.map metrics_json ms)) ]));
   print_newline ();
   flush stdout
+
+(* ------------------------------------------------------------------ *)
+(* Figures. *)
+
+let print_metrics_header () =
+  Printf.printf "%-36s %6s %8s %9s %12s %10s %10s %12s %8s %8s %6s\n%!"
+    "configuration" "delay" "cpu%" "N_r" "mean_rc_us" "p50_rc_us" "p99_rc_us"
+    "max_rc_us" "merges" "ctxsw" "ok"
 
 let fmt_pct v = Printf.sprintf "%.1f%%" (100.0 *. v)
 

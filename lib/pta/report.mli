@@ -2,8 +2,10 @@
 
     A report renders the typed fields of {!Experiment.metrics} and, for
     every count nothing else reads, the run's metrics-registry snapshot
-    ([registry]) through {!count}.  Adding such a counter takes one
-    probe in the subsystem that owns it and one line here. *)
+    ([registry]) through {!count}.  Each section's entries are built
+    once, in JSON order, and its text lines are templates naming them, so
+    adding such a counter takes one probe in the subsystem that owns it
+    and one entry here (plus a placeholder if the text shows it). *)
 
 val count :
   Strip_obs.Metrics.row list -> ?labels:Strip_obs.Metrics.labels -> string -> int
@@ -18,60 +20,33 @@ val print_metrics_header : unit -> unit
 (** Column legend: [mean_rc_us] / [p50_rc_us] / [p99_rc_us] / [max_rc_us]
     are recompute-transaction service times in simulated microseconds. *)
 
-val print_metrics : Experiment.metrics -> unit
+type section =
+  | Row  (** the figure row under {!print_metrics_header} *)
+  | Failures  (** faults, aborts, retries, sheds, dead letters; ["(none)"] if clean *)
+  | Servers
+      (** makespan, utilization per server, lock waits; silent for a
+          single server that never waited on a lock *)
+  | Recovery  (** WAL and checkpoint volume, crashes, the final audit *)
+  | Replication  (** shipping, one row per replica, read routing *)
+  | Storage  (** scrub passes, corruptions found, repairs by source *)
+  | Sharding  (** partial-delta protocol, cross-shard audit, one row per shard *)
+  | Staleness  (** one row per derived table (paper §7) *)
+  | Slo  (** one verdict per staleness objective *)
+  | Trace  (** one row per traced span buffer *)
+  | Updates  (** updates, firings, fanout and busy time *)
 
-val print_failures : Experiment.metrics -> unit
-(** One indented line of failure counters (injected faults, aborts,
-    retries, sheds, dead letters, mean recovery latency); prints
-    ["failures: (none)"] when the run saw no failures, so a clean run is
-    distinguishable from a missing report. *)
+val sections : section list
+(** Every section, in report order. *)
 
-val print_servers : Experiment.metrics -> unit
-(** Indented multi-server rows: server count, makespan, recompute
-    throughput, per-server utilization, and the lock-wait summary
-    (count, mean/p50/p99/max wait, timeouts).  Silent for a single-server
-    run that never waited on a lock, so historical reports are
-    unchanged. *)
-
-val print_recovery : Experiment.metrics -> unit
-(** Indented durability/recovery rows: WAL and checkpoint volume with
-    their simulated CPU overhead, crash/recovery totals, and the final
-    consistency-audit verdict.  Silent for runs without a [recovery]
-    config, so historical reports are unchanged. *)
-
-val print_repl : Experiment.metrics -> unit
-(** Indented replication rows: cluster shape and shipping volume, one row
-    per replica (applied LSN, segment/duplicate/reorder/reseed counts,
-    lag p50/p99), and the read-routing summary with latency percentiles
-    and throughput.  Silent for runs without a [repl] config, so
-    historical reports are unchanged. *)
-
-val print_storage :
-  Strip_obs.Metrics.row list -> Experiment.storage_metrics -> unit
-(** One indented storage row: scrub passes and bytes re-read, WAL and
-    checkpoint corruptions found, repairs by source, and salvage CPU.
-    The scrubber's counts come from the run's registry snapshot. *)
-
-val print_shard : Experiment.metrics -> unit
-(** Indented sharding rows: shard count and partial-delta protocol volume
-    (ships, acks, reships), the cross-shard composite audit verdict, and
-    one row per shard primary (local work, queue verdict counters, crash
-    count, final LSN).  Silent for single-primary runs, so historical
-    reports are unchanged. *)
-
-val print_slo : Experiment.metrics -> unit
-(** One indented verdict line per staleness SLO objective (samples over
-    bound, violation windows, violating seconds, worst sample); silent
-    for runs without an [slo] config. *)
-
-val print_trace : Experiment.metrics -> unit
-(** One indented line per traced span buffer (node, events buffered,
-    events dropped by the ring); silent when tracing was off. *)
-
-val print_staleness : Experiment.metrics -> unit
-(** One indented line per derived table: count, mean, p50/p90/p99 and max
-    staleness in seconds (paper §7); silent when no maintenance
-    transaction committed. *)
+val print : section list -> Strip_obs.Json.t -> unit
+(** [print sections report] prints each of [sections], in that order,
+    from a {!metrics_json} report (or any object holding a section's
+    member, as the chaos explorer's outcome holds ["storage"]).  Every
+    line is a template over the section's entries, so the text shows
+    exactly the JSON's values; a section whose member is absent (its
+    subsystem was not armed) prints nothing.
+    @raise Failure naming a template placeholder that names no entry;
+    nothing is printed then. *)
 
 val storage_json :
   Strip_obs.Metrics.row list -> Experiment.storage_metrics -> Strip_obs.Json.t
@@ -79,13 +54,13 @@ val storage_json :
     the chaos explorer embeds it in outcome and quarantine reports. *)
 
 val metrics_json : Experiment.metrics -> Strip_obs.Json.t
-(** The full metrics record as a JSON object, including recompute-latency
-    percentiles and per-table staleness summaries.  NaN (e.g.
-    [max_abs_error] with verification off) serialises as [null]. *)
+(** The full metrics record as a JSON object: the top-level entries, then
+    one member per armed section.  NaN (e.g. [max_abs_error] with
+    verification off) serialises as [null]. *)
 
 val print_metrics_json : Experiment.metrics list -> unit
 (** [{"experiments": [...]}] on stdout — the machine-readable counterpart
-    of {!print_metrics_header}/{!print_metrics}. *)
+    of {!print}. *)
 
 val print_series :
   title:string ->

@@ -268,8 +268,12 @@ let submit t task =
   if task.Task.release_time <= Clock.now t.eclock then
     Queues.enqueue t.ready task
   else Event_queue.add t.events ~time:task.Task.release_time task;
+  (* Under [Coalesce], a task with no bound rows (a shard's
+     [shard_apply]) starts no shed: no victim could coalesce into it, so
+     the victim would be dropped.  [Drop] drops victims by design. *)
   match (task.Task.klass, t.overload) with
-  | Task.Recompute, Some ov -> shed t ~incoming:task ov
+  | Task.Recompute, Some ov when ov.shed_policy = Drop || task.Task.bound <> [] ->
+    shed t ~incoming:task ov
   | _ -> ()
 
 let set_arrival_profile t arrivals = t.arrivals <- arrivals

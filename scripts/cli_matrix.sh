@@ -85,6 +85,10 @@ exp shards-3-crash --view comps --variant comp --shards 3 \
 # built over nearly the whole run, plus a Shard_in tail, and re-ships.
 exp shards-4-late-crash --view comps --variant comp --shards 4 \
   --shard-crash-at 2:80
+# Overload on a sharded run: a shard's apply task carries no rows a
+# victim could coalesce into, so it must start no shed, and no partial
+# is lost.
+exp overload-shards "${symbol[@]}" --shards 3 --watermark 2
 # Metrics-registry exports (--metrics) of a crash, a failover and a
 # sharded crash: the rows the report reads, per node, per replica and
 # per shard.  They are written next to the text and JSON outputs of the

@@ -462,6 +462,31 @@ let test_metrics_tagged () =
     (ints ~labels:[ ("class", "update"); ("shard", "0") ] ());
   Alcotest.(check (list int)) "other labels still match" [] (ints ())
 
+(* Integer label values sort as numbers: twelve shards' rows come back
+   in shard order, 10 and 11 after 9.  Other values sort as strings,
+   after the integers. *)
+let test_metrics_numeric_labels () =
+  let shard i =
+    let reg = Metrics.create () in
+    Metrics.inc ~n:i (Metrics.counter reg "tasks");
+    Metrics.snapshot reg
+  in
+  let rows = Metrics.tagged "shard" (List.init 12 shard) in
+  Alcotest.(check (list int)) "shards in numeric order" (List.init 12 Fun.id)
+    (List.map
+       (fun (r : Metrics.row) ->
+         match r.Metrics.datum with Metrics.Int i -> i | _ -> Alcotest.fail "counter")
+       rows);
+  let reg = Metrics.create () in
+  List.iter
+    (fun n -> ignore (Metrics.counter reg "c" ~labels:[ ("node", n) ]))
+    [ "n2"; "n10"; "10"; "1a"; "9" ];
+  Alcotest.(check (list string)) "other values sort as strings"
+    [ "9"; "10"; "1a"; "n10"; "n2" ]
+    (List.map
+       (fun (r : Metrics.row) -> List.assoc "node" r.Metrics.labels)
+       (Metrics.snapshot reg))
+
 (* ------------------------------------------------------------------ *)
 (* Stats totality guards *)
 
@@ -639,20 +664,7 @@ let test_report_rows_registered () =
         (name ^ ": report sections present")
         expected
         (List.filter_map (fun (s, on) -> if on then Some s else None) sections);
-      let render () =
-        Report.print_metrics m;
-        Report.print_failures m;
-        Report.print_servers m;
-        Report.print_recovery m;
-        Report.print_repl m;
-        Report.print_shard m;
-        Report.print_staleness m;
-        Report.print_slo m;
-        Report.print_trace m;
-        Option.iter (Report.print_storage m.Experiment.registry)
-          m.Experiment.storage;
-        ignore (Report.metrics_json m)
-      in
+      let render () = Report.print Report.sections (Report.metrics_json m) in
       match render () with
       | () -> ()
       | exception Failure msg -> Alcotest.failf "%s: %s" name msg)
@@ -706,6 +718,8 @@ let suite =
           test_metrics_snapshot_and_find;
         Alcotest.test_case "tagged snapshots, find_all" `Quick
           test_metrics_tagged;
+        Alcotest.test_case "integer labels sort as numbers" `Quick
+          test_metrics_numeric_labels;
       ] );
     ( "obs/integration",
       [

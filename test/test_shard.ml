@@ -700,6 +700,35 @@ let test_never_quiescent_raises () =
     Alcotest.(check bool) "counts the unacked partials" true (unacked > 0);
     Alcotest.(check bool) "names the shards" true (sids <> "")
 
+(* Overload shedding on a sharded run must not lose cross-shard
+   partials.  A shard's [shard_apply] task carries no bound rows, so no
+   victim can coalesce into it; were its submission to start a shed, the
+   victim would be dropped and its composites would diverge. *)
+let test_overload_keeps_partials () =
+  let cfg =
+    sharded_cfg ~shards:3
+      (Experiment.Comp_view Comp_rules.Unique_on_symbol)
+      ~delay:1.0
+  in
+  let cfg =
+    {
+      cfg with
+      Experiment.overload =
+        Some
+          {
+            Strip_sim.Engine.high_watermark = 2;
+            shed_policy = Strip_sim.Engine.Coalesce;
+          };
+    }
+  in
+  let m = Experiment.run cfg in
+  Alcotest.(check bool) "overload shed rule tasks" true (m.Experiment.n_sheds > 0);
+  Alcotest.(check bool) "views verified" true (m.Experiment.verified = Some true);
+  match m.Experiment.shard with
+  | None -> Alcotest.fail "shard metrics missing"
+  | Some s ->
+    Alcotest.(check int) "no cross-shard divergences" 0 s.Experiment.cross_divergences
+
 let suite =
   [
     ( "shard",
@@ -736,5 +765,7 @@ let suite =
           test_shard_crash_fold;
         Alcotest.test_case "a protocol that never quiesces raises" `Slow
           test_never_quiescent_raises;
+        Alcotest.test_case "overload sheds no cross-shard partial" `Slow
+          test_overload_keeps_partials;
       ] );
   ]
