@@ -38,4 +38,3 @@ val describe : t -> string
 (** One-line human summary, e.g.
     ["crash@3.20s partition@7.10s(heal 1.20s)"]. *)
 
-val describe_event : Strip_pta.Experiment.chaos_event -> string

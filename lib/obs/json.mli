@@ -16,7 +16,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string
 
 val to_channel : out_channel -> t -> unit
@@ -25,7 +24,7 @@ val to_channel : out_channel -> t -> unit
 exception Parse_error of string
 
 val parse : string -> t
-(** Parse the dialect {!to_buffer} emits (standard JSON restricted to
+(** Parse the dialect {!to_string} emits (standard JSON restricted to
     single-byte \u escapes) — the replay path for saved chaos schedules
     and reports.  Numbers without fraction or exponent parse as [Int].
     @raise Parse_error on malformed input. *)

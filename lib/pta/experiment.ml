@@ -60,11 +60,8 @@ type shard_cfg = {
 let default_shard ~shards =
   { shards; shard_link = Strip_repl.Link.default_config; shard_crash_at = None }
 
-(* The coordinator's tick, its resend deadline for unacked partials and
-   its per-shard checkpoint period, in simulated seconds. *)
+(* The coordinator's tick, in simulated seconds. *)
 let shard_tick_s = 0.05
-let shard_resend_after = 0.25
-let shard_checkpoint_every = Some 5.0
 
 (* One deterministic fault in a chaos schedule, in absolute simulated
    time.  Crash and partition events are armed as scheduled engine tasks
@@ -362,34 +359,49 @@ let resolve (cfg : config) =
     { cfg with storage = Some default_storage }
   else cfg
 
+(* The body of a scheduled crash task: it raises out of the engine's
+   run when the clock reaches the task's release time. *)
+let crash () = raise (Strip_txn.Fault.Crashed { at = "scheduled" })
+
 (* (Re-)arm the chaos events still strictly in the future on the live
    instance — called at the start of the drive and after every crash or
    failover, so a schedule keeps firing across instance boundaries
-   (events inside an outage window are consumed by it). *)
+   (events inside an outage window are consumed by it).  Storage faults
+   raise nothing when injected: the damage is silent by design and must
+   be found by the scrubber, ship-time verification or recovery.  A
+   chaos run always has a durability layer ({!resolve}). *)
 let arm_chaos cfg db ~now =
+  let open Strip_txn in
+  let d = Option.get (Strip_db.durable db) in
+  let note site =
+    Option.iter (fun fi -> Fault.note fi site) (Strip_db.fault_injector db)
+  in
+  let arm label at f = if at > now then Strip_db.at db ~label ~at f in
   List.iter
-    (fun ev ->
-      match ev with
-      | Crash_at at -> if at > now then Strip_db.schedule_crash db ~at
+    (function
+      | Crash_at at -> arm "crash" at crash
       | Partition_at { at; heal_after_s } ->
-        if at > now then Strip_db.schedule_partition db ~at ~heal_after_s
+        arm "partition" at (fun () ->
+            raise (Fault.Partitioned { at = "scheduled"; heal_after_s }))
       | Checkpoint_at at ->
-        if at > now then
-          Strip_db.schedule_checkpoints db ~every:at ~start:at ~until:at ()
+        arm "checkpoint" at (fun () -> Strip_db.checkpoint db)
       | Bitrot_at { at; target; frac } ->
-        if at > now then Strip_db.schedule_bitrot db ~at ~target ~frac
-      | Fsync_lie_at at -> if at > now then Strip_db.schedule_fsync_lie db ~at
+        arm "bitrot" at (fun () ->
+            if Durable.rot d ~target ~frac then note Fault.Bitrot)
+      | Fsync_lie_at at ->
+        arm "fsync_lie" at (fun () ->
+            Durable.arm_fsync_lie d ~notify:(fun () -> note Fault.Fsync_lie))
       | Disk_full_at { at; free_bytes; heal_after_s } ->
         (* The capacity clamp lives on the WAL, which survives restarts:
-           a post-crash instance re-arms only the heal still due, so a
-           crash inside the full window cannot leave the disk full
-           forever. *)
-        if at > now then begin
-          Strip_db.schedule_disk_full db ~at ~free_bytes;
-          Strip_db.schedule_disk_heal db ~at:(at +. heal_after_s)
-        end
-        else if at +. heal_after_s > now then
-          Strip_db.schedule_disk_heal db ~at:(at +. heal_after_s)
+           a post-crash instance re-arms the heal if it is still in the
+           future.  A heal that fell due during the outage was discarded
+           with the crashed engine and is not re-armed, so the clamp
+           then stays for the rest of the run (open on ROADMAP). *)
+        arm "disk_full" at (fun () ->
+            Wal.clamp (Durable.wal d) (Some free_bytes);
+            note Fault.Disk_full);
+        arm "disk_heal" (at +. heal_after_s) (fun () ->
+            Wal.clamp (Durable.wal d) None)
       | Drop_burst _ -> ())
     cfg.chaos
 
@@ -881,19 +893,11 @@ let run (cfg : config) =
         | Comp_view _ -> Comp_rules.apply_partial r.handles.(sid) txn ~key ~delta
         | Option_view _ -> ()
       in
-      let coord =
-        Coordinator.create ~apply dbs
-          ~cfg:
-            {
-              link = s.shard_link;
-              resend_after = shard_resend_after;
-              checkpoint_every = shard_checkpoint_every;
-            }
-      in
+      let coord = Coordinator.create ~link:s.shard_link ~apply dbs in
       Coordinator.checkpoint_all coord;
       (match s.shard_crash_at with
       | Some (sid, at) when sid >= 0 && sid < Array.length dbs ->
-        Strip_db.schedule_crash dbs.(sid) ~at
+        Strip_db.at dbs.(sid) ~label:"crash" ~at crash
       | Some (sid, _) ->
         invalid_arg
           (Printf.sprintf "Experiment.run: shard_crash_at shard %d out of range"
@@ -927,12 +931,16 @@ let run (cfg : config) =
               Strip_db.schedule_checkpoints db ~every
                 ~until:cfg.feed.Feed.duration ())
             rcfg.checkpoint_every;
-          Option.iter (fun at -> Strip_db.schedule_crash db ~at) crash_at;
+          Option.iter
+            (fun at -> Strip_db.at db ~label:"crash" ~at crash)
+            crash_at;
           arm_chaos cfg db ~now:(Strip_db.now db);
           (match (cfg.storage, scrubbers) with
           | Some { scrub_every = Some every; _ }, Some sc ->
-            Scrub.schedule sc.(0) db ~every ~until:cfg.feed.Feed.duration
-              ?fetch:(fetch_of cluster) ()
+            let fetch = fetch_of cluster in
+            Strip_db.every db ~label:"scrub" ~every
+              ~until:cfg.feed.Feed.duration (fun () ->
+                Scrub.scrub ?fetch sc.(0) db)
           | _ -> ())
       in
       arm ?crash_at:(Option.bind cfg.recovery (fun rc -> rc.crash_at)) db0;

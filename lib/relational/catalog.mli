@@ -20,9 +20,6 @@ val create : unit -> t
 val create_table : t -> name:string -> schema:Schema.t -> Table.t
 (** @raise Invalid_argument if the name is taken. *)
 
-val add_table : t -> Table.t -> unit
-(** Register an externally-built table.  @raise Invalid_argument if taken. *)
-
 val drop_table : t -> string -> unit
 (** @raise Not_found if absent. *)
 

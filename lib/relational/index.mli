@@ -22,9 +22,6 @@ val name : t -> string
 val kind : t -> kind
 val key_cols : t -> int array
 
-val key_of_record : t -> Record.t -> Value.t list
-(** Extract a record's key for this index. *)
-
 val add : t -> Record.t -> unit
 
 val remove : t -> Record.t -> unit

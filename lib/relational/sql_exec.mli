@@ -7,7 +7,7 @@
 
     Locking and logging are not implemented here: the caller (normally
     {!Strip_txn.Transaction}) passes {!hooks} whose callbacks fire around
-    each data operation.  With {!no_hooks} the statement runs raw, which is
+    each data operation.  Without hooks the statement runs raw, which is
     what bulk loading uses. *)
 
 type lock_mode = Shared | Exclusive
@@ -22,17 +22,10 @@ type hooks = {
   on_delete : Table.t -> Record.t -> unit;
 }
 
-val no_hooks : hooks
-
 type exec_result =
   | Rows of Query.result  (** SELECT *)
   | Count of int  (** INSERT / UPDATE / DELETE: rows affected *)
   | Unit  (** DDL *)
-
-val resolver :
-  Catalog.t -> env:Catalog.env -> string -> (Schema.t * [ `Std | `Tmp ]) option
-(** The relation resolver used to plan selects against a catalog plus
-    task-local bound tables. *)
 
 val plan_select :
   Catalog.t -> env:Catalog.env -> Sql_parser.select_ast -> Query.plan

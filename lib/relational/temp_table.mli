@@ -42,10 +42,6 @@ val same_static_map : t -> provenance array -> bool
 type row
 (** One temporary tuple. *)
 
-val reserve : t -> int -> unit
-(** Pre-grow the backing arenas so the next [n] appends don't reallocate.
-    Purely a capacity hint; contents and metering are unaffected. *)
-
 val append : t -> srcs:Record.t array -> mats:Value.t array -> unit
 (** Add a tuple; pins each source record.
     @raise Invalid_argument on arity mismatch with the static map. *)

@@ -142,8 +142,4 @@ let to_int = function
   | Int i -> i
   | v -> raise (Type_error ("to_int: non-integer value " ^ to_string v))
 
-let to_bool = function
-  | Bool b -> b
-  | v -> raise (Type_error ("to_bool: non-boolean value " ^ to_string v))
-
 let is_null = function Null -> true | _ -> false

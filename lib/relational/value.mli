@@ -67,9 +67,6 @@ val to_float : t -> float
 val to_int : t -> int
 (** @raise Type_error unless the value is an [Int]. *)
 
-val to_bool : t -> bool
-(** @raise Type_error unless the value is a [Bool]. *)
-
 val to_string : t -> string
 (** Display form: [Null] prints as "NULL", floats with enough digits to
     round-trip. *)

@@ -293,20 +293,12 @@ let schedule_shipping t ~until =
     let owner = t.primary in
     let owner_epoch = t.epoch in
     let stale_cursor = lazy (Array.copy t.sent_end) in
-    let eng = Strip_db.engine owner in
     let clk = Strip_db.clock owner in
-    let rec make at =
-      Task.create ~klass:Task.Background ~func_name:"repl_ship"
-        ~release_time:at ~created_at:(Clock.now clk) (fun _task ->
-          (if t.primary == owner then ship_tick t ~now:(Clock.now clk)
-           else
-             ship_tick_from t ~db:owner ~cursor:(Lazy.force stale_cursor)
-               ~epoch:owner_epoch ~now:(Clock.now clk));
-          let next = at +. ship_every in
-          if next <= until then Engine.submit eng (make next))
-    in
-    let first = Clock.now clk +. ship_every in
-    if first <= until then Engine.submit eng (make first)
+    Strip_db.every owner ~label:"repl_ship" ~every:ship_every ~until (fun () ->
+        if t.primary == owner then ship_tick t ~now:(Clock.now clk)
+        else
+          ship_tick_from t ~db:owner ~cursor:(Lazy.force stale_cursor)
+            ~epoch:owner_epoch ~now:(Clock.now clk))
   end
 
 (* ------------------------------------------------------------------ *)

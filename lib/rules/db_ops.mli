@@ -48,7 +48,3 @@ val iter_bound :
 (** Iterate a bound table of the action's TCB by name, through a cursor-like
     metered read path (open, fetch per row, close).
     @raise Not_found if the task has no bound table of that name. *)
-
-val bound_table :
-  Rule_manager.action_ctx -> string -> Strip_relational.Temp_table.t
-(** Direct access to a bound table.  @raise Not_found if absent. *)

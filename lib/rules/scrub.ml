@@ -1,6 +1,5 @@
 open Strip_relational
 open Strip_txn
-open Strip_sim
 
 type fetch = from_lsn:int -> len:int -> string option
 
@@ -138,26 +137,6 @@ let scrub_cycle ?fetch t db =
     while not (pass ?fetch t db d) do
       ()
     done
-
-let schedule t db ~every ?start ?(until = infinity) ?fetch () =
-  if every <= 0.0 then invalid_arg "Scrub.schedule: period <= 0";
-  if Strip_db.durable db = None then
-    invalid_arg "Scrub.schedule: no durability layer";
-  let eng = Strip_db.engine db and clk = Strip_db.clock db in
-  let first =
-    match start with Some s -> s | None -> Clock.now clk +. every
-  in
-  let rec make at =
-    (* A plain background task, like fuzzy checkpointing: it runs
-       between transactions, never inside one, and reschedules itself
-       only on success so a retried tick cannot double-schedule. *)
-    Task.create ~klass:Task.Background ~func_name:"scrub" ~release_time:at
-      ~created_at:(Clock.now clk) (fun _task ->
-        scrub ?fetch t db;
-        let next = at +. every in
-        if next <= until then Engine.submit eng (make next))
-  in
-  if first <= until then Engine.submit eng (make first)
 
 let register_metrics t reg =
   List.iter

@@ -23,8 +23,8 @@
       expunges the corrupt range from the log;
 
     and a rotted checkpoint slot is dropped and replaced by a fresh
-    checkpoint the same way.  A scheduled scrub runs as a background
-    task (never inside a transaction); its work is metered
+    checkpoint the same way.  A periodic scrub is {!scrub} in a
+    {!Strip_db.every} task (never inside a transaction); its work is metered
     (["scrub_pass"]; ["scrub_byte"] for every WAL and checkpoint byte it
     re-reads; ["salvage_byte"], ["quarantine_byte"]) so the cost model
     can charge it. *)
@@ -52,20 +52,6 @@ val scrub : ?fetch:fetch -> t -> Strip_db.t -> unit
 val scrub_cycle : ?fetch:fetch -> t -> Strip_db.t -> unit
 (** Restart the store's cycle and run passes until it closes: every
     retained byte is re-read once.  The end-of-run scrub. *)
-
-val schedule :
-  t ->
-  Strip_db.t ->
-  every:float ->
-  ?start:float ->
-  ?until:float ->
-  ?fetch:fetch ->
-  unit ->
-  unit
-(** Run {!scrub} every [every] simulated seconds (first at [start],
-    default [every] from now) until [until].
-    @raise Invalid_argument if [every <= 0] or [db] has no durability
-    layer. *)
 
 (** {1 Counters} *)
 

@@ -392,6 +392,17 @@ let register_function t name fn = Rule_manager.register_function t.mgr name fn
 
 let create_rule t s = Rule_manager.create_rule_text t.mgr s
 
+(* A transaction task: the rule manager parents any firings under the
+   task's span context, and the body runs fault-injected. *)
+let submit_txn t ~klass ~label ~ctx ~at f =
+  Engine.submit t.eng
+    (Task.create ~klass ~func_name:label ?ctx ~release_time:at ~created_at:at
+       (fun task ->
+         Rule_manager.set_current_ctx t.mgr task.Task.ctx;
+         Fun.protect
+           ~finally:(fun () -> Rule_manager.set_current_ctx t.mgr None)
+           (fun () -> with_txn_injected t ~detail:label f)))
+
 let submit_update t ~at ?(label = "update") f =
   (* Base-update ingestion is where a causal story begins: mint a root
      trace context here (tracing on only) and let it ride the task
@@ -399,16 +410,7 @@ let submit_update t ~at ?(label = "update") f =
   let ctx =
     match t.tracer with None -> None | Some _ -> Some (Strip_obs.Span.mint ())
   in
-  let task =
-    Task.create ~klass:Task.Update ~func_name:label ?ctx ~release_time:at
-      ~created_at:at (fun task ->
-        (* the rule manager parents any firings under this task's span *)
-        Rule_manager.set_current_ctx t.mgr task.Task.ctx;
-        Fun.protect
-          ~finally:(fun () -> Rule_manager.set_current_ctx t.mgr None)
-          (fun () -> with_txn_injected t ~detail:label f))
-  in
-  Engine.submit t.eng task
+  submit_txn t ~klass:Task.Update ~label ~ctx ~at f
 
 (* Recompute-class variant for the shard coordinator: the task that
    applies a merged cross-shard partial delta is maintenance work, not
@@ -417,29 +419,32 @@ let submit_update t ~at ?(label = "update") f =
    span tree connected instead of minting a fresh root. *)
 let submit_maintenance t ~at ?(label = "shard_apply") ?ctx f =
   let ctx = match t.tracer with None -> None | Some _ -> ctx in
-  let task =
-    Task.create ~klass:Task.Recompute ~func_name:label ?ctx ~release_time:at
-      ~created_at:at (fun task ->
-        Rule_manager.set_current_ctx t.mgr task.Task.ctx;
-        Fun.protect
-          ~finally:(fun () -> Rule_manager.set_current_ctx t.mgr None)
-          (fun () -> with_txn_injected t ~detail:label f))
-  in
-  Engine.submit t.eng task
+  submit_txn t ~klass:Task.Recompute ~label ~ctx ~at f
 
-let schedule_periodic t ~every ?start ?(until = infinity) ?(label = "periodic") f =
-  if every <= 0.0 then invalid_arg "Strip_db.schedule_periodic: period <= 0";
-  let first = match start with Some s -> s | None -> Clock.now t.clk +. every in
-  let rec make at =
-    Task.create ~klass:Task.Background ~func_name:label ~release_time:at
-      ~created_at:(Clock.now t.clk) (fun _task ->
-        with_txn_injected t ~detail:label f;
-        (* the next occurrence is scheduled only on success, so a retried
-           tick cannot double-schedule *)
-        let next = at +. every in
-        if next <= until then Engine.submit t.eng (make next))
+(* ------------------------------------------------------------------ *)
+(* Background tasks: every one-shot and periodic task the system runs
+   beside rule transactions is built here. *)
+
+let at t ~label ~at f =
+  Engine.submit t.eng
+    (Task.create ~klass:Task.Background ~func_name:label ~release_time:at
+       ~created_at:(Clock.now t.clk) (fun _task -> f ()))
+
+let every t ~label ~every ?(until = infinity) f =
+  if every <= 0.0 then invalid_arg "Strip_db.every: period <= 0";
+  (* the next tick is scheduled only on success, so a retried tick
+     cannot double-schedule *)
+  let rec tick next =
+    if next <= until then
+      at t ~label ~at:next (fun () ->
+          f ();
+          tick (next +. every))
   in
-  if first <= until then Engine.submit t.eng (make first)
+  tick (Clock.now t.clk +. every)
+
+let schedule_periodic t ~every:period ?until ?(label = "periodic") f =
+  every t ~label ~every:period ?until (fun () ->
+      with_txn_injected t ~detail:label f)
 
 (* ------------------------------------------------------------------ *)
 (* Durability: checkpoints and crashes.                                 *)
@@ -493,107 +498,13 @@ let checkpoint t =
              (Wal.Checkpoint_mark { time = now; lsn })));
     Wal.fsync w
 
-let schedule_checkpoints t ~every ?start ?(until = infinity) () =
-  if every <= 0.0 then invalid_arg "Strip_db.schedule_checkpoints: period <= 0";
+(* A plain background task — no transaction, so the snapshot sits
+   between transactions by construction (action-consistency). *)
+let schedule_checkpoints t ~every:period ?until () =
   if t.dur = None then
     invalid_arg "Strip_db.schedule_checkpoints: no durability layer";
-  let first = match start with Some s -> s | None -> Clock.now t.clk +. every in
-  let rec make at =
-    (* Runs as a plain background task — no transaction, so the snapshot
-       sits between transactions by construction (action-consistency). *)
-    Task.create ~klass:Task.Background ~func_name:"checkpoint" ~release_time:at
-      ~created_at:(Clock.now t.clk) (fun _task ->
-        checkpoint t;
-        let next = at +. every in
-        if next <= until then Engine.submit t.eng (make next))
-  in
-  if first <= until then Engine.submit t.eng (make first)
-
-let schedule_crash t ~at =
-  let task =
-    Task.create ~klass:Task.Background ~func_name:"crash" ~release_time:at
-      ~created_at:(Clock.now t.clk) (fun _task ->
-        raise (Fault.Crashed { at = "scheduled" }))
-  in
-  Engine.submit t.eng task
-
-let schedule_partition t ~at ~heal_after_s =
-  let task =
-    Task.create ~klass:Task.Background ~func_name:"partition" ~release_time:at
-      ~created_at:(Clock.now t.clk) (fun _task ->
-        raise (Fault.Partitioned { at = "scheduled"; heal_after_s }))
-  in
-  Engine.submit t.eng task
-
-(* Scheduled storage faults.  Unlike crash/partition these raise nothing
-   at injection time — the damage is silent by design and must be found
-   by the scrubber, ship-time verification or recovery. *)
-
-let note_storage_fault t site =
-  match t.fi with None -> () | Some fi -> Fault.note fi site
-
-let schedule_bitrot t ~at ~target ~frac =
-  match t.dur with
-  | None -> invalid_arg "Strip_db.schedule_bitrot: no durability layer"
-  | Some d ->
-    let task =
-      Task.create ~klass:Task.Background ~func_name:"bitrot" ~release_time:at
-        ~created_at:(Clock.now t.clk) (fun _task ->
-          match target with
-          | `Wal ->
-            let w = Durable.wal d in
-            let n = Wal.durable_bytes w in
-            if n > 0 then begin
-              let off = min (int_of_float (frac *. float_of_int n)) (n - 1) in
-              let lsn = Wal.base_lsn w + off in
-              Wal.flip_byte w ~lsn;
-              Durable.note_injected d ~kind:Durable.Bitrot_wal ~lsn ~len:1;
-              note_storage_fault t Fault.Bitrot
-            end
-          | `Checkpoint ->
-            if Durable.flip_snapshot_byte d ~frac then
-              note_storage_fault t Fault.Bitrot)
-    in
-    Engine.submit t.eng task
-
-let schedule_fsync_lie t ~at =
-  match t.dur with
-  | None -> invalid_arg "Strip_db.schedule_fsync_lie: no durability layer"
-  | Some d ->
-    let task =
-      Task.create ~klass:Task.Background ~func_name:"fsync_lie"
-        ~release_time:at ~created_at:(Clock.now t.clk) (fun _task ->
-          let w = Durable.wal d in
-          Wal.arm_fsync_lie w ~notify:(fun ~lsn ~len ->
-              Durable.note_injected d ~kind:Durable.Fsync_lie ~lsn ~len;
-              note_storage_fault t Fault.Fsync_lie))
-    in
-    Engine.submit t.eng task
-
-let schedule_disk_full t ~at ~free_bytes =
-  match t.dur with
-  | None -> invalid_arg "Strip_db.schedule_disk_full: no durability layer"
-  | Some d ->
-    let task =
-      Task.create ~klass:Task.Background ~func_name:"disk_full"
-        ~release_time:at ~created_at:(Clock.now t.clk) (fun _task ->
-          let w = Durable.wal d in
-          Wal.set_capacity w
-            (Some (Wal.durable_bytes w + Wal.pending_bytes w + free_bytes));
-          note_storage_fault t Fault.Disk_full)
-    in
-    Engine.submit t.eng task
-
-let schedule_disk_heal t ~at =
-  match t.dur with
-  | None -> invalid_arg "Strip_db.schedule_disk_heal: no durability layer"
-  | Some d ->
-    let task =
-      Task.create ~klass:Task.Background ~func_name:"disk_heal"
-        ~release_time:at ~created_at:(Clock.now t.clk) (fun _task ->
-          Wal.set_capacity (Durable.wal d) None)
-    in
-    Engine.submit t.eng task
+  every t ~label:"checkpoint" ~every:period ?until (fun () ->
+      checkpoint t)
 
 (* Condemn all volatile state: the engine's queues and in-flight work, and
    any WAL bytes appended but not yet fsynced.  Durable state (stable log,

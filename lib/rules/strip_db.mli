@@ -167,18 +167,44 @@ val submit_maintenance :
     shipping partial's span context through the applying transaction so
     cross-shard lineage stays connected. *)
 
+(** {1 Background tasks}
+
+    Periodic recomputation (paper §3) and the system's own work —
+    checkpoints, scrubbing, WAL shipping, scheduled faults — run as
+    background-class tasks beside rule transactions (paper §6). *)
+
+val at : t -> label:string -> at:float -> (unit -> unit) -> unit
+(** [at t ~label ~at f] enqueues one background task named [label] that
+    runs [f] when the simulated clock reaches [at], outside any
+    transaction.  A {!Strip_txn.Fault.Crashed} or
+    {!Strip_txn.Fault.Partitioned} that [f] raises escapes out of {!run}:
+    a scheduled crash or partition is an [at] task that raises one. *)
+
+val every :
+  t ->
+  label:string ->
+  every:float ->
+  ?until:float ->
+  (unit -> unit) ->
+  unit
+(** [every t ~label ~every f] runs [f] as a background task named
+    [label] [every] seconds from now and then at each nominal time
+    [at +. every] while that stays ≤ [until] (default unbounded); each
+    tick is an {!at} task.  The next tick is scheduled only after [f] returns, so a
+    failed and retried tick cannot schedule twice.
+    @raise Invalid_argument if [every <= 0]. *)
+
 val schedule_periodic :
   t ->
   every:float ->
-  ?start:float ->
   ?until:float ->
   ?label:string ->
   (Strip_txn.Transaction.t -> unit) ->
   unit
 (** Periodic recomputation (paper §3: "periodic recomputation is supported
-    by STRIP" — e.g. refreshing [stock_stdev] nightly).  Runs [f] in its own
-    background-class transaction at [start] (default [every]) and then every
-    [every] seconds while the release time stays ≤ [until].
+    by STRIP" — e.g. refreshing [stock_stdev] nightly): {!every} around
+    [f] in its own fault-injected transaction (label default
+    ["periodic"]).
     @raise Invalid_argument if [every <= 0]. *)
 
 val run : ?until:float -> t -> unit
@@ -221,52 +247,12 @@ val checkpoint : t -> unit
     @raise Invalid_argument without a durability layer. *)
 
 val schedule_checkpoints :
-  t -> every:float -> ?start:float -> ?until:float -> unit -> unit
-(** Fuzzy checkpointing: run {!checkpoint} as a background task every
-    [every] simulated seconds (first at [start], default [every] from
-    now) without stopping the feed.  Each tick runs between transactions
-    by construction, giving action consistency.
+  t -> every:float -> ?until:float -> unit -> unit
+(** Fuzzy checkpointing: run {!checkpoint} as the {!every} task
+    ["checkpoint"] without stopping the feed.  Each tick runs between
+    transactions by construction, giving action consistency.
     @raise Invalid_argument if [every <= 0] or without a durability
     layer. *)
-
-val schedule_crash : t -> at:float -> unit
-(** Arrange for {!Strip_txn.Fault.Crashed} to be raised out of {!run} when
-    the clock reaches [at] — a deterministic crash point for tests and
-    benchmarks (rate-based crashes come from the [fault] config). *)
-
-val schedule_partition : t -> at:float -> heal_after_s:float -> unit
-(** Arrange for {!Strip_txn.Fault.Partitioned} to be raised out of {!run}
-    when the clock reaches [at].  Unlike a crash, the node survives —
-    volatile state is intact and the engine can keep running; only its
-    network traffic is cut until the partition heals [heal_after_s]
-    later (the driver isolates it via {!Cluster.begin_partition}). *)
-
-val schedule_bitrot :
-  t -> at:float -> target:[ `Wal | `Checkpoint ] -> frac:float -> unit
-(** Arrange for at-rest bit rot at simulated time [at]: flip one durable
-    byte at relative offset [frac] (0..1) of the WAL, or one byte of the
-    newest checkpoint image.  Nothing is raised — the damage is silent
-    until the scrubber, ship-time verification or recovery finds it.
-    The injection is recorded in the store's media-fault ledger.
-    @raise Invalid_argument without a durability layer. *)
-
-val schedule_fsync_lie : t -> at:float -> unit
-(** Arrange for the next fsync after [at] to lie: the write is
-    acknowledged but the bytes are silently replaced by a zero gap of
-    the same length ({!Strip_txn.Wal.arm_fsync_lie}).
-    @raise Invalid_argument without a durability layer. *)
-
-val schedule_disk_full : t -> at:float -> free_bytes:int -> unit
-(** Arrange for the log device to clamp at [at], leaving only
-    [free_bytes] of headroom: once exhausted, appends raise
-    {!Strip_txn.Wal.Disk_full}, which the engine translates into a
-    crash-and-recover cycle (typed backpressure, counted as a
-    ["disk_full_stall"]).  @raise Invalid_argument without a durability
-    layer. *)
-
-val schedule_disk_heal : t -> at:float -> unit
-(** Remove the disk-full capacity clamp at [at].
-    @raise Invalid_argument without a durability layer. *)
 
 val crash : t -> unit
 (** Condemn all volatile state after a {!Strip_txn.Fault.Crashed} escape:

@@ -4,11 +4,10 @@ open Strip_core
 module Link = Strip_repl.Link
 module Span = Strip_obs.Span
 
-type config = {
-  link : Link.config;
-  resend_after : float;
-  checkpoint_every : float option;
-}
+(* Unacked partials are re-shipped after [resend_after] seconds; each
+   shard is checkpointed every [checkpoint_every] seconds by the tick. *)
+let resend_after = 0.25
+let checkpoint_every = 5.0
 
 type apply = sid:int -> Transaction.t -> key:Value.t list -> delta:float -> unit
 
@@ -26,7 +25,6 @@ type shard = {
 }
 
 type t = {
-  cfg : config;
   apply : apply;
   shards : shard array;
   links : Link.t array array;  (* links.(src).(dst); diagonal unused *)
@@ -249,14 +247,11 @@ let step t ~now =
     t.shards;
   (* 1: coordinator-driven fuzzy checkpoints (truncation is always
      immediately followed by a fresh Shard_state) *)
-  (match t.cfg.checkpoint_every with
-  | None -> ()
-  | Some every ->
-    Array.iter
-      (fun sh ->
-        if now -. sh.last_cp >= every && Strip_db.durable sh.db <> None then
-          checkpoint sh ~now)
-      t.shards);
+  Array.iter
+    (fun sh ->
+      if now -. sh.last_cp >= checkpoint_every && Strip_db.durable sh.db <> None
+      then checkpoint sh ~now)
+    t.shards;
   (* 2: flush outboxes and acks, emit order *)
   Array.iter
     (fun sh ->
@@ -280,7 +275,7 @@ let step t ~now =
     (fun sh ->
       List.iter
         (fun u ->
-          if now -. u.last_sent >= t.cfg.resend_after then begin
+          if now -. u.last_sent >= resend_after then begin
             send_msg t ~src:sh.sid ~dst:u.p.Partial.dst ~now
               (Partial.Partial u.p);
             t.n_reships <- t.n_reships + 1;
@@ -334,7 +329,7 @@ let quiescent t =
 
 (* ------------------------------------------------------------------ *)
 
-let create ~cfg ~apply dbs =
+let create ~link ~apply dbs =
   let n = Array.length dbs in
   if n = 0 then invalid_arg "Coordinator.create: no shards";
   let shards =
@@ -354,11 +349,10 @@ let create ~cfg ~apply dbs =
   in
   let links =
     Array.init n (fun src ->
-        Array.init n (fun dst -> Link.create ~id:((src * n) + dst) cfg.link))
+        Array.init n (fun dst -> Link.create ~id:((src * n) + dst) link))
   in
   let t =
     {
-      cfg;
       apply;
       shards;
       links;

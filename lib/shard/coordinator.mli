@@ -12,8 +12,11 @@
     [Wal.Shard_out] in the same append batch as the commit, and handed
     to this coordinator's outbox after the fsync.  The coordinator ships
     it over the shard-to-shard {!Strip_repl.Link} on the next tick and
-    keeps it on an unacked list, resending every [resend_after] seconds
-    until the owner's ack arrives.
+    keeps it on an unacked list, resending every 0.25 s until the
+    owner's ack arrives.  The tick also checkpoints every shard every
+    5 s itself, rather than through a
+    {!Strip_core.Strip_db.schedule_checkpoints} task, so every log
+    truncation is immediately followed by a fresh [Shard_state].
 
     The owner dedups each arrival by [(src, seq)] ({!Dqueue}), logs a
     [Wal.Shard_in] for every novel one, merges same-key deltas, and —
@@ -52,15 +55,6 @@
     pending key, and appends a fresh [Shard_state] past the recovery
     checkpoint's truncation point. *)
 
-type config = {
-  link : Strip_repl.Link.config;  (** shard-to-shard link model *)
-  resend_after : float;  (** unacked partials are re-shipped after this *)
-  checkpoint_every : float option;
-      (** coordinator-driven fuzzy checkpoints; driven here rather than
-          by {!Strip_core.Strip_db.schedule_checkpoints} so every log
-          truncation is immediately followed by a fresh [Shard_state] *)
-}
-
 type apply =
   sid:int ->
   Strip_txn.Transaction.t ->
@@ -71,8 +65,10 @@ type apply =
 
 type t
 
-val create : cfg:config -> apply:apply -> Strip_core.Strip_db.t array -> t
-(** Installs the partial and release sinks on every shard's rule
+val create :
+  link:Strip_repl.Link.config -> apply:apply -> Strip_core.Strip_db.t array -> t
+(** [create ~link ~apply dbs] connects every pair of shards by a
+    {!Strip_repl.Link} with the model [link].  Installs the partial and release sinks on every shard's rule
     manager, and registers the shard's protocol counts in its metrics
     registry: [shard_partials_out_total], [shard_crashes_total] and the
     {!Dqueue}'s [dqueue_offered_total], [dqueue_duplicates_total],

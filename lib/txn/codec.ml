@@ -106,24 +106,16 @@ let get_u32 r =
   r.pos <- r.pos + 4;
   v
 
-(* The offset of the next 8 bytes, consumed, after [get_i64]'s bounds
-   check. *)
+(* The offset of the next 8 bytes, consumed, after a bounds check. *)
 let take8 r =
   if remaining r < 8 then fail "get_i64: truncated input at %d" r.pos;
   let p = r.pos in
   r.pos <- p + 8;
   p
 
-let get_i64 r =
-  if r.check then begin
-    skip r 8 "get_i64";
-    0L
-  end
-  else String.get_int64_le r.data (take8 r)
-
-(* [get_int] and [get_float] read the bytes in place rather than through
-   [get_i64]: a call returning an [int64] boxes it (3 words per read),
-   while the inline primitive stays unboxed. *)
+(* [get_int] and [get_float] read the bytes in place: a call returning
+   an [int64] would box it (3 words per read), while the inline
+   primitive stays unboxed. *)
 let get_int r =
   if r.check then begin
     skip r 8 "get_i64";

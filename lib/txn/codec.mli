@@ -37,8 +37,8 @@ val reader : ?pos:int -> ?len:int -> ?check:bool -> string -> reader
     [s]); reading past them raises {!Decode_error}.  With [~check:true]
     (default false) it is verdict-only: every tag, length and bounds
     check still runs and fails as it would when decoding, but nothing is
-    built — {!get_string} returns [""], {!get_float} [0.0], {!get_i64}
-    [0L], {!get_int} [0], {!get_value} [Null], {!get_values} [[||]] and
+    built — {!get_string} returns [""], {!get_float} [0.0],
+    {!get_int} [0], {!get_value} [Null], {!get_values} [[||]] and
     {!get_list} [[]] (after running its element reader once per
     element), so a checking reader allocates nothing.
     @raise Invalid_argument if [pos]/[len] do not name a substring of [s]. *)
@@ -55,7 +55,6 @@ val remaining : reader -> int
 
 val get_u8 : reader -> int
 val get_u32 : reader -> int
-val get_i64 : reader -> int64
 val get_int : reader -> int
 val get_float : reader -> float
 val get_string : reader -> string

@@ -274,6 +274,25 @@ let flip_snapshot_byte t ~frac =
       true
     end
 
+let rot t ~target ~frac =
+  match target with
+  | `Wal ->
+    let n = Wal.durable_bytes t.wal in
+    if n = 0 then false
+    else begin
+      let off = min (int_of_float (frac *. float_of_int n)) (n - 1) in
+      let lsn = Wal.base_lsn t.wal + off in
+      Wal.flip_byte t.wal ~lsn;
+      note_injected t ~kind:Bitrot_wal ~lsn ~len:1;
+      true
+    end
+  | `Checkpoint -> flip_snapshot_byte t ~frac
+
+let arm_fsync_lie t ~notify =
+  Wal.arm_fsync_lie t.wal ~notify:(fun ~lsn ~len ->
+      note_injected t ~kind:Fsync_lie ~lsn ~len;
+      notify ())
+
 (* ------------------------------------------------------------------ *)
 (* Paced scrubbing: one step of a round-robin cycle over the retained
    WAL frames and then each distinct checkpoint part, newest slot first.

@@ -203,6 +203,17 @@ val flip_snapshot_byte : t -> frac:float -> bool
     checkpoint cache or an older slot.  Returns false if there is no
     image to rot. *)
 
+val rot : t -> target:[ `Wal | `Checkpoint ] -> frac:float -> bool
+(** At-rest bit rot: flip one durable byte at relative offset [frac]
+    (0..1) of the WAL, or one byte of the newest checkpoint image
+    ({!flip_snapshot_byte}), recording the injection in the ledger.
+    Returns false when there is nothing to rot. *)
+
+val arm_fsync_lie : t -> notify:(unit -> unit) -> unit
+(** Make the log's next fsync lie ({!Wal.arm_fsync_lie}); the lie is
+    recorded in the ledger when it happens, and [notify] is called
+    after. *)
+
 val note_wal_detected : t -> lsn:int -> len:int -> unit
 val note_wal_repaired : t -> lsn:int -> len:int -> unit
 val note_wal_quarantined : t -> from_lsn:int -> unit

@@ -28,8 +28,6 @@ type site =
       (** an fsync acknowledges the write but silently drops the bytes *)
   | Disk_full  (** an append is refused by the device's byte budget *)
 
-val site_name : site -> string
-
 exception Injected of { site : site; detail : string }
 (** Raised for [Txn_abort]/[User_fun] hits.  [detail] names the task or
     function at the injection point. *)

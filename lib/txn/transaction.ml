@@ -112,10 +112,6 @@ let query t s =
   let plan = Sql_exec.plan_select t.cat ~env:t.tenv ast in
   Query.run t.cat ~env:t.tenv plan
 
-let query_plan t plan =
-  require_active t "query_plan";
-  Query.run t.cat ~env:t.tenv plan
-
 let commit t =
   require_active t "commit";
   Meter.tick_c c_commit_transaction;

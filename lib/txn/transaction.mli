@@ -62,9 +62,6 @@ val query : t -> string -> Strip_relational.Query.result
 (** Run a SELECT inside the transaction (shared-locks the scanned standard
     tables). *)
 
-val query_plan : t -> Strip_relational.Query.plan -> Strip_relational.Query.result
-(** Run a prebuilt plan inside the transaction. *)
-
 val commit : t -> unit
 (** Stamp the commit time, release locks, tick ["commit_transaction"].
     Pinned pre-images stay pinned until {!cleanup} so the rule pass can

@@ -411,8 +411,9 @@ let continue_counts t ~from =
 
 let n_disk_fulls t = t.disk_fulls
 let lied_bytes t = t.lied_bytes
-let set_capacity t c = t.capacity <- c
-let capacity t = t.capacity
+let clamp t free =
+  t.capacity <-
+    Option.map (fun free -> durable_bytes t + pending_bytes t + free) free
 let arm_fsync_lie t ~notify = t.lie_notify <- Some notify
 
 let check_range t fn lsn =

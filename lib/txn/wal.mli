@@ -103,7 +103,7 @@ exception
     operation that refused it. *)
 
 exception Disk_full of { need : int; capacity : int; used : int }
-(** An append would exceed the configured {!set_capacity} byte budget.
+(** An append would exceed the byte budget set by {!clamp}.
     Typed backpressure: the engine translates this into a crash-and-recover
     cycle instead of growing without bound. *)
 
@@ -136,7 +136,6 @@ val truncate_to : t -> lsn:int -> unit
 
 val base_lsn : t -> int
 val durable_end : t -> int
-val end_lsn : t -> int
 val pending_bytes : t -> int
 val durable_bytes : t -> int
 val n_appends : t -> int
@@ -212,12 +211,11 @@ val install_bytes : t -> string -> unit
 
 (** {1 Media faults} *)
 
-val set_capacity : t -> int option -> unit
-(** Cap the bytes the device will hold (durable + pending); appends that
-    would exceed it raise {!Disk_full}.  [None] (the default) removes
-    the cap — the heal side of a disk-full fault. *)
-
-val capacity : t -> int option
+val clamp : t -> int option -> unit
+(** [clamp t (Some free)] caps the bytes the device will hold (durable +
+    pending) at what it holds now plus [free]; appends that would exceed
+    the cap raise {!Disk_full}.  [clamp t None] removes the cap (a new
+    log has none) — the heal side of a disk-full fault. *)
 
 val arm_fsync_lie : t -> notify:(lsn:int -> len:int -> unit) -> unit
 (** Arm a lying fsync: the next {!fsync} with pending bytes acknowledges

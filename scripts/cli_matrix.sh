@@ -64,6 +64,11 @@ exp crash-watermark "${symbol[@]}" --watermark 2 --crash-at 45 \
 # recovery rebuilt fully materialized, so their rows are copied by value.
 exp crash-comp --view comps --variant comp --crash-at 45 \
   --checkpoint-interval 5
+# A traced crash with a checkpoint every second: the export lists the
+# checkpoint and crash tasks of both incarnations (ids, labels, release
+# instants).  The text and JSON runs write the same crash.trace.
+exp crash-trace "${symbol[@]}" --crash-at 45 --checkpoint-interval 1 \
+  --trace crash.trace
 exp failover "${symbol[@]}" --crash-at 45 --checkpoint-interval 5 \
   --replicas 2 --read-rate 50 --read-policy bounded:0.5
 # A read pump with no replica over a restart in place: later reads go to

@@ -154,9 +154,11 @@ let test_reclaim_lifecycle_under_rules () =
   Alcotest.(check bool) "retired versions reclaimed after the tasks" true
     (Record.reclaimed_count () >= 2)
 
-let test_periodic_recomputation () =
-  (* §3: stock_stdev would be refreshed periodically rather than by rules *)
-  let db = Strip_db.create () in
+(* Every 10 s until 35 s, a periodic transaction bumps a gauge; an update
+   at 12 s adds 100.  Returns the database, the start time of every tick
+   attempt, and the gauge. *)
+let periodic_gauge ?fault ?retry () =
+  let db = Strip_db.create ?fault ?retry () in
   ignore (Strip_db.exec db "create table gauge (n int)");
   ignore (Strip_db.exec db "insert into gauge values (0)");
   let times = ref [] in
@@ -167,13 +169,44 @@ let test_periodic_recomputation () =
   Strip_db.submit_update db ~at:12.0 (fun txn ->
       ignore (Transaction.exec txn "update gauge set n += 100"));
   Strip_db.run db;
+  ( db,
+    List.rev !times,
+    Value.to_string (List.hd (Strip_db.query_rows db "select n from gauge")).(0) )
+
+let test_periodic_recomputation () =
+  (* §3: stock_stdev would be refreshed periodically rather than by rules *)
+  let db, times, gauge = periodic_gauge () in
   Alcotest.(check (list (float 0.01))) "fired on schedule" [ 10.0; 20.0; 30.0 ]
-    (List.rev !times);
-  Alcotest.(check string) "all effects applied" "103"
-    (Value.to_string (List.hd (Strip_db.query_rows db "select n from gauge")).(0));
+    times;
+  Alcotest.(check string) "all effects applied" "103" gauge;
   match Strip_db.schedule_periodic db ~every:0.0 (fun _ -> ()) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "zero period accepted"
+
+(* Half of all commits abort and are retried: a tick schedules its
+   successor only once its transaction commits, so each period's effect
+   is applied exactly once however often its tick is retried. *)
+let test_periodic_recomputation_retried () =
+  let retry =
+    {
+      Strip_sim.Engine.max_attempts = 20;
+      base_backoff_s = 0.01;
+      max_backoff_s = 0.1;
+    }
+  in
+  let db, times, gauge =
+    periodic_gauge ~fault:(Fault.abort_only ~seed:5 0.5) ~retry ()
+  in
+  let stats = Strip_db.stats db in
+  Alcotest.(check bool) "some ticks were retried" true
+    (List.length times > 3 && Strip_sim.Stats.n_retries stats > 0);
+  Alcotest.(check int) "nothing dead-lettered" 0
+    (Strip_sim.Stats.n_dead_letters stats);
+  Alcotest.(check (list int)) "every attempt within its period" [ 1; 2; 3 ]
+    (List.sort_uniq compare
+       (List.map (fun t -> int_of_float (t /. 10.0)) times));
+  Alcotest.(check string) "each period's effect applied exactly once" "103"
+    gauge
 
 let test_meter_snapshot_diff () =
   Meter.reset ();
@@ -204,6 +237,8 @@ let suite =
           test_reclaim_lifecycle_under_rules;
         Alcotest.test_case "periodic recomputation (§3)" `Quick
           test_periodic_recomputation;
+        Alcotest.test_case "periodic recomputation under retried aborts"
+          `Quick test_periodic_recomputation_retried;
         Alcotest.test_case "meter snapshot diff" `Quick test_meter_snapshot_diff;
       ] );
   ]

@@ -997,6 +997,48 @@ let test_older_slot_rot_within_bound () =
       <= scrub "passes" * Scrub.budget)
   | None -> Alcotest.fail "expected storage metrics"
 
+(* A disk-full clamp with almost no headroom: the next commits fill the
+   device, the refused append crashes the primary inside the full window,
+   and it restarts in place (no replicas) about 2.4 s later.  The clamp
+   lives on the WAL, which survives the restart, and the heal is due
+   after it, so only the heal that the restarted incarnation re-arms
+   lets the feed finish without filling the device again (it does,
+   twice, when the heal never comes). *)
+let test_disk_full_crash_heals_after_restart () =
+  Task.reset_ids ();
+  let base =
+    Experiment.default_config
+      (Experiment.Comp_view Comp_rules.Unique_on_comp)
+      ~delay:0.5
+  in
+  let cfg = Experiment.quick base 0.02 in
+  let m =
+    Experiment.run
+      {
+        cfg with
+        Experiment.verify = true;
+        recovery = Some Experiment.default_recovery;
+        chaos =
+          [
+            Experiment.Disk_full_at
+              { at = 24.0; free_bytes = 256; heal_after_s = 4.0 };
+          ];
+      }
+  in
+  (match m.Experiment.storage with
+  | Some sm ->
+    Alcotest.(check int) "one append refused" 1 sm.Experiment.disk_fulls;
+    Alcotest.(check bool) "the media converged" true sm.Experiment.final_clean
+  | None -> Alcotest.fail "expected storage metrics on a disk-full schedule");
+  (match m.Experiment.recovery with
+  | Some r ->
+    Alcotest.(check int) "one disk-full crash, none after the heal" 1
+      r.Experiment.n_crashes;
+    Alcotest.(check bool) "audit clean" true r.Experiment.audit_clean
+  | None -> Alcotest.fail "expected recovery metrics");
+  Alcotest.(check (option bool)) "view verified against recomputation"
+    (Some true) m.Experiment.verified
+
 (* ------------------------------------------------------------------ *)
 (* Storage sweep smoke + flag-off identity *)
 
@@ -1139,5 +1181,7 @@ let suite =
           test_storage_sweep_smoke;
         Alcotest.test_case "flag-off leaves no storage surface" `Slow
           test_flag_off_no_storage_surface;
+        Alcotest.test_case "a disk-full crash heals after the restart" `Quick
+          test_disk_full_crash_heals_after_restart;
       ] );
   ]
