@@ -48,9 +48,10 @@ let () =
 
   (* What did it cost, and is the derived data right? *)
   let stats = Strip_db.stats db in
-  Format.printf "%a@."
-    (Strip_sim.Stats.pp_summary ~duration_s:feed.Feed.duration)
-    stats;
+  Printf.printf "cpu utilization: %.1f%%, N_r: %d, mean recompute: %.1f us\n"
+    (100.0 *. Strip_sim.Stats.utilization stats ~duration_s:feed.Feed.duration)
+    (Strip_sim.Stats.n_recompute stats)
+    (Strip_sim.Stats.mean_service_us stats Strip_txn.Task.Recompute);
 
   let check name expected actual tol =
     let tbl = Hashtbl.create 256 in

@@ -66,7 +66,8 @@ let () =
     n (Export.deliveries sub)
     (float_of_int !rows_delivered /. float_of_int (max 1 !deliveries));
   let stats = Strip_db.stats db in
-  Format.printf "%a@."
-    (Strip_sim.Stats.pp_summary ~duration_s:feed.Feed.duration)
-    stats;
+  Printf.printf "cpu utilization: %.1f%%, N_r: %d, mean recompute: %.1f us\n"
+    (100.0 *. Strip_sim.Stats.utilization stats ~duration_s:feed.Feed.duration)
+    (Strip_sim.Stats.n_recompute stats)
+    (Strip_sim.Stats.mean_service_us stats Strip_txn.Task.Recompute);
   assert (!rows_delivered = n)

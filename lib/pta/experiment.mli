@@ -223,9 +223,9 @@ type repl_metrics = {
   epoch : int;  (** final primary term (1 = no election ever ran) *)
   epochs : (int * int) list;
       (** [(epoch, primary id)] in opening order; id -1 is the founding
-          primary or a restart-in-place *)
+          primary (a restart in place opens no epoch) *)
   promotions : (int * int * int) list;
-      (** every promotion as [(epoch, promoted id, promoted lsn)] in
+      (** every promotion as [(epoch, promoted replica id, promoted lsn)] in
           order — the acked frontier each election preserved *)
   final_lsn : int;  (** primary durable log end at end of run *)
   fenced_bytes : int;

@@ -413,56 +413,47 @@ let trace_promote t ~now ~(p : promotion) name =
         ]
       name
 
+(* The election both promotions share: drain what was delivered, elect
+   the most caught-up replica, rebuild a primary from its store, repoint
+   the cluster and open a new term.  A crashed primary's connections die
+   with it, so bytes on the wire are dropped and whatever the winner lacks
+   is lost.  An [isolated] primary is alive behind a partition: messages
+   it launched before the cut still arrive (so the wire is kept), and no
+   byte is lost yet — its divergent tail is fenced when the partition
+   heals, not counted as promotion loss. *)
+let elect_and_recover t ~now ~mk_db ~reinstall ~isolated name =
+  if Array.length t.replicas = 0 then
+    invalid_arg ("Cluster." ^ name ^ ": no replicas");
+  drain_all t ~now;
+  if not isolated then Array.iter Link.clear_in_flight t.links;
+  let old_db = t.primary and old_epoch = t.epoch in
+  let winner = elect t in
+  let promoted_lsn = Replica.applied_lsn winner in
+  let lost_bytes =
+    if isolated then 0
+    else
+      max 0 (Wal.durable_end (Durable.wal (primary_durable t)) - promoted_lsn)
+  in
+  let ndb = mk_db (Replica.durable winner) in
+  let rs =
+    Recovery.recover ndb
+      ~salvage:(fun ~from_lsn ~len -> fetch_clean t ~from_lsn ~len)
+      ~reinstall:(fun () -> reinstall ndb)
+  in
+  Durable.continue_counts (Replica.durable winner) ~from:(primary_durable t);
+  t.primary <- ndb;
+  t.failovers <- t.failovers + 1;
+  t.lost <- t.lost + lost_bytes;
+  open_epoch t ~winner_id:(Replica.id winner);
+  if isolated then t.isolated <- Some (old_db, old_epoch, promoted_lsn);
+  let p =
+    { promoted = Replica.id winner; promoted_lsn; lost_bytes; epoch = t.epoch }
+  in
+  trace_promote t ~now ~p name;
+  (ndb, rs, p)
+
 let promote t ~now ~mk_db ~reinstall =
-  if Array.length t.replicas = 0 then begin
-    (* Graceful degradation: with no replica to elect, fall back to
-       crash-restart recovery from the dead primary's own durable store —
-       the same path an unreplicated run takes — instead of refusing. *)
-    let dur = primary_durable t in
-    let promoted_lsn = Wal.durable_end (Durable.wal dur) in
-    let ndb = mk_db dur in
-    let rs =
-      Recovery.recover ndb
-        ~salvage:(fun ~from_lsn ~len -> fetch_clean t ~from_lsn ~len)
-        ~reinstall:(fun () -> reinstall ndb)
-    in
-    t.primary <- ndb;
-    open_epoch t ~winner_id:(-1);
-    let p = { promoted = -1; promoted_lsn; lost_bytes = 0; epoch = t.epoch } in
-    trace_promote t ~now ~p "promote";
-    (ndb, rs, p)
-  end
-  else begin
-    (* Everything already delivered counts; bytes on the wire die with the
-       primary's connections. *)
-    drain_all t ~now;
-    Array.iter Link.clear_in_flight t.links;
-    let winner = elect t in
-    let promoted_lsn = Replica.applied_lsn winner in
-    let old_end = Wal.durable_end (Durable.wal (primary_durable t)) in
-    let lost_bytes = max 0 (old_end - promoted_lsn) in
-    let ndb = mk_db (Replica.durable winner) in
-    let rs =
-      Recovery.recover ndb
-        ~salvage:(fun ~from_lsn ~len -> fetch_clean t ~from_lsn ~len)
-        ~reinstall:(fun () -> reinstall ndb)
-    in
-    Durable.continue_counts (Replica.durable winner) ~from:(primary_durable t);
-    t.primary <- ndb;
-    t.failovers <- t.failovers + 1;
-    t.lost <- t.lost + lost_bytes;
-    open_epoch t ~winner_id:(Replica.id winner);
-    let p =
-      {
-        promoted = Replica.id winner;
-        promoted_lsn;
-        lost_bytes;
-        epoch = t.epoch;
-      }
-    in
-    trace_promote t ~now ~p "promote";
-    (ndb, rs, p)
-  end
+  elect_and_recover t ~now ~mk_db ~reinstall ~isolated:false "promote"
 
 let begin_partition t ~now ~heal_at =
   if heal_at <= now then invalid_arg "Cluster.begin_partition: empty window";
@@ -474,37 +465,7 @@ let begin_partition t ~now ~heal_at =
     t.links
 
 let promote_isolated t ~now ~mk_db ~reinstall =
-  if Array.length t.replicas = 0 then
-    invalid_arg "Cluster.promote_isolated: no replicas";
-  (* The old primary is alive behind the partition: messages it launched
-     before the cut still arrive (so drain, but keep the wire), and no
-     byte is lost yet — its divergent tail is fenced when the partition
-     heals, not counted as promotion loss. *)
-  drain_all t ~now;
-  let old_db = t.primary and old_epoch = t.epoch in
-  let winner = elect t in
-  let promoted_lsn = Replica.applied_lsn winner in
-  let ndb = mk_db (Replica.durable winner) in
-  let rs =
-    Recovery.recover ndb
-      ~salvage:(fun ~from_lsn ~len -> fetch_clean t ~from_lsn ~len)
-      ~reinstall:(fun () -> reinstall ndb)
-  in
-  Durable.continue_counts (Replica.durable winner) ~from:(primary_durable t);
-  t.primary <- ndb;
-  t.failovers <- t.failovers + 1;
-  open_epoch t ~winner_id:(Replica.id winner);
-  t.isolated <- Some (old_db, old_epoch, promoted_lsn);
-  let p =
-    {
-      promoted = Replica.id winner;
-      promoted_lsn;
-      lost_bytes = 0;
-      epoch = t.epoch;
-    }
-  in
-  trace_promote t ~now ~p "promote_isolated";
-  (ndb, rs, p)
+  elect_and_recover t ~now ~mk_db ~reinstall ~isolated:true "promote_isolated"
 
 let heal t ~now =
   match t.isolated with

@@ -90,7 +90,7 @@ val epoch : t -> int
 
 val epoch_history : t -> (int * int) list
 (** [(epoch, primary id)] in opening order; id -1 is the founding
-    primary (and any restart-in-place of a replica-less cluster). *)
+    primary.  A restart in place ({!restarted}) opens no epoch. *)
 
 (** {1 Reads} *)
 
@@ -117,7 +117,7 @@ val fetch_clean : t -> from_lsn:int -> len:int -> string option
 (** {1 Failover} *)
 
 type promotion = {
-  promoted : int;  (** elected replica id; -1 = restart-in-place *)
+  promoted : int;  (** elected replica id *)
   promoted_lsn : int;  (** its applied LSN at election *)
   lost_bytes : int;
       (** durable-on-primary bytes that never reached the elected
@@ -137,12 +137,12 @@ val promote :
     {!Recovery.recover}, repoint the cluster, and open a new epoch.  The
     winner's store continues the old primary's WAL and checkpoint counts
     ({!Strip_txn.Durable.continue_counts}).
-    In-flight link messages die with the old primary.  With zero
-    replicas this degrades gracefully to crash-restart recovery from the
-    dead primary's own durable store ([promoted = -1]) instead of
-    refusing.  Re-raises {!Strip_txn.Fault.Crashed} if the fault
+    In-flight link messages die with the old primary.  A replica-less
+    cluster restarts in place instead ({!Recovery.restart}, then
+    {!restarted}).  Re-raises {!Strip_txn.Fault.Crashed} if the fault
     injector fells the new primary mid-recovery; the call may simply be
-    retried. *)
+    retried.
+    @raise Invalid_argument with zero replicas. *)
 
 val begin_partition : t -> now:float -> heal_at:float -> unit
 (** Isolate the {e current} primary: add a partition window tagged with

@@ -215,7 +215,7 @@ val stats : t -> Strip_sim.Stats.t
 
 val view_definitions : t -> (string * Strip_relational.Sql_parser.select_ast) list
 (** Definitions captured from [CREATE VIEW] statements, newest last (used
-    by the {!Strip_ivm} rule generator and the consistency {!Auditor}). *)
+    by the consistency {!Auditor}). *)
 
 (** {1 Views} *)
 

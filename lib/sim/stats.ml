@@ -244,67 +244,3 @@ let context_switches t = t.ctx
 
 let utilization t ~duration_s =
   if duration_s <= 0.0 then 0.0 else busy_us t *. 1e-6 /. duration_s
-
-let pp_summary ~duration_s ppf t =
-  let failure_suffix =
-    if t.aborts + t.retries + t.sheds + t.dead_letters = 0 then ""
-    else
-      Printf.sprintf
-        "\naborts: %d, retries: %d, sheds: %d (%d coalesced), dead letters: \
-         %d\nrecoveries: %d, mean %.1f ms, max %.1f ms"
-        t.aborts t.retries t.sheds t.coalesced t.dead_letters (n_recoveries t)
-        (1e3 *. mean_recovery_s t)
-        (1e3 *. Histogram.max_value t.recovery_h)
-  in
-  let server_suffix =
-    if Array.length t.sbusy <= 1 then ""
-    else
-      String.concat ""
-        (List.mapi
-           (fun i busy ->
-             Printf.sprintf "\nserver %d: %d tasks, %.1f s busy (%.1f%%)" i
-               t.stasks.(i) (busy *. 1e-6)
-               (if duration_s <= 0.0 then 0.0
-                else 100.0 *. busy *. 1e-6 /. duration_s))
-           (Array.to_list t.sbusy))
-  in
-  let lock_suffix =
-    if t.lock_waits + t.lock_timeouts = 0 then ""
-    else
-      Printf.sprintf
-        "\nlock waits: %d (mean %.2f ms, p99 %.2f ms, max %.2f ms), timeouts: \
-         %d"
-        t.lock_waits
-        (1e3 *. Histogram.mean t.lock_wait_h)
-        (1e3 *. Histogram.percentile t.lock_wait_h 99.0)
-        (1e3 *. Histogram.max_value t.lock_wait_h)
-        t.lock_timeouts
-  in
-  let staleness_suffix =
-    String.concat ""
-      (List.map
-         (fun table ->
-           let h = staleness_hist t table in
-           Printf.sprintf
-             "\nstaleness %s: %d samples, mean %.2f s, p50 %.2f s, p99 %.2f \
-              s, max %.2f s"
-             table (Histogram.count h) (Histogram.mean h)
-             (Histogram.percentile h 50.0)
-             (Histogram.percentile h 99.0)
-             (Histogram.max_value h))
-         (staleness_tables t))
-  in
-  Format.fprintf ppf
-    "@[<v>cpu utilization: %.1f%%@,\
-     updates: %d tasks, %.1f s busy@,\
-     recomputes: %d tasks, %.1f s busy, mean %.1f us, p50 %.1f us, p99 %.1f \
-     us, max %.1f us@,\
-     context switches: %d%s%s%s%s@]"
-    (100.0 *. utilization t ~duration_s)
-    t.update.n (t.update.busy *. 1e-6) t.recompute.n
-    (t.recompute.busy *. 1e-6)
-    (mean_service_us t Task.Recompute)
-    (service_percentile_us t Task.Recompute 50.0)
-    (service_percentile_us t Task.Recompute 99.0)
-    t.recompute.max_service t.ctx server_suffix lock_suffix failure_suffix
-    staleness_suffix

@@ -206,5 +206,3 @@ val context_switches : t -> int
 
 val utilization : t -> duration_s:float -> float
 (** busy / duration; 0.0 when [duration_s <= 0]. *)
-
-val pp_summary : duration_s:float -> Format.formatter -> t -> unit

@@ -10,6 +10,6 @@ let () =
    @ Test_rules.suite @ Test_firing.suite
    @ Test_unique.suite @ Test_rule_properties.suite @ Test_finance.suite @ Test_market.suite
    @ Test_obs.suite
-   @ Test_pta.suite @ Test_ivm.suite @ Test_ingest.suite
+   @ Test_pta.suite @ Test_ingest.suite
    @ Test_recovery.suite @ Test_repl.suite @ Test_chaos.suite
    @ Test_storage.suite @ Test_shard.suite @ Test_integration.suite)

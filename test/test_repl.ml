@@ -493,38 +493,39 @@ let test_promotion_opens_new_epoch () =
   Alcotest.(check int) "replicas adopted the new term" 2
     (Replica.epoch (Cluster.replica c 0))
 
-(* Satellite: a cluster with no replicas no longer refuses promotion —
-   it degrades to PR 4 crash-restart recovery from its own durable
-   store, still opening a fresh term. *)
-let test_promote_without_replicas_degrades () =
+(* With no replica there is no one to elect: both promotions refuse, and
+   a replica-less cluster restarts in place instead (covered by "a
+   replica-less read pump follows a restart"). *)
+let test_promotion_needs_a_replica () =
   Task.reset_ids ();
   let durable = Durable.create () in
   let db = Test_recovery.setup_durable_db durable in
-  Strip_db.checkpoint db;
-  update_stock db ~at:0.0 "S1" 31.0;
-  update_stock db ~at:0.3 "S2" 38.0;
-  Strip_db.run db;
-  let expected = view_rows (Strip_db.catalog db) in
   let cfg = { Cluster.default_config with n_replicas = 0 } in
   let c =
     Cluster.create cfg ~primary:db ~read_table:"comp_prices"
       ~read_key_col:"comp" ~read_keys:[| "C1" |] ~read_until:0.0
   in
   Strip_db.crash db;
-  let ndb, _rs, p =
-    Cluster.promote c ~now:3.0
-      ~mk_db:(fun dur -> Strip_db.create ~now:3.0 ~durable:dur ())
-      ~reinstall:(fun ndb -> Test_recovery.install_comp_rule ndb)
+  let refuses name promote =
+    let raised =
+      match
+        promote c ~now:3.0
+          ~mk_db:(fun dur -> Strip_db.create ~now:3.0 ~durable:dur ())
+          ~reinstall:(fun ndb -> Test_recovery.install_comp_rule ndb)
+      with
+      | _ -> false
+      | exception Invalid_argument _ -> true
+    in
+    Alcotest.(check bool) (name ^ " raises Invalid_argument") true raised
   in
-  Alcotest.(check int) "restart-in-place: no winner id" (-1) p.Cluster.promoted;
-  Alcotest.(check int) "nothing durable was lost" 0 p.Cluster.lost_bytes;
-  Alcotest.(check int) "a fresh term still opens" 2 p.Cluster.epoch;
-  Alcotest.(check bool) "cluster repointed" true (Cluster.primary c == ndb);
-  Strip_db.run ndb;
-  Alcotest.(check int) "recovered engine audits clean" 0
-    (List.length (Auditor.audit ndb).Auditor.divergences);
-  Alcotest.(check bool) "recovered view equals the pre-crash view" true
-    (view_rows (Strip_db.catalog ndb) = expected)
+  refuses "promote" Cluster.promote;
+  refuses "promote_isolated" Cluster.promote_isolated;
+  Alcotest.(check int) "no failover counted" 0 (Cluster.n_failovers c);
+  Alcotest.(check (list (pair int int))) "no epoch opened"
+    [ (1, -1) ]
+    (Cluster.epoch_history c);
+  Alcotest.(check bool) "cluster still points at the old primary" true
+    (Cluster.primary c == db)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: experiment failover loop, routing policies, determinism *)
@@ -768,8 +769,8 @@ let suite =
           test_promotion_tie_break;
         Alcotest.test_case "every election opens a new epoch" `Quick
           test_promotion_opens_new_epoch;
-        Alcotest.test_case "promotion without replicas degrades to restart"
-          `Quick test_promote_without_replicas_degrades;
+        Alcotest.test_case "promotion needs a replica" `Quick
+          test_promotion_needs_a_replica;
       ] );
     ( "repl/experiment",
       [
