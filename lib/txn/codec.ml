@@ -20,10 +20,11 @@ let put_u32 b i =
   if i < 0 || i > 0xFFFFFFFF then invalid_arg "Codec.put_u32: out of range";
   Buffer.add_int32_le b (Int32.of_int i)
 
-let put_i64 b (i : int64) = Buffer.add_int64_le b i
-
-let put_int b i = put_i64 b (Int64.of_int i)
-let put_float b f = put_i64 b (Int64.bits_of_float f)
+(* Each writer calls [Buffer.add_int64_le] on its conversion directly:
+   the call is inlined, so the [int64] is never boxed.  Passed through a
+   helper that takes an [int64] it would be, 3 words a call. *)
+let put_int b i = Buffer.add_int64_le b (Int64.of_int i)
+let put_float b f = Buffer.add_int64_le b (Int64.bits_of_float f)
 
 let put_string b s =
   put_u32 b (String.length s);

@@ -17,7 +17,6 @@ val put_u8 : Buffer.t -> int -> unit
 val put_u32 : Buffer.t -> int -> unit
 (** @raise Invalid_argument outside [0, 2^32). *)
 
-val put_i64 : Buffer.t -> int64 -> unit
 val put_int : Buffer.t -> int -> unit
 val put_float : Buffer.t -> float -> unit
 (** Exact (bit-pattern) float round trip. *)

@@ -453,7 +453,7 @@ let test_int_writers () =
   let b = Buffer.create 32 in
   Codec.put_u32 b 0x04030201;
   Codec.put_u32 b 0xFFFFFFFF;
-  Codec.put_i64 b 0x0807060504030201L;
+  Codec.put_int b 0x0807060504030201;
   Codec.put_int b (-2);
   Alcotest.(check string) "little-endian layout"
     "\001\002\003\004\255\255\255\255\001\002\003\004\005\006\007\008\254\255\255\255\255\255\255\255"
@@ -468,19 +468,43 @@ let test_int_writers () =
         | () -> false))
     [ -1; 0x100000000 ]
 
-(* Reading an int boxes nothing and reading a float boxes only the float
-   it returns: neither goes through a boxed [int64] (3 words a read).
-   Decoding a list or a value array therefore allocates its cells and
-   constructors and nothing per 8-byte field beyond them. *)
+(* Writing an int or a u32 boxes nothing, nor does writing a float that
+   is already boxed; reading an int boxes nothing and reading a float
+   boxes only the float it returns: none goes through a boxed [int32] or
+   [int64] (3 words a call).  Decoding a list or a value array therefore
+   allocates its cells and constructors and nothing per 8-byte field
+   beyond them. *)
 let test_fixed_width_reads_unboxed () =
   let n = 1000 in
-  let b = Buffer.create (n * 9) in
-  for i = 1 to n do
-    Codec.put_int b (i * 7919)
-  done;
-  for i = 1 to n do
-    Codec.put_float b (float_of_int i /. 3.0)
-  done;
+  let b = Buffer.create (n * 16) and ub = Buffer.create (n * 4) in
+  let floats = List.init n (fun i -> float_of_int (i + 1) /. 3.0) in
+  let rec put_floats = function
+    | [] -> ()
+    | f :: tl ->
+      Codec.put_float b f;
+      put_floats tl
+  in
+  let alloc f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let w =
+    alloc (fun () ->
+        for i = 1 to n do
+          Codec.put_int b (i * 7919)
+        done)
+  in
+  Alcotest.(check (float 0.)) "put_int allocates nothing" 0. w;
+  let w = alloc (fun () -> put_floats floats) in
+  Alcotest.(check (float 0.)) "put_float of a boxed float allocates nothing" 0. w;
+  let w =
+    alloc (fun () ->
+        for i = 1 to n do
+          Codec.put_u32 ub (i * 7919)
+        done)
+  in
+  Alcotest.(check (float 0.)) "put_u32 allocates nothing" 0. w;
   let data = Buffer.contents b in
   let words f =
     let r = Codec.reader data in
