@@ -49,10 +49,11 @@ type t = {
   (* Cross-shard partial deltas (lib/shard).  [emit_partial] buffers a
      weighted contribution to a composite row owned by another shard while
      the action transaction runs; at commit the buffer is stamped with
-     monotone ship sequence numbers, logged as [Wal.Shard_out] records in
-     the same append batch as the commit (atomicity), and handed to the
-     sink after the fsync.  All three stay empty outside sharded runs, so
-     single-primary behavior is byte-identical. *)
+     ship sequence numbers from 1 per destination ([partial_seqs.(dst)]
+     is the last), logged as [Wal.Shard_out] records in the same append
+     batch as the commit (atomicity), and handed to the sink after the
+     fsync.  All three stay empty outside sharded runs, so single-primary
+     behavior is byte-identical. *)
   mutable partial_sink :
     (seq:int ->
     dst:int ->
@@ -64,7 +65,7 @@ type t = {
     option;
   mutable partial_buf : (int * Value.t list * float) list;  (* reversed *)
   mutable release_buf : Value.t list list;  (* reversed *)
-  mutable partial_seq : int;
+  mutable partial_seqs : int array;
   mutable release_sink : (key:Value.t list -> unit) option;
 }
 
@@ -88,7 +89,7 @@ let create ~cat ~locks ~clock ~stats ?fault ?durable ?trace ?provenance () =
     partial_sink = None;
     partial_buf = [];
     release_buf = [];
-    partial_seq = 0;
+    partial_seqs = [||];
     release_sink = None;
   }
 
@@ -104,8 +105,20 @@ let clear_partials t =
   t.partial_buf <- [];
   t.release_buf <- []
 
-let partial_seq t = t.partial_seq
-let set_partial_seq t n = t.partial_seq <- n
+let partial_seqs t =
+  Array.to_list t.partial_seqs
+  |> List.mapi (fun dst seq -> (dst, seq))
+  |> List.filter (fun (_, seq) -> seq > 0)
+
+(* [partial_seqs], grown to hold a slot for [dst]. *)
+let slots t dst =
+  let len = Array.length t.partial_seqs in
+  if dst >= len then
+    t.partial_seqs <-
+      Array.init (dst + 1) (fun i -> if i < len then t.partial_seqs.(i) else 0);
+  t.partial_seqs
+
+let set_partial_seqs t = List.iter (fun (dst, seq) -> (slots t dst).(dst) <- seq)
 
 let set_commit_hook t f = t.on_commit <- Some f
 
@@ -719,15 +732,17 @@ and commit_txn ?release t txn =
     | Some _ -> Wal.ops_of_tlog (Transaction.log txn)
   in
   Transaction.commit txn;
-  (* Stamp buffered cross-shard partials with ship sequence numbers in
-     emit order; their Shard_out records ride the commit's append batch
-     so the partial is durable iff the commit that produced it is. *)
+  (* Stamp buffered cross-shard partials, in emit order, with their
+     destination's next ship seq; their Shard_out records ride the
+     commit's append batch so a partial is durable iff its commit is. *)
   let commit_time = Clock.now t.clock in
   let partials =
     List.map
       (fun (dst, key, delta) ->
-        t.partial_seq <- t.partial_seq + 1;
-        (t.partial_seq, dst, key, delta))
+        let seqs = slots t dst in
+        let seq = seqs.(dst) + 1 in
+        seqs.(dst) <- seq;
+        (seq, dst, key, delta))
       (List.rev t.partial_buf)
   in
   let shard_releases = List.rev t.release_buf in

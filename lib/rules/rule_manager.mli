@@ -137,7 +137,8 @@ val log_shed :
     Hooks for the sharded write path ({!Strip_shard}).  A routed rule
     action whose composite target row lives on another shard calls
     {!emit_partial} instead of updating locally; the buffered partials
-    are stamped with monotone ship sequence numbers at commit, logged as
+    are stamped with ship sequence numbers, from 1 per destination
+    shard, at commit, logged as
     {!Strip_txn.Wal.Shard_out} records in the {e same append batch} as
     the commit (so a partial is durable exactly when the commit that
     produced it is), and handed to the registered sink after the fsync.
@@ -181,12 +182,14 @@ val set_release_sink :
 val clear_partials : t -> unit
 (** Drop buffered partials and releases (abort paths call this). *)
 
-val partial_seq : t -> int
-(** Highest ship sequence number stamped so far. *)
+val partial_seqs : t -> (int * int) list
+(** [(dst, seq)], ascending [dst]: the highest ship sequence number
+    stamped towards each shard [dst] sent any (the number sent it). *)
 
-val set_partial_seq : t -> int -> unit
-(** Restore the ship sequence counter after crash recovery so re-shipped
-    and fresh partials never collide. *)
+val set_partial_seqs : t -> (int * int) list -> unit
+(** Restore the counters of the given [(dst, seq)]s after crash recovery
+    (the highest seqs logged), so the next partial to each [dst]
+    continues its owner's watermark. *)
 
 (** {1 Crash recovery} *)
 

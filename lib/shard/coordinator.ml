@@ -44,7 +44,8 @@ let attach sh =
   let module M = Strip_obs.Metrics in
   let reg = Strip_db.metrics sh.db in
   M.probe_int reg "shard_partials_out_total" (fun () ->
-      Rule_manager.partial_seq (Strip_db.rules sh.db));
+      List.fold_left (fun n (_, seq) -> n + seq) 0
+        (Rule_manager.partial_seqs (Strip_db.rules sh.db)));
   M.probe_int reg "shard_crashes_total" (fun () -> sh.crashes);
   M.probe_int reg "dqueue_offered_total" (fun () -> Dqueue.n_offered sh.dq);
   M.probe_int reg "dqueue_duplicates_total" (fun () ->
@@ -71,8 +72,8 @@ let append_state sh =
     let state =
       Wal.Shard_state
         {
-          next_seq = Rule_manager.partial_seq (Strip_db.rules sh.db);
-          seen = Dqueue.seen_list sh.dq;
+          out_seqs = Rule_manager.partial_seqs (Strip_db.rules sh.db);
+          watermarks = Dqueue.watermarks sh.dq;
           pending = Dqueue.pending_list sh.dq;
           unacked =
             List.map
@@ -95,25 +96,31 @@ let checkpoint sh ~now =
   sh.last_cp <- now
 
 type log_state = {
-  next_seq : int;
+  out_seqs : (int * int) list;
   queue : Dqueue.t;
   outstanding : (int * int * Value.t list * float * float) list;
 }
+
+(* [(dst, seq)] folded into the per-destination maxima [seqs]. *)
+let note_seq seqs (dst, seq) =
+  let prev = Option.value (List.assoc_opt dst seqs) ~default:0 in
+  (dst, max prev seq) :: List.remove_assoc dst seqs
 
 (* Rebuild the cross-shard protocol state from a shard's own log.  The
    queue is replayed through a scratch Dqueue, so recovery dedups and
    merges with exactly the code the live path uses. *)
 let scan_log records =
   let queue = Dqueue.create () in
-  let next_seq, unacked =
+  let out_seqs, unacked =
     List.fold_left
-      (fun ((next_seq, unacked) as acc) (_lsn, r) ->
+      (fun ((out_seqs, unacked) as acc) (_lsn, r) ->
         match r with
-        | Wal.Shard_state { next_seq; seen; pending; unacked } ->
-          Dqueue.restore queue ~seen ~pending;
-          (next_seq, List.rev unacked)
+        | Wal.Shard_state s ->
+          Dqueue.restore queue ~watermarks:s.watermarks ~pending:s.pending;
+          (List.fold_left note_seq out_seqs s.out_seqs, List.rev s.unacked)
         | Wal.Shard_out { seq; dst; key; delta; created_at } ->
-          (max next_seq seq, (seq, dst, key, delta, created_at) :: unacked)
+          ( note_seq out_seqs (dst, seq),
+            (seq, dst, key, delta, created_at) :: unacked )
         | Wal.Shard_in { src; seq; key; delta; created_at } ->
           ignore (Dqueue.offer queue ~src ~seq ~key ~delta ~created_at);
           acc
@@ -121,9 +128,9 @@ let scan_log records =
           Dqueue.remove queue ~key;
           acc
         | _ -> acc)
-      (0, []) records
+      ([], []) records
   in
-  { next_seq; queue; outstanding = List.rev unacked }
+  { out_seqs = List.sort compare out_seqs; queue; outstanding = List.rev unacked }
 
 let scan_db db =
   match Strip_db.durable db with
@@ -164,8 +171,9 @@ let on_restart t sid ~log db =
   sh.crashes <- sh.crashes + 1;
   sh.db <- db;
   attach sh;
-  Rule_manager.set_partial_seq (Strip_db.rules db) log.next_seq;
-  Dqueue.restore sh.dq ~seen:(Dqueue.seen_list log.queue)
+  Rule_manager.set_partial_seqs (Strip_db.rules db) log.out_seqs;
+  Dqueue.restore sh.dq
+    ~watermarks:(Dqueue.watermarks log.queue)
     ~pending:(Dqueue.pending_list log.queue);
   sh.outbox <- [];
   sh.acks <- [];
@@ -190,13 +198,17 @@ let on_restart t sid ~log db =
 (* ------------------------------------------------------------------ *)
 (* Receive side.                                                        *)
 
-let receive t sh (m : Link.message) =
+let receive t sh ~from (m : Link.message) =
   match m.Link.payload with
   | Link.Segment _ | Link.Bootstrap _ -> ()  (* not shard-layer traffic *)
   | Link.Blob bytes -> (
     match Partial.decode bytes with
     | Partial.Ack { src = _; seq } ->
-      sh.unacked <- List.filter (fun u -> u.p.Partial.seq <> seq) sh.unacked
+      (* seqs count per owner: retire the entry shipped to [from] *)
+      sh.unacked <-
+        List.filter
+          (fun u -> u.p.Partial.dst <> from || u.p.Partial.seq <> seq)
+          sh.unacked
     | Partial.Partial p ->
       let verdict =
         Dqueue.offer sh.dq ~src:p.Partial.src ~seq:p.Partial.seq
@@ -314,7 +326,7 @@ let step t ~now =
         | c -> c)
       (List.rev !arrived)
   in
-  List.iter (fun (m, _src, dst) -> receive t t.shards.(dst) m) arrived
+  List.iter (fun (m, src, dst) -> receive t t.shards.(dst) ~from:src m) arrived
 
 let quiescent t =
   Array.for_all

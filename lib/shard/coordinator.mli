@@ -8,7 +8,7 @@
     A routed rule action on the emitting shard computes its {e local}
     weighted contribution to a remote composite and calls
     {!Strip_core.Rule_manager.emit_partial}; the partial is stamped with
-    a monotone ship sequence number at commit, logged as a
+    its destination's next ship sequence number at commit, logged as a
     [Wal.Shard_out] in the same append batch as the commit, and handed
     to this coordinator's outbox after the fsync.  The coordinator ships
     it over the shard-to-shard {!Strip_repl.Link} on the next tick and
@@ -49,8 +49,8 @@
     every topology; the coordinator only rebuilds its protocol state.
     The loop {!scan_db}s the dead incarnation's log {e before}
     {!Strip_core.Recovery.recover} truncates it (rebuilding the dedup
-    set, pending merges, unacked ships and the sequence counter from
-    [Shard_state] + subsequent records), and {!on_restart} then
+    watermarks, pending merges, unacked ships and sequence counters
+    from [Shard_state] + subsequent records), and {!on_restart} then
     re-ships everything unacknowledged, resubmits an apply task per
     pending key, and appends a fresh [Shard_state] past the recovery
     checkpoint's truncation point. *)
@@ -92,10 +92,12 @@ val quiescent : t -> bool
 (** {1 Restart} *)
 
 type log_state = {
-  next_seq : int;  (** the partial sequence counter to resume from *)
+  out_seqs : (int * int) list;
+      (** [(dst, seq)], ascending [dst]: the highest seq logged towards
+          [dst], where the stamper resumes *)
   queue : Dqueue.t;
-      (** a fresh queue holding the logged dedup set and pending merges;
-          its counters count only the replay *)
+      (** a fresh queue holding the logged dedup state and pending
+          merges; its counters count only the replay *)
   outstanding :
     (int * int * Strip_relational.Value.t list * float * float) list;
       (** logged-but-unacknowledged ships [(seq, dst, key, delta,

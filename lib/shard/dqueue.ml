@@ -1,10 +1,11 @@
 type entry = { mutable delta : float; created_at : float }
 
-(* The merged seqs of one source shard, ascending, in [seqs.(0 .. len-1)]. *)
-type run = { mutable seqs : int array; mutable len : int }
+(* One source's merged seqs: all of [1 .. floor], and [above]
+   (ascending, each above [floor + 1]). *)
+type mark = { mutable floor : int; mutable above : int list }
 
 type t = {
-  mutable runs : run array;  (* indexed by source shard id *)
+  mutable marks : mark array;  (* indexed by source shard id *)
   pending : (Strip_relational.Value.t list, entry) Hashtbl.t;
   mutable order : Strip_relational.Value.t list list;
       (* first-arrival order, reversed *)
@@ -19,7 +20,7 @@ type verdict = Duplicate | Merged | Fresh
 
 let create () =
   {
-    runs = [||];
+    marks = [||];
     pending = Hashtbl.create 16;
     order = [];
     offered = 0;
@@ -32,46 +33,35 @@ let create () =
 let check_src src =
   if src < 0 then invalid_arg "Dqueue: negative source shard id"
 
-let run_of t src =
-  let n = Array.length t.runs in
+let mark_of t src =
+  let n = Array.length t.marks in
   if src >= n then
-    t.runs <-
-      Array.init (max (src + 1) (2 * n)) (fun i ->
-          if i < n then t.runs.(i) else { seqs = [||]; len = 0 });
-  t.runs.(src)
+    t.marks <-
+      Array.init (src + 1) (fun i ->
+          if i < n then t.marks.(i) else { floor = 0; above = [] });
+  t.marks.(src)
 
-(* Position of the first element >= [seq] in [r]. *)
-let lower_bound r seq =
-  let lo = ref 0 and hi = ref r.len in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if r.seqs.(mid) < seq then lo := mid + 1 else hi := mid
-  done;
-  !lo
+(* [seq] continues [m]'s floor: advance it through [seq] and the seqs
+   of [above] that follow on. *)
+let rec absorb m seq above =
+  m.floor <- seq;
+  match above with
+  | s :: tl when s = seq + 1 -> absorb m s tl
+  | rest -> m.above <- rest
 
-(* Insert [seq] into [r]; false if it was already there.  A seq above
-   the run's last element (the in-order case) appends without a search. *)
-let add r seq =
-  let i =
-    if r.len = 0 || r.seqs.(r.len - 1) < seq then r.len else lower_bound r seq
-  in
-  if i < r.len && r.seqs.(i) = seq then false
-  else begin
-    if r.len = Array.length r.seqs then begin
-      let a = Array.make (max 16 (2 * r.len)) 0 in
-      Array.blit r.seqs 0 a 0 r.len;
-      r.seqs <- a
-    end;
-    Array.blit r.seqs i r.seqs (i + 1) (r.len - i);
-    r.seqs.(i) <- seq;
-    r.len <- r.len + 1;
-    true
-  end
+(* Record [seq] as merged; false if it already was.  The in-order case
+   only moves the floor. *)
+let add m seq =
+  let fresh = seq > m.floor && not (List.mem seq m.above) in
+  if fresh && seq = m.floor + 1 then absorb m seq m.above
+  else if fresh then m.above <- List.merge Int.compare [ seq ] m.above;
+  fresh
 
 let offer t ~src ~seq ~key ~delta ~created_at =
   check_src src;
+  if seq < 1 then invalid_arg "Dqueue: seq below 1";
   t.offered <- t.offered + 1;
-  if not (add (run_of t src) seq) then begin
+  if not (add (mark_of t src) seq) then begin
     t.dups <- t.dups + 1;
     Duplicate
   end
@@ -103,15 +93,10 @@ let remove t ~key =
 let pending_keys t = List.rev t.order
 let n_pending t = Hashtbl.length t.pending
 
-let seen_list t =
-  let acc = ref [] in
-  for src = Array.length t.runs - 1 downto 0 do
-    let r = t.runs.(src) in
-    for i = r.len - 1 downto 0 do
-      acc := (src, r.seqs.(i)) :: !acc
-    done
-  done;
-  !acc
+let watermarks t =
+  Array.to_list t.marks
+  |> List.mapi (fun src m -> (src, m.floor, m.above))
+  |> List.filter (fun (_, floor, above) -> floor > 0 || above <> [])
 
 let pending_list t =
   List.map
@@ -120,12 +105,17 @@ let pending_list t =
       (key, e.delta, e.created_at))
     (pending_keys t)
 
-let restore t ~seen ~pending =
-  List.iter (fun (src, _) -> check_src src) seen;
-  t.runs <- [||];
+let restore t ~watermarks ~pending =
+  List.iter (fun (src, _, _) -> check_src src) watermarks;
+  t.marks <- [||];
   Hashtbl.reset t.pending;
   t.order <- [];
-  List.iter (fun (src, seq) -> ignore (add (run_of t src) seq)) seen;
+  List.iter
+    (fun (src, floor, above) ->
+      let m = mark_of t src in
+      m.floor <- floor;
+      m.above <- above)
+    watermarks;
   List.iter
     (fun (key, delta, created_at) ->
       Hashtbl.replace t.pending key { delta; created_at };

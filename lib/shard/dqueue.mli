@@ -6,28 +6,20 @@
     from many shards into one pending entry, and fires the maintenance
     action once per key rather than once per arrival.
 
-    Idempotence: every arrival is first checked against the set of
-    [(src, seq)] identities already merged — a resent or duplicated
-    partial is a {!verdict.Duplicate} and changes nothing.  Merging is
-    commutative addition (DBSP linearity of the composite rules), so
-    arrival order across shards cannot change the merged total, and the
-    entry keeps its {e first} arrival's [created_at] so latency
-    accounting measures the oldest unapplied contribution.
+    Idempotence: each source numbers the partials it sends this owner
+    from 1, so the queue keeps one {e watermark} per source: a [floor]
+    (every seq up to it is merged) plus the few merged seqs above it,
+    which arrived ahead of a gap.  A resent or duplicated partial is a
+    {!verdict.Duplicate} and changes nothing.  Merging is commutative
+    addition (DBSP linearity of the composite rules), so arrival order
+    across shards cannot change the merged total, and the entry keeps
+    its {e first} arrival's [created_at] so latency accounting measures
+    the oldest unapplied contribution.
 
     The queue is volatile; the owner's WAL ([Shard_in] / [Shard_release] /
     [Shard_state] records) is the durable truth, and
     {!Strip_shard.Coordinator} rebuilds the queue from it at recovery via
-    {!restore}.
-
-    Representation: the dedup set is one ascending [int] run of merged
-    [seq]s per source shard, in a growable array indexed by [src] (so
-    memory grows with the largest source id, and ids must be
-    non-negative).  A membership test is a binary search of one run.  An
-    arrival above its run's last element — the in-order case — appends
-    in amortised O(1); a reship or reordered arrival below it is a
-    binary search plus an insert that shifts the run's tail.
-    {!seen_list} walks the runs in [src] order, so exporting the set for
-    a [Shard_state] snapshot is linear in its size, with no sort. *)
+    {!restore}. *)
 
 type t
 
@@ -46,8 +38,9 @@ val offer :
   delta:float ->
   created_at:float ->
   verdict
-(** Dedup by [(src, seq)], then merge into [key]'s pending entry.
-    @raise Invalid_argument if [src < 0]. *)
+(** Dedup by [(src, seq)], then merge into [key]'s pending entry.  An
+    in-order arrival allocates nothing for the dedup.
+    @raise Invalid_argument if [src < 0] or [seq < 1]. *)
 
 val peek : t -> key:Strip_relational.Value.t list -> (float * float) option
 (** Current [(merged delta, first created_at)] for [key] —
@@ -62,25 +55,25 @@ val pending_keys : t -> Strip_relational.Value.t list list
 
 val n_pending : t -> int
 
-val seen_list : t -> (int * int) list
-(** Merged [(src, seq)] identities, ascending (the order of [compare]
-    on the pairs) — the dedup set, exported into [Shard_state]
-    snapshots.  Linear in the set's size: the runs are already sorted. *)
+val watermarks : t -> (int * int * int list) list
+(** [(src, floor, above)] per source with a merged seq, ascending
+    [src]: the merged seqs are [1 .. floor] and [above] (ascending, each
+    above [floor + 1], empty once every gap has filled).  Exported into
+    [Shard_state] snapshots. *)
 
 val pending_list : t -> (Strip_relational.Value.t list * float * float) list
 (** Pending [(key, delta, created_at)] entries, first-arrival order. *)
 
 val restore :
   t ->
-  seen:(int * int) list ->
+  watermarks:(int * int * int list) list ->
   pending:(Strip_relational.Value.t list * float * float) list ->
   unit
 (** Replace the queue's state wholesale (crash recovery); the counters
-    are untouched.  [seen] may be unsorted and hold duplicates; an
-    ascending list (what {!seen_list} returns) restores in linear time.
-    [pending] is taken in first-arrival order.
-    @raise Invalid_argument if any [src] in [seen] is negative; the
-    queue is then unchanged. *)
+    are untouched.  [watermarks] as {!watermarks} returns them;
+    [pending] in first-arrival order.
+    @raise Invalid_argument if any [src] in [watermarks] is negative;
+    the queue is then unchanged. *)
 
 (** {1 Counters} *)
 

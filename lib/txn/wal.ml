@@ -49,9 +49,6 @@ type record =
       delta : float;
       created_at : float;
     }
-      (* a weighted partial delta this shard owes the composite row [key]
-         on shard [dst]; rides the emitting commit's fsync, so recovery
-         re-ships exactly the partials the commit made durable *)
   | Shard_in of {
       src : int;
       seq : int;
@@ -59,22 +56,13 @@ type record =
       delta : float;
       created_at : float;
     }
-      (* receipt of a shipped partial on the owning shard, fsynced before
-         it is merged; (src, seq) is the dedup identity that makes
-         at-least-once shipping an exactly-once effect *)
   | Shard_release of { key : Value.t list }
-      (* the owning shard applied the merged partials for [key]; rides the
-         applying commit's batch so apply+release are atomic *)
   | Shard_state of {
-      next_seq : int;
-      seen : (int * int) list;  (* (src, seq) receipts already merged *)
+      out_seqs : (int * int) list;
+      watermarks : (int * int * int list) list;
       pending : (Value.t list * float * float) list;
-          (* unapplied merged partials: key, summed delta, first created_at *)
       unacked : (int * int * Value.t list * float * float) list;
-          (* in-flight ships: dst, seq, key, delta, created_at *)
     }
-      (* snapshot of the shard protocol state, re-appended after recovery's
-         checkpoint truncates the log so a second crash still recovers *)
 
 let op_table = function
   | Insert { table; _ } | Delete { table; _ } | Update { table; _ } -> table
@@ -167,6 +155,23 @@ let get_bound r : bound_rows =
       let rows = Codec.get_list r Codec.get_values in
       (name, rows))
 
+(* A shipped partial as the Shard_* records lay it out: a shard and a seq
+   (in the record's order), the key, the delta and its commit time. *)
+let put_ship b i j key delta created_at =
+  Codec.put_int b i;
+  Codec.put_int b j;
+  Codec.put_list b Codec.put_value key;
+  Codec.put_float b delta;
+  Codec.put_float b created_at
+
+let get_ship r =
+  let i = Codec.get_int r in
+  let j = Codec.get_int r in
+  let key = Codec.get_list r Codec.get_value in
+  let delta = Codec.get_float r in
+  let created_at = Codec.get_float r in
+  (i, j, key, delta, created_at)
+
 let encode_record_into b rec_ =
   (match rec_ with
   | Commit { txid; time; ops } ->
@@ -208,29 +213,26 @@ let encode_record_into b rec_ =
     Codec.put_int b span
   | Shard_out { seq; dst; key; delta; created_at } ->
     Codec.put_u8 b 6;
-    Codec.put_int b seq;
-    Codec.put_int b dst;
-    Codec.put_list b Codec.put_value key;
-    Codec.put_float b delta;
-    Codec.put_float b created_at
+    put_ship b seq dst key delta created_at
   | Shard_in { src; seq; key; delta; created_at } ->
     Codec.put_u8 b 7;
-    Codec.put_int b src;
-    Codec.put_int b seq;
-    Codec.put_list b Codec.put_value key;
-    Codec.put_float b delta;
-    Codec.put_float b created_at
+    put_ship b src seq key delta created_at
   | Shard_release { key } ->
     Codec.put_u8 b 8;
     Codec.put_list b Codec.put_value key
-  | Shard_state { next_seq; seen; pending; unacked } ->
+  | Shard_state { out_seqs; watermarks; pending; unacked } ->
     Codec.put_u8 b 9;
-    Codec.put_int b next_seq;
     Codec.put_list b
-      (fun b (src, seq) ->
-        Codec.put_int b src;
+      (fun b (dst, seq) ->
+        Codec.put_int b dst;
         Codec.put_int b seq)
-      seen;
+      out_seqs;
+    Codec.put_list b
+      (fun b (src, floor, above) ->
+        Codec.put_int b src;
+        Codec.put_int b floor;
+        Codec.put_list b Codec.put_int above)
+      watermarks;
     Codec.put_list b
       (fun b (key, delta, created_at) ->
         Codec.put_list b Codec.put_value key;
@@ -238,14 +240,9 @@ let encode_record_into b rec_ =
         Codec.put_float b created_at)
       pending;
     Codec.put_list b
-      (fun b (dst, seq, key, delta, created_at) ->
-        Codec.put_int b dst;
-        Codec.put_int b seq;
-        Codec.put_list b Codec.put_value key;
-        Codec.put_float b delta;
-        Codec.put_float b created_at)
+      (fun b (seq, dst, key, delta, created_at) ->
+        put_ship b seq dst key delta created_at)
       unacked)
-
 
 let decode_record r =
   let rec_ =
@@ -290,29 +287,27 @@ let decode_record r =
       let span = Codec.get_int r in
       Trace_note { subject; trace; span }
     | 6 ->
-      let seq = Codec.get_int r in
-      let dst = Codec.get_int r in
-      let key = Codec.get_list r Codec.get_value in
-      let delta = Codec.get_float r in
-      let created_at = Codec.get_float r in
+      let seq, dst, key, delta, created_at = get_ship r in
       Shard_out { seq; dst; key; delta; created_at }
     | 7 ->
-      let src = Codec.get_int r in
-      let seq = Codec.get_int r in
-      let key = Codec.get_list r Codec.get_value in
-      let delta = Codec.get_float r in
-      let created_at = Codec.get_float r in
+      let src, seq, key, delta, created_at = get_ship r in
       Shard_in { src; seq; key; delta; created_at }
     | 8 ->
       let key = Codec.get_list r Codec.get_value in
       Shard_release { key }
     | 9 ->
-      let next_seq = Codec.get_int r in
-      let seen =
+      let out_seqs =
+        Codec.get_list r (fun r ->
+            let dst = Codec.get_int r in
+            let seq = Codec.get_int r in
+            (dst, seq))
+      in
+      let watermarks =
         Codec.get_list r (fun r ->
             let src = Codec.get_int r in
-            let seq = Codec.get_int r in
-            (src, seq))
+            let floor = Codec.get_int r in
+            let above = Codec.get_list r Codec.get_int in
+            (src, floor, above))
       in
       let pending =
         Codec.get_list r (fun r ->
@@ -321,16 +316,8 @@ let decode_record r =
             let created_at = Codec.get_float r in
             (key, delta, created_at))
       in
-      let unacked =
-        Codec.get_list r (fun r ->
-            let dst = Codec.get_int r in
-            let seq = Codec.get_int r in
-            let key = Codec.get_list r Codec.get_value in
-            let delta = Codec.get_float r in
-            let created_at = Codec.get_float r in
-            (dst, seq, key, delta, created_at))
-      in
-      Shard_state { next_seq; seen; pending; unacked }
+      let unacked = Codec.get_list r get_ship in
+      Shard_state { out_seqs; watermarks; pending; unacked }
     | tag -> raise (Codec.Decode_error (Printf.sprintf "record tag %d" tag))
   in
   if Codec.remaining r > 0 then
@@ -416,8 +403,9 @@ let clamp t free =
     Option.map (fun free -> durable_bytes t + pending_bytes t + free) free
 let arm_fsync_lie t ~notify = t.lie_notify <- Some notify
 
-let check_range t fn lsn =
-  if lsn < t.base_lsn || lsn > durable_end t then
+(* [len] bytes from [lsn] must lie in the durable log. *)
+let check_range ?(len = 0) t fn lsn =
+  if lsn < t.base_lsn || lsn + len > durable_end t then
     raise
       (Out_of_range
          { fn; lsn; base_lsn = t.base_lsn; durable_end = durable_end t })
@@ -597,15 +585,7 @@ let install_bytes t s = Buffer.add_string t.durable s
    quarantines an unsalvageable tail. *)
 
 let flip_byte t ~lsn =
-  if lsn < t.base_lsn || lsn >= durable_end t then
-    raise
-      (Out_of_range
-         {
-           fn = "Wal.flip_byte";
-           lsn;
-           base_lsn = t.base_lsn;
-           durable_end = durable_end t;
-         });
+  check_range ~len:1 t "Wal.flip_byte" lsn;
   let b = Buffer.to_bytes t.durable in
   let off = lsn - t.base_lsn in
   Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0xff));
@@ -686,15 +666,7 @@ let verify t = snd (verify_step t ~from:t.base_lsn ~budget:max_int)
 
 let splice t ~lsn ~bytes =
   let len = String.length bytes in
-  if lsn < t.base_lsn || lsn + len > durable_end t then
-    raise
-      (Out_of_range
-         {
-           fn = "Wal.splice";
-           lsn;
-           base_lsn = t.base_lsn;
-           durable_end = durable_end t;
-         });
+  check_range ~len t "Wal.splice" lsn;
   let b = Buffer.to_bytes t.durable in
   Bytes.blit_string bytes 0 b (lsn - t.base_lsn) len;
   Buffer.clear t.durable;

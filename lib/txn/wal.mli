@@ -78,15 +78,17 @@ type record =
           applying commit's append batch so apply and release share one
           fsync *)
   | Shard_state of {
-      next_seq : int;
-      seen : (int * int) list;
+      out_seqs : (int * int) list;
+      watermarks : (int * int * int list) list;
       pending : (Value.t list * float * float) list;
       unacked : (int * int * Value.t list * float * float) list;
     }
-      (** snapshot of a shard's cross-shard protocol state ([next_seq],
-          merged receipts, unapplied per-key deltas, in-flight ships),
-          re-appended after recovery because the recovery checkpoint
-          truncates the log the individual records lived in *)
+      (** snapshot of a shard's cross-shard protocol state: the last seq
+          stamped per destination [(dst, seq)], one dedup watermark per
+          source [(src, floor, seqs merged above floor)], unapplied
+          per-key deltas and in-flight ships; re-appended after recovery
+          because the recovery checkpoint truncates the log the
+          individual records lived in *)
 
 val op_table : op -> string
 val op_order : op -> int

@@ -86,8 +86,9 @@ exp shards-1 "${symbol[@]}" --shards 1
 exp shards-3 --view comps --variant comp --shards 3
 exp shards-3-crash --view comps --variant comp --shards 3 \
   --shard-crash-at 1:45
-# A crash near the end of the 90 s feed: recovery restores a dedup set
-# built over nearly the whole run, plus a Shard_in tail, and re-ships.
+# A crash near the end of the 90 s feed: recovery restores the dedup
+# watermarks (one per source, advanced over nearly the whole run), plus
+# a Shard_in tail, and re-ships.
 exp shards-4-late-crash --view comps --variant comp --shards 4 \
   --shard-crash-at 2:80
 # Overload on a sharded run: a shard's apply task carries no rows a

@@ -107,8 +107,8 @@ let test_wal_shard_records () =
       Wal.Shard_release { key = [ Value.Str "C3" ] };
       Wal.Shard_state
         {
-          next_seq = 6;
-          seen = [ (0, 1); (2, 4) ];
+          out_seqs = [ (1, 5); (2, 3) ];
+          watermarks = [ (0, 1, []); (2, 4, [ 6; 9 ]) ];
           pending = [ ([ Value.Str "C9" ], 2.5, 1.0) ];
           unacked = [ (5, 1, [ Value.Str "C3" ], 0.625, 1.5) ];
         };
@@ -130,14 +130,14 @@ let k c = [ Value.Str c ]
 
 let test_dqueue_idempotence () =
   let q = Dqueue.create () in
-  let offer ?(src = 0) ?(seq = 0) ?(key = "C1") ?(delta = 1.0) ?(at = 1.0) () =
+  let offer ?(src = 0) ?(seq = 1) ?(key = "C1") ?(delta = 1.0) ?(at = 1.0) () =
     Dqueue.offer q ~src ~seq ~key:(k key) ~delta ~created_at:at
   in
   Alcotest.(check bool) "first is fresh" true (offer () = Dqueue.Fresh);
   Alcotest.(check bool) "resend is duplicate" true
     (offer ~delta:99.0 () = Dqueue.Duplicate);
   Alcotest.(check bool) "same key, new identity merges" true
-    (offer ~src:1 ~seq:0 ~delta:0.5 ~at:2.0 () = Dqueue.Merged);
+    (offer ~src:1 ~seq:1 ~delta:0.5 ~at:2.0 () = Dqueue.Merged);
   (match Dqueue.peek q ~key:(k "C1") with
   | Some (d, at) ->
     Alcotest.(check (float 1e-12)) "merged total" 1.5 d;
@@ -145,7 +145,7 @@ let test_dqueue_idempotence () =
   | None -> Alcotest.fail "pending entry missing");
   (* duplicate of the merged identity still changes nothing *)
   Alcotest.(check bool) "merged identity deduped" true
-    (offer ~src:1 ~seq:0 ~delta:7.0 () = Dqueue.Duplicate);
+    (offer ~src:1 ~seq:1 ~delta:7.0 () = Dqueue.Duplicate);
   Alcotest.(check int) "counters: offered" 4 (Dqueue.n_offered q);
   Alcotest.(check int) "counters: duplicates" 2 (Dqueue.n_duplicates q);
   Alcotest.(check int) "counters: merged" 1 (Dqueue.n_merged q);
@@ -163,12 +163,12 @@ let test_dqueue_idempotence () =
 let test_dqueue_order_independence () =
   let deliveries =
     [
-      (0, 0, "C1", 1.0, 1.0);
-      (1, 0, "C1", 2.0, 1.5);
-      (0, 1, "C2", -0.5, 2.0);
-      (2, 3, "C1", 0.25, 2.5);
-      (1, 1, "C2", 4.0, 3.0);
-      (0, 0, "C1", 1.0, 3.5) (* resend of the first *);
+      (0, 1, "C1", 1.0, 1.0);
+      (1, 1, "C1", 2.0, 1.5);
+      (0, 2, "C2", -0.5, 2.0);
+      (2, 4, "C1", 0.25, 2.5);
+      (1, 2, "C2", 4.0, 3.0);
+      (0, 1, "C1", 1.0, 3.5) (* resend of the first *);
     ]
   in
   let feed order =
@@ -194,29 +194,79 @@ let test_dqueue_order_independence () =
       Alcotest.(check (float 1e-12)) "same total under reorder" va vb)
     base rev
 
+let marks = Alcotest.(list (triple int int (list int)))
+
 let test_dqueue_restore () =
   let q = Dqueue.create () in
-  ignore (Dqueue.offer q ~src:0 ~seq:0 ~key:(k "C1") ~delta:1.0 ~created_at:1.0);
-  ignore (Dqueue.offer q ~src:1 ~seq:2 ~key:(k "C2") ~delta:2.0 ~created_at:2.0);
-  ignore (Dqueue.offer q ~src:0 ~seq:1 ~key:(k "C1") ~delta:0.5 ~created_at:3.0);
-  let seen = Dqueue.seen_list q and pending = Dqueue.pending_list q in
-  Alcotest.(check int) "seen size" 3 (List.length seen);
+  ignore (Dqueue.offer q ~src:0 ~seq:1 ~key:(k "C1") ~delta:1.0 ~created_at:1.0);
+  ignore (Dqueue.offer q ~src:1 ~seq:3 ~key:(k "C2") ~delta:2.0 ~created_at:2.0);
+  ignore (Dqueue.offer q ~src:0 ~seq:2 ~key:(k "C1") ~delta:0.5 ~created_at:3.0);
+  let watermarks = Dqueue.watermarks q and pending = Dqueue.pending_list q in
+  Alcotest.check marks "one watermark per source"
+    [ (0, 2, []); (1, 0, [ 3 ]) ]
+    watermarks;
   Alcotest.(check int) "pending size" 2 (List.length pending);
   let q2 = Dqueue.create () in
-  Dqueue.restore q2 ~seen ~pending;
-  Alcotest.(check bool) "seen restored" true (Dqueue.seen_list q2 = seen);
+  Dqueue.restore q2 ~watermarks ~pending;
+  Alcotest.check marks "watermarks restored" watermarks (Dqueue.watermarks q2);
   Alcotest.(check bool) "pending restored" true
     (Dqueue.pending_list q2 = pending);
   Alcotest.(check bool) "first-arrival order kept" true
     (Dqueue.pending_keys q2 = Dqueue.pending_keys q);
-  (* restored dedup set still rejects the old identities *)
-  Alcotest.(check bool) "restored dedup" true
-    (Dqueue.offer q2 ~src:0 ~seq:0 ~key:(k "C1") ~delta:9.0 ~created_at:9.0
-    = Dqueue.Duplicate)
+  (* restored watermarks still reject the old identities *)
+  List.iter
+    (fun (src, seq) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "restored dedup (%d, %d)" src seq)
+        true
+        (Dqueue.offer q2 ~src ~seq ~key:(k "C1") ~delta:9.0 ~created_at:9.0
+        = Dqueue.Duplicate))
+    [ (0, 1); (0, 2); (1, 3) ];
+  (* filling source 1's gap carries its floor past the seq above it *)
+  ignore (Dqueue.offer q2 ~src:1 ~seq:2 ~key:(k "C2") ~delta:1.0 ~created_at:9.0);
+  Alcotest.check marks "gap still open" [ (0, 2, []); (1, 0, [ 2; 3 ]) ]
+    (Dqueue.watermarks q2);
+  ignore (Dqueue.offer q2 ~src:1 ~seq:1 ~key:(k "C2") ~delta:1.0 ~created_at:9.0);
+  Alcotest.check marks "gap filled" [ (0, 2, []); (1, 3, []) ]
+    (Dqueue.watermarks q2)
 
-(* The dedup set as it was stored before the per-source runs: a
-   hashtable of (src, seq) pairs, exported through a polymorphic sort.
-   It is the reference the runs must agree with, verdict for verdict. *)
+(* Every (src, seq) the watermarks say is merged, ascending, after
+   checking their shape: one entry per source, ascending, and each seq
+   above a floor past its successor, ascending. *)
+let merged_set step watermarks =
+  let srcs = List.map (fun (src, _, _) -> src) watermarks in
+  Alcotest.(check (list int))
+    (step ^ ": one watermark per source")
+    (List.sort_uniq compare srcs) srcs;
+  List.concat_map
+    (fun (src, floor, above) ->
+      Alcotest.(check bool)
+        (step ^ ": seqs above the floor's successor, ascending")
+        true
+        (List.sort_uniq compare above = above
+        && List.for_all (fun s -> s > floor + 1) above);
+      List.init floor (fun i -> (src, i + 1))
+      @ List.map (fun seq -> (src, seq)) above)
+    watermarks
+
+(* The watermarks of a merged set of seqs >= 1, built the slow way. *)
+let watermarks_of seen =
+  List.sort_uniq compare (List.map fst seen)
+  |> List.map (fun src ->
+         let seqs =
+           List.sort_uniq compare
+             (List.filter_map
+                (fun (s, seq) -> if s = src then Some seq else None)
+                seen)
+         in
+         let rec floor f = if List.mem (f + 1) seqs then floor (f + 1) else f in
+         let f = floor 0 in
+         (src, f, List.filter (fun seq -> seq > f) seqs))
+
+(* The dedup set as it was stored before the watermarks: a hashtable of
+   (src, seq) pairs, exported through a polymorphic sort.  It is the
+   reference the watermarks must agree with, verdict for verdict and
+   merged set for merged set. *)
 module Ref_dqueue = struct
   type t = {
     seen : (int * int, unit) Hashtbl.t;
@@ -273,22 +323,15 @@ let shuffle rng l =
   List.map (fun x -> (Random.State.bits rng, x)) l
   |> List.sort compare |> List.map snd
 
-(* A seen list as recovery may hand it over: usually ascending, sometimes
-   shuffled with duplicates mixed in. *)
-let scramble rng seen =
-  if Random.State.bool rng then seen
-  else
-    shuffle rng
-      (seen @ List.filter (fun _ -> Random.State.int rng 4 = 0) seen)
-
 (* Random streams over 1-8 sources mixing in-order, out-of-order and
-   duplicate offers with removes and a restore mid-stream: the runs give
-   the reference's verdicts, seen list and pending list after every
-   step. *)
+   duplicate offers with removes and a restore mid-stream: the
+   watermarks give the reference's verdicts, merged set and pending
+   list after every step. *)
 let test_dqueue_differential () =
   let check_same step q r =
     Alcotest.(check (list (pair int int)))
-      (step ^ ": seen_list") (Ref_dqueue.seen_list r) (Dqueue.seen_list q);
+      (step ^ ": merged set") (Ref_dqueue.seen_list r)
+      (merged_set step (Dqueue.watermarks q));
     Alcotest.(check bool)
       (step ^ ": pending_list") true
       (Ref_dqueue.pending_list r = Dqueue.pending_list q)
@@ -296,7 +339,7 @@ let test_dqueue_differential () =
   for stream = 0 to 199 do
     let rng = Random.State.make [| 1997; stream |] in
     let nsrc = 1 + Random.State.int rng 8 in
-    let next = Array.make nsrc 0 in
+    let next = Array.make nsrc 1 in
     let offered = ref [] in
     let q = Dqueue.create () and r = Ref_dqueue.create () in
     let n_ops = 50 + Random.State.int rng 250 in
@@ -321,7 +364,7 @@ let test_dqueue_differential () =
         offer src seq
       | 4 | 5 ->
         let src = Random.State.int rng nsrc in
-        offer src (Random.State.int rng (next.(src) + 4))
+        offer src (1 + Random.State.int rng (next.(src) + 3))
       | 6 | 7 -> (
         match !offered with
         | [] -> ()
@@ -332,10 +375,10 @@ let test_dqueue_differential () =
         Ref_dqueue.remove r ~key;
         Dqueue.remove q ~key);
       if op = restore_at then begin
-        let seen = scramble rng (Ref_dqueue.seen_list r)
+        let seen = Ref_dqueue.seen_list r
         and pending = Ref_dqueue.pending_list r in
         Ref_dqueue.restore r ~seen ~pending;
-        Dqueue.restore q ~seen ~pending
+        Dqueue.restore q ~watermarks:(watermarks_of seen) ~pending
       end;
       check_same step q r
     done
@@ -345,36 +388,40 @@ let test_dqueue_contract () =
   let q = Dqueue.create () in
   Alcotest.check_raises "offer rejects a negative source"
     (Invalid_argument "Dqueue: negative source shard id") (fun () ->
-      ignore (Dqueue.offer q ~src:(-1) ~seq:0 ~key:(k "C1") ~delta:1.0
+      ignore (Dqueue.offer q ~src:(-1) ~seq:1 ~key:(k "C1") ~delta:1.0
                 ~created_at:0.0));
-  Alcotest.(check int) "rejected offer not counted" 0 (Dqueue.n_offered q);
+  Alcotest.check_raises "offer rejects a seq below 1"
+    (Invalid_argument "Dqueue: seq below 1") (fun () ->
+      ignore (Dqueue.offer q ~src:0 ~seq:0 ~key:(k "C1") ~delta:1.0
+                ~created_at:0.0));
+  Alcotest.(check int) "rejected offers not counted" 0 (Dqueue.n_offered q);
   ignore (Dqueue.offer q ~src:0 ~seq:5 ~key:(k "C1") ~delta:1.0 ~created_at:0.0);
   Alcotest.check_raises "restore rejects a negative source"
     (Invalid_argument "Dqueue: negative source shard id") (fun () ->
-      Dqueue.restore q ~seen:[ (1, 0); (-2, 3) ] ~pending:[]);
-  Alcotest.(check (list (pair int int))) "failed restore changes nothing"
-    [ (0, 5) ] (Dqueue.seen_list q);
-  Dqueue.restore q ~seen:[ (3, 7); (0, 2); (3, 1); (0, 2); (3, 7) ] ~pending:[];
-  Alcotest.(check (list (pair int int)))
-    "unsorted, duplicated seen list restores to the sorted set"
-    [ (0, 2); (3, 1); (3, 7) ] (Dqueue.seen_list q)
+      Dqueue.restore q ~watermarks:[ (1, 0, []); (-2, 3, []) ] ~pending:[]);
+  Alcotest.check marks "failed restore changes nothing" [ (0, 0, [ 5 ]) ]
+    (Dqueue.watermarks q)
 
 (* Crash recovery's log scan as it was before it replayed through a
-   Dqueue: a hand-written fold over lists.  The reference for
-   Coordinator.scan_log. *)
+   Dqueue: a hand-written fold over lists, the merged receipts kept as
+   (src, seq) pairs.  The reference for Coordinator.scan_log. *)
 let ref_scan_log records =
-  let next_seq = ref 0 and seen = ref [] and pending = ref []
+  let out_seqs = ref [] and seen = ref [] and pending = ref []
   and unacked = ref [] in
+  let note (dst, seq) =
+    let prev = try List.assoc dst !out_seqs with Not_found -> 0 in
+    out_seqs := (dst, max prev seq) :: List.remove_assoc dst !out_seqs
+  in
   List.iter
     (fun (_lsn, r) ->
       match r with
       | Wal.Shard_state s ->
-        next_seq := s.next_seq;
-        seen := s.seen;
+        List.iter note s.out_seqs;
+        seen := merged_set "snapshot" s.watermarks;
         pending := s.pending;
         unacked := s.unacked
       | Wal.Shard_out { seq; dst; key; delta; created_at } ->
-        next_seq := max !next_seq seq;
+        note (dst, seq);
         unacked := !unacked @ [ (seq, dst, key, delta, created_at) ]
       | Wal.Shard_in { src; seq; key; delta; created_at } ->
         if not (List.mem (src, seq) !seen) then begin
@@ -390,7 +437,7 @@ let ref_scan_log records =
         pending := List.filter (fun (k, _, _) -> k <> key) !pending
       | _ -> ())
     records;
-  (!next_seq, !seen, !pending, !unacked)
+  (List.sort compare !out_seqs, !seen, !pending, !unacked)
 
 (* Random Shard_state / Shard_in / Shard_release / Shard_out logs: the
    live queue recovery restores from the replay equals the one it
@@ -404,8 +451,7 @@ let test_scan_log_differential () =
     let state () =
       let seen =
         List.init (Random.State.int rng 30) (fun _ ->
-            (Random.State.int rng nsrc, Random.State.int rng 40))
-        |> List.sort_uniq compare |> scramble rng
+            (Random.State.int rng nsrc, 1 + Random.State.int rng 40))
       in
       let pending =
         List.init 6 (fun i -> (k (Printf.sprintf "K%d" i), delta (), 0.5))
@@ -416,8 +462,12 @@ let test_scan_log_differential () =
         List.init (Random.State.int rng 4) (fun i ->
             (i, Random.State.int rng nsrc, key (), delta (), 0.25))
       in
+      let out_seqs =
+        List.init nsrc (fun dst -> (dst, Random.State.int rng 50))
+        |> List.filter (fun _ -> Random.State.bool rng)
+      in
       Wal.Shard_state
-        { next_seq = Random.State.int rng 50; seen; pending; unacked }
+        { out_seqs; watermarks = watermarks_of seen; pending; unacked }
     in
     let record i =
       match Random.State.int rng 12 with
@@ -426,7 +476,7 @@ let test_scan_log_differential () =
       | 3 ->
         Wal.Shard_out
           {
-            seq = Random.State.int rng 60;
+            seq = 1 + Random.State.int rng 60;
             dst = Random.State.int rng nsrc;
             key = key ();
             delta = delta ();
@@ -437,28 +487,28 @@ let test_scan_log_differential () =
         Wal.Shard_in
           {
             src = Random.State.int rng nsrc;
-            seq = Random.State.int rng 40;
+            seq = 1 + Random.State.int rng 40;
             key = key ();
             delta = delta ();
             created_at = float_of_int i;
           }
     in
     let records = List.init (Random.State.int rng 120) (fun i -> (i, record i)) in
-    let next_seq, seen, pending, unacked = ref_scan_log records in
+    let out_seqs, seen, pending, unacked = ref_scan_log records in
     let st = Strip_shard.Coordinator.scan_log records in
     let name = Printf.sprintf "case %d" case in
-    Alcotest.(check int) (name ^ ": next_seq") next_seq
-      st.Strip_shard.Coordinator.next_seq;
+    Alcotest.(check (list (pair int int)))
+      (name ^ ": out_seqs") out_seqs st.Strip_shard.Coordinator.out_seqs;
     Alcotest.(check bool) (name ^ ": unacked") true
       (unacked = st.Strip_shard.Coordinator.outstanding);
     (* what handle_crash does with the replay *)
     let q = st.Strip_shard.Coordinator.queue and live = Dqueue.create () in
-    Dqueue.restore live ~seen:(Dqueue.seen_list q)
+    Dqueue.restore live ~watermarks:(Dqueue.watermarks q)
       ~pending:(Dqueue.pending_list q);
     Alcotest.(check (list (pair int int)))
-      (name ^ ": restored dedup set")
+      (name ^ ": restored merged set")
       (List.sort_uniq compare seen)
-      (Dqueue.seen_list live);
+      (merged_set name (Dqueue.watermarks live));
     Alcotest.(check bool) (name ^ ": restored pending") true
       (pending = Dqueue.pending_list live)
   done
@@ -700,6 +750,160 @@ let test_never_quiescent_raises () =
     Alcotest.(check bool) "counts the unacked partials" true (unacked > 0);
     Alcotest.(check bool) "names the shards" true (sids <> "")
 
+(* A lossy shard link under a shard crash: drops force reships, the
+   reships reach owners that already merged the first copy, and the
+   crashed shard re-ships everything it logged and had no ack for.
+   Seqs count per (emitter, owner), so an ack must retire only the
+   entry it names on the owner it came from. *)
+let test_lossy_link_with_crash () =
+  let cfg =
+    sharded_cfg ~shards:3
+      ~crash:(1, Strip_market.Feed.(scaled default_config scale).duration /. 2.0)
+      (Experiment.Comp_view Comp_rules.Unique_on_comp)
+      ~delay:1.0
+  in
+  let s = Option.get cfg.Experiment.shard in
+  let cfg =
+    {
+      cfg with
+      Experiment.shard =
+        Some
+          {
+            s with
+            Experiment.shard_link =
+              { s.Experiment.shard_link with Strip_repl.Link.drop_rate = 0.2 };
+          };
+    }
+  in
+  let m = Experiment.run cfg in
+  Alcotest.(check (option bool)) "views verified" (Some true)
+    m.Experiment.verified;
+  (match m.Experiment.shard with
+  | None -> Alcotest.fail "shard metrics missing"
+  | Some s ->
+    Alcotest.(check int) "cross-shard audit clean" 0
+      s.Experiment.cross_divergences;
+    Alcotest.(check bool) "drops forced reships" true
+      (s.Experiment.sh_reships > 0);
+    Alcotest.(check bool) "owners collapsed duplicates" true
+      (List.fold_left
+         (fun n r -> n + r.Experiment.sh_duplicates)
+         0 s.Experiment.sh_rows
+      > 0));
+  match m.Experiment.recovery with
+  | Some r ->
+    Alcotest.(check bool) "shard 1 crashed" true (r.Experiment.n_crashes >= 1);
+    Alcotest.(check bool) "recovery audit clean" true r.Experiment.audit_clean
+  | None -> Alcotest.fail "recovery metrics missing"
+
+(* A clean 3-shard run, driven through the coordinator directly so the
+   shard logs can be read after it.  Past quiescence, a fresh snapshot
+   of each shard holds one watermark per source, no seq above any, and
+   each floor is exactly the count its source stamped towards this
+   owner: the snapshot is O(shards), not O(run). *)
+let test_state_snapshot_bounded () =
+  let n = 3 in
+  let cfg =
+    Experiment.quick
+      (Experiment.default_config
+         (Experiment.Comp_view Comp_rules.Unique_on_comp)
+         ~delay:1.0)
+      scale
+  in
+  let p = Partitioner.create ~shards:n in
+  let dbs =
+    Array.init n (fun _ ->
+        Experiment.mk_db ~durable:(Strip_txn.Durable.create ()) cfg)
+  in
+  let hs =
+    Pta_tables.populate_sharded dbs
+      ~owner_sym:(Partitioner.shard_of_symbol p)
+      ~owner_comp:(Partitioner.shard_of_comp p)
+      ~feed:cfg.Experiment.feed cfg.Experiment.sizes
+  in
+  Array.iteri
+    (fun sid db ->
+      Comp_rules.install_routed db hs.(sid) ~sid
+        ~owner:(Partitioner.shard_of_comp p) Comp_rules.Unique_on_comp
+        ~delay:1.0)
+    dbs;
+  let coord =
+    Strip_shard.Coordinator.create ~link:Strip_repl.Link.default_config
+      ~apply:(fun ~sid txn ~key ~delta ->
+        Comp_rules.apply_partial hs.(sid) txn ~key ~delta)
+      dbs
+  in
+  Strip_shard.Coordinator.checkpoint_all coord;
+  let quotes = Strip_market.Feed.generate cfg.Experiment.feed in
+  Array.iteri
+    (fun sid db ->
+      let mine =
+        List.filter
+          (fun (q : Strip_market.Feed.quote) ->
+            Partitioner.shard_of_symbol p
+              (Strip_market.Taq.symbol q.Strip_market.Feed.stock)
+            = sid)
+          (Array.to_list quotes)
+      in
+      ignore
+        (Strip_ingest.Import.replay db
+           {
+             Strip_ingest.Import.stocks = hs.(sid).Pta_tables.stocks;
+             by_symbol = hs.(sid).Pta_tables.stocks_by_symbol;
+           }
+           (Array.of_list mine)))
+    dbs;
+  let rec drive now =
+    Array.iter (fun db -> Strip_core.Strip_db.run ~until:now db) dbs;
+    Strip_shard.Coordinator.step coord ~now;
+    if
+      now < cfg.Experiment.feed.Strip_market.Feed.duration
+      || not (Strip_shard.Coordinator.quiescent coord)
+    then drive (now +. 0.05)
+  in
+  drive 0.05;
+  Strip_shard.Coordinator.checkpoint_all coord;
+  let last_state db =
+    let w =
+      Strip_txn.Durable.wal (Option.get (Strip_core.Strip_db.durable db))
+    in
+    match
+      List.filter_map
+        (function
+          | _, Wal.Shard_state s -> Some (s.out_seqs, s.watermarks)
+          | _ -> None)
+        (Wal.read w).Wal.records
+      |> List.rev
+    with
+    | last :: _ -> last
+    | [] -> Alcotest.fail "no Shard_state logged"
+  in
+  let states = Array.map last_state dbs in
+  let floors = ref 0 in
+  Array.iteri
+    (fun dst (_, watermarks) ->
+      let name = Printf.sprintf "shard %d" dst in
+      ignore (merged_set name watermarks);
+      for src = 0 to n - 1 do
+        let sent =
+          Option.value ~default:0 (List.assoc_opt dst (fst states.(src)))
+        in
+        match List.find_opt (fun (s, _, _) -> s = src) watermarks with
+        | None ->
+          Alcotest.(check int) (Printf.sprintf "%s: nothing from %d" name src)
+            0 sent
+        | Some (_, floor, above) ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s: no seq from %d above the watermark" name src)
+            [] above;
+          Alcotest.(check int)
+            (Printf.sprintf "%s: watermark of %d is what it sent" name src)
+            sent floor;
+          floors := !floors + floor
+      done)
+    states;
+  Alcotest.(check bool) "partials crossed shards" true (!floors > 0)
+
 (* Overload shedding on a sharded run must not lose cross-shard
    partials.  A shard's [shard_apply] task carries no bound rows, so no
    victim can coalesce into it; were its submission to start a shed, the
@@ -745,7 +949,7 @@ let suite =
           test_dqueue_order_independence;
         Alcotest.test_case "dqueue: state snapshot restore" `Quick
           test_dqueue_restore;
-        Alcotest.test_case "dqueue: runs match the hashtable reference"
+        Alcotest.test_case "dqueue: watermarks match the hashtable reference"
           `Quick test_dqueue_differential;
         Alcotest.test_case "dqueue: source ids and restore input" `Quick
           test_dqueue_contract;
@@ -767,5 +971,9 @@ let suite =
           test_never_quiescent_raises;
         Alcotest.test_case "overload sheds no cross-shard partial" `Slow
           test_overload_keeps_partials;
+        Alcotest.test_case "lossy link and a shard crash: exactly once" `Slow
+          test_lossy_link_with_crash;
+        Alcotest.test_case "shard snapshot: one watermark per source" `Slow
+          test_state_snapshot_bounded;
       ] );
   ]

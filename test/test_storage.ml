@@ -242,8 +242,8 @@ let random_record st =
   | _ ->
     Wal.Shard_state
       {
-        next_seq = int ();
-        seen = list 3 (fun () -> (int (), int ()));
+        out_seqs = list 3 (fun () -> (int (), int ()));
+        watermarks = list 3 (fun () -> (int (), int (), list 3 int));
         pending = list 3 (fun () -> (key (), float (), float ()));
         unacked = list 3 (fun () -> (int (), int (), key (), float (), float ()));
       }
