@@ -71,55 +71,83 @@ let add t r =
   (match t.store with
   | SHash h -> (
     (* posting lists live in mutable cells, so the steady-state add is a
-       single probe with no rebinding *)
-    match KeyTbl.find_opt h key with
-    | Some cell -> cell := r :: !cell
-    | None -> KeyTbl.add h key (ref [ r ]))
+       single probe with no rebinding ([find], not [find_opt]: no option
+       is allocated on this path) *)
+    match KeyTbl.find h key with
+    | cell -> cell := r :: !cell
+    | exception Not_found -> KeyTbl.add h key (ref [ r ]))
   | STree tr ->
     let cur = match Rbtree.find ~cmp key !tr with Some l -> l | None -> [] in
     tr := Rbtree.insert ~cmp key (r :: cur) !tr);
   t.count <- t.count + 1
 
+(* [l] without the first record whose rid is [rid], keeping the order of
+   the rest and sharing the tail after it.  @raise Not_found if absent. *)
+let rec drop_rid rid = function
+  | [] -> raise Not_found
+  | (x : Record.t) :: rest -> if x.rid = rid then rest else x :: drop_rid rid rest
+
 let remove t r =
   Meter.tick_c c_index_update;
   let key = key_of_record t r in
-  let drop l =
-    let found = ref false in
-    let l' =
-      List.filter
-        (fun (x : Record.t) ->
-          if (not !found) && x.rid = r.rid then begin
-            found := true;
-            false
-          end
-          else true)
-        l
-    in
-    (!found, l')
-  in
   match t.store with
   | SHash h -> (
-    match KeyTbl.find_opt h key with
-    | None -> ()
-    | Some cell ->
-      let found, l' = drop !cell in
-      if found then t.count <- t.count - 1;
-      if l' = [] then KeyTbl.remove h key else cell := l')
+    match KeyTbl.find h key with
+    | exception Not_found -> ()
+    | cell -> (
+      match drop_rid r.rid !cell with
+      | exception Not_found -> ()
+      | [] ->
+        t.count <- t.count - 1;
+        KeyTbl.remove h key
+      | l' ->
+        t.count <- t.count - 1;
+        cell := l'))
   | STree tr -> (
     match Rbtree.find ~cmp key !tr with
     | None -> ()
-    | Some l ->
-      let found, l' = drop l in
-      if found then t.count <- t.count - 1;
-      tr :=
-        (if l' = [] then Rbtree.remove ~cmp key !tr
-         else Rbtree.insert ~cmp key l' !tr))
+    | Some l -> (
+      match drop_rid r.rid l with
+      | exception Not_found -> ()
+      | [] ->
+        t.count <- t.count - 1;
+        tr := Rbtree.remove ~cmp key !tr
+      | l' ->
+        t.count <- t.count - 1;
+        tr := Rbtree.insert ~cmp key l' !tr))
+
+(* Do [a] and [b] agree on every key column from the [j]-th on? *)
+let rec same_key icols (a : Record.t) (b : Record.t) j =
+  j >= Array.length icols
+  || Value.equal a.values.(icols.(j)) b.values.(icols.(j))
+     && same_key icols a b (j + 1)
+
+let replace t ~old r =
+  match t.store with
+  | SHash h when same_key t.icols old r 0 -> (
+    (* [remove old] then [add r], fused into one probe: both find the same
+       posting cell.  The result is the same list, [r] first. *)
+    Meter.tick_cn c_index_update 2;
+    let key = key_of_record t r in
+    match KeyTbl.find h key with
+    | exception Not_found ->
+      KeyTbl.add h key (ref [ r ]);
+      t.count <- t.count + 1
+    | cell -> (
+      match drop_rid old.rid !cell with
+      | l' -> cell := r :: l'
+      | exception Not_found ->
+        cell := r :: !cell;
+        t.count <- t.count + 1))
+  | SHash _ | STree _ ->
+    remove t old;
+    add t r
 
 let lookup t key =
   Meter.tick_c c_index_probe;
   match t.store with
   | SHash h -> (
-    match KeyTbl.find_opt h key with Some cell -> !cell | None -> [])
+    match KeyTbl.find h key with cell -> !cell | exception Not_found -> [])
   | STree tr -> (
     match Rbtree.find ~cmp key !tr with Some l -> l | None -> [])
 

@@ -27,6 +27,13 @@ val add : t -> Record.t -> unit
 val remove : t -> Record.t -> unit
 (** Removes this exact record (by rid) from its key's posting list. *)
 
+val replace : t -> old:Record.t -> Record.t -> unit
+(** [replace t ~old r] is [remove t old; add t r]: the same posting lists
+    ([r] first, then the others in their order), counts and
+    ["index_update"] ticks (two).  When [r] keeps [old]'s key columns in a
+    hash index it costs one probe instead of two; a key change, and any
+    ordered index, take the [remove] + [add] path. *)
+
 val lookup : t -> Value.t list -> Record.t list
 (** All records with exactly this key, unordered. *)
 

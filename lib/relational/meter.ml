@@ -58,6 +58,13 @@ type snapshot = int array
 
 let snapshot () = Array.sub !vals 0 !count
 
+let snapshot_into buf =
+  if Array.length buf = !count then begin
+    Array.blit !vals 0 buf 0 !count;
+    buf
+  end
+  else snapshot ()
+
 (* Counter ids in name order, recomputed only when a counter registers.
    [diff] and the cost model's fused charge both walk this, so per-task
    accounting needs no sort and their float sums keep the historical

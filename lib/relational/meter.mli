@@ -12,7 +12,8 @@
     names in use is documented by {!Strip_sim.Cost_model.default}. *)
 
 type snapshot
-(** Immutable snapshot of all counters at a point in time. *)
+(** Snapshot of all counters at a point in time; immutable unless passed
+    to {!snapshot_into}. *)
 
 type cell
 (** Pre-resolved handle to a named counter; ticking through a cell skips the
@@ -41,6 +42,13 @@ val reset : unit -> unit
 
 val snapshot : unit -> snapshot
 (** Capture the current value of every counter. *)
+
+val snapshot_into : snapshot -> snapshot
+(** [snapshot_into buf] is {!snapshot}[ ()], written into [buf] and
+    returned when [buf] has room for exactly the registered counters, and
+    a fresh snapshot otherwise.  For a per-task loop that owns [buf]:
+    [buf]'s earlier contents are overwritten, so no one else may still
+    read them. *)
 
 val diff : snapshot -> snapshot -> (string * int) list
 (** [diff before after] lists counters whose value changed between the two

@@ -77,22 +77,22 @@ let equal_layout a b =
        (fun ca cb -> ca.cname = cb.cname && ca.cty = cb.cty)
        a.cols b.cols
 
+(* Top-level rather than a local closure: every row write validates. *)
+let rec validate_from s row i =
+  if i >= arity s then Ok ()
+  else if not (Value.conforms row.(i) s.cols.(i).cty) then
+    Error
+      (Printf.sprintf "column %s expects %s, got %s" s.cols.(i).cname
+         (Value.ty_name s.cols.(i).cty)
+         (Value.to_string row.(i)))
+  else validate_from s row (i + 1)
+
 let validate_row s row =
   if Array.length row <> arity s then
     Error
       (Printf.sprintf "row arity %d does not match schema arity %d"
          (Array.length row) (arity s))
-  else
-    let rec loop i =
-      if i >= arity s then Ok ()
-      else if not (Value.conforms row.(i) s.cols.(i).cty) then
-        Error
-          (Printf.sprintf "column %s expects %s, got %s" s.cols.(i).cname
-             (Value.ty_name s.cols.(i).cty)
-             (Value.to_string row.(i)))
-      else loop (i + 1)
-    in
-    loop 0
+  else validate_from s row 0
 
 let pp ppf s =
   Format.fprintf ppf "(%s)"

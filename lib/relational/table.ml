@@ -7,27 +7,40 @@ let c_open_cursor = Meter.counter "open_cursor"
 let c_update_cursor = Meter.counter "update_cursor"
 let c_update_record = Meter.counter "update_record"
 
+(* A node is a row's list position.  It outlives the row's versions: an
+   update stores the new version in [record] and leaves the links alone. *)
 type node = {
-  record : Record.t;
+  mutable record : Record.t;
   mutable prev : node option;
   mutable next : node option;
 }
+
+(* Record bases are dense positive ints, so they hash as themselves. *)
+module BaseTbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
 
 type t = {
   tname : string;
   tschema : Schema.t;
   mutable first : node option;
   mutable last : node option;
-  nodes : (int, node) Hashtbl.t;  (* rid -> node, for O(1) unlink *)
+  nodes : node BaseTbl.t;  (* Record.base -> node, for O(1) unlink *)
   mutable tindexes : Index.t list;
   mutable ixgen : int;  (* bumped whenever the index list changes *)
   mutable version : int;  (* bumped by every row or index change *)
   mutable count : int;
 }
 
+(* A full-scan cursor walks [node]; an index or range cursor walks [recs]
+   and never has a [node]. *)
 type cursor = {
   table : t;
-  mutable pending : [ `List of node option | `Recs of Record.t list ];
+  mutable node : node option;
+  mutable recs : Record.t list;
   mutable current : Record.t option;
   mutable closed : bool;
 }
@@ -38,7 +51,7 @@ let create ~name ~schema =
     tschema = schema;
     first = None;
     last = None;
-    nodes = Hashtbl.create 64;
+    nodes = BaseTbl.create 64;
     tindexes = [];
     ixgen = 0;
     version = 0;
@@ -100,25 +113,10 @@ let link_last t node =
     l.next <- Some node;
     node.prev <- Some l;
     t.last <- Some node);
-  (* rids are unique, so the new binding cannot shadow an existing one *)
-  Hashtbl.add t.nodes node.record.Record.rid node;
+  (* a fresh record's base is its own, new rid, so the new binding cannot
+     shadow an existing one *)
+  BaseTbl.add t.nodes node.record.Record.base node;
   t.count <- t.count + 1
-
-(* Splice [node] into [old_node]'s list position; [old_node] is detached.
-   Must run before anything clears [old_node]'s links. *)
-let replace_node t ~old_node node =
-  node.prev <- old_node.prev;
-  node.next <- old_node.next;
-  (match old_node.prev with
-  | None -> t.first <- Some node
-  | Some p -> p.next <- Some node);
-  (match old_node.next with
-  | None -> t.last <- Some node
-  | Some nx -> nx.prev <- Some node);
-  old_node.prev <- None;
-  old_node.next <- None;
-  Hashtbl.remove t.nodes old_node.record.Record.rid;
-  Hashtbl.replace t.nodes node.record.Record.rid node
 
 let unlink t node =
   (match node.prev with
@@ -129,13 +127,15 @@ let unlink t node =
   | Some nx -> nx.prev <- node.prev);
   node.prev <- None;
   node.next <- None;
-  Hashtbl.remove t.nodes node.record.Record.rid;
+  BaseTbl.remove t.nodes node.record.Record.base;
   t.count <- t.count - 1
 
+(* The node whose live version is [r] itself: a deleted or superseded
+   version of the row is not live, even though its base may still be. *)
 let node_of t (r : Record.t) =
-  match Hashtbl.find_opt t.nodes r.Record.rid with
-  | Some n -> n
-  | None ->
+  match BaseTbl.find t.nodes r.Record.base with
+  | n when n.record == r -> n
+  | _ | (exception Not_found) ->
     invalid_arg
       (Printf.sprintf "table %s: record %d is not live here" t.tname
          r.Record.rid)
@@ -150,19 +150,20 @@ let insert t values =
   List.iter (fun idx -> Index.add idx r) t.tindexes;
   r
 
+let rec replace_in_indexes ~old r = function
+  | [] -> ()
+  | idx :: rest ->
+    Index.replace idx ~old r;
+    replace_in_indexes ~old r rest
+
 let update t old values =
   check_row t values;
   Meter.tick_c c_update_record;
-  let old_node = node_of t old in
+  let node = node_of t old in
   let r = Record.create_version ~base:old.Record.base values in
-  let node = { record = r; prev = None; next = None } in
-  replace_node t ~old_node node;
+  node.record <- r;
   t.version <- t.version + 1;
-  List.iter
-    (fun idx ->
-      Index.remove idx old;
-      Index.add idx r)
-    t.tindexes;
+  replace_in_indexes ~old r t.tindexes;
   Record.retire old;
   r
 
@@ -176,39 +177,43 @@ let delete t r =
 
 let open_cursor t =
   Meter.tick_c c_open_cursor;
-  { table = t; pending = `List t.first; current = None; closed = false }
+  { table = t; node = t.first; recs = []; current = None; closed = false }
+
+let records_cursor t recs =
+  { table = t; node = None; recs; current = None; closed = false }
 
 let open_index_cursor t idx key =
   Meter.tick_c c_open_cursor;
-  let recs = Index.lookup idx key in
-  { table = t; pending = `Recs recs; current = None; closed = false }
+  records_cursor t (Index.lookup idx key)
 
 let open_range_cursor t idx ?lo ?hi () =
   Meter.tick_c c_open_cursor;
   let acc = ref [] in
   Index.range idx ?lo ?hi (fun r -> acc := r :: !acc);
-  { table = t; pending = `Recs (List.rev !acc); current = None; closed = false }
+  records_cursor t (List.rev !acc)
+
+(* [fetch] returns the very option it stores as [current]. *)
+let deliver c r =
+  Meter.tick_c c_fetch_cursor;
+  let cur = Some r in
+  c.current <- cur;
+  cur
 
 let fetch c =
   if c.closed then invalid_arg "Table.fetch: cursor is closed";
   (* end-of-scan detection is free; only delivered records are metered *)
-  match c.pending with
-  | `List None ->
-    c.current <- None;
-    None
-  | `List (Some n) ->
-    Meter.tick_c c_fetch_cursor;
-    c.pending <- `List n.next;
-    c.current <- Some n.record;
-    Some n.record
-  | `Recs [] ->
-    c.current <- None;
-    None
-  | `Recs (r :: rest) ->
-    Meter.tick_c c_fetch_cursor;
-    c.pending <- `Recs rest;
-    c.current <- Some r;
-    Some r
+  match c.node with
+  | Some n ->
+    c.node <- n.next;
+    deliver c n.record
+  | None -> (
+    match c.recs with
+    | r :: rest ->
+      c.recs <- rest;
+      deliver c r
+    | [] ->
+      c.current <- None;
+      None)
 
 let cursor_update c values =
   if c.closed then invalid_arg "Table.cursor_update: cursor is closed";
@@ -234,7 +239,8 @@ let close_cursor c =
     Meter.tick_c c_close_cursor;
     c.closed <- true;
     c.current <- None;
-    c.pending <- `Recs []
+    c.node <- None;
+    c.recs <- []
   end
 
 let clear t =

@@ -5,6 +5,11 @@
     record replaces the old one at the same list position, the old record is
     retired and survives only while pinned by temporary tables.
 
+    Each row has one list node for its whole life, found through the row's
+    stable {!Record.base}.  An update stores the new version in that node
+    and leaves the list links alone, so a row write allocates the version
+    but no node; each index takes it through {!Index.replace}.
+
     Cursors are the primitive access path measured in the paper's Table 1:
     open / fetch / update / delete / close, each ticking its meter counter.
     A full-scan cursor walks the list; an index cursor walks the matching
@@ -55,7 +60,9 @@ val insert : t -> Value.t array -> Record.t
 val update : t -> Record.t -> Value.t array -> Record.t
 (** [update t old values] links a fresh record in place of [old] and retires
     [old] (§6.1 versioning).  Returns the new record.
-    @raise Invalid_argument if [old] is not live in [t]. *)
+    @raise Invalid_argument if [old] is not live in [t]: deleted, or
+    superseded by a later version of its row (the live version is told
+    apart physically, not by base). *)
 
 val delete : t -> Record.t -> unit
 (** Unlink and retire a record.  @raise Invalid_argument if not live. *)

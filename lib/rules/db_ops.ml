@@ -6,24 +6,23 @@ let c_fetch_cursor = Meter.counter "fetch_cursor"
 let c_open_cursor = Meter.counter "open_cursor"
 type lock_error = exn
 
+(* Top-level rather than a local closure: this runs once per row write. *)
+let rec update_rows (hooks : Sql_exec.hooks) tb cursor f n =
+  match Table.fetch cursor with
+  | None -> n
+  | Some r ->
+    hooks.lock_record tb r Sql_exec.Exclusive;
+    let values = f (Array.copy r.Record.values) in
+    let r' = Table.cursor_update cursor values in
+    hooks.on_update tb ~old_rec:r ~new_rec:r';
+    update_rows hooks tb cursor f (n + 1)
+
 let update_by_key txn tb idx key f =
   let hooks = Transaction.hooks txn in
   let cursor = Table.open_index_cursor tb idx key in
-  let n = ref 0 in
-  let rec loop () =
-    match Table.fetch cursor with
-    | None -> ()
-    | Some r ->
-      hooks.Sql_exec.lock_record tb r Sql_exec.Exclusive;
-      let values = f (Array.copy r.Record.values) in
-      let r' = Table.cursor_update cursor values in
-      hooks.Sql_exec.on_update tb ~old_rec:r ~new_rec:r';
-      incr n;
-      loop ()
-  in
-  loop ();
+  let n = update_rows hooks tb cursor f 0 in
   Table.close_cursor cursor;
-  !n
+  n
 
 let lookup_one txn tb idx key =
   let hooks = Transaction.hooks txn in

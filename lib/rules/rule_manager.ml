@@ -668,6 +668,7 @@ and process_commit t txn =
   let log = Transaction.log txn in
   if Tlog.length log > 0 then begin
     let tables = Tlog.tables_touched log in
+    let all = lazy (Tlog.entries log) in
     List.iter
       (fun table ->
         match Hashtbl.find_opt t.by_table table with
@@ -676,9 +677,12 @@ and process_commit t txn =
           let tb = Catalog.table_exn t.cat table in
           let schema = Table.schema tb in
           let entries =
-            List.filter
-              (fun (e : Tlog.entry) -> e.table = table)
-              (Tlog.entries log)
+            match tables with
+            | [ _ ] -> Lazy.force all
+            | _ ->
+              List.filter
+                (fun (e : Tlog.entry) -> e.table = table)
+                (Lazy.force all)
           in
           let trans = Transition.build ~schema ~table entries in
           let env = Transition.env trans in

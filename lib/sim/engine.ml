@@ -58,6 +58,10 @@ type t = {
       (* optimistic count of live pending rule tasks; may overcount
          externally-cancelled entries, resynced on every overload check *)
   mutable in_body : bool;  (* a task body is executing *)
+  mutable before : Meter.snapshot;
+  mutable after : Meter.snapshot;
+      (* [dispatch]'s meter snapshots around a body, refilled per task;
+         dispatches never nest ([in_body]), so one pair suffices *)
   trace : Trace.t option;
 }
 
@@ -88,6 +92,8 @@ let create ~clock ?policy ?(cost = Cost_model.default) ?retry ?overload ?locks
     fatal = (fun _ -> false);
     backlog_hint = 0;
     in_body = false;
+    before = Meter.snapshot ();
+    after = Meter.snapshot ();
     trace;
   }
 
@@ -465,7 +471,9 @@ let dispatch t task =
     t.backlog_hint <- t.backlog_hint - 1;
   task.Task.dispatched_at <- start;
   let queue_us = Float.max 0.0 (start -. task.Task.release_time) *. 1e6 in
-  let before = Meter.snapshot () in
+  if t.in_body then invalid_arg "Engine.dispatch: nested inside a task body";
+  let before = Meter.snapshot_into t.before in
+  t.before <- before;
   Meter.tick_c c_task_dispatch;
   (match t.locks with Some lk -> Lock.begin_defer lk | None -> ());
   t.in_body <- true;
@@ -474,7 +482,8 @@ let dispatch t task =
   in
   t.in_body <- false;
   let owners = match t.locks with Some lk -> Lock.end_defer lk | None -> [] in
-  let after = Meter.snapshot () in
+  let after = Meter.snapshot_into t.after in
+  t.after <- after;
   (* A lock-blocked attempt parks on the conflicting holder instead of
      charging: its partial work was undone by the abort, and the modeled
      executor would have blocked in place rather than burned its server.

@@ -14,14 +14,39 @@ type outcome =
   | Blocked of int list
   | Deadlock of int list
 
+type grant =
+  | Held
+  | Acquired
+  | Refused of outcome
+
 type entry = {
   mutable lholders : (int * mode) list;
   mutable lwaiters : (int * mode) list;  (* FIFO order *)
 }
 
+(* A typed table: one probe hashes the name once and compares without
+   [compare_val].  Its iteration order reaches only [wait_for_edges]
+   (a yes/no cycle test) and [clear_waiters], so it cannot show. *)
+module Res = Hashtbl.Make (struct
+  type t = resource
+
+  let equal a b =
+    match (a, b) with
+    | Rel x, Rel y -> String.equal x y
+    | Rec (x, i), Rec (y, j) -> i = j && String.equal x y
+    | Rel _, Rec _ | Rec _, Rel _ -> false
+
+  let hash = function
+    | Rel x -> Hashtbl.hash x
+    | Rec (x, i) -> (Hashtbl.hash x * 65599) + i
+end)
+
+module Owners = Hashtbl.Make (Int)
+
 type t = {
-  entries : (resource, entry) Hashtbl.t;
-  owned : (int, resource list ref) Hashtbl.t;
+  entries : entry Res.t;
+  owned : resource list ref Owners.t;
+  mutable n_waiters : int;  (* waiter entries queued over all of [entries] *)
   (* Deferred release (multi-server simulation): while [defer] is on, a
      committing owner's locks are kept in place as "zombie" holders — the
      transaction is over in real execution order but its simulated commit
@@ -34,8 +59,9 @@ type t = {
 
 let create () =
   {
-    entries = Hashtbl.create 256;
-    owned = Hashtbl.create 32;
+    entries = Res.create 256;
+    owned = Owners.create 32;
+    n_waiters = 0;
     defer = false;
     deferred = [];
   }
@@ -50,20 +76,22 @@ let end_defer t =
   t.deferred <- [];
   owners
 
+(* Lookups use [find], not [find_opt]: a lock is taken per row written,
+   and the option would be its only allocation besides the lock itself. *)
 let entry_of t res =
-  match Hashtbl.find_opt t.entries res with
-  | Some e -> e
-  | None ->
+  match Res.find t.entries res with
+  | e -> e
+  | exception Not_found ->
     let e = { lholders = []; lwaiters = [] } in
-    Hashtbl.add t.entries res e;
+    Res.add t.entries res e;
     e
 
 let owned_of t owner =
-  match Hashtbl.find_opt t.owned owner with
-  | Some l -> l
-  | None ->
+  match Owners.find t.owned owner with
+  | l -> l
+  | exception Not_found ->
     let l = ref [] in
-    Hashtbl.add t.owned owner l;
+    Owners.add t.owned owner l;
     l
 
 let mode_leq a b =
@@ -71,7 +99,7 @@ let mode_leq a b =
 
 (* Wait-for edges: waiter -> every conflicting holder. *)
 let wait_for_edges t =
-  Hashtbl.fold
+  Res.fold
     (fun _ e acc ->
       List.fold_left
         (fun acc (w, wm) ->
@@ -94,26 +122,34 @@ let creates_cycle edges from to_ =
   in
   reachable [] to_
 
-let holds t ~owner res =
-  match Hashtbl.find_opt t.entries res with
-  | None -> None
-  | Some e -> (
-    let modes = List.filter_map (fun (o, m) -> if o = owner then Some m else None) e.lholders in
-    match modes with
-    | [] -> None
-    | l -> if List.mem X l then Some X else Some S)
+(* The strongest mode [owner] holds among [holders]: [X] once any entry
+   is [X], else [S] if any entry is its, else [None]. *)
+let rec held_in owner acc = function
+  | [] -> acc
+  | (o, m) :: rest ->
+    if o <> owner then held_in owner acc rest
+    else (match m with X -> Some X | S -> held_in owner (Some S) rest)
 
-let acquire t ~owner res mode =
+let holds t ~owner res =
+  match Res.find t.entries res with
+  | e -> held_in owner None e.lholders
+  | exception Not_found -> None
+
+(* The holders other than [owner] whose mode conflicts with [mode], in
+   holder order. *)
+let rec blockers_of owner mode = function
+  | [] -> []
+  | (o, m) :: rest ->
+    if o <> owner && (mode = X || m = X) then o :: blockers_of owner mode rest
+    else blockers_of owner mode rest
+
+let request t ~owner res mode =
   let e = entry_of t res in
-  match holds t ~owner res with
-  | Some held when mode_leq mode held -> Granted
+  match held_in owner None e.lholders with
+  | Some held when mode_leq mode held -> Held
   | held_opt ->
-    let conflicting =
-      List.filter
-        (fun (o, m) -> o <> owner && (mode = X || m = X))
-        e.lholders
-    in
-    if conflicting = [] then begin
+    let blockers = blockers_of owner mode e.lholders in
+    if blockers = [] then begin
       (* Grant, possibly an upgrade. *)
       Meter.tick_c c_get_lock;
       (match held_opt with
@@ -124,40 +160,54 @@ let acquire t ~owner res mode =
         e.lholders <- (owner, mode) :: e.lholders;
         let l = owned_of t owner in
         l := res :: !l);
-      Granted
+      Acquired
     end
     else begin
-      let blockers = List.map fst conflicting in
       let edges = wait_for_edges t in
       let cycle =
         List.exists (fun b -> creates_cycle edges owner b) blockers
       in
-      if cycle then Deadlock blockers
+      if cycle then Refused (Deadlock blockers)
       else begin
         if
           not
             (List.exists (fun (o, m) -> o = owner && m = mode) e.lwaiters)
-        then e.lwaiters <- e.lwaiters @ [ (owner, mode) ];
-        Blocked blockers
+        then begin
+          e.lwaiters <- e.lwaiters @ [ (owner, mode) ];
+          t.n_waiters <- t.n_waiters + 1
+        end;
+        Refused (Blocked blockers)
       end
     end
 
+let acquire t ~owner res mode =
+  match request t ~owner res mode with
+  | Held | Acquired -> Granted
+  | Refused o -> o
+
+(* Skipped outright while nothing waits anywhere, as at most commits. *)
 let clear_waiters t ~owner =
-  Hashtbl.iter
-    (fun _ e -> e.lwaiters <- List.filter (fun (o, _) -> o <> owner) e.lwaiters)
-    t.entries
+  if t.n_waiters > 0 then
+    Res.iter
+      (fun _ e ->
+        if e.lwaiters <> [] then begin
+          let before = List.length e.lwaiters in
+          e.lwaiters <- List.filter (fun (o, _) -> o <> owner) e.lwaiters;
+          t.n_waiters <- t.n_waiters - (before - List.length e.lwaiters)
+        end)
+      t.entries
 
 (* Physically remove the owner's holder entries.  [tick] selects whether
    each released resource charges a ["release_lock"]: true on the commit /
    abort path (the Table-1 cost is paid then), false when flushing locks
    whose release was already charged at the deferred commit. *)
 let release_physical ~tick t ~owner =
-  (match Hashtbl.find_opt t.owned owner with
+  (match Owners.find_opt t.owned owner with
   | None -> ()
   | Some l ->
     List.iter
       (fun res ->
-        match Hashtbl.find_opt t.entries res with
+        match Res.find_opt t.entries res with
         | None -> ()
         | Some e ->
           let before = List.length e.lholders in
@@ -165,9 +215,9 @@ let release_physical ~tick t ~owner =
           if tick && List.length e.lholders < before then
             Meter.tick_c c_release_lock;
           if e.lholders = [] && e.lwaiters = [] then
-            Hashtbl.remove t.entries res)
+            Res.remove t.entries res)
       !l;
-    Hashtbl.remove t.owned owner);
+    Owners.remove t.owned owner);
   (* Clear the owner's waiter entries everywhere. *)
   clear_waiters t ~owner
 
@@ -179,7 +229,7 @@ let release_all t ~owner =
        task body's metering window, exactly where an immediate release
        would tick — but keep the holder entries as zombies until the
        engine flushes them at the simulated completion instant. *)
-    (match Hashtbl.find_opt t.owned owner with
+    (match Owners.find_opt t.owned owner with
     | None -> ()
     | Some l -> List.iter (fun _ -> Meter.tick_c c_release_lock) !l);
     clear_waiters t ~owner;
@@ -190,12 +240,12 @@ let release_all t ~owner =
 let flush t ~owner = release_physical ~tick:false t ~owner
 
 let holders t res =
-  match Hashtbl.find_opt t.entries res with
+  match Res.find_opt t.entries res with
   | None -> []
   | Some e -> e.lholders
 
 let waiters t res =
-  match Hashtbl.find_opt t.entries res with
+  match Res.find_opt t.entries res with
   | None -> []
   | Some e -> e.lwaiters
 

@@ -39,6 +39,16 @@ val acquire : t -> owner:int -> resource -> mode -> outcome
 (** Re-acquiring a held lock (same or weaker mode) is a no-op granting
     immediately and ticking nothing. *)
 
+type grant =
+  | Held  (** already held in this or a stronger mode: a no-op *)
+  | Acquired  (** granted now, fresh or as an upgrade *)
+  | Refused of outcome  (** [Blocked] or [Deadlock], as {!acquire} *)
+
+val request : t -> owner:int -> resource -> mode -> grant
+(** {!acquire} that also tells a no-op from a grant, in one probe of the
+    lock table: a caller that acts on the first exclusive grant of a
+    resource needs no {!holds} beforehand. *)
+
 val release_all : t -> owner:int -> unit
 (** Release every lock held by [owner] and drop its waiter entries, then
     promote any waiters that can now run (their next [acquire] will be

@@ -46,4 +46,5 @@ val entries_rev : t -> entry list
 val length : t -> int
 
 val tables_touched : t -> string list
-(** Distinct table names, in first-touch order. *)
+(** Distinct table names, in first-touch order.  Kept up to date by every
+    logged change, so reading it costs nothing. *)

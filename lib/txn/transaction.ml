@@ -22,6 +22,7 @@ type t = {
   mutable pinned : Record.t list;
   mutable st : status;
   mutable tcommit : float option;
+  mutable thooks : Sql_exec.hooks option;  (* built on first use *)
 }
 
 let next_txid = ref 0
@@ -39,6 +40,7 @@ let begin_ ~cat ~locks ~clock ?(env = []) () =
     pinned = [];
     st = Active;
     tcommit = None;
+    thooks = None;
   }
 
 let txid t = t.id
@@ -54,20 +56,22 @@ let require_active t op =
   if t.st <> Active then
     invalid_arg (Printf.sprintf "Transaction.%s: transaction %d not active" op t.id)
 
-let acquire t res mode =
-  match Lock.acquire t.locks ~owner:t.id res mode with
+let conflict t = function
   | Lock.Granted -> ()
   | Lock.Blocked blockers ->
     raise (Lock_conflict { txid = t.id; blockers; deadlock = false })
   | Lock.Deadlock blockers ->
     raise (Lock_conflict { txid = t.id; blockers; deadlock = true })
 
+let acquire t res mode = conflict t (Lock.acquire t.locks ~owner:t.id res mode)
+
 let pin t r =
   Record.pin r;
   t.pinned <- r :: t.pinned
 
-let hooks t : Sql_exec.hooks =
-  let lmode = function Sql_exec.Shared -> Lock.S | Sql_exec.Exclusive -> Lock.X in
+let lmode = function Sql_exec.Shared -> Lock.S | Sql_exec.Exclusive -> Lock.X
+
+let make_hooks t : Sql_exec.hooks =
   {
     Sql_exec.lock_table =
       (fun tb mode -> acquire t (Lock.Rel (Table.name tb)) (lmode mode));
@@ -77,19 +81,29 @@ let hooks t : Sql_exec.hooks =
            so locking the version rid would let a second writer slip past
            the first one's still-held lock on the superseded version. *)
         let res = Lock.Rec (Table.name tb, r.Record.base) in
-        let already = Lock.holds t.locks ~owner:t.id res in
-        acquire t res (lmode mode);
-        (* Pin the pre-image on first exclusive acquisition so the rule pass
-           can read it after the update retires it. *)
-        match (mode, already) with
-        | Sql_exec.Exclusive, (None | Some Lock.S) -> pin t r
-        | _ -> ());
+        match Lock.request t.locks ~owner:t.id res (lmode mode) with
+        | Lock.Held -> ()
+        | Lock.Acquired -> (
+          (* Pin the pre-image on first exclusive acquisition so the rule
+             pass can read it after the update retires it. *)
+          match mode with
+          | Sql_exec.Exclusive -> pin t r
+          | Sql_exec.Shared -> ())
+        | Lock.Refused o -> conflict t o);
     on_insert = (fun tb r -> Tlog.log_insert t.tlog ~table:(Table.name tb) r);
     on_update =
       (fun tb ~old_rec ~new_rec ->
         Tlog.log_update t.tlog ~table:(Table.name tb) ~old_rec ~new_rec);
     on_delete = (fun tb r -> Tlog.log_delete t.tlog ~table:(Table.name tb) r);
   }
+
+let hooks t =
+  match t.thooks with
+  | Some h -> h
+  | None ->
+    let h = make_hooks t in
+    t.thooks <- Some h;
+    h
 
 let exec_stmt t stmt =
   require_active t "exec";

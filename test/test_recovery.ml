@@ -468,6 +468,57 @@ let test_int_writers () =
         | () -> false))
     [ -1; 0x100000000 ]
 
+(* One row write, the paper's Table 1 cursor update (open, lock, fetch,
+   update, close), through [Db_ops.update_by_key]: a key-preserving
+   update of one row of a table with one hash index, inside an open
+   transaction that has already written another row.  What it may
+   allocate: the new version and its values copy, the index's key list
+   and posting cell, the cursor and its fetched option, the record lock
+   (its resource, entry, table binding, holder cell and owned-list cell),
+   the pinned pre-image cell and the [Tlog] entry.  Nothing per call is
+   built for the transaction's hooks, the table's node or the lock
+   table's probes. *)
+let row_write_words = 57.
+
+let test_row_write_allocation () =
+  let cat = Catalog.create () in
+  let tb =
+    Catalog.create_table cat ~name:"stocks"
+      ~schema:(Schema.of_list [ ("symbol", Value.TStr); ("price", Value.TFloat) ])
+  in
+  let idx = Table.create_index tb ~name:"by_symbol" ~kind:Index.Hash ~cols:[ "symbol" ] in
+  ignore (Table.insert tb [| Value.Str "A"; Value.Float 1.0 |]);
+  ignore (Table.insert tb [| Value.Str "B"; Value.Float 1.0 |]);
+  let locks = Lock.create () and clock = Clock.create () in
+  let key_a = [ Value.Str "A" ] and key_b = [ Value.Str "B" ] in
+  let price = Value.Float 2.0 in
+  let set (values : Value.t array) =
+    values.(1) <- price;
+    values
+  in
+  let write txn key =
+    Alcotest.(check int) "one row written" 1 (Db_ops.update_by_key txn tb idx key set)
+  in
+  (* warm-up: committed transactions over both rows *)
+  for _ = 1 to 3 do
+    let txn = Transaction.begin_ ~cat ~locks ~clock () in
+    write txn key_a;
+    write txn key_b;
+    Transaction.commit txn;
+    Transaction.cleanup txn
+  done;
+  let txn = Transaction.begin_ ~cat ~locks ~clock () in
+  write txn key_b;
+  let before = Gc.minor_words () in
+  let n = Db_ops.update_by_key txn tb idx key_a set in
+  let w = Gc.minor_words () -. before in
+  Transaction.commit txn;
+  Transaction.cleanup txn;
+  Alcotest.(check int) "row written" 1 n;
+  Alcotest.(check bool)
+    (Printf.sprintf "one row write: %.0f words, budget %.0f" w row_write_words)
+    true (w <= row_write_words)
+
 (* Writing an int or a u32 boxes nothing, nor does writing a float that
    is already boxed; reading an int boxes nothing and reading a float
    boxes only the float it returns: none goes through a boxed [int32] or
@@ -1319,6 +1370,8 @@ let suite =
           test_int_writers;
         Alcotest.test_case "fixed-width reads box no int64" `Quick
           test_fixed_width_reads_unboxed;
+        Alcotest.test_case "one row write stays within its word budget" `Quick
+          test_row_write_allocation;
       ] );
     ( "recovery/checkpoint",
       [

@@ -240,6 +240,237 @@ let test_version () =
   check_moves "delete" ~ixgen:false (fun () -> Table.delete tb last);
   check_moves "clear" ~ixgen:false (fun () -> Table.clear tb)
 
+let test_update_superseded_rejected () =
+  let tb = mk () in
+  let r = Table.insert tb (row "a" 1) in
+  let r' = Table.update tb r (row "a" 2) in
+  (* [r] shares its row's base with the live [r'], but is not it *)
+  (match Table.update tb r (row "a" 3) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "update of superseded version accepted");
+  (match Table.delete tb r with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "delete of superseded version accepted");
+  Alcotest.(check bool) "live version untouched" true r'.Record.live;
+  Alcotest.(check (list (pair string int))) "table unchanged" [ ("a", 2) ]
+    (contents tb)
+
+(* ------------------------------------------------------------------ *)
+(* Differential test of table and index maintenance.  Rows carry a
+   unique id in column 0 that no update changes.  The reference keeps
+   the rows in list order and each index's posting lists as ids, newest
+   first, maintained by [remove] then [add]: an updated row moves to the
+   head of its key's list even when the key is unchanged.  Posting order
+   feeds join output order, so it is compared exactly. *)
+
+module Ref_table = struct
+  type t = {
+    mutable rows : Value.t array list;  (* list order *)
+    postings : (int array * (Value.t list, int list) Hashtbl.t) list;
+        (* per index, in the table's index order *)
+  }
+
+  let create key_cols =
+    { rows = []; postings = List.map (fun c -> (c, Hashtbl.create 16)) key_cols }
+
+  let id (v : Value.t array) = Value.to_int v.(0)
+  let key cols (v : Value.t array) = Array.to_list (Array.map (fun i -> v.(i)) cols)
+
+  let add v =
+    List.iter (fun (cols, h) ->
+        let k = key cols v in
+        let l = Option.value ~default:[] (Hashtbl.find_opt h k) in
+        Hashtbl.replace h k (id v :: l))
+
+  let remove v =
+    List.iter (fun (cols, h) ->
+        let k = key cols v in
+        match List.filter (fun i -> i <> id v) (Hashtbl.find h k) with
+        | [] -> Hashtbl.remove h k
+        | l -> Hashtbl.replace h k l)
+
+  let find t i = List.find (fun v -> id v = i) t.rows
+
+  let insert t v =
+    t.rows <- t.rows @ [ v ];
+    add v t.postings
+
+  let delete t i =
+    let v = find t i in
+    t.rows <- List.filter (fun v -> id v <> i) t.rows;
+    remove v t.postings
+
+  let update t i v' =
+    let v = find t i in
+    t.rows <- List.map (fun x -> if id x = i then v' else x) t.rows;
+    List.iter
+      (fun p ->
+        remove v [ p ];
+        add v' [ p ])
+      t.postings
+end
+
+let test_table_index_differential () =
+  let module Tr = Strip_txn.Transaction in
+  let module Tlog = Strip_txn.Tlog in
+  let schema =
+    Schema.of_list
+      [ ("id", Value.TInt); ("k", Value.TStr); ("g", Value.TInt); ("v", Value.TInt) ]
+  in
+  let ks = [| "a"; "b"; "c" |] in
+  let specs =
+    [
+      ("by_g", Index.Hash, [ "g" ]);
+      ("g_ord", Index.Ordered, [ "g" ]);
+      ("by_kg", Index.Hash, [ "k"; "g" ]);
+      ("by_v", Index.Hash, [ "v" ]);
+      ("v_ord", Index.Ordered, [ "v" ]);
+    ]
+  in
+  (* every key a row can have, per index *)
+  let domain cols =
+    let vals c =
+      match c with
+      | "k" -> Array.to_list (Array.map (fun s -> Value.Str s) ks)
+      | "g" -> List.init 3 (fun i -> Value.Int i)
+      | _ -> List.init 5 (fun i -> Value.Int i)
+    in
+    List.fold_right
+      (fun c acc -> List.concat_map (fun v -> List.map (fun k -> v :: k) acc) (vals c))
+      cols [ [] ]
+  in
+  for seq = 0 to 59 do
+    let rng = Random.State.make [| 1997; seq |] in
+    let cat = Catalog.create () in
+    let tb = Catalog.create_table cat ~name:"t" ~schema in
+    let idxs =
+      List.map (fun (name, kind, cols) -> Table.create_index tb ~name ~kind ~cols) specs
+    in
+    let rt = Ref_table.create (List.map Index.key_cols idxs) in
+    let locks = Strip_txn.Lock.create () and clock = Strip_txn.Clock.create () in
+    let next_id = ref 0 in
+    let rand_row id =
+      [|
+        Value.Int id;
+        Value.Str ks.(Random.State.int rng 3);
+        Value.Int (Random.State.int rng 3);
+        Value.Int (Random.State.int rng 5);
+      |]
+    in
+    let live id =
+      let found = ref None in
+      Table.iter tb (fun r -> if Ref_table.id r.Record.values = id then found := Some r);
+      Option.get !found
+    in
+    let pick () =
+      match rt.Ref_table.rows with
+      | [] -> None
+      | rows -> Some (Ref_table.id (List.nth rows (Random.State.int rng (List.length rows))))
+    in
+    (* key-preserving (v only, or nothing) and key-changing updates *)
+    let updated (v : Value.t array) =
+      let v' = Array.copy v in
+      (match Random.State.int rng 4 with
+      | 0 -> ()
+      | 1 -> v'.(3) <- Value.Int (Random.State.int rng 5)
+      | 2 -> v'.(2) <- Value.Int (Random.State.int rng 3)
+      | _ -> v'.(1) <- Value.Str ks.(Random.State.int rng 3));
+      v'
+    in
+    (* one write, to both sides; [log] records it for an abort's undo *)
+    let write ?(log : Sql_exec.hooks option) () =
+      match Random.State.int rng 10 with
+      | 0 | 1 | 2 | 3 ->
+        incr next_id;
+        let v = rand_row !next_id in
+        let r = Table.insert tb (Array.copy v) in
+        Ref_table.insert rt v;
+        Option.iter (fun (h : Sql_exec.hooks) -> h.on_insert tb r) log
+      | 4 | 5 | 6 | 7 -> (
+        match pick () with
+        | None -> ()
+        | Some id ->
+          let r = live id in
+          let v' = updated r.Record.values in
+          let r' =
+            if Random.State.bool rng then Table.update tb r (Array.copy v')
+            else begin
+              (* the cursor path: find the row through its [by_g] key *)
+              let c = Table.open_index_cursor tb (List.hd idxs) [ r.Record.values.(2) ] in
+              let rec seek () =
+                match Table.fetch c with
+                | Some x when x == r -> Table.cursor_update c (Array.copy v')
+                | Some _ -> seek ()
+                | None -> Alcotest.fail "row missing from its by_g postings"
+              in
+              let r' = seek () in
+              Table.close_cursor c;
+              r'
+            end
+          in
+          Ref_table.update rt id v';
+          Option.iter (fun (h : Sql_exec.hooks) -> h.on_update tb ~old_rec:r ~new_rec:r') log)
+      | _ -> (
+        match pick () with
+        | None -> ()
+        | Some id ->
+          let r = live id in
+          Table.delete tb r;
+          Ref_table.delete rt id;
+          Option.iter (fun (h : Sql_exec.hooks) -> h.on_delete tb r) log)
+    in
+    let check step =
+      let ids rs = List.map (fun (r : Record.t) -> Ref_table.id r.Record.values) rs in
+      let rows = ref [] in
+      Table.iter tb (fun r -> rows := Array.to_list r.Record.values :: !rows);
+      Alcotest.(check bool)
+        (step ^ ": Table.iter order")
+        true
+        (List.rev !rows = List.map Array.to_list rt.rows);
+      Alcotest.(check int) (step ^ ": cardinal") (List.length rt.rows) (Table.cardinal tb);
+      List.iter2
+        (fun idx (cols, h) ->
+          Alcotest.(check int)
+            (step ^ ": " ^ Index.name idx ^ " distinct_keys")
+            (Hashtbl.length h) (Index.distinct_keys idx);
+          Alcotest.(check int)
+            (step ^ ": " ^ Index.name idx ^ " cardinal")
+            (List.length rt.rows) (Index.cardinal idx);
+          List.iter
+            (fun key ->
+              Alcotest.(check (list int))
+                (Printf.sprintf "%s: %s postings of [%s]" step (Index.name idx)
+                   (String.concat "; " (List.map Value.to_string key)))
+                (Option.value ~default:[] (Hashtbl.find_opt h key))
+                (ids (Index.lookup idx key)))
+            (domain (List.map (fun i -> (Schema.col schema i).Schema.cname) (Array.to_list cols))))
+        idxs rt.postings
+    in
+    for op = 0 to 119 do
+      let step = Printf.sprintf "seq %d op %d" seq op in
+      if Random.State.int rng 8 > 0 then write ()
+      else begin
+        (* an aborted transaction: its undo re-inserts deleted rows at the
+           end and updates the rest back through [Table.update] *)
+        let txn = Tr.begin_ ~cat ~locks ~clock () in
+        let log = Tr.hooks txn in
+        for _ = 1 to 1 + Random.State.int rng 5 do
+          write ~log ()
+        done;
+        List.iter
+          (fun (e : Tlog.entry) ->
+            match e.change with
+            | Tlog.Inserted r -> Ref_table.delete rt (Ref_table.id r.Record.values)
+            | Tlog.Deleted r -> Ref_table.insert rt r.Record.values
+            | Tlog.Updated { old_rec; _ } ->
+              Ref_table.update rt (Ref_table.id old_rec.Record.values) old_rec.Record.values)
+          (Tlog.entries_rev (Tr.log txn));
+        Tr.abort txn
+      end;
+      check step
+    done
+  done
+
 let suite =
   [
     ( "table",
@@ -250,6 +481,8 @@ let suite =
         Alcotest.test_case "update keeps list position" `Quick test_update_keeps_position;
         Alcotest.test_case "pinned pre-image survives" `Quick test_pinned_old_version_survives;
         Alcotest.test_case "update of retired record rejected" `Quick test_update_nonresident_rejected;
+        Alcotest.test_case "update of a superseded version is rejected" `Quick
+          test_update_superseded_rejected;
         Alcotest.test_case "delete" `Quick test_delete;
         Alcotest.test_case "index maintenance on DML" `Quick test_index_maintenance;
         Alcotest.test_case "index backfill / lookup" `Quick test_index_backfill_and_lookup_by_cols;
@@ -260,5 +493,7 @@ let suite =
         Alcotest.test_case "clear" `Quick test_clear;
         Alcotest.test_case "version moves on every change only" `Quick
           test_version;
+        Alcotest.test_case "table and index maintenance match a remove+add reference"
+          `Quick test_table_index_differential;
       ] );
   ]

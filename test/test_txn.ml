@@ -310,6 +310,249 @@ let test_upgrade_under_contention () =
   | Lock.Deadlock _ -> ()
   | _ -> Alcotest.fail "second upgrader must be refused (upgrade cycle)"
 
+(* ------------------------------------------------------------------ *)
+(* The lock manager against a reference: [Ref_lock] is the earlier
+   implementation (a polymorphic [Hashtbl] probed once per question, a
+   walk of every entry on each [clear_waiters]), kept as the oracle. *)
+
+module Ref_lock = struct
+  let c_get_lock = Meter.counter "get_lock"
+  let c_release_lock = Meter.counter "release_lock"
+
+  type entry = {
+    mutable lholders : (int * Lock.mode) list;
+    mutable lwaiters : (int * Lock.mode) list;
+  }
+
+  type t = {
+    entries : (Lock.resource, entry) Hashtbl.t;
+    owned : (int, Lock.resource list ref) Hashtbl.t;
+    mutable defer : bool;
+    mutable deferred : int list;
+  }
+
+  let create () =
+    { entries = Hashtbl.create 256; owned = Hashtbl.create 32; defer = false; deferred = [] }
+
+  let begin_defer t =
+    t.defer <- true;
+    t.deferred <- []
+
+  let end_defer t =
+    t.defer <- false;
+    let owners = List.rev t.deferred in
+    t.deferred <- [];
+    owners
+
+  let entry_of t res =
+    match Hashtbl.find_opt t.entries res with
+    | Some e -> e
+    | None ->
+      let e = { lholders = []; lwaiters = [] } in
+      Hashtbl.add t.entries res e;
+      e
+
+  let owned_of t owner =
+    match Hashtbl.find_opt t.owned owner with
+    | Some l -> l
+    | None ->
+      let l = ref [] in
+      Hashtbl.add t.owned owner l;
+      l
+
+  let mode_leq a b =
+    match (a, b) with Lock.S, _ -> true | Lock.X, Lock.X -> true | Lock.X, Lock.S -> false
+
+  let wait_for_edges t =
+    Hashtbl.fold
+      (fun _ e acc ->
+        List.fold_left
+          (fun acc (w, wm) ->
+            List.fold_left
+              (fun acc (h, hm) ->
+                if h <> w && (wm = Lock.X || hm = Lock.X) then (w, h) :: acc else acc)
+              acc e.lholders)
+          acc e.lwaiters)
+      t.entries []
+
+  let creates_cycle edges from to_ =
+    let rec reachable seen node =
+      if node = from then true
+      else if List.mem node seen then false
+      else List.exists (fun (a, b) -> a = node && reachable (node :: seen) b) edges
+    in
+    reachable [] to_
+
+  let holds t ~owner res =
+    match Hashtbl.find_opt t.entries res with
+    | None -> None
+    | Some e -> (
+      match List.filter_map (fun (o, m) -> if o = owner then Some m else None) e.lholders with
+      | [] -> None
+      | l -> if List.mem Lock.X l then Some Lock.X else Some Lock.S)
+
+  let acquire t ~owner res mode =
+    let e = entry_of t res in
+    match holds t ~owner res with
+    | Some held when mode_leq mode held -> Lock.Granted
+    | held_opt ->
+      let conflicting =
+        List.filter (fun (o, m) -> o <> owner && (mode = Lock.X || m = Lock.X)) e.lholders
+      in
+      if conflicting = [] then begin
+        Meter.tick_c c_get_lock;
+        (match held_opt with
+        | Some _ ->
+          e.lholders <-
+            List.map (fun (o, m) -> if o = owner then (o, mode) else (o, m)) e.lholders
+        | None ->
+          e.lholders <- (owner, mode) :: e.lholders;
+          let l = owned_of t owner in
+          l := res :: !l);
+        Lock.Granted
+      end
+      else begin
+        let blockers = List.map fst conflicting in
+        let edges = wait_for_edges t in
+        if List.exists (fun b -> creates_cycle edges owner b) blockers then
+          Lock.Deadlock blockers
+        else begin
+          if not (List.exists (fun (o, m) -> o = owner && m = mode) e.lwaiters) then
+            e.lwaiters <- e.lwaiters @ [ (owner, mode) ];
+          Lock.Blocked blockers
+        end
+      end
+
+  let clear_waiters t ~owner =
+    Hashtbl.iter
+      (fun _ e -> e.lwaiters <- List.filter (fun (o, _) -> o <> owner) e.lwaiters)
+      t.entries
+
+  let release_physical ~tick t ~owner =
+    (match Hashtbl.find_opt t.owned owner with
+    | None -> ()
+    | Some l ->
+      List.iter
+        (fun res ->
+          match Hashtbl.find_opt t.entries res with
+          | None -> ()
+          | Some e ->
+            let before = List.length e.lholders in
+            e.lholders <- List.filter (fun (o, _) -> o <> owner) e.lholders;
+            if tick && List.length e.lholders < before then Meter.tick_c c_release_lock;
+            if e.lholders = [] && e.lwaiters = [] then Hashtbl.remove t.entries res)
+        !l;
+      Hashtbl.remove t.owned owner);
+    clear_waiters t ~owner
+
+  let release_now t ~owner = release_physical ~tick:true t ~owner
+
+  let release_all t ~owner =
+    if t.defer then begin
+      (match Hashtbl.find_opt t.owned owner with
+      | None -> ()
+      | Some l -> List.iter (fun _ -> Meter.tick_c c_release_lock) !l);
+      clear_waiters t ~owner;
+      t.deferred <- owner :: t.deferred
+    end
+    else release_physical ~tick:true t ~owner
+
+  let flush t ~owner = release_physical ~tick:false t ~owner
+
+  let holders t res =
+    match Hashtbl.find_opt t.entries res with None -> [] | Some e -> e.lholders
+
+  let waiters t res =
+    match Hashtbl.find_opt t.entries res with None -> [] | Some e -> e.lwaiters
+end
+
+type lock_op =
+  | Acquire of int * Lock.resource * Lock.mode
+  | Release_all of int
+  | Release_now of int
+  | Begin_defer
+  | End_defer
+  | Flush of int
+
+let lock_resources =
+  [ Lock.Rel "a"; Lock.Rel "b"; Lock.Rec ("a", 1); Lock.Rec ("a", 2); Lock.Rec ("b", 1) ]
+
+let pp_lock_op = function
+  | Acquire (o, r, m) ->
+    Printf.sprintf "acquire %d %s %s" o
+      (match r with Lock.Rel n -> n | Lock.Rec (n, i) -> Printf.sprintf "%s#%d" n i)
+      (match m with Lock.S -> "S" | Lock.X -> "X")
+  | Release_all o -> Printf.sprintf "release_all %d" o
+  | Release_now o -> Printf.sprintf "release_now %d" o
+  | Begin_defer -> "begin_defer"
+  | End_defer -> "end_defer"
+  | Flush o -> Printf.sprintf "flush %d" o
+
+let gen_lock_ops =
+  QCheck2.Gen.(
+    let* n_owners = int_range 3 4 in
+    let owner = int_range 1 n_owners in
+    list_size (int_range 1 40)
+      (frequency
+         [
+           ( 8,
+             map3
+               (fun o r m -> Acquire (o, r, m))
+               owner (oneofl lock_resources) (oneofl [ Lock.S; Lock.X ]) );
+           (3, map (fun o -> Release_all o) owner);
+           (1, map (fun o -> Release_now o) owner);
+           (1, pure Begin_defer);
+           (1, pure End_defer);
+           (1, map (fun o -> Flush o) owner);
+         ]))
+
+let prop_lock_matches_reference =
+  QCheck2.Test.make ~name:"lock manager matches the reference" ~count:500
+    ~print:(fun ops -> String.concat "; " (List.map pp_lock_op ops))
+    gen_lock_ops
+    (fun ops ->
+      let lk = Lock.create () and rf = Ref_lock.create () in
+      let ticks f =
+        let g = Meter.get "get_lock" and r = Meter.get "release_lock" in
+        let x = f () in
+        (x, Meter.get "get_lock" - g, Meter.get "release_lock" - r)
+      in
+      let owners = [ 1; 2; 3; 4 ] in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Acquire (owner, res, mode) ->
+              ticks (fun () -> Lock.acquire lk ~owner res mode)
+              = ticks (fun () -> Ref_lock.acquire rf ~owner res mode)
+            | Release_all owner ->
+              ticks (fun () -> Lock.release_all lk ~owner)
+              = ticks (fun () -> Ref_lock.release_all rf ~owner)
+            | Release_now owner ->
+              ticks (fun () -> Lock.release_now lk ~owner)
+              = ticks (fun () -> Ref_lock.release_now rf ~owner)
+            | Begin_defer ->
+              Lock.begin_defer lk;
+              Ref_lock.begin_defer rf;
+              true
+            | End_defer -> Lock.end_defer lk = Ref_lock.end_defer rf
+            | Flush owner ->
+              ticks (fun () -> Lock.flush lk ~owner)
+              = ticks (fun () -> Ref_lock.flush rf ~owner)
+          in
+          same
+          && List.for_all
+               (fun res ->
+                 Lock.holders lk res = Ref_lock.holders rf res
+                 && Lock.waiters lk res = Ref_lock.waiters rf res
+                 && List.for_all
+                      (fun owner ->
+                        Lock.holds lk ~owner res = Ref_lock.holds rf ~owner res)
+                      owners)
+               lock_resources
+          || QCheck2.Test.fail_reportf "differs after %s" (pp_lock_op op))
+        ops)
+
 let suite =
   [
     ( "txn",
@@ -337,5 +580,6 @@ let suite =
           test_abort_releases_inside_defer;
         Alcotest.test_case "lock upgrade under contention" `Quick
           test_upgrade_under_contention;
+        QCheck_alcotest.to_alcotest prop_lock_matches_reference;
       ] );
   ]
