@@ -98,7 +98,7 @@ let diff before after =
   done;
   !deltas
 
-let charge_diff before after ~rate =
+let charge_diff before after ~rates ~missing =
   let nb = Array.length before and na = Array.length after in
   let ids = ids_by_name () in
   let acc = ref 0.0 in
@@ -107,7 +107,10 @@ let charge_diff before after ~rate =
     if id < na then begin
       let v0 = if id < nb then before.(id) else 0 in
       let d = after.(id) - v0 in
-      if d <> 0 then acc := !acc +. (rate id *. float_of_int d)
+      if d <> 0 then
+        if id < Array.length rates && not (Float.is_nan rates.(id)) then
+          acc := !acc +. (rates.(id) *. float_of_int d)
+        else acc := !acc +. (missing id *. float_of_int d)
     end
   done;
   !acc

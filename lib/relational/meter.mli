@@ -54,13 +54,17 @@ val diff : snapshot -> snapshot -> (string * int) list
 (** [diff before after] lists counters whose value changed between the two
     snapshots, with the (positive) delta, sorted by counter name. *)
 
-val charge_diff : snapshot -> snapshot -> rate:(cell -> float) -> float
-(** [charge_diff before after ~rate] is
+val charge_diff :
+  snapshot -> snapshot -> rates:float array -> missing:(cell -> float) -> float
+(** [charge_diff before after ~rates ~missing] is
     [List.fold_left (fun a (n, d) -> a +. rate n *. float d) 0.0 (diff before after)]
-    with [rate] keyed by cell instead of name, computed without building the
-    intermediate list.  The additions happen in the same (name-sorted) order
-    as the fold, so the result is bit-identical — this sits on the engine's
-    per-task accounting path. *)
+    computed without building the intermediate list, where a counter's
+    rate is [rates.(cell_id c)], or [missing c] when [rates] has no entry
+    for it or holds [nan] (the caller memoizes that answer into [rates]
+    for the next call).  The additions happen in the same (name-sorted)
+    order as the fold, so the result is bit-identical — this sits on the
+    engine's per-task accounting path, where reading a memoized rate
+    allocates nothing. *)
 
 val name_of_cell : cell -> string
 (** The name a cell was registered under. *)

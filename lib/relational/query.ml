@@ -59,16 +59,6 @@ type xdesc = {
   mutable layouts : (string list * Temp_table.layout) list;
 }
 
-type xrow = {
-  vals : Value.t array;
-  srcs : Record.t array;
-}
-
-type result = {
-  desc : xdesc;
-  xrows : xrow list;  (* result order *)
-}
-
 (* ------------------------------------------------------------------ *)
 (* Descriptor computation (shared by [run] and [schema_of]).           *)
 
@@ -211,15 +201,6 @@ let split_equi ~left_arity pred =
     (conjuncts pred);
   (List.rev !equi, List.rev !residual)
 
-module VKey = struct
-  type t = Value.t list
-
-  let equal a b = List.length a = List.length b && List.for_all2 Value.equal a b
-  let hash k = Hashtbl.hash (List.map Value.hash k)
-end
-
-module VTbl = Hashtbl.Make (VKey)
-
 (* ------------------------------------------------------------------ *)
 (* Join strategy selection.
 
@@ -270,17 +251,166 @@ let pick_strategy ~ltb ~rtb equi =
       | _ -> PIndex (rtb, ridx)))
 
 (* ------------------------------------------------------------------ *)
+(* Flat row buffers and an open-addressing key table: the only storage
+   the executor allocates, each owned by the node that fills it and, in a
+   prepared plan, reused from one execution to the next (so kept at the
+   size of the largest). *)
+
+(* Rows of one shape, back to back: row [i]'s values are
+   [bvals.(i * width) ..] and its record pointers [bsrcs.(i * nsl) ..]. *)
+type buf = {
+  mutable width : int;
+  mutable nsl : int;
+  mutable bvals : Value.t array;
+  mutable bsrcs : Record.t array;
+  mutable len : int;
+  mutable cap : int;
+}
+
+let buf_create () =
+  { width = 0; nsl = 0; bvals = [||]; bsrcs = [||]; len = 0; cap = 0 }
+
+(* Empty [b] for rows of [width] values and [nsl] pointers. *)
+let buf_reset b ~width ~nsl =
+  if b.width <> width || b.nsl <> nsl then begin
+    b.width <- width;
+    b.nsl <- nsl;
+    b.bvals <- [||];
+    b.bsrcs <- [||];
+    b.cap <- 0
+  end;
+  b.len <- 0
+
+let buf_grow b =
+  let cap = max 4 (2 * b.cap) in
+  if b.width > 0 then begin
+    let v = Array.make (cap * b.width) Value.Null in
+    Array.blit b.bvals 0 v 0 (b.len * b.width);
+    b.bvals <- v
+  end;
+  if b.nsl > 0 then begin
+    let s = Array.make (cap * b.nsl) Record.dummy in
+    Array.blit b.bsrcs 0 s 0 (b.len * b.nsl);
+    b.bsrcs <- s
+  end;
+  b.cap <- cap
+
+let buf_add b vals srcs =
+  if b.len = b.cap then buf_grow b;
+  let o = b.len * b.width in
+  for i = 0 to b.width - 1 do
+    b.bvals.(o + i) <- vals.(i)
+  done;
+  let o = b.len * b.nsl in
+  for i = 0 to b.nsl - 1 do
+    b.bsrcs.(o + i) <- srcs.(i)
+  done;
+  b.len <- b.len + 1
+
+(* The distinct keys of some rows, numbered densely in first-insertion
+   order.  Open addressing over key ids, at most half full.  Key [k]'s
+   values are not copied: they sit in a store the caller holds, from
+   offset [kat.(k)], at the positions the caller passes with it. *)
+type ktab = {
+  mutable slots : int array;  (* a key id, or -1 *)
+  mutable khash : int array;
+  mutable kat : int array;
+  mutable nkeys : int;
+}
+
+let kt_create () = { slots = [||]; khash = [||]; kat = [||]; nkeys = 0 }
+
+(* Empty [t], with room for [n] keys before it rehashes. *)
+let kt_reset t n =
+  let cap = ref 8 in
+  while !cap < 2 * n do
+    cap := 2 * !cap
+  done;
+  let len = Array.length t.slots in
+  if len < !cap || len > 4 * !cap then t.slots <- Array.make !cap (-1)
+  else Array.fill t.slots 0 len (-1);
+  if Array.length t.khash < n then begin
+    t.khash <- Array.make n 0;
+    t.kat <- Array.make n 0
+  end;
+  t.nkeys <- 0
+
+let hash_at vals at pos =
+  let h = ref 0 in
+  for j = 0 to Array.length pos - 1 do
+    h := (!h * 31) + Value.hash vals.(at + pos.(j))
+  done;
+  !h land max_int
+
+let rec same_at a aat apos b bat bpos j =
+  j >= Array.length apos
+  || Value.equal a.(aat + apos.(j)) b.(bat + bpos.(j))
+     && same_at a aat apos b bat bpos (j + 1)
+
+(* The slot of the key whose values ([store] at [spos]) equal [probe]'s
+   values at [pat + ppos.(j)], or the empty slot where that key belongs. *)
+let kt_slot t h store spos probe pat ppos =
+  let mask = Array.length t.slots - 1 in
+  let b = ref (h land mask) in
+  while
+    let k = t.slots.(!b) in
+    k >= 0 && not (t.khash.(k) = h && same_at store t.kat.(k) spos probe pat ppos 0)
+  do
+    b := (!b + 1) land mask
+  done;
+  !b
+
+(* Give empty slot [b] the next key id: hash [h], values from [at]. *)
+let kt_add t b h at =
+  let k = t.nkeys in
+  if k = Array.length t.khash then begin
+    let grow a =
+      let a' = Array.make (max 8 (2 * k)) 0 in
+      Array.blit a 0 a' 0 k;
+      a'
+    in
+    t.khash <- grow t.khash;
+    t.kat <- grow t.kat
+  end;
+  t.slots.(b) <- k;
+  t.khash.(k) <- h;
+  t.kat.(k) <- at;
+  t.nkeys <- k + 1;
+  if 2 * t.nkeys > Array.length t.slots then begin
+    let cap = 2 * Array.length t.slots in
+    let slots = Array.make cap (-1) in
+    for k = 0 to t.nkeys - 1 do
+      let b = ref (t.khash.(k) land (cap - 1)) in
+      while slots.(!b) >= 0 do
+        b := (!b + 1) land (cap - 1)
+      done;
+      slots.(!b) <- k
+    done;
+    t.slots <- slots
+  end;
+  k
+
+(* The values at [pos] as an index key, in [pos] order. *)
+let rec key_list vals pos j =
+  if j >= Array.length pos then [] else vals.(pos.(j)) :: key_list vals pos (j + 1)
+
+let iota n = Array.init n Fun.id
+
+(* ------------------------------------------------------------------ *)
 (* Compiled plans.
 
-   [run] compiles each plan once into a mirror tree of nodes carrying
-   per-node memos: the computed descriptor, the predicates and select items
-   resolved against it, and the chosen join strategy.  A memo is validated
-   by physical identity on every execution — a scan is still valid when the
-   resolved relation carries the same schema and static map as before (so
+   A plan compiles into a mirror tree of operator nodes carrying per-node
+   memos: the computed descriptor, the predicates and select items
+   resolved against it, the chosen join strategy and the scratch rows
+   sized to them.  [run] compiles a one-shot plan (an SQL statement) and
+   drops it; [prepare] keeps the tree for a caller that re-runs one plan
+   (the rule system's conditions).  A memo is validated by physical
+   identity on every execution — a scan is still valid when the resolved
+   relation carries the same schema and static map as before (so
    transition tables, whose layouts are shared per base table, revalidate
-   in O(1)), and a join is still valid while its input descriptors are the
-   memoized ones and no index has been added to or dropped from the scanned
-   tables ({!Table.index_gen}).  On any mismatch the node silently
+   in O(1)), and a join is still valid while its input descriptors are
+   the memoized ones and no index has been added to or dropped from the
+   scanned tables ({!Table.index_gen}).  On any mismatch the node silently
    recompiles, which makes catalog rebuilds (crash recovery, failover)
    transparent.  Only resolution work is cached; every execution re-runs
    the physical operators, so meter ticks are unchanged. *)
@@ -291,6 +421,8 @@ type scan_memo = {
   sm_name : string;
   sm_prov : Temp_table.provenance array;  (* [||] for standard tables *)
   sm_desc : xdesc;
+  sm_vals : Value.t array;  (* a temporary table's row, read into *)
+  sm_srcs : Record.t array;
 }
 
 type jstrategy =
@@ -303,10 +435,17 @@ type join_memo = {
   jm_ldesc : xdesc;  (* identity keys: the input descriptors *)
   jm_rdesc : xdesc;
   jm_desc : xdesc;
-  jm_equi : (int * int) list;
   jm_residual : Expr.t option;
   jm_strategy : jstrategy;
   jm_deps : (Table.t * int) list;  (* index generations the choice assumed *)
+  jm_lpos : int array;  (* equi columns: left positions *)
+  jm_rpos : int array;  (* and the matching right-input positions *)
+  jm_la : int;  (* left arity and pointer slots *)
+  jm_ls : int;
+  jm_ra : int;
+  jm_rs : int;
+  jm_vals : Value.t array;  (* the joined row, written in place *)
+  jm_srcs : Record.t array;
 }
 
 type agg_kind = [ `Count_star | `Count | `Sum | `Avg | `Min | `Max ]
@@ -314,9 +453,28 @@ type agg_kind = [ `Count_star | `Count | `Sum | `Avg | `Min | `Max ]
 type group_memo = {
   gm_in : xdesc;
   gm_desc : xdesc;
-  gm_keys : Expr.t list;
-  gm_aggs : (agg_kind * Expr.t) list;
+  gm_keys : Expr.t array;
+  gm_aggs : (agg_kind * Expr.t) array;
   gm_having : Expr.t option;
+  gm_kpos : int array;  (* [0 .. nkeys - 1] *)
+  gm_key : Value.t array;  (* one input row's key *)
+  gm_out : Value.t array;  (* one output row *)
+}
+
+type project_memo = {
+  pm_in : xdesc;
+  pm_desc : xdesc;
+  pm_exprs : Expr.t array;
+  pm_vals : Value.t array;
+}
+
+type order_memo = {
+  om_in : xdesc;
+  om_exprs : Expr.t array;
+  om_dirs : order array;
+  om_key : Value.t array;
+  om_vals : Value.t array;
+  om_srcs : Record.t array;
 }
 
 type cnode =
@@ -326,17 +484,47 @@ type cnode =
   | CProject of cproject
   | CGroup of cgroup
   | COrder of corder
-  | CLimit of int * cnode
-  | CDistinct of cnode
+  | CLimit of climit
+  | CDistinct of cdistinct
 
-and cscan = { rel : string; alias : string option; mutable sm : scan_memo option }
-and cfilter = { fsub : cnode; fpred : Expr.t; mutable fm : (xdesc * Expr.t) option }
-and cjoin = { jl : cnode; jr : cnode; jpred : Expr.t option; mutable jm : join_memo option }
+(* Where a node pushes each row it produces. *)
+and sink =
+  | Out of buf  (* the root: the execution's result *)
+  | Up of cnode  (* the parent; a join's left (probe) input *)
+  | Build of cjoin  (* a hash or nested-loop join's right (build) input *)
+
+and cscan = {
+  rel : string;
+  alias : string option;
+  mutable sm : scan_memo option;
+  mutable srel : Catalog.relation option;  (* resolved for this execution *)
+  mutable sout : sink;
+}
+
+and cfilter = {
+  fsub : cnode;
+  fpred : Expr.t;
+  mutable fm : (xdesc * Expr.t) option;
+  mutable fout : sink;
+}
+
+and cjoin = {
+  jl : cnode;
+  jr : cnode;
+  jpred : Expr.t option;
+  mutable jm : join_memo option;
+  jbuild : buf;  (* the right input's rows *)
+  jtab : ktab;  (* their distinct equi keys *)
+  mutable jhead : int array;  (* per key: its first build row *)
+  mutable jnext : int array;  (* per build row: the next with its key, or -1 *)
+  mutable jout : sink;
+}
 
 and cproject = {
   psub : cnode;
   pitems : select_item list;
-  mutable pm : (xdesc * xdesc * Expr.t list) option;
+  mutable pm : project_memo option;
+  mutable pout : sink;
 }
 
 and cgroup = {
@@ -345,26 +533,117 @@ and cgroup = {
   gaggs : (agg * string) list;
   ghaving : Expr.t option;
   mutable gm : group_memo option;
+  gtab : ktab;
+  gstore : buf;  (* each group's key, in group order *)
+  (* accumulators, group [k]'s aggregate [a] at [k * naggs + a]: a count,
+     a float sum (AVG) and a running value (SUM, MIN, MAX) *)
+  mutable gn : int array;
+  mutable gf : float array;
+  mutable gv : Value.t array;
+  mutable gout : sink;
 }
 
 and corder = {
   osub : cnode;
   ospecs : (Expr.t * order) list;
-  mutable om : (xdesc * (Expr.t * order) list) option;
+  mutable om : order_memo option;
+  obuf : buf;  (* the input rows *)
+  okeys : buf;  (* and their sort keys *)
+  mutable oout : sink;
 }
 
-let rec compile_node = function
-  | Scan { rel; alias } -> CScan { rel; alias; sm = None }
-  | Filter (pred, p) -> CFilter { fsub = compile_node p; fpred = pred; fm = None }
-  | Join (l, r, pred) ->
-    CJoin { jl = compile_node l; jr = compile_node r; jpred = pred; jm = None }
-  | Project (items, p) -> CProject { psub = compile_node p; pitems = items; pm = None }
-  | Group { keys; aggs; having; input } ->
-    CGroup
-      { gsub = compile_node input; gkeys = keys; gaggs = aggs; ghaving = having; gm = None }
-  | Order (specs, p) -> COrder { osub = compile_node p; ospecs = specs; om = None }
-  | Limit (n, p) -> CLimit (n, compile_node p)
-  | Distinct p -> CDistinct (compile_node p)
+and climit = {
+  lsub : cnode;
+  lim : int;
+  mutable taken : int;
+  mutable lout : sink;
+}
+
+and cdistinct = {
+  dsub : cnode;
+  mutable dpos : int array;  (* [0 .. arity - 1] *)
+  dtab : ktab;
+  dkept : buf;  (* the values of each distinct row *)
+  mutable dout : sink;
+}
+
+(* Never pushed into: every node's sink is set when its parent is built. *)
+let nowhere = Out (buf_create ())
+
+let set_sink node sink =
+  match node with
+  | CScan s -> s.sout <- sink
+  | CFilter f -> f.fout <- sink
+  | CJoin j -> j.jout <- sink
+  | CProject p -> p.pout <- sink
+  | CGroup g -> g.gout <- sink
+  | COrder o -> o.oout <- sink
+  | CLimit l -> l.lout <- sink
+  | CDistinct d -> d.dout <- sink
+
+let rec compile_node plan =
+  let node =
+    match plan with
+    | Scan { rel; alias } -> CScan { rel; alias; sm = None; srel = None; sout = nowhere }
+    | Filter (pred, p) -> CFilter { fsub = compile_node p; fpred = pred; fm = None; fout = nowhere }
+    | Join (l, r, pred) ->
+      CJoin
+        {
+          jl = compile_node l;
+          jr = compile_node r;
+          jpred = pred;
+          jm = None;
+          jbuild = buf_create ();
+          jtab = kt_create ();
+          jhead = [||];
+          jnext = [||];
+          jout = nowhere;
+        }
+    | Project (items, p) ->
+      CProject { psub = compile_node p; pitems = items; pm = None; pout = nowhere }
+    | Group { keys; aggs; having; input } ->
+      CGroup
+        {
+          gsub = compile_node input;
+          gkeys = keys;
+          gaggs = aggs;
+          ghaving = having;
+          gm = None;
+          gtab = kt_create ();
+          gstore = buf_create ();
+          gn = [||];
+          gf = [||];
+          gv = [||];
+          gout = nowhere;
+        }
+    | Order (specs, p) ->
+      COrder
+        {
+          osub = compile_node p;
+          ospecs = specs;
+          om = None;
+          obuf = buf_create ();
+          okeys = buf_create ();
+          oout = nowhere;
+        }
+    | Limit (n, p) -> CLimit { lsub = compile_node p; lim = n; taken = 0; lout = nowhere }
+    | Distinct p ->
+      CDistinct
+        { dsub = compile_node p; dpos = [||]; dtab = kt_create (); dkept = buf_create (); dout = nowhere }
+  in
+  (match node with
+  | CScan _ -> ()
+  | CFilter { fsub = sub; _ }
+  | CProject { psub = sub; _ }
+  | CGroup { gsub = sub; _ }
+  | COrder { osub = sub; _ }
+  | CLimit { lsub = sub; _ }
+  | CDistinct { dsub = sub; _ } ->
+    set_sink sub (Up node)
+  | CJoin j ->
+    set_sink j.jl (Up node);
+    set_sink j.jr (Build j));
+  node
 
 let resolve_in schema e =
   try Expr.resolve schema e
@@ -382,9 +661,10 @@ let scan_valid m relation =
 let ensure_scan cat ~env (s : cscan) =
   match Catalog.resolve cat ~env s.rel with
   | None -> plan_error "unknown relation %s" s.rel
-  | Some relation -> (
+  | Some relation as found -> (
+    s.srel <- found;
     match s.sm with
-    | Some m when scan_valid m relation -> (relation, m.sm_desc)
+    | Some m when scan_valid m relation -> m.sm_desc
     | _ ->
       let desc = scan_desc relation s.alias in
       s.sm <-
@@ -398,8 +678,10 @@ let ensure_scan cat ~env (s : cscan) =
               | Catalog.Tmp t -> Temp_table.static_map t
               | Catalog.Std _ -> [||]);
             sm_desc = desc;
+            sm_vals = Array.make (Schema.arity desc.schema) Value.Null;
+            sm_srcs = Array.make desc.nslots Record.dummy;
           };
-      (relation, desc))
+      desc)
 
 let scan_std cat ~env = function
   | CScan s -> (
@@ -411,16 +693,25 @@ let scan_std cat ~env = function
 (* [censure] validates the memo chain and returns the node's descriptor
    without executing anything (and without ticking any meter). *)
 let rec censure cat ~env = function
-  | CScan s -> snd (ensure_scan cat ~env s)
-  | CFilter f -> censure cat ~env f.fsub
+  | CScan s -> ensure_scan cat ~env s
+  | CFilter f -> ensure_filter cat ~env f
   | CJoin j -> (ensure_join cat ~env j).jm_desc
-  | CProject p ->
-    let _, desc, _ = ensure_project cat ~env p in
-    desc
+  | CProject p -> (ensure_project cat ~env p).pm_desc
   | CGroup g -> (ensure_group cat ~env g).gm_desc
-  | COrder o -> censure cat ~env o.osub
-  | CLimit (_, sub) -> censure cat ~env sub
-  | CDistinct sub -> censure cat ~env sub
+  | COrder o -> ensure_order cat ~env o
+  | CLimit l -> censure cat ~env l.lsub
+  | CDistinct d ->
+    let ind = censure cat ~env d.dsub in
+    let arity = Schema.arity ind.schema in
+    if Array.length d.dpos <> arity then d.dpos <- iota arity;
+    ind
+
+and ensure_filter cat ~env (f : cfilter) =
+  let ind = censure cat ~env f.fsub in
+  (match f.fm with
+  | Some (ind', _) when ind' == ind -> ()
+  | _ -> f.fm <- Some (ind, resolve_in ind.schema f.fpred));
+  ind
 
 and ensure_join cat ~env (j : cjoin) =
   let ldesc = censure cat ~env j.jl in
@@ -479,10 +770,17 @@ and ensure_join cat ~env (j : cjoin) =
         jm_ldesc = ldesc;
         jm_rdesc = rdesc;
         jm_desc = desc;
-        jm_equi = equi;
         jm_residual = residual_pred;
         jm_strategy = strategy;
         jm_deps = deps;
+        jm_lpos = Array.of_list (List.map fst equi);
+        jm_rpos = Array.of_list (List.map snd equi);
+        jm_la = la;
+        jm_ls = ldesc.nslots;
+        jm_ra = Schema.arity rdesc.schema;
+        jm_rs = rdesc.nslots;
+        jm_vals = Array.make (Schema.arity desc.schema) Value.Null;
+        jm_srcs = Array.make desc.nslots Record.dummy;
       }
     in
     j.jm <- Some m;
@@ -491,11 +789,18 @@ and ensure_join cat ~env (j : cjoin) =
 and ensure_project cat ~env (p : cproject) =
   let ind = censure cat ~env p.psub in
   match p.pm with
-  | Some ((ind', _, _) as m) when ind' == ind -> m
+  | Some m when m.pm_in == ind -> m
   | _ ->
     let desc = project_desc ind p.pitems in
-    let resolved = List.map (fun it -> resolve_in ind.schema it.expr) p.pitems in
-    let m = (ind, desc, resolved) in
+    let m =
+      {
+        pm_in = ind;
+        pm_desc = desc;
+        pm_exprs =
+          Array.of_list (List.map (fun it -> resolve_in ind.schema it.expr) p.pitems);
+        pm_vals = Array.make (Schema.arity desc.schema) Value.Null;
+      }
+    in
     p.pm <- Some m;
     m
 
@@ -520,38 +825,50 @@ and ensure_group cat ~env (g : cgroup) =
         g.gaggs
     in
     let having = Option.map (resolve_in desc.schema) g.ghaving in
+    let nkeys = List.length key_exprs in
     let m =
       {
         gm_in = ind;
         gm_desc = desc;
-        gm_keys = key_exprs;
-        gm_aggs = agg_specs;
+        gm_keys = Array.of_list key_exprs;
+        gm_aggs = Array.of_list agg_specs;
         gm_having = having;
+        gm_kpos = iota nkeys;
+        gm_key = Array.make nkeys Value.Null;
+        gm_out = Array.make (Schema.arity desc.schema) Value.Null;
       }
     in
     g.gm <- Some m;
     m
 
-let ensure_filter cat ~env (f : cfilter) =
-  let ind = censure cat ~env f.fsub in
-  match f.fm with
-  | Some (ind', p) when ind' == ind -> p
-  | _ ->
-    let p = resolve_in ind.schema f.fpred in
-    f.fm <- Some (ind, p);
-    p
-
-let ensure_order cat ~env (o : corder) =
+and ensure_order cat ~env (o : corder) =
   let ind = censure cat ~env o.osub in
-  match o.om with
-  | Some (ind', specs) when ind' == ind -> specs
+  (match o.om with
+  | Some m when m.om_in == ind -> ()
   | _ ->
-    let specs = List.map (fun (e, ord) -> (resolve_in ind.schema e, ord)) o.ospecs in
-    o.om <- Some (ind, specs);
-    specs
+    let specs = Array.of_list o.ospecs in
+    o.om <-
+      Some
+        {
+          om_in = ind;
+          om_exprs = Array.map (fun (e, _) -> resolve_in ind.schema e) specs;
+          om_dirs = Array.map snd specs;
+          om_key = Array.make (Array.length specs) Value.Null;
+          om_vals = Array.make (Schema.arity ind.schema) Value.Null;
+          om_srcs = Array.make ind.nslots Record.dummy;
+        });
+  ind
 
 (* ------------------------------------------------------------------ *)
-(* Execution.                                                           *)
+(* Execution: push-based.  [drive] makes a node produce its rows; each
+   row goes to the node's sink as (values, record pointers) in arrays the
+   producer owns and overwrites with its next row, so a consumer that
+   keeps a row copies it.  Filter and Project forward rows as they come,
+   and a join writes each joined row into its own scratch; only ORDER
+   BY, GROUP BY, DISTINCT and a join's build side hold rows, in the
+   node's reusable buffers.  Every operator ticks exactly what the
+   modeled operator does, in result order: the meter counts are the cost
+   model, not this implementation. *)
 
 (* Testing knob: when [false], the indexed-probe physical path is replaced
    by a hash-build fallback that reproduces the modeled path bit for bit —
@@ -561,480 +878,410 @@ let ensure_order cat ~env (o : corder) =
    differential tests assert exactly that. *)
 let physical_index_join = ref true
 
-let scan_rows relation desc =
-  match relation with
-  | Catalog.Std tb ->
-    let acc = ref [] in
-    Table.iter tb (fun r ->
-        Meter.tick_c c_seq_row;
-        acc := { vals = r.Record.values; srcs = [| r |] } :: !acc);
-    ignore desc;
-    List.rev !acc
-  | Catalog.Tmp tmp ->
-    let nslots = Temp_table.slots tmp in
-    let acc = ref [] in
-    Temp_table.iter tmp (fun row ->
-        Meter.tick_c c_seq_row;
-        acc :=
-          {
-            vals = Temp_table.row_values tmp row;
-            srcs = Array.init nslots (fun s -> Temp_table.row_source tmp row s);
-          }
-          :: !acc);
-    List.rev !acc
+let rec emit sink vals srcs =
+  match sink with
+  | Out b -> buf_add b vals srcs
+  | Build j ->
+    (match j.jm with
+    | Some { jm_strategy = JHash; _ } -> Meter.tick_c c_hash_build
+    | _ -> ());
+    buf_add j.jbuild vals srcs
+  | Up (CFilter f) -> (
+    match f.fm with
+    | Some (_, pred) -> if Expr.eval_pred pred vals then emit f.fout vals srcs
+    | None -> assert false)
+  | Up (CProject p) -> (
+    match p.pm with
+    | Some m ->
+      Meter.tick_c c_row_construct;
+      for i = 0 to Array.length m.pm_exprs - 1 do
+        m.pm_vals.(i) <- Expr.eval m.pm_exprs.(i) vals
+      done;
+      emit p.pout m.pm_vals srcs
+    | None -> assert false)
+  | Up (CJoin j) -> probe j vals srcs
+  | Up (CGroup g) -> group_row g vals
+  | Up (COrder o) -> order_row o vals srcs
+  | Up (CLimit l) ->
+    if l.taken < l.lim then begin
+      l.taken <- l.taken + 1;
+      emit l.lout vals srcs
+    end
+  | Up (CDistinct d) ->
+    Meter.tick_c c_hash_probe;
+    let h = hash_at vals 0 d.dpos in
+    let b = kt_slot d.dtab h d.dkept.bvals d.dpos vals 0 d.dpos in
+    if d.dtab.slots.(b) < 0 then begin
+      ignore (kt_add d.dtab b h (d.dkept.len * d.dkept.width));
+      buf_add d.dkept vals srcs;
+      emit d.dout vals srcs
+    end
+  | Up (CScan _) -> assert false
 
-let combine_rows lrow rrow =
+(* One left row: write it into the joined row, then join it with its
+   matches in the strategy's order. *)
+and probe j lvals lsrcs =
+  match j.jm with
+  | None -> assert false
+  | Some m -> (
+    Array.blit lvals 0 m.jm_vals 0 m.jm_la;
+    Array.blit lsrcs 0 m.jm_srcs 0 m.jm_ls;
+    match m.jm_strategy with
+    | JIndex (_, idx) when !physical_index_join ->
+      with_records j m (Index.lookup idx (key_list lvals m.jm_lpos 0))
+    | JIndex _ ->
+      Meter.tick_c c_index_probe;
+      let k = build_key j m lvals in
+      if k >= 0 then begin
+        let rec rows i acc = if i < 0 then acc else rows j.jnext.(i) (i :: acc) in
+        let rid i = j.jbuild.bsrcs.(i).Record.rid in
+        List.iter (with_build_row j m)
+          (List.sort (fun a b -> compare (rid b) (rid a)) (rows j.jhead.(k) []))
+      end
+    | JHash ->
+      Meter.tick_c c_hash_probe;
+      let k = build_key j m lvals in
+      if k >= 0 then with_chain j m j.jhead.(k)
+    | JNested ->
+      for i = 0 to j.jbuild.len - 1 do
+        with_build_row j m i
+      done
+    | JMerge _ -> assert false)
+
+(* The key id of the build rows matching [lvals], or -1. *)
+and build_key j m lvals =
+  j.jtab.slots.(kt_slot j.jtab (hash_at lvals 0 m.jm_lpos) j.jbuild.bvals m.jm_rpos
+                  lvals 0 m.jm_lpos)
+
+and joined j m =
   Meter.tick_c c_join_row;
+  match m.jm_residual with
+  | Some p when not (Expr.eval_pred p m.jm_vals) -> ()
+  | _ -> emit j.jout m.jm_vals m.jm_srcs
+
+(* Join the current left row with standard records (the right input is
+   a scan: one slot, the record's values). *)
+and with_records j m = function
+  | [] -> ()
+  | (r : Record.t) :: rest ->
+    Array.blit r.values 0 m.jm_vals m.jm_la m.jm_ra;
+    m.jm_srcs.(m.jm_ls) <- r;
+    joined j m;
+    with_records j m rest
+
+and with_build_row j m i =
+  let b = j.jbuild in
+  Array.blit b.bvals (i * m.jm_ra) m.jm_vals m.jm_la m.jm_ra;
+  Array.blit b.bsrcs (i * m.jm_rs) m.jm_srcs m.jm_ls m.jm_rs;
+  joined j m
+
+and with_chain j m i =
+  if i >= 0 then begin
+    with_build_row j m i;
+    with_chain j m j.jnext.(i)
+  end
+
+and group_row g vals =
+  match g.gm with
+  | None -> assert false
+  | Some m ->
+    Meter.tick_c c_agg_row;
+    let key = m.gm_key in
+    for i = 0 to Array.length m.gm_keys - 1 do
+      key.(i) <- Expr.eval m.gm_keys.(i) vals
+    done;
+    let h = hash_at key 0 m.gm_kpos in
+    let b = kt_slot g.gtab h g.gstore.bvals m.gm_kpos key 0 m.gm_kpos in
+    let k =
+      let k = g.gtab.slots.(b) in
+      if k >= 0 then k
+      else begin
+        Meter.tick_c c_group_init;
+        new_group g m b h
+      end
+    in
+    let na = Array.length m.gm_aggs in
+    for a = 0 to na - 1 do
+      let i = (k * na) + a in
+      let kind, e = m.gm_aggs.(a) in
+      match kind with
+      | `Count_star -> g.gn.(i) <- g.gn.(i) + 1
+      | `Count ->
+        if not (Value.is_null (Expr.eval e vals)) then g.gn.(i) <- g.gn.(i) + 1
+      | `Sum ->
+        let v = Expr.eval e vals in
+        if not (Value.is_null v) then begin
+          g.gn.(i) <- g.gn.(i) + 1;
+          g.gv.(i) <- (if Value.is_null g.gv.(i) then v else Value.add g.gv.(i) v)
+        end
+      | `Avg ->
+        let v = Expr.eval e vals in
+        if not (Value.is_null v) then begin
+          g.gn.(i) <- g.gn.(i) + 1;
+          g.gf.(i) <- g.gf.(i) +. Value.to_float v
+        end
+      | `Min ->
+        let v = Expr.eval e vals in
+        if
+          (not (Value.is_null v))
+          && (Value.is_null g.gv.(i) || Value.compare v g.gv.(i) < 0)
+        then g.gv.(i) <- v
+      | `Max ->
+        let v = Expr.eval e vals in
+        if
+          (not (Value.is_null v))
+          && (Value.is_null g.gv.(i) || Value.compare v g.gv.(i) > 0)
+        then g.gv.(i) <- v
+    done
+
+(* A new group in empty slot [b], keyed by [m.gm_key], with fresh
+   accumulators. *)
+and new_group g m b h =
+  let k = kt_add g.gtab b h (g.gstore.len * g.gstore.width) in
+  buf_add g.gstore m.gm_key [||];
+  let na = Array.length m.gm_aggs in
+  if (k + 1) * na > Array.length g.gn then begin
+    let n = max 8 (2 * (k + 1) * na) in
+    let grow a fill =
+      let a' = Array.make n fill in
+      Array.blit a 0 a' 0 (k * na);
+      a'
+    in
+    g.gn <- grow g.gn 0;
+    g.gv <- grow g.gv Value.Null;
+    let gf = Array.make n 0.0 in
+    Array.blit g.gf 0 gf 0 (k * na);
+    g.gf <- gf
+  end;
+  for i = k * na to ((k + 1) * na) - 1 do
+    g.gn.(i) <- 0;
+    g.gf.(i) <- 0.0;
+    g.gv.(i) <- Value.Null
+  done;
+  k
+
+and order_row o vals srcs =
+  match o.om with
+  | None -> assert false
+  | Some m ->
+    Meter.tick_c c_sort_row;
+    for i = 0 to Array.length m.om_exprs - 1 do
+      m.om_key.(i) <- Expr.eval m.om_exprs.(i) vals
+    done;
+    buf_add o.okeys m.om_key [||];
+    buf_add o.obuf vals srcs
+
+let rec drive node =
+  match node with
+  | CScan s -> (
+    match (s.srel, s.sm) with
+    | Some (Catalog.Std tb), Some m ->
+      let srcs = m.sm_srcs and out = s.sout in
+      Table.iter tb (fun r ->
+          Meter.tick_c c_seq_row;
+          srcs.(0) <- r;
+          emit out r.Record.values srcs)
+    | Some (Catalog.Tmp tmp), Some m ->
+      let vals = m.sm_vals and srcs = m.sm_srcs and out = s.sout in
+      Temp_table.iter tmp (fun row ->
+          Meter.tick_c c_seq_row;
+          Temp_table.read_row tmp row ~vals ~srcs;
+          emit out vals srcs)
+    | _ -> assert false)
+  | CFilter f -> drive f.fsub
+  | CProject p -> drive p.psub
+  | CJoin j -> drive_join j
+  | CGroup g -> (
+    match g.gm with
+    | None -> assert false
+    | Some m ->
+      buf_reset g.gstore ~width:(Array.length m.gm_keys) ~nsl:0;
+      kt_reset g.gtab 4;
+      drive g.gsub;
+      (* a grand aggregate (no keys) over an empty input still yields one row *)
+      if Array.length m.gm_keys = 0 && g.gtab.nkeys = 0 then
+        ignore (new_group g m (kt_slot g.gtab 0 [||] [||] [||] 0 [||]) 0);
+      flush_groups g m)
+  | COrder o -> (
+    match o.om with
+    | None -> assert false
+    | Some m ->
+      buf_reset o.obuf ~width:(Array.length m.om_vals) ~nsl:(Array.length m.om_srcs);
+      buf_reset o.okeys ~width:(Array.length m.om_exprs) ~nsl:0;
+      drive o.osub;
+      flush_sorted o m)
+  | CLimit l ->
+    l.taken <- 0;
+    drive l.lsub
+  | CDistinct d ->
+    buf_reset d.dkept ~width:(Array.length d.dpos) ~nsl:0;
+    kt_reset d.dtab 4;
+    drive d.dsub
+
+and drive_join j =
+  match j.jm with
+  | None -> assert false
+  | Some m -> (
+    match m.jm_strategy with
+    | JIndex _ when !physical_index_join -> drive j.jl
+    | JIndex (tb, _) ->
+      (* unmetered build over the whole table, then per-left-row probes
+         that replay the modeled index path's ticks and posting order *)
+      buf_reset j.jbuild ~width:m.jm_ra ~nsl:1;
+      let srcs = [| Record.dummy |] in
+      Table.iter tb (fun r ->
+          srcs.(0) <- r;
+          buf_add j.jbuild r.Record.values srcs);
+      index_build j m;
+      drive j.jl
+    | JHash ->
+      buf_reset j.jbuild ~width:m.jm_ra ~nsl:m.jm_rs;
+      drive j.jr;
+      index_build j m;
+      drive j.jl
+    | JNested ->
+      buf_reset j.jbuild ~width:m.jm_ra ~nsl:m.jm_rs;
+      drive j.jr;
+      drive j.jl
+    | JMerge ((_, lidx), (_, ridx)) ->
+      (* Neither input is scanned: stream both ordered indexes in key
+         order and intersect, one "merge_step" per pointer advance.
+         Output is in ascending key order; within a key, left then right
+         postings oldest-first (ascending rid). *)
+      merge j m (Index.ordered_entries lidx) (Index.ordered_entries ridx))
+
+(* Chain the build rows by equi key, each chain in build order (built
+   back to front, so each row is prepended).  The key table is sized to
+   the build side. *)
+and index_build j m =
+  let b = j.jbuild in
+  let n = b.len in
+  kt_reset j.jtab n;
+  if Array.length j.jnext < n then begin
+    j.jnext <- Array.make n (-1);
+    j.jhead <- Array.make n (-1)
+  end;
+  for i = n - 1 downto 0 do
+    let at = i * m.jm_ra in
+    let h = hash_at b.bvals at m.jm_rpos in
+    let s = kt_slot j.jtab h b.bvals m.jm_rpos b.bvals at m.jm_rpos in
+    let k = j.jtab.slots.(s) in
+    if k < 0 then begin
+      j.jhead.(kt_add j.jtab s h at) <- i;
+      j.jnext.(i) <- -1
+    end
+    else begin
+      j.jnext.(i) <- j.jhead.(k);
+      j.jhead.(k) <- i
+    end
+  done
+
+and merge j m ls rs =
+  match (ls, rs) with
+  | [], _ | _, [] -> ()
+  | (lk, lrecs) :: ls', (rk, rrecs) :: rs' ->
+    Meter.tick_c c_merge_step;
+    let c = Index.compare_keys lk rk in
+    if c < 0 then merge j m ls' rs
+    else if c > 0 then merge j m ls rs'
+    else begin
+      merge_key j m lrecs rrecs;
+      merge j m ls' rs'
+    end
+
+and merge_key j m lrecs rrecs =
+  match lrecs with
+  | [] -> ()
+  | (lr : Record.t) :: rest ->
+    Array.blit lr.values 0 m.jm_vals 0 m.jm_la;
+    m.jm_srcs.(0) <- lr;
+    with_records j m rrecs;
+    merge_key j m rest rrecs
+
+and flush_groups g m =
+  let nk = Array.length m.gm_keys and na = Array.length m.gm_aggs in
+  let out = m.gm_out in
+  for k = 0 to g.gtab.nkeys - 1 do
+    Array.blit g.gstore.bvals (k * nk) out 0 nk;
+    for a = 0 to na - 1 do
+      let i = (k * na) + a in
+      out.(nk + a) <-
+        (match fst m.gm_aggs.(a) with
+        | `Count_star | `Count -> Value.Int g.gn.(i)
+        | `Sum | `Min | `Max -> g.gv.(i)
+        | `Avg ->
+          if g.gn.(i) = 0 then Value.Null
+          else Value.Float (g.gf.(i) /. float_of_int g.gn.(i)))
+    done;
+    Meter.tick_c c_row_construct;
+    match m.gm_having with
+    | Some h when not (Expr.eval_pred h out) -> ()
+    | _ -> emit g.gout out [||]
+  done
+
+and flush_sorted o m =
+  let keys = o.okeys.bvals and nspec = Array.length m.om_exprs in
+  let compare_rows a b =
+    let rec loop j =
+      if j >= nspec then 0
+      else
+        let c = Value.compare keys.((a * nspec) + j) keys.((b * nspec) + j) in
+        let c = match m.om_dirs.(j) with Asc -> c | Desc -> -c in
+        if c <> 0 then c else loop (j + 1)
+    in
+    loop 0
+  in
+  let ids = iota o.obuf.len in
+  Array.stable_sort compare_rows ids;
+  let b = o.obuf in
+  Array.iter
+    (fun i ->
+      Array.blit b.bvals (i * b.width) m.om_vals 0 b.width;
+      Array.blit b.bsrcs (i * b.nsl) m.om_srcs 0 b.nsl;
+      emit o.oout m.om_vals m.om_srcs)
+    ids
+
+(* A result: [rlen] rows of [rwidth] values and [desc.nslots] record
+   pointers each, back to back (see [buf]). *)
+type result = {
+  desc : xdesc;
+  rvals : Value.t array;
+  rsrcs : Record.t array;
+  rlen : int;
+  rwidth : int;
+}
+
+type prepared = {
+  top : cnode;
+  out : buf;  (* [top]'s rows, copied into the result at the end *)
+}
+
+let prepare plan =
+  let top = compile_node plan in
+  let out = buf_create () in
+  set_sink top (Out out);
+  { top; out }
+
+let run_prepared cat ~env c =
+  let desc = censure cat ~env c.top in
+  let b = c.out in
+  buf_reset b ~width:(Schema.arity desc.schema) ~nsl:desc.nslots;
+  drive c.top;
   {
-    vals = Array.append lrow.vals rrow.vals;
-    srcs = Array.append lrow.srcs rrow.srcs;
+    desc;
+    rvals = Array.sub b.bvals 0 (b.len * b.width);
+    rsrcs = Array.sub b.bsrcs 0 (b.len * b.nsl);
+    rlen = b.len;
+    rwidth = b.width;
   }
 
-let record_row (r : Record.t) = { vals = r.Record.values; srcs = [| r |] }
-
-let rec cexec cat ~env node : result =
-  match node with
-  | CScan s ->
-    let relation, desc = ensure_scan cat ~env s in
-    { desc; xrows = scan_rows relation desc }
-  | CFilter f ->
-    let pred = ensure_filter cat ~env f in
-    let r = cexec cat ~env f.fsub in
-    { r with xrows = List.filter (fun x -> Expr.eval_pred pred x.vals) r.xrows }
-  | CJoin j -> cexec_join cat ~env j
-  | CProject p ->
-    let _, desc, resolved = ensure_project cat ~env p in
-    let r = cexec cat ~env p.psub in
-    let exprs = Array.of_list resolved in
-    let project x =
-      Meter.tick_c c_row_construct;
-      {
-        vals = Array.map (fun e -> Expr.eval e x.vals) exprs;
-        srcs = x.srcs;
-      }
-    in
-    { desc; xrows = List.map project r.xrows }
-  | CGroup g -> cexec_group cat ~env g
-  | COrder o ->
-    let specs = ensure_order cat ~env o in
-    let r = cexec cat ~env o.osub in
-    let keyed =
-      List.map
-        (fun x ->
-          Meter.tick_c c_sort_row;
-          (List.map (fun (e, ord) -> (Expr.eval e x.vals, ord)) specs, x))
-        r.xrows
-    in
-    let compare_keys (ka, _) (kb, _) =
-      let rec loop a b =
-        match (a, b) with
-        | [], [] -> 0
-        | (va, o) :: a', (vb, _) :: b' ->
-          let c = Value.compare va vb in
-          let c = match o with Asc -> c | Desc -> -c in
-          if c <> 0 then c else loop a' b'
-        | _ -> 0
-      in
-      loop ka kb
-    in
-    { r with xrows = List.map snd (List.stable_sort compare_keys keyed) }
-  | CLimit (n, sub) ->
-    let r = cexec cat ~env sub in
-    let rec take n = function
-      | [] -> []
-      | _ when n <= 0 -> []
-      | x :: rest -> x :: take (n - 1) rest
-    in
-    { r with xrows = take n r.xrows }
-  | CDistinct sub ->
-    let r = cexec cat ~env sub in
-    let seen = VTbl.create 64 in
-    let xrows =
-      List.filter
-        (fun x ->
-          Meter.tick_c c_hash_probe;
-          let key = Array.to_list x.vals in
-          if VTbl.mem seen key then false
-          else begin
-            VTbl.add seen key ();
-            true
-          end)
-        r.xrows
-    in
-    { r with xrows }
-
-and cexec_join cat ~env (j : cjoin) =
-  let m = ensure_join cat ~env j in
-  let equi = m.jm_equi in
-  let keep combined =
-    match m.jm_residual with
-    | None -> true
-    | Some p -> Expr.eval_pred p combined.vals
-  in
-  let probe_key lrow = List.map (fun (i, _) -> lrow.vals.(i)) equi in
-  let xrows =
-    match m.jm_strategy with
-    | JIndex (tb, idx) ->
-      let lres = cexec cat ~env j.jl in
-      if !physical_index_join then begin
-        (* accumulator instead of concat_map/filter_map: this loop runs
-           once per probed posting on every rule check, so avoid the
-           per-match option and per-left-row list append *)
-        let acc = ref [] in
-        List.iter
-          (fun lrow ->
-            List.iter
-              (fun (rec_ : Record.t) ->
-                let combined = combine_rows lrow (record_row rec_) in
-                if keep combined then acc := combined :: !acc)
-              (Index.lookup idx (probe_key lrow)))
-          lres.xrows;
-        List.rev !acc
-      end
-      else begin
-        (* unmetered hash build, then per-left-row probes that replay the
-           modeled index path's ticks and posting order *)
-        let tbl = VTbl.create 256 in
-        Table.iter tb (fun r ->
-            let key = List.map (fun (_, jj) -> Record.value r jj) equi in
-            let cur =
-              match VTbl.find_opt tbl key with Some l -> l | None -> []
-            in
-            VTbl.replace tbl key (r :: cur));
-        List.concat_map
-          (fun lrow ->
-            Meter.tick_c c_index_probe;
-            let matches =
-              match VTbl.find_opt tbl (probe_key lrow) with
-              | Some l ->
-                List.sort
-                  (fun (a : Record.t) (b : Record.t) -> compare b.rid a.rid)
-                  l
-              | None -> []
-            in
-            List.filter_map
-              (fun rec_ ->
-                let combined = combine_rows lrow (record_row rec_) in
-                if keep combined then Some combined else None)
-              matches)
-          lres.xrows
-      end
-    | JMerge ((_ltb, lidx), (_rtb, ridx)) ->
-      (* Neither side is scanned: stream both ordered indexes in key order
-         and intersect, one "merge_step" per pointer advance.  Output is in
-         ascending key order; within a key, left then right postings
-         oldest-first (ascending rid). *)
-      let acc = ref [] in
-      let rec merge ls rs =
-        match (ls, rs) with
-        | [], _ | _, [] -> ()
-        | (lk, lrecs) :: ls', (rk, rrecs) :: rs' ->
-          Meter.tick_c c_merge_step;
-          let c = Index.compare_keys lk rk in
-          if c < 0 then merge ls' rs
-          else if c > 0 then merge ls rs'
-          else begin
-            List.iter
-              (fun (lr : Record.t) ->
-                let lrow = record_row lr in
-                List.iter
-                  (fun (rr : Record.t) ->
-                    let combined = combine_rows lrow (record_row rr) in
-                    if keep combined then acc := combined :: !acc)
-                  rrecs)
-              lrecs;
-            merge ls' rs'
-          end
-      in
-      merge (Index.ordered_entries lidx) (Index.ordered_entries ridx);
-      List.rev !acc
-    | JHash ->
-      let lres = cexec cat ~env j.jl in
-      let rres = cexec cat ~env j.jr in
-      let tbl = VTbl.create 256 in
-      List.iter
-        (fun rrow ->
-          Meter.tick_c c_hash_build;
-          let key = List.map (fun (_, jj) -> rrow.vals.(jj)) equi in
-          let cur = match VTbl.find_opt tbl key with Some l -> l | None -> [] in
-          VTbl.replace tbl key (rrow :: cur))
-        rres.xrows;
-      let acc = ref [] in
-      List.iter
-        (fun lrow ->
-          Meter.tick_c c_hash_probe;
-          match VTbl.find_opt tbl (probe_key lrow) with
-          | None -> ()
-          | Some rrows ->
-            List.iter
-              (fun rrow ->
-                let combined = combine_rows lrow rrow in
-                if keep combined then acc := combined :: !acc)
-              (List.rev rrows))
-        lres.xrows;
-      List.rev !acc
-    | JNested ->
-      let lres = cexec cat ~env j.jl in
-      let rres = cexec cat ~env j.jr in
-      let acc = ref [] in
-      List.iter
-        (fun lrow ->
-          List.iter
-            (fun rrow ->
-              let combined = combine_rows lrow rrow in
-              if keep combined then acc := combined :: !acc)
-            rres.xrows)
-        lres.xrows;
-      List.rev !acc
-  in
-  { desc = m.jm_desc; xrows }
-
-and cexec_group cat ~env (g : cgroup) =
-  let m = ensure_group cat ~env g in
-  let r = cexec cat ~env g.gsub in
-  let desc = m.gm_desc in
-  let key_exprs = m.gm_keys in
-  let agg_specs = m.gm_aggs in
-  (* Accumulator per aggregate: (count, sum as float, current value). *)
-  let module Acc = struct
-    type t = {
-      mutable n : int;
-      mutable fsum : float;
-      mutable v : Value.t;  (* running sum / min / max *)
-    }
-
-    let make () = { n = 0; fsum = 0.0; v = Value.Null }
-  end in
-  let groups = VTbl.create 64 in
-  let group_order = ref [] in
-  List.iter
-    (fun x ->
-      Meter.tick_c c_agg_row;
-      let key = List.map (fun e -> Expr.eval e x.vals) key_exprs in
-      let accs =
-        match VTbl.find_opt groups key with
-        | Some a -> a
-        | None ->
-          Meter.tick_c c_group_init;
-          let a = Array.init (List.length agg_specs) (fun _ -> Acc.make ()) in
-          VTbl.add groups key a;
-          group_order := key :: !group_order;
-          a
-      in
-      List.iteri
-        (fun i (kind, e) ->
-          let acc = accs.(i) in
-          match kind with
-          | `Count_star -> acc.Acc.n <- acc.Acc.n + 1
-          | `Count ->
-            let v = Expr.eval e x.vals in
-            if not (Value.is_null v) then acc.Acc.n <- acc.Acc.n + 1
-          | `Sum ->
-            let v = Expr.eval e x.vals in
-            if not (Value.is_null v) then begin
-              acc.Acc.n <- acc.Acc.n + 1;
-              acc.Acc.v <-
-                (if Value.is_null acc.Acc.v then v else Value.add acc.Acc.v v)
-            end
-          | `Avg ->
-            let v = Expr.eval e x.vals in
-            if not (Value.is_null v) then begin
-              acc.Acc.n <- acc.Acc.n + 1;
-              acc.Acc.fsum <- acc.Acc.fsum +. Value.to_float v
-            end
-          | `Min ->
-            let v = Expr.eval e x.vals in
-            if not (Value.is_null v) then
-              if Value.is_null acc.Acc.v || Value.compare v acc.Acc.v < 0 then
-                acc.Acc.v <- v
-          | `Max ->
-            let v = Expr.eval e x.vals in
-            if not (Value.is_null v) then
-              if Value.is_null acc.Acc.v || Value.compare v acc.Acc.v > 0 then
-                acc.Acc.v <- v)
-        agg_specs)
-    r.xrows;
-  (* A grand aggregate (no keys) over an empty input still yields one row. *)
-  if key_exprs = [] && VTbl.length groups = 0 then begin
-    VTbl.add groups [] (Array.init (List.length agg_specs) (fun _ -> Acc.make ()));
-    group_order := [ [] ]
-  end;
-  let finish key accs =
-    let agg_vals =
-      List.mapi
-        (fun i (kind, _) ->
-          let acc = accs.(i) in
-          match kind with
-          | `Count_star | `Count -> Value.Int acc.Acc.n
-          | `Sum | `Min | `Max -> acc.Acc.v
-          | `Avg ->
-            if acc.Acc.n = 0 then Value.Null
-            else Value.Float (acc.Acc.fsum /. float_of_int acc.Acc.n))
-        agg_specs
-    in
-    Meter.tick_c c_row_construct;
-    { vals = Array.of_list (key @ agg_vals); srcs = [||] }
-  in
-  let xrows =
-    List.rev_map (fun key -> finish key (VTbl.find groups key)) !group_order
-  in
-  let xrows =
-    match m.gm_having with
-    | None -> xrows
-    | Some h -> List.filter (fun x -> Expr.eval_pred h x.vals) xrows
-  in
-  { desc; xrows }
-
-(* ------------------------------------------------------------------ *)
-(* Compilation cache, keyed on the plan value's physical identity.  The
-   rule system compiles a plan once per rule and re-runs the same value on
-   every check, so this turns all per-execution schema/expression
-   resolution into pointer comparisons.  Ad-hoc plans (fresh values) just
-   compile again; the table is reset when it grows past a bound so one-shot
-   plans cannot accumulate. *)
-
-module PTbl = Hashtbl.Make (struct
-  type t = plan
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-let compiled : cnode PTbl.t = PTbl.create 64
-
-let compile plan =
-  match PTbl.find_opt compiled plan with
-  | Some c -> c
-  | None ->
-    if PTbl.length compiled > 512 then PTbl.reset compiled;
-    let c = compile_node plan in
-    PTbl.add compiled plan c;
-    c
-
-let run cat ~env plan = cexec cat ~env (compile plan)
+let run cat ~env plan = run_prepared cat ~env (prepare plan)
 
 let schema_of cat ~env plan = (desc_of cat ~env plan).schema
 
 let result_schema r = r.desc.schema
-let row_count r = List.length r.xrows
-let rows r = List.map (fun x -> Array.copy x.vals) r.xrows
-
-(* ------------------------------------------------------------------ *)
-(* Row selections and the Appendix-A partition.                         *)
-
-(* A partition groups a result's rows by the values at [ppos] without
-   building a key per row: [porder] lists row indices key by key (result
-   order within a key), key [k] owning [porder.(pstart.(k))] up to
-   [porder.(pstart.(k + 1) - 1)]; keys are numbered in first-seen order. *)
-type partition = {
-  pdesc : xdesc;
-  prows : xrow array;  (* result order *)
-  porder : int array;
-  pstart : int array;  (* one entry per key, plus the end *)
-  ppos : int array;  (* partition column positions *)
-}
-
-type rows = All of result | Range of partition * int
-
-let all_rows r = All r
-let key_rows p k = Range (p, k)
-
-let rows_length = function
-  | All r -> List.length r.xrows
-  | Range (p, k) -> p.pstart.(k + 1) - p.pstart.(k)
-
-let rows_desc = function All r -> r.desc | Range (p, _) -> p.pdesc
-
-let iter_rows rows f =
-  match rows with
-  | All r -> List.iter f r.xrows
-  | Range (p, k) ->
-    for i = p.pstart.(k) to p.pstart.(k + 1) - 1 do
-      f p.prows.(p.porder.(i))
-    done
-
-let key_hash vals pos =
-  let h = ref 0 in
-  for i = 0 to Array.length pos - 1 do
-    h := (!h * 31) + Value.hash vals.(pos.(i))
-  done;
-  !h land max_int
-
-let same_key pos a b =
-  let i = ref 0 in
-  while !i < Array.length pos && Value.equal a.(pos.(!i)) b.(pos.(!i)) do
-    incr i
-  done;
-  !i = Array.length pos
-
-let partition r ~cols =
-  let pos =
-    Array.of_list
-      (List.map
-         (fun c ->
-           match Schema.find r.desc.schema c with
-           | Some i -> i
-           | None -> plan_error "partition: unknown column %s" c
-           | exception Schema.Ambiguous c ->
-             plan_error "partition: ambiguous column %s" c)
-         cols)
-  in
-  let rows = Array.of_list r.xrows in
-  let n = Array.length rows in
-  (* open addressing over key ids, at most half full *)
-  let cap = ref 16 in
-  while !cap < 2 * n do
-    cap := !cap * 2
-  done;
-  let mask = !cap - 1 in
-  let bucket = Array.make !cap (-1) in
-  let first = Array.make n 0 and khash = Array.make n 0 in
-  let kid = Array.make n 0 and count = Array.make n 0 in
-  let nkeys = ref 0 in
-  for i = 0 to n - 1 do
-    Meter.tick_c c_partition_row;
-    let vals = rows.(i).vals in
-    let h = key_hash vals pos in
-    let b = ref (h land mask) in
-    while
-      bucket.(!b) >= 0
-      && not
-           (khash.(bucket.(!b)) = h
-           && same_key pos rows.(first.(bucket.(!b))).vals vals)
-    do
-      b := (!b + 1) land mask
-    done;
-    let k =
-      if bucket.(!b) >= 0 then bucket.(!b)
-      else begin
-        let k = !nkeys in
-        incr nkeys;
-        bucket.(!b) <- k;
-        first.(k) <- i;
-        khash.(k) <- h;
-        k
-      end
-    in
-    kid.(i) <- k;
-    count.(k) <- count.(k) + 1
-  done;
-  let pstart = Array.make (!nkeys + 1) 0 in
-  for k = 0 to !nkeys - 1 do
-    pstart.(k + 1) <- pstart.(k) + count.(k)
-  done;
-  (* a counting sort: [count] becomes each key's fill cursor *)
-  Array.blit pstart 0 count 0 !nkeys;
-  let porder = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let k = kid.(i) in
-    porder.(count.(k)) <- i;
-    count.(k) <- count.(k) + 1
-  done;
-  { pdesc = r.desc; prows = rows; porder; pstart; ppos = pos }
-
-let n_keys p = Array.length p.pstart - 1
-
-let key_value p k i = p.prows.(p.porder.(p.pstart.(k))).vals.(p.ppos.(i))
+let row_count r = r.rlen
+let rows r = List.init r.rlen (fun i -> Array.sub r.rvals (i * r.rwidth) r.rwidth)
 
 (* ------------------------------------------------------------------ *)
 (* Binding results as temporary tables (§6.1).                          *)
@@ -1103,31 +1350,97 @@ let layout_for desc overrides =
     desc.layouts <- (names, l) :: desc.layouts;
     l
 
-let consts_of = function
-  | [] -> [||]
-  | overrides -> Array.of_list (List.map snd overrides)
+(* A result's rows grouped by key, as bound tables will hold them.  Key
+   [k] owns [order.(start.(k))] up to [order.(start.(k + 1) - 1)] (row
+   ids, result order within a key); keys are numbered in first-seen
+   order.  An empty [order] with one key is every row in result order. *)
+type rows = {
+  res : result;
+  layout : Temp_table.layout;
+  consts : Value.t array;  (* the overridden columns' values *)
+  order : int array;
+  start : int array;  (* one entry per key, plus the end *)
+  pos : int array;  (* partition column positions *)
+}
 
-let append_rows ?(overrides = []) rows dst =
-  let l = layout_for (rows_desc rows) overrides in
-  let consts = consts_of overrides in
-  iter_rows rows (fun x ->
-      Temp_table.append_from dst l ~srcs:x.srcs ~vals:x.vals ~consts)
+let selection overrides r ~order ~start ~pos =
+  {
+    res = r;
+    layout = layout_for r.desc overrides;
+    consts = Array.of_list (List.map snd overrides);
+    order;
+    start;
+    pos;
+  }
 
-let bind ?(overrides = []) ~name rows =
-  let l = layout_for (rows_desc rows) overrides in
-  let tmp = Temp_table.of_layout ~name ~rows:(rows_length rows) l in
-  let consts = consts_of overrides in
-  iter_rows rows (fun x ->
-      Temp_table.append_from tmp l ~srcs:x.srcs ~vals:x.vals ~consts);
+let all_rows ?(overrides = []) r =
+  selection overrides r ~order:[||] ~start:[| 0; r.rlen |] ~pos:[||]
+
+let partition ?(overrides = []) r ~cols =
+  let pos =
+    Array.of_list
+      (List.map
+         (fun c ->
+           match Schema.find r.desc.schema c with
+           | Some i -> i
+           | None -> plan_error "partition: unknown column %s" c
+           | exception Schema.Ambiguous c ->
+             plan_error "partition: ambiguous column %s" c)
+         cols)
+  in
+  let n = r.rlen and vals = r.rvals in
+  let t = kt_create () in
+  kt_reset t n;
+  let kid = Array.make n 0 in
+  for i = 0 to n - 1 do
+    Meter.tick_c c_partition_row;
+    let at = i * r.rwidth in
+    let h = hash_at vals at pos in
+    let b = kt_slot t h vals pos vals at pos in
+    let k = t.slots.(b) in
+    kid.(i) <- (if k >= 0 then k else kt_add t b h at)
+  done;
+  (* a counting sort of the row ids by key *)
+  let start = Array.make (t.nkeys + 1) 0 in
+  Array.iter (fun k -> start.(k + 1) <- start.(k + 1) + 1) kid;
+  for k = 1 to t.nkeys do
+    start.(k) <- start.(k) + start.(k - 1)
+  done;
+  let fill = Array.sub start 0 t.nkeys in
+  let order = Array.make n 0 in
+  Array.iteri
+    (fun i k ->
+      order.(fill.(k)) <- i;
+      fill.(k) <- fill.(k) + 1)
+    kid;
+  selection overrides r ~order ~start ~pos
+
+let n_keys s = Array.length s.start - 1
+let key_length s k = s.start.(k + 1) - s.start.(k)
+let row_id s i = if Array.length s.order = 0 then i else s.order.(i)
+
+let key_value s k i =
+  s.res.rvals.((row_id s s.start.(k) * s.res.rwidth) + s.pos.(i))
+
+let append_rows s k dst =
+  let r = s.res in
+  for i = s.start.(k) to s.start.(k + 1) - 1 do
+    let row = row_id s i in
+    Temp_table.append_from dst s.layout ~srcs:r.rsrcs ~src_at:(row * r.desc.nslots)
+      ~vals:r.rvals ~val_at:(row * r.rwidth) ~consts:s.consts
+  done
+
+let bind ~name s k =
+  let tmp = Temp_table.of_layout ~name ~rows:(key_length s k) s.layout in
+  append_rows s k tmp;
   tmp
 
-let row_images ?(overrides = []) rows =
-  let l = layout_for (rows_desc rows) overrides in
-  let consts = consts_of overrides in
-  let acc = ref [] in
-  iter_rows rows (fun x ->
-      acc := Temp_table.layout_row l ~srcs:x.srcs ~vals:x.vals ~consts :: !acc);
-  List.rev !acc
+let row_images s k =
+  let r = s.res in
+  List.init (key_length s k) (fun i ->
+      let row = row_id s (s.start.(k) + i) in
+      Temp_table.layout_row s.layout ~srcs:r.rsrcs ~src_at:(row * r.desc.nslots)
+        ~vals:r.rvals ~val_at:(row * r.rwidth) ~consts:s.consts)
 
 (* ------------------------------------------------------------------ *)
 

@@ -9,12 +9,28 @@
     exactly-covering index — probe per left row), hash join otherwise;
     non-equi predicates fall back to a nested loop.
 
-    [run] compiles each plan value once (cached by physical identity) into
-    a tree whose schema/expression resolution and strategy choice are
-    memoized, then revalidated per execution by pointer comparison plus the
-    scanned tables' {!Table.index_gen} — so repeated rule checks skip all
-    name resolution while catalog rebuilds and later [CREATE INDEX]es are
-    still picked up.  Caching never changes meter ticks.
+    A plan compiles into a tree of operator nodes whose schema/expression
+    resolution and strategy choice are memoized.  {!run} compiles a
+    one-shot plan and drops it; {!prepare} keeps the tree for a caller
+    that runs one plan many times, which {!run_prepared} revalidates per
+    execution by pointer comparison plus the scanned tables'
+    {!Table.index_gen} — so repeated rule checks skip all name resolution
+    while catalog rebuilds and later [CREATE INDEX]es are still picked
+    up.  Preparing never changes meter ticks.
+
+    Execution is push-based.  Scans, and merge joins over two ordered
+    indexes, produce rows; every other operator consumes the rows its
+    input pushes and pushes its own to its parent, each row as a value
+    array and a record-pointer array that the producer reuses for its next
+    row.  Filters and projections forward rows as they arrive and joins
+    write each joined row in place, so no operator allocates per row: a
+    row that reaches the root is appended to its buffer, and the result
+    is that buffer cut to size.  Only ORDER BY, GROUP BY, DISTINCT and the
+    build side of a hash or nested-loop join hold rows, in buffers that a
+    prepared plan reuses from one execution to the next; a hash join's key
+    table is sized to its build side.  Row order, and so every
+    float sum a consumer folds over a result, is the same as evaluating
+    each operator over its whole input in turn.
 
     Execution tracks provenance: a result column that is a verbatim copy of
     a standard-table attribute remembers which pointer slot and offset it
@@ -27,7 +43,8 @@
     probe, ["merge_step"] per merge-join pointer advance, ["hash_probe"]
     per hash-join probe, ["join_row"] per joined row, ["row_construct"] per
     output row, ["agg_row"] per aggregated input row, ["group_init"] per
-    group, ["sort_row"] per sorted row. *)
+    group, ["sort_row"] per sorted row, ["hash_build"] per hash-join build
+    row. *)
 
 type order = Asc | Desc
 
@@ -64,12 +81,27 @@ type plan =
 val item : ?alias:string -> Expr.t -> select_item
 
 type result
-(** Materialized query result with provenance. *)
+(** A query result with provenance: a flat, fixed-width row buffer (one
+    value array of rows × arity, one record-pointer array of rows ×
+    pointer slots). *)
 
 exception Plan_error of string
 (** Planning/typing failures: unknown relation, unresolvable column, ... *)
 
 val run : Catalog.t -> env:Catalog.env -> plan -> result
+(** Compile and execute a one-shot plan. *)
+
+type prepared
+(** A compiled plan, with the buffers its operators reuse from one
+    execution to the next. *)
+
+val prepare : plan -> prepared
+(** Compile without executing (and without resolving any name: that
+    happens, and is memoized, on the first execution). *)
+
+val run_prepared : Catalog.t -> env:Catalog.env -> prepared -> result
+(** Execute a prepared plan: the same result and meter ticks as {!run}.
+    Not re-entrant: a prepared plan runs one execution at a time. *)
 
 val physical_index_join : bool ref
 (** Testing knob, default [true].  When [false], the index join's physical
@@ -90,53 +122,53 @@ val rows : result -> Value.t array list
 (** {2 Binding (§6.1) and the Appendix-A partition} *)
 
 type rows
-(** A selection of one result's rows, in result order: all of them, or
-    one key's range of a {!partition}. *)
+(** A result's rows grouped by key, together with how a bound table
+    holds them: the layout computed for the result's descriptor and the
+    constants its overridden columns take.  Keys are numbered
+    [0 .. n_keys - 1] in first-seen order; within a key, rows keep result
+    order.  No key or row is built per row: a key is a range of an index
+    array over the result's flat buffer. *)
 
-val all_rows : result -> rows
+val all_rows : ?overrides:(string * Value.t) list -> result -> rows
+(** One key (number 0) holding every row.  [overrides] force named
+    columns to a constant when bound — the rule system uses this to stamp
+    [commit_time] at bind time. *)
 
-val rows_length : rows -> int
-
-type partition
-(** A result's rows grouped by the values of some columns: per-key row
-    ranges over an index array.  No key is built per row; keys are
-    numbered [0 .. n_keys - 1] in first-seen order. *)
-
-val partition : result -> cols:string list -> partition
+val partition : ?overrides:(string * Value.t) list -> result -> cols:string list -> rows
 (** Group the result by the values of the named (unqualified) columns,
     preserving provenance.  This is the Appendix-A partitioning step
     behind [unique on]; it ticks ["partition_row"] once per row.
+    [overrides] as for {!all_rows}.
     @raise Plan_error on an unknown or ambiguous column. *)
 
-val n_keys : partition -> int
+val n_keys : rows -> int
 
-val key_value : partition -> int -> int -> Value.t
+val key_length : rows -> int -> int
+(** Rows in key [k]. *)
+
+val key_value : rows -> int -> int -> Value.t
 (** [key_value p k i]: the value of the [i]-th partition column in key
     [k]. *)
 
-val key_rows : partition -> int -> rows
-(** Key [k]'s rows. *)
-
-val bind : ?overrides:(string * Value.t) list -> name:string -> rows -> Temp_table.t
-(** Materialize rows as a named bound table using pointer provenance where
-    possible (§6.1).  [overrides] force named columns to a constant — the
-    rule system uses this to stamp [commit_time] at bind time.  The
-    table's layout is computed once per result descriptor and list of
-    overridden names, and shared by every table bound from it.  Ticks
+val bind : name:string -> rows -> int -> Temp_table.t
+(** [bind ~name rows k] materializes key [k]'s rows as a named bound
+    table using pointer provenance where possible (§6.1).  The table's
+    layout is computed once per result descriptor and list of overridden
+    names, and shared by every table bound from it.  Ticks
     ["bound_append"] once per row. *)
 
-val append_rows : ?overrides:(string * Value.t) list -> rows -> Temp_table.t -> unit
-(** Append rows to an existing bound table exactly as {!bind} would
-    lay them out, each straight from its source row (no intermediate
-    table): the unique-transaction merge of paper §2.  A fully
-    materialized destination with the same column schema (a TCB rebuilt
-    by crash recovery) receives the rows by value.  Ticks
-    ["bound_append"] once per row.
+val append_rows : rows -> int -> Temp_table.t -> unit
+(** Append key [k]'s rows to an existing bound table exactly as {!bind}
+    would lay them out, each straight from the result's buffer (no
+    intermediate table): the unique-transaction merge of paper §2.  A
+    fully materialized destination with the same column schema (a TCB
+    rebuilt by crash recovery) receives the rows by value.  Allocates
+    nothing; ticks ["bound_append"] once per row.
     @raise Invalid_argument on any other destination layout. *)
 
-val row_images : ?overrides:(string * Value.t) list -> rows -> Value.t array list
-(** The rows as {!bind} then {!Temp_table.to_rows} would give them —
-    the bound-row images a WAL record carries.  Ticks nothing. *)
+val row_images : rows -> int -> Value.t array list
+(** Key [k]'s rows as {!bind} then {!Temp_table.to_rows} would give them
+    — the bound-row images a WAL record carries.  Ticks nothing. *)
 
 val explain : ?cat:Catalog.t -> ?env:Catalog.env -> plan -> string
 (** Multi-line plan rendering.  With [?cat] (and optionally [?env]), each

@@ -146,22 +146,22 @@ let layout ~schema ~prov ~slot_of ~cell_of =
 
 let of_layout ~name ?(rows = 0) l =
   make ~name ~schema:l.lschema ~nslots:(Array.length l.slot_of)
-    ~nmats:l.lnmats ~prov:l.lprov ~cap:(max initial_cap rows)
+    ~nmats:l.lnmats ~prov:l.lprov ~cap:rows
 
-let cell l ~vals ~consts m =
+let cell l ~vals ~val_at ~consts m =
   let c = l.cell_of.(m) in
-  if c >= 0 then vals.(c) else consts.(-1 - c)
+  if c >= 0 then vals.(val_at + c) else consts.(-1 - c)
 
 (* Column [col] of the bound row made from one source row, as [get] would
    read it back. *)
-let layout_value l ~srcs ~vals ~consts col =
+let layout_value l ~srcs ~src_at ~vals ~val_at ~consts col =
   match l.lprov.(col) with
-  | From_record (s, off) -> Record.value srcs.(l.slot_of.(s)) off
-  | Computed m -> cell l ~vals ~consts m
+  | From_record (s, off) -> Record.value srcs.(src_at + l.slot_of.(s)) off
+  | Computed m -> cell l ~vals ~val_at ~consts m
 
-let layout_row l ~srcs ~vals ~consts =
+let layout_row l ~srcs ~src_at ~vals ~val_at ~consts =
   Array.init (Array.length l.lprov) (fun col ->
-      layout_value l ~srcs ~vals ~consts col)
+      layout_value l ~srcs ~src_at ~vals ~val_at ~consts col)
 
 (* Physical equality first: tables bound from one cached layout share its
    schema and static map, so the common check is O(1). *)
@@ -171,20 +171,20 @@ let has_layout t l =
      && Schema.equal_layout t.tschema l.lschema
      && t.prov = l.lprov
 
-let append_from t l ~srcs ~vals ~consts =
+let append_from t l ~srcs ~src_at ~vals ~val_at ~consts =
   if t.is_retired then invalid_arg "Temp_table.append_from: table is retired";
   if has_layout t l then begin
     Meter.tick_c c_bound_append;
     reserve t 1;
     let base = t.nrows * t.nslots in
     for s = 0 to t.nslots - 1 do
-      let r = srcs.(l.slot_of.(s)) in
+      let r = srcs.(src_at + l.slot_of.(s)) in
       Record.pin r;
       t.srcs.(base + s) <- r
     done;
     let base = t.nrows * t.nmats in
     for m = 0 to t.nmats - 1 do
-      t.mats.(base + m) <- cell l ~vals ~consts m
+      t.mats.(base + m) <- cell l ~vals ~val_at ~consts m
     done;
     t.nrows <- t.nrows + 1
   end
@@ -196,7 +196,8 @@ let append_from t l ~srcs ~vals ~consts =
     let base = t.nrows * t.nmats in
     for col = 0 to Array.length t.prov - 1 do
       match t.prov.(col) with
-      | Computed m -> t.mats.(base + m) <- layout_value l ~srcs ~vals ~consts col
+      | Computed m ->
+        t.mats.(base + m) <- layout_value l ~srcs ~src_at ~vals ~val_at ~consts col
       | From_record _ -> assert false
     done;
     t.nrows <- t.nrows + 1
@@ -218,6 +219,12 @@ let row_values t row =
   Array.init (Array.length t.prov) (fun c -> get t row c)
 
 let row_source t row slot = t.srcs.((row * t.nslots) + slot)
+
+let read_row t row ~vals ~srcs =
+  for c = 0 to Array.length t.prov - 1 do
+    vals.(c) <- get t row c
+  done;
+  Array.blit t.srcs (row * t.nslots) srcs 0 t.nslots
 
 let iter t f =
   for i = 0 to t.nrows - 1 do

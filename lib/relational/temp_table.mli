@@ -74,16 +74,21 @@ val layout :
 
 val of_layout : name:string -> ?rows:int -> layout -> t
 (** An empty table with the layout's schema and static map (shared, not
-    copied), its arenas sized for [rows] tuples. *)
+    copied), its arenas sized for exactly [rows] tuples (default 0: no
+    arena until the first append). *)
 
 val append_from :
   t ->
   layout ->
   srcs:Record.t array ->
+  src_at:int ->
   vals:Value.t array ->
+  val_at:int ->
   consts:Value.t array ->
   unit
-(** Append the tuple that one source row makes under [layout]; ticks
+(** Append the tuple that one source row makes under [layout]: the row
+    whose record pointers start at [srcs.(src_at)] and whose column
+    values start at [vals.(val_at)] (a row of a flat query result).  Ticks
     ["bound_append"] once.  When the table has the layout (schema and
     static map), the source pointers are pinned and stored; when the table
     is fully materialized with the same column schema (a TCB rebuilt by
@@ -91,7 +96,12 @@ val append_from :
     @raise Invalid_argument on a retired table or any other layout. *)
 
 val layout_row :
-  layout -> srcs:Record.t array -> vals:Value.t array -> consts:Value.t array ->
+  layout ->
+  srcs:Record.t array ->
+  src_at:int ->
+  vals:Value.t array ->
+  val_at:int ->
+  consts:Value.t array ->
   Value.t array
 (** The values of the tuple {!append_from} would append, as {!row_values}
     reads them back.  Ticks nothing. *)
@@ -110,6 +120,10 @@ val row_source : t -> row -> int -> Record.t
 (** [row_source t row slot]: the record in pointer slot [slot] of this
     tuple.  (Tuples live in their table's arena, so reading a slot needs
     the table.) *)
+
+val read_row : t -> row -> vals:Value.t array -> srcs:Record.t array -> unit
+(** Write a tuple's column values into [vals] and its record pointers
+    into [srcs] (at least {!slots} long), allocating nothing. *)
 
 val iter : t -> (row -> unit) -> unit
 (** Iterate tuples in insertion order. *)

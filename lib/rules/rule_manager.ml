@@ -20,8 +20,8 @@ let rule_error fmt = Printf.ksprintf (fun s -> raise (Rule_error s)) fmt
 
 type compiled = {
   rule : Rule_ast.t;
-  cond : (Query.plan * string option) list;
-  eval : (Query.plan * string option) list;
+  cond : (Query.prepared * string option) list;
+  eval : (Query.prepared * string option) list;
   (* declared layout of every named bound table, for merge compatibility *)
   bound_schemas : (string * Schema.t) list;
 }
@@ -258,6 +258,7 @@ let compile_rule t (rule : Rule_ast.t) =
       (cond @ eval)
   in
   Transition.retire dummy;
+  let prepare = List.map (fun (plan, name) -> (Query.prepare plan, name)) in
   (* Unique columns must come from the bound tables. *)
   (match rule.uniqueness with
   | Rule_ast.Unique_on cols ->
@@ -290,7 +291,7 @@ let compile_rule t (rule : Rule_ast.t) =
             | _ -> ())
           bound_schemas)
     t.all_rules;
-  { rule; cond; eval; bound_schemas }
+  { rule; cond = prepare cond; eval = prepare eval; bound_schemas }
 
 let create_rule t rule =
   if
@@ -481,28 +482,61 @@ and fire t compiled (named_results : (string * Query.result) list) =
   let now = Clock.now t.clock in
   let release = now +. rule.Rule_ast.delay in
   Strip_sim.Stats.record_firing t.stats;
-  let overrides_for result =
+  let overrides result =
     if Schema.mem (Query.result_schema result) "commit_time" then
       [ ("commit_time", Value.Float now) ]
     else []
   in
-  (* A firing's share of one bound table: (name, rows, overrides). *)
   let whole (name, result) =
-    (name, Query.all_rows result, overrides_for result)
+    (name, Query.all_rows ~overrides:(overrides result) result)
   in
-  let bind_all parts =
-    List.map
-      (fun (name, rows, overrides) ->
-        (name, Query.bind ~overrides ~name rows))
-      parts
+  (* The firing's bound tables, in bound order: for [unique on], the ones
+     holding unique columns (partitioned, Appendix A) first, then the
+     rest whole.  [cur.(i)] is the key of [parts.(i)] the firing is at; a
+     whole table stays at its one key, 0. *)
+  let parts, keyed, key_src =
+    match rule.Rule_ast.uniqueness with
+    | Rule_ast.Not_unique | Rule_ast.Unique ->
+      (Array.of_list (List.map whole named_results), 0, [||])
+    | Rule_ast.Unique_on cols ->
+      let with_cols, without_cols =
+        List.map
+          (fun (name, result) ->
+            let schema = Query.result_schema result in
+            (name, result, List.filter (Schema.mem schema) cols))
+          named_results
+        |> List.partition (fun (_, _, owned) -> owned <> [])
+      in
+      (* where each unique column's value is read: (part, position among
+         the part's partition columns) *)
+      let key_src =
+        List.map
+          (fun col ->
+            let rec find i = function
+              | [] -> assert false
+              | (_, _, owned) :: rest -> (
+                match List.find_index (String.equal col) owned with
+                | Some pos -> (i, pos)
+                | None -> find (i + 1) rest)
+            in
+            find 0 with_cols)
+          cols
+      in
+      ( Array.of_list
+          (List.map
+             (fun (name, result, owned) ->
+               (name, Query.partition ~overrides:(overrides result) result ~cols:owned))
+             with_cols
+          @ List.map (fun (name, result, _) -> whole (name, result)) without_cols),
+        List.length with_cols,
+        Array.of_list key_src )
   in
-  let images parts =
-    List.map
-      (fun (name, rows, overrides) ->
-        (name, Query.row_images ~overrides rows))
-      parts
+  let cur = Array.make (Array.length parts) 0 in
+  let images () =
+    Array.to_list
+      (Array.mapi (fun i (name, rows) -> (name, Query.row_images rows cur.(i))) parts)
   in
-  let merge_or_create ~key parts =
+  let merge_or_create ~key =
     match Unique.find t.reg ~func ~key with
     | Some queued ->
       (* Append this firing's rows to the queued TCB's bound tables. *)
@@ -538,23 +572,24 @@ and fire t compiled (named_results : (string * Query.result) list) =
          into a fresh table plus an absorb of it (Table 1): the bind's
          share is ticked here, before the log record as the bind was, and
          the absorb's share as each row is appended. *)
-      List.iter
-        (fun (_, rows, _) -> Temp_table.tick_appends (Query.rows_length rows))
-        parts;
-      if t.dur <> None then
-        log_uq t (Wal.Uq_merge { func; key; bound = images parts });
-      List.iter
-        (fun (name, rows, overrides) ->
-          match List.assoc_opt name queued.Task.bound with
-          | Some dst -> Query.append_rows ~overrides rows dst
-          | None ->
-            rule_error
-              "rule %s: queued transaction for %s lacks bound table %s"
-              rule.Rule_ast.rname func name)
-        parts
+      for i = 0 to Array.length parts - 1 do
+        Temp_table.tick_appends (Query.key_length (snd parts.(i)) cur.(i))
+      done;
+      if t.dur <> None then log_uq t (Wal.Uq_merge { func; key; bound = images () });
+      for i = 0 to Array.length parts - 1 do
+        let name, rows = parts.(i) in
+        match List.assoc name queued.Task.bound with
+        | dst -> Query.append_rows rows cur.(i) dst
+        | exception Not_found ->
+          rule_error "rule %s: queued transaction for %s lacks bound table %s"
+            rule.Rule_ast.rname func name
+      done
     | None ->
       Strip_sim.Stats.record_rule_task t.stats;
-      let bound = bind_all parts in
+      let bound =
+        Array.to_list
+          (Array.mapi (fun i (name, rows) -> (name, Query.bind ~name rows cur.(i))) parts)
+      in
       (* The rule task is a child span of the transaction that fired it. *)
       let ctx = Option.map Span.child t.cur_ctx in
       if t.dur <> None then begin
@@ -565,7 +600,7 @@ and fire t compiled (named_results : (string * Query.result) list) =
                key;
                release_time = release;
                created_at = now;
-               bound = images parts;
+               bound = images ();
              });
         match ctx with
         | None -> ()
@@ -594,72 +629,36 @@ and fire t compiled (named_results : (string * Query.result) list) =
     let ctx = Option.map Span.child t.cur_ctx in
     let task =
       Task.create ~klass:Task.Recompute ~func_name:func
-        ~bound:(bind_all (List.map whole named_results))
+        ~bound:
+          (Array.to_list
+             (Array.map (fun (name, rows) -> (name, Query.bind ~name rows 0)) parts))
         ?ctx ~release_time:release ~created_at:now
         (fun task -> run_action t task)
     in
     submit t task
-  | Rule_ast.Unique ->
-    merge_or_create ~key:[] (List.map whole named_results)
-  | Rule_ast.Unique_on cols ->
-    (* Appendix A: partition the bound tables that contain unique columns
-       into per-key row ranges; pass the others whole.  The unique key
-       ranges over the cartesian product of the per-table distinct
-       sub-keys (column names are unique across bound tables). *)
-    let with_cols, without_cols =
-      List.partition
-        (fun (_, result) ->
-          List.exists
-            (fun col -> Schema.mem (Query.result_schema result) col)
-            cols)
-        named_results
-    in
-    let parted =
-      List.map
-        (fun (name, result) ->
-          let owned =
-            List.filter
-              (fun col -> Schema.mem (Query.result_schema result) col)
-              cols
-          in
-          (name, owned, Query.partition result ~cols:owned,
-           overrides_for result))
-        with_cols
-    in
-    let rest = List.map whole without_cols in
-    (* The key of one combination, ordered by the rule's column list. *)
-    let key_of combo =
-      List.map
-        (fun col ->
-          let rec find = function
-            | [] -> assert false
-            | (_, owned, p, k, _) :: others ->
-              let rec pos i = function
-                | [] -> find others
-                | c :: cs -> if c = col then Query.key_value p k i else pos (i + 1) cs
-              in
-              pos 0 owned
-          in
-          find combo)
-        cols
-    in
-    (* Cartesian product across the partitioned tables, first table
-       outermost, each table's keys in first-seen order. *)
-    let rec each acc = function
-      | [] ->
-        let combo = List.rev acc in
-        merge_or_create ~key:(key_of combo)
-          (List.map
-             (fun (name, _, p, k, overrides) ->
-               (name, Query.key_rows p k, overrides))
-             combo
-          @ rest)
-      | (name, owned, p, overrides) :: tables ->
-        for k = 0 to Query.n_keys p - 1 do
-          each ((name, owned, p, k, overrides) :: acc) tables
+  | Rule_ast.Unique -> merge_or_create ~key:[]
+  | Rule_ast.Unique_on _ ->
+    (* Appendix A: the unique key ranges over the cartesian product of
+       the partitioned tables' distinct sub-keys (column names are unique
+       across bound tables), first table outermost, each table's keys in
+       first-seen order. *)
+    let rec each i =
+      if i = keyed then merge_or_create ~key:(key_at parts cur key_src 0)
+      else
+        for k = 0 to Query.n_keys (snd parts.(i)) - 1 do
+          cur.(i) <- k;
+          each (i + 1)
         done
     in
-    each [] parted
+    each 0
+
+(* The unique key of the firing's current combination, in the rule's
+   column order. *)
+and key_at parts cur key_src j =
+  if j = Array.length key_src then []
+  else
+    let i, pos = key_src.(j) in
+    Query.key_value (snd parts.(i)) cur.(i) pos :: key_at parts cur key_src (j + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Commit-time processing (§6.3).                                       *)
@@ -700,7 +699,7 @@ and process_commit t txn =
               if triggered then begin
                 let run_plans plans =
                   List.map
-                    (fun (plan, name) -> (Query.run t.cat ~env plan, name))
+                    (fun (q, name) -> (Query.run_prepared t.cat ~env q, name))
                     plans
                 in
                 let cond_results = run_plans compiled.cond in

@@ -16,13 +16,14 @@ let transition_schema base =
     @ [ Schema.column execute_order_column Value.TInt ])
 
 (* Every commit against the same base table builds four transition tables
-   with the same derived schema and static map.  Cache the layout per base
-   schema (physical identity — schemas are created once per table) so the
-   per-commit cost is four small arena allocations, and so every transition
-   table over one base shares a physically-identical schema, which lets
-   downstream plan caches key on it. *)
-let layouts : (Schema.t * (Schema.t * Temp_table.provenance array)) list ref =
-  ref []
+   with the same derived schema and static map.  Cache them per base
+   schema (physical identity — schemas are created once per table) as one
+   validated layout, so the per-commit cost is four arenas sized to their
+   entries, and so every transition table over one base shares a
+   physically-identical schema, which lets a prepared condition's scans
+   revalidate by pointer.  (The layout's source row would be a log
+   entry's record and its execute_order; [build] appends directly.) *)
+let layouts : (Schema.t * Temp_table.layout) list ref = ref []
 
 let layout_for base =
   match List.assq_opt base !layouts with
@@ -36,18 +37,30 @@ let layout_for base =
           if i < base_arity then Temp_table.From_record (0, i)
           else Temp_table.Computed 0)
     in
-    let l = (transition_schema base, prov) in
+    let l =
+      Temp_table.layout ~schema:(transition_schema base) ~prov ~slot_of:[| 0 |]
+        ~cell_of:[| 0 |]
+    in
     layouts := (base, l) :: !layouts;
     l
 
 let build ~schema ~table entries =
   ignore table;
-  let tschema, prov = layout_for schema in
-  let make_table name = Temp_table.create ~name ~schema:tschema ~nslots:1 ~prov in
-  let inserted = make_table "inserted" in
-  let deleted = make_table "deleted" in
-  let new_ = make_table "new" in
-  let old = make_table "old" in
+  let l = layout_for schema in
+  let ni = ref 0 and nd = ref 0 and nu = ref 0 in
+  List.iter
+    (fun (e : Tlog.entry) ->
+      match e.change with
+      | Tlog.Inserted _ -> incr ni
+      | Tlog.Deleted _ -> incr nd
+      | Tlog.Updated _ -> incr nu)
+    entries;
+  (* an empty table gets no arena *)
+  let make_table name rows = Temp_table.of_layout ~name ~rows l in
+  let inserted = make_table "inserted" !ni in
+  let deleted = make_table "deleted" !nd in
+  let new_ = make_table "new" !nu in
+  let old = make_table "old" !nu in
   List.iter
     (fun (e : Tlog.entry) ->
       let seq = [| Value.Int e.execute_order |] in
@@ -55,7 +68,7 @@ let build ~schema ~table entries =
       | Tlog.Inserted r -> Temp_table.append inserted ~srcs:[| r |] ~mats:seq
       | Tlog.Deleted r -> Temp_table.append deleted ~srcs:[| r |] ~mats:seq
       | Tlog.Updated { old_rec; new_rec } ->
-        Temp_table.append old ~srcs:[| old_rec |] ~mats:(Array.copy seq);
+        Temp_table.append old ~srcs:[| old_rec |] ~mats:seq;
         Temp_table.append new_ ~srcs:[| new_rec |] ~mats:seq)
     entries;
   { inserted; deleted; new_; old }

@@ -25,12 +25,12 @@ let find t ~func ~key =
   Meter.tick_c c_unique_hash;
   match Tbl.find_opt t.tbl (func, key) with
   | None -> None
-  | Some task ->
+  | Some task as found ->
     if Task.started task || task.Task.state = Task.Cancelled then begin
       Tbl.remove t.tbl (func, key);
       None
     end
-    else Some task
+    else found
 
 let register t ~func ~key task =
   Meter.tick_c c_unique_hash;

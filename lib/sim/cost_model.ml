@@ -6,6 +6,7 @@ type t = {
      real cost is nan).  Filled on first charge of a cell, so the unknown-
      counter bookkeeping still only sees counters that were charged. *)
   mutable rates : float array;
+  mutable missing : Meter.cell -> float;  (* [rate] of this model *)
 }
 
 let unknown : (string, unit) Hashtbl.t = Hashtbl.create 8
@@ -123,18 +124,6 @@ let other_costs =
     ("dedupe_row", 30.0);
   ]
 
-let create entries =
-  let costs = Hashtbl.create 64 in
-  List.iter (fun (name, us) -> Hashtbl.replace costs name us) entries;
-  { costs; rates = [||] }
-
-let default = create (table1_costs @ other_costs)
-
-let override t entries =
-  let costs = Hashtbl.copy t.costs in
-  List.iter (fun (name, us) -> Hashtbl.replace costs name us) entries;
-  { costs; rates = [||] }
-
 let cost_us t name =
   match Hashtbl.find_opt t.costs name with
   | Some us -> us
@@ -147,6 +136,8 @@ let charge t deltas =
     (fun acc (name, n) -> acc +. (cost_us t name *. float_of_int n))
     0.0 deltas
 
+(* The memoized rate of one counter, looked up on its first charge (so
+   only counters actually charged can be unknown). *)
 let rate t cell =
   let id = Meter.cell_id cell in
   let n = Array.length t.rates in
@@ -155,16 +146,29 @@ let rate t cell =
     Array.blit t.rates 0 grown 0 n;
     t.rates <- grown
   end;
-  let v = t.rates.(id) in
-  if Float.is_nan v then begin
-    let us = cost_us t (Meter.name_of_cell cell) in
-    t.rates.(id) <- us;
-    us
-  end
-  else v
+  let us = cost_us t (Meter.name_of_cell cell) in
+  t.rates.(id) <- us;
+  us
+
+let of_costs costs =
+  let t = { costs; rates = [||]; missing = (fun _ -> nan) } in
+  t.missing <- rate t;
+  t
+
+let create entries =
+  let costs = Hashtbl.create 64 in
+  List.iter (fun (name, us) -> Hashtbl.replace costs name us) entries;
+  of_costs costs
+
+let default = create (table1_costs @ other_costs)
+
+let override t entries =
+  let costs = Hashtbl.copy t.costs in
+  List.iter (fun (name, us) -> Hashtbl.replace costs name us) entries;
+  of_costs costs
 
 let charge_span t ~before ~after =
-  Meter.charge_diff before after ~rate:(rate t)
+  Meter.charge_diff before after ~rates:t.rates ~missing:t.missing
 
 let entries t =
   Hashtbl.fold (fun name us acc -> (name, us) :: acc) t.costs []

@@ -43,7 +43,8 @@ val charge_span :
   float
 (** [charge t (Meter.diff before after)], bit for bit, without building the
     delta list — the engine's per-task accounting path.  Per-cell rates are
-    memoized on first use. *)
+    memoized in an array on first use, so a charge allocates nothing once
+    every counter it sees has been charged before. *)
 
 val entries : t -> (string * float) list
 (** All (counter, µs) entries, sorted by name. *)

@@ -12,6 +12,11 @@
 #      workload's sim_digest and every per-layer count (the metrics that
 #      are not timings) must be equal.
 #
+# For information it also prints each workload's alloc_words_per_quote
+# as parent -> change, read from the same results.json files; that line
+# gates nothing (allocation is compared only when both checkouts sit at
+# paths of equal length, see docs/PERFORMANCE.md).
+#
 # Each checkout runs its own scripts and binaries.  The script writes
 # only under a temporary directory (removed on exit) and into each
 # checkout's _build.  It exits 1 and names the first difference it finds,
@@ -110,6 +115,19 @@ def perf(side):
                   if v.get("unit") not in timed}
         out[w["name"]] = {"sim_digest": w["sim_digest"], "per_layer": counts}
     return out
+
+def alloc(side):
+    with open(os.path.join(side, "perf", "results.json")) as f:
+        doc = json.load(f)
+    return {w["name"]: w["end_to_end"].get("alloc_words_per_quote", {}).get("median")
+            for w in doc["workloads"]}
+
+pa, ca = alloc(parent), alloc(change)
+for name in pa:
+    a, b = pa[name], ca.get(name)
+    if a is not None and b is not None:
+        print(f"tick_identity: info: {name} alloc_words_per_quote "
+              f"{a:,.1f} -> {b:,.1f} ({(b - a) / a:+.1%})")
 
 p, c = perf(parent), perf(change)
 if sorted(p) != sorted(c):

@@ -5,6 +5,7 @@ let () =
     (Test_value.suite @ Test_schema.suite @ Test_rbtree.suite
    @ Test_index.suite @ Test_table.suite @ Test_temp_table.suite
    @ Test_expr.suite @ Test_query.suite @ Test_query_model.suite
+   @ Test_executor.suite
    @ Test_catalog.suite @ Test_sql.suite @ Test_txn.suite
    @ Test_queues.suite @ Test_sim.suite @ Test_robustness.suite
    @ Test_rules.suite @ Test_firing.suite

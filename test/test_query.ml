@@ -179,7 +179,7 @@ let test_bind_pointer_provenance () =
         scan "emp" )
   in
   let result = run cat plan in
-  let tmp = Query.bind ~name:"b" (Query.all_rows result) in
+  let tmp = Query.bind ~name:"b" (Query.all_rows result) 0 in
   Alcotest.(check int) "one pointer slot" 1 (Temp_table.slots tmp);
   (match Temp_table.static_map tmp with
   | [| Temp_table.From_record (0, 0); Temp_table.Computed 0 |] -> ()
@@ -207,8 +207,10 @@ let test_bind_overrides () =
         ],
         scan "emp" )
   in
-  let tmp = Query.bind ~overrides:[ ("commit_time", Value.Float 42.5) ] ~name:"b"
-      (Query.all_rows (run cat plan))
+  let tmp =
+    Query.bind ~name:"b"
+      (Query.all_rows ~overrides:[ ("commit_time", Value.Float 42.5) ] (run cat plan))
+      0
   in
   List.iter
     (fun row ->
@@ -222,14 +224,14 @@ let test_partition () =
   Alcotest.(check int) "three groups" 3 (Query.n_keys parts);
   let sizes =
     List.init (Query.n_keys parts) (fun k ->
-        Query.rows_length (Query.key_rows parts k))
+        Query.key_length parts k)
   in
   Alcotest.(check (list int)) "sizes in first-seen order" [ 2; 2; 1 ] sizes;
   (* each key's range binds to exactly its rows, in result order *)
   List.iter
     (fun k ->
       let dept = Query.key_value parts k 0 in
-      let tmp = Query.bind ~name:"b" (Query.key_rows parts k) in
+      let tmp = Query.bind ~name:"b" parts k in
       Alcotest.(check bool) "rows of the key" true
         (List.for_all
            (fun row -> Value.equal row.(1) dept)
@@ -316,15 +318,23 @@ let test_explain_snapshots () =
   Alcotest.(check string) "no annotation without a catalog"
     "join on (l.k = r.k)\n  scan l\n  scan r"
     (Query.explain join_on_k);
-  (* a later CREATE INDEX upgrades the choice (plan cache revalidation) *)
+  (* a later CREATE INDEX upgrades the choice (prepared-plan
+     revalidation): the executor switches path as explain does *)
   let cat = setup_kv () in
-  ignore (Query.row_count (run cat join_on_k));
+  let prepared = Query.prepare join_on_k in
+  let probes () =
+    Meter.reset ();
+    ignore (Query.row_count (Query.run_prepared cat ~env:[] prepared));
+    (Meter.get "hash_build", Meter.get "index_probe")
+  in
+  Alcotest.(check (pair int int)) "hash join before the index" (3, 0) (probes ());
   ignore
     (Table.create_index (Catalog.table_exn cat "r") ~name:"r_k"
        ~kind:Index.Hash ~cols:[ "k" ]);
   Alcotest.(check string) "index created after first run is picked up"
     "join on (l.k = r.k) [index join via r_k]\n  scan l\n  scan r"
-    (snap cat join_on_k)
+    (snap cat join_on_k);
+  Alcotest.(check (pair int int)) "index join after it" (0, 4) (probes ())
 
 let test_merge_join_execution () =
   let cat =

@@ -519,6 +519,93 @@ let test_row_write_allocation () =
     (Printf.sprintf "one row write: %.0f words, budget %.0f" w row_write_words)
     true (w <= row_write_words)
 
+(* One rule check and its firing (§6.3, Appendix A): the commit of a
+   one-row price update whose [unique on comp] condition yields [k] rows,
+   one per composite holding the stock, each merging into that
+   composite's queued batch.  Measured as [rule_check_words_fixed +
+   rule_check_words_per_key * k] words.  The fixed part is the check: the
+   commit, the four transition tables and their environment, the
+   condition's scans, probe key and result record, the partition's
+   tables and the firing's per-table bookkeeping.  Per key it is the
+   result row (its values and record pointers in the flat buffer), the
+   partition's entries for it, the key list handed to [Unique.find] and
+   the find's probe.  No row is materialized on its own, no per-row list
+   cell is built, and a merge builds no combination, part list or
+   closure.  (Up to 32 keys, so that no array of the check is large
+   enough to be allocated outside the minor heap, where [Gc.minor_words]
+   would not see it.) *)
+let rule_check_words_fixed = 600.
+let rule_check_words_per_key = 24.
+
+let rule_check_words ~k =
+  let cat = Catalog.create () in
+  let stocks =
+    Catalog.create_table cat ~name:"stocks"
+      ~schema:(Schema.of_list [ ("symbol", Value.TStr); ("price", Value.TFloat) ])
+  in
+  let by_symbol =
+    Table.create_index stocks ~name:"stocks_sym" ~kind:Index.Hash ~cols:[ "symbol" ]
+  in
+  let comps =
+    Catalog.create_table cat ~name:"comps_list"
+      ~schema:
+        (Schema.of_list
+           [ ("comp", Value.TStr); ("symbol", Value.TStr); ("weight", Value.TFloat) ])
+  in
+  ignore (Table.create_index comps ~name:"cl_sym" ~kind:Index.Hash ~cols:[ "symbol" ]);
+  ignore (Table.insert stocks [| Value.Str "S"; Value.Float 1.0 |]);
+  for c = 1 to k do
+    ignore
+      (Table.insert comps
+         [| Value.Str (Printf.sprintf "C%d" c); Value.Str "S"; Value.Float 0.5 |])
+  done;
+  let locks = Lock.create () and clock = Clock.create () in
+  let mgr =
+    Rule_manager.create ~cat ~locks ~clock ~stats:(Strip_sim.Stats.create ()) ()
+  in
+  Rule_manager.set_submitter mgr ignore;
+  Rule_manager.register_function mgr "f" ignore;
+  Rule_manager.create_rule_text mgr
+    {|create rule r on stocks when updated price
+      if select comp, comps_list.symbol as symbol, weight,
+                old.price as old_price, new.price as new_price
+         from comps_list, new, old
+         where comps_list.symbol = new.symbol
+           and new.execute_order = old.execute_order
+         bind as matches
+      then execute f unique on comp after 1000 seconds|};
+  let key = [ Value.Str "S" ] in
+  let updated n =
+    let txn = Transaction.begin_ ~cat ~locks ~clock () in
+    let price = Value.Float (float_of_int (n + 1)) in
+    ignore
+      (Db_ops.update_by_key txn stocks by_symbol key (fun values ->
+           values.(1) <- price;
+           values));
+    txn
+  in
+  (* the first commit queues one batch per composite; later ones merge *)
+  for n = 1 to 3 do
+    Rule_manager.commit_txn mgr (updated n)
+  done;
+  let txn = updated 4 in
+  let before = Gc.minor_words () in
+  Rule_manager.commit_txn mgr txn;
+  let w = Gc.minor_words () -. before in
+  Alcotest.(check int) "every firing after the first merged" (3 * k)
+    (Rule_manager.n_merges mgr);
+  w
+
+let test_rule_check_allocation () =
+  List.iter
+    (fun k ->
+      let w = rule_check_words ~k in
+      let budget = rule_check_words_fixed +. (rule_check_words_per_key *. float_of_int k) in
+      Alcotest.(check bool)
+        (Printf.sprintf "rule check merging %d keys: %.0f words, budget %.0f" k w budget)
+        true (w <= budget))
+    [ 1; 2; 4; 8; 16; 32 ]
+
 (* Writing an int or a u32 boxes nothing, nor does writing a float that
    is already boxed; reading an int boxes nothing and reading a float
    boxes only the float it returns: none goes through a boxed [int32] or
@@ -1372,6 +1459,8 @@ let suite =
           test_fixed_width_reads_unboxed;
         Alcotest.test_case "one row write stays within its word budget" `Quick
           test_row_write_allocation;
+        Alcotest.test_case "one rule check and its merges stay within their word budget"
+          `Quick test_rule_check_allocation;
       ] );
     ( "recovery/checkpoint",
       [
