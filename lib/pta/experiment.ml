@@ -394,16 +394,29 @@ let arm_chaos cfg db ~now =
       | Disk_full_at { at; free_bytes; heal_after_s } ->
         (* The capacity clamp lives on the WAL, which survives restarts:
            a post-crash instance re-arms the heal if it is still in the
-           future.  A heal that fell due during the outage was discarded
-           with the crashed engine and is not re-armed, so the clamp
-           then stays for the rest of the run (open on ROADMAP). *)
+           future (an overdue one is below). *)
         arm "disk_full" at (fun () ->
             Wal.clamp (Durable.wal d) (Some free_bytes);
             note Fault.Disk_full);
         arm "disk_heal" (at +. heal_after_s) (fun () ->
             Wal.clamp (Durable.wal d) None)
       | Drop_burst _ -> ())
-    cfg.chaos
+    cfg.chaos;
+  (* A heal that fell due during an outage was discarded with the
+     crashed engine: when the latest clamp or heal at or before [now] is
+     a heal, lift the clamp at the restart instant. *)
+  let past =
+    List.concat_map
+      (function
+        | Disk_full_at { at; heal_after_s; _ } ->
+          List.filter
+            (fun (t, _) -> t <= now)
+            [ (at, false); (at +. heal_after_s, true) ]
+        | _ -> [])
+      cfg.chaos
+  in
+  if snd (List.fold_left max (neg_infinity, false) past) then
+    Wal.clamp (Durable.wal d) None
 
 (* One run's primaries and what their drive loop shares.  An unsharded
    run has one primary; a sharded run has one per shard, each with its

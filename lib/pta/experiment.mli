@@ -288,7 +288,8 @@ type shard_row = {
 type shard_metrics = {
   n_shards : int;
   sh_rows : shard_row list;
-  sh_msgs : int;  (** shard-to-shard messages sent (partials + acks) *)
+  sh_msgs : int;
+      (** shard-to-shard messages sent (partials, acks, floor requests) *)
   sh_bytes : int;
   sh_partials : int;  (** first ships *)
   sh_acks : int;

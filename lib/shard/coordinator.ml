@@ -4,22 +4,25 @@ open Strip_core
 module Link = Strip_repl.Link
 module Span = Strip_obs.Span
 
-(* Unacked partials are re-shipped after [resend_after] seconds; each
-   shard is checkpointed every [checkpoint_every] seconds by the tick. *)
+(* A partial its owner's floor does not cover is re-shipped
+   [resend_after] seconds after its last ship; each shard is
+   checkpointed every [checkpoint_every] seconds by the tick. *)
 let resend_after = 0.25
 let checkpoint_every = 5.0
 
 type apply = sid:int -> Transaction.t -> key:Value.t list -> delta:float -> unit
 
+(* A logged partial its owner's floor does not cover yet.  [last_sent]
+   is [neg_infinity] until its first ship; one restored after a restart
+   has the restart instant, so it waits [resend_after] for the floor. *)
 type unacked = { p : Partial.t; mutable last_sent : float }
 
 type shard = {
   sid : int;
   mutable db : Strip_db.t;
   dq : Dqueue.t;
-  mutable unacked : unacked list;  (* ship order *)
+  fifos : unacked Queue.t array;  (* per destination, seq order *)
   mutable outbox : Partial.t list;  (* reversed *)
-  mutable acks : (int * int) list;  (* reversed; (emitter, seq) *)
   mutable crashes : int;
   mutable last_cp : float;
 }
@@ -76,14 +79,11 @@ let append_state sh =
           watermarks = Dqueue.watermarks sh.dq;
           pending = Dqueue.pending_list sh.dq;
           unacked =
-            List.map
-              (fun u ->
-                ( u.p.Partial.seq,
-                  u.p.Partial.dst,
-                  u.p.Partial.key,
-                  u.p.Partial.delta,
-                  u.p.Partial.created_at ))
-              sh.unacked;
+            Array.to_seq sh.fifos
+            |> Seq.flat_map Queue.to_seq
+            |> Seq.map (fun { p; _ } ->
+                   Partial.(p.seq, p.dst, p.key, p.delta, p.created_at))
+            |> List.of_seq;
         }
     in
     ignore (Wal.append_batch w [ state ]);
@@ -164,7 +164,7 @@ let submit_apply t sh ~key ~ctx =
 
 (* ------------------------------------------------------------------ *)
 (* After a restart in place (see the .mli for why never failover):      *)
-(* rebuild protocol state, re-ship, resubmit applies.                   *)
+(* rebuild protocol state, ask the owners' floors, resubmit applies.    *)
 
 let on_restart t sid ~log db =
   let sh = t.shards.(sid) in
@@ -176,17 +176,23 @@ let on_restart t sid ~log db =
     ~watermarks:(Dqueue.watermarks log.queue)
     ~pending:(Dqueue.pending_list log.queue);
   sh.outbox <- [];
-  sh.acks <- [];
-  (* Everything logged but unacknowledged re-ships immediately; the
-     owners' (src, seq) dedup collapses any double delivery. *)
-  sh.unacked <-
-    List.map
-      (fun (seq, dst, key, delta, created_at) ->
-        let p =
-          { Partial.src = sid; seq; dst; key; delta; created_at; ctx = None }
-        in
-        { p; last_sent = neg_infinity })
-      log.outstanding;
+  (* Nothing logged ships blind: each owner of an outstanding partial is
+     asked for its floor, whose ack retires what it covers before the
+     resend pass ships the rest [resend_after] later. *)
+  let now = Strip_db.now db in
+  Array.iter Queue.clear sh.fifos;
+  List.iter
+    (fun (seq, dst, key, delta, created_at) ->
+      let p =
+        { Partial.src = sid; seq; dst; key; delta; created_at; ctx = None }
+      in
+      Queue.push { p; last_sent = now } sh.fifos.(dst))
+    log.outstanding;
+  Array.iteri
+    (fun dst q ->
+      if not (Queue.is_empty q) then
+        send_msg t ~src:sid ~dst ~now (Partial.Floor_request { src = sid }))
+    sh.fifos;
   List.iter
     (fun key -> submit_apply t sh ~key ~ctx:None)
     (Dqueue.pending_keys sh.dq);
@@ -196,106 +202,78 @@ let on_restart t sid ~log db =
   sh.last_cp <- Strip_db.now db
 
 (* ------------------------------------------------------------------ *)
-(* Receive side.                                                        *)
+(* Receive side: the source an owner heard from, if any.               *)
 
 let receive t sh ~from (m : Link.message) =
   match m.Link.payload with
-  | Link.Segment _ | Link.Bootstrap _ -> ()  (* not shard-layer traffic *)
+  | Link.Segment _ | Link.Bootstrap _ -> None  (* not shard-layer traffic *)
   | Link.Blob bytes -> (
     match Partial.decode bytes with
-    | Partial.Ack { src = _; seq } ->
-      (* seqs count per owner: retire the entry shipped to [from] *)
-      sh.unacked <-
-        List.filter
-          (fun u -> u.p.Partial.dst <> from || u.p.Partial.seq <> seq)
-          sh.unacked
-    | Partial.Partial p ->
-      let verdict =
-        Dqueue.offer sh.dq ~src:p.Partial.src ~seq:p.Partial.seq
-          ~key:p.Partial.key ~delta:p.Partial.delta
-          ~created_at:p.Partial.created_at
-      in
-      (match verdict with
-      | Dqueue.Duplicate -> ()
-      | Dqueue.Merged | Dqueue.Fresh -> (
-        match Strip_db.durable sh.db with
-        | None -> ()
-        | Some d ->
-          let w = Durable.wal d in
-          ignore
-            (Wal.append_batch w
-               [
-                 Wal.Shard_in
-                   {
-                     src = p.Partial.src;
-                     seq = p.Partial.seq;
-                     key = p.Partial.key;
-                     delta = p.Partial.delta;
-                     created_at = p.Partial.created_at;
-                   };
-               ]);
-          Wal.fsync w));
-      (* Ack even duplicates: the previous ack may have been dropped. *)
-      sh.acks <- (p.Partial.src, p.Partial.seq) :: sh.acks;
+    | Partial.Ack { src = _; floor } ->
+      (* seqs count per owner: retire what [from]'s floor covers *)
+      let q = sh.fifos.(from) in
+      while (not (Queue.is_empty q)) && (Queue.peek q).p.Partial.seq <= floor do
+        ignore (Queue.pop q)
+      done;
+      None
+    | Partial.Floor_request { src } -> Some src
+    | Partial.Partial { Partial.src; seq; key; delta; created_at; ctx; _ } ->
+      let verdict = Dqueue.offer sh.dq ~src ~seq ~key ~delta ~created_at in
+      (match (verdict, Strip_db.durable sh.db) with
+      | Dqueue.Duplicate, _ | _, None -> ()
+      | (Dqueue.Merged | Dqueue.Fresh), Some d ->
+        let w = Durable.wal d in
+        ignore
+          (Wal.append_batch w
+             [ Wal.Shard_in { src; seq; key; delta; created_at } ]);
+        Wal.fsync w);
       if verdict = Dqueue.Fresh then begin
         let ctx =
-          match (Strip_db.trace sh.db, p.Partial.ctx) with
+          match (Strip_db.trace sh.db, ctx) with
           | Some _, Some (trace, parent) -> Some (Span.child_of ~trace ~parent)
           | _ -> None
         in
-        submit_apply t sh ~key:p.Partial.key ~ctx
-      end)
+        submit_apply t sh ~key ~ctx
+      end;
+      Some src)
 
 (* ------------------------------------------------------------------ *)
 (* The tick.                                                            *)
 
 let step t ~now =
-  (* 0: the tick acts on every shard directly — it takes checkpoints,
-     appends Shard_in records and submits applies — so, like a direct
-     transaction, it first settles the zombie holders of the tasks each
-     shard has dispatched *)
-  Array.iter
-    (fun sh -> Strip_sim.Engine.settle (Strip_db.engine sh.db))
-    t.shards;
-  (* 1: coordinator-driven fuzzy checkpoints (truncation is always
-     immediately followed by a fresh Shard_state) *)
+  (* 1: per shard, in index order *)
   Array.iter
     (fun sh ->
-      if now -. sh.last_cp >= checkpoint_every && Strip_db.durable sh.db <> None
-      then checkpoint sh ~now)
-    t.shards;
-  (* 2: flush outboxes and acks, emit order *)
-  Array.iter
-    (fun sh ->
+      (* the tick acts on the shard directly — it takes checkpoints,
+         appends Shard_in records and submits applies — so, like a direct
+         transaction, it first settles the zombie holders of the tasks the
+         shard has dispatched *)
+      Strip_sim.Engine.settle (Strip_db.engine sh.db);
+      (* the outbox joins the per-destination FIFOs, emit order *)
       List.iter
         (fun p ->
-          send_msg t ~src:sh.sid ~dst:p.Partial.dst ~now (Partial.Partial p);
-          t.partials <- t.partials + 1;
-          sh.unacked <- sh.unacked @ [ { p; last_sent = now } ])
+          Queue.push { p; last_sent = neg_infinity } sh.fifos.(p.Partial.dst))
         (List.rev sh.outbox);
       sh.outbox <- [];
-      List.iter
-        (fun (emitter, seq) ->
-          send_msg t ~src:sh.sid ~dst:emitter ~now
-            (Partial.Ack { src = emitter; seq });
-          t.n_acks <- t.n_acks + 1)
-        (List.rev sh.acks);
-      sh.acks <- [])
+      (* a due fuzzy checkpoint's truncation is always immediately
+         followed by a fresh Shard_state, which lists every partial in
+         the FIFOs, so none whose Shard_out it truncated *)
+      if now -. sh.last_cp >= checkpoint_every && Strip_db.durable sh.db <> None
+      then checkpoint sh ~now;
+      (* ship the fresh partials, and resend what the owners' floors have
+         not covered in [resend_after] (drops, crashed receivers) *)
+      Array.iter
+        (Queue.iter (fun u ->
+             if now -. u.last_sent >= resend_after then begin
+               send_msg t ~src:sh.sid ~dst:u.p.Partial.dst ~now
+                 (Partial.Partial u.p);
+               if u.last_sent = neg_infinity then t.partials <- t.partials + 1
+               else t.n_reships <- t.n_reships + 1;
+               u.last_sent <- now
+             end))
+        sh.fifos)
     t.shards;
-  (* 3: resend stale unacked partials (drops and crashed receivers) *)
-  Array.iter
-    (fun sh ->
-      List.iter
-        (fun u ->
-          if now -. u.last_sent >= resend_after then begin
-            send_msg t ~src:sh.sid ~dst:u.p.Partial.dst ~now
-              (Partial.Partial u.p);
-            t.n_reships <- t.n_reships + 1;
-            u.last_sent <- now
-          end)
-        sh.unacked)
-    t.shards;
-  (* 4: deliver — drain every link, then process in a total order
+  (* 2: deliver — drain every link, then process in a total order
      ((arrives_at, source shard, link seq)) so hashtable iteration and
      arrival interleaving can never perturb a fixed-seed run *)
   let arrived = ref [] in
@@ -303,16 +281,14 @@ let step t ~now =
     (fun src row ->
       Array.iteri
         (fun dst l ->
-          if src <> dst then begin
-            let rec drain () =
-              match Link.pop_arrived l ~now with
-              | None -> ()
-              | Some m ->
-                arrived := (m, src, dst) :: !arrived;
-                drain ()
-            in
-            drain ()
-          end)
+          let rec drain () =
+            match Link.pop_arrived l ~now with
+            | None -> ()
+            | Some m ->
+              arrived := (m, src, dst) :: !arrived;
+              drain ()
+          in
+          if src <> dst then drain ())
         row)
     t.links;
   let arrived =
@@ -326,13 +302,27 @@ let step t ~now =
         | c -> c)
       (List.rev !arrived)
   in
-  List.iter (fun (m, src, dst) -> receive t t.shards.(dst) ~from:src m) arrived
+  let heard =
+    List.filter_map
+      (fun (m, src, dst) ->
+        Option.map (fun s -> (dst, s)) (receive t t.shards.(dst) ~from:src m))
+      arrived
+  in
+  (* 3: each owner acks its floor once to every source it heard from,
+     duplicates included: an earlier ack may have been dropped *)
+  List.iter
+    (fun (owner, src) ->
+      let floor = Dqueue.floor t.shards.(owner).dq ~src in
+      send_msg t ~src:owner ~dst:src ~now (Partial.Ack { src; floor });
+      t.n_acks <- t.n_acks + 1)
+    (List.sort_uniq compare heard)
 
 let quiescent t =
   Array.for_all
     (fun sh ->
       Strip_sim.Engine.pending (Strip_db.engine sh.db) = 0
-      && sh.outbox = [] && sh.acks = [] && sh.unacked = []
+      && sh.outbox = []
+      && Array.for_all Queue.is_empty sh.fifos
       && Dqueue.n_pending sh.dq = 0)
     t.shards
   && Array.for_all
@@ -351,9 +341,8 @@ let create ~link ~apply dbs =
           sid;
           db;
           dq = Dqueue.create ();
-          unacked = [];
+          fifos = Array.init n (fun _ -> Queue.create ());
           outbox = [];
-          acks = [];
           crashes = 0;
           last_cp = 0.0;
         })
@@ -386,7 +375,8 @@ let checkpoint_all t =
     t.shards
 
 let queue t i = t.shards.(i).dq
-let unacked t i = List.length t.shards.(i).unacked
+let unacked t i =
+  Array.fold_left (fun n q -> n + Queue.length q) 0 t.shards.(i).fifos
 let msgs_sent t = t.msgs
 let bytes_shipped t = t.bytes
 let partials_shipped t = t.partials

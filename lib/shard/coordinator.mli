@@ -12,9 +12,9 @@
     [Wal.Shard_out] in the same append batch as the commit, and handed
     to this coordinator's outbox after the fsync.  The coordinator ships
     it over the shard-to-shard {!Strip_repl.Link} on the next tick and
-    keeps it on an unacked list, resending every 0.25 s until the
-    owner's ack arrives.  The tick also checkpoints every shard every
-    5 s itself, rather than through a
+    keeps it in a FIFO per destination, in seq order, resending it every
+    0.25 s until the owner's floor covers it.  The tick also checkpoints
+    every shard every 5 s itself, rather than through a
     {!Strip_core.Strip_db.schedule_checkpoints} task, so every log
     truncation is immediately followed by a fresh [Shard_state].
 
@@ -24,8 +24,13 @@
     recompute-class maintenance task that {e peeks} the merged delta,
     applies it to the composite table, and notes the release; the
     [Wal.Shard_release] rides the applying commit's fsync, after which
-    the queue entry is retired.  Acks are always sent, duplicates
-    included, because the first ack may itself have been dropped.
+    the queue entry is retired.  Acks are cumulative, as in log
+    shipping: once a tick, the owner sends each source it heard from one
+    [Ack] carrying its {!Dqueue.floor} for that source — every seq up to
+    it is merged and its [Shard_in] fsynced — and the sender pops every
+    entry at or below it.  A source that sent only duplicates is acked
+    too, because the previous ack may have been dropped; the floor only
+    grows, so a repeated or stale ack retires nothing it should not.
 
     At-least-once shipping + idempotent merge + atomic apply/release =
     exactly-once composite effect across crashes.
@@ -51,9 +56,11 @@
     {!Strip_core.Recovery.recover} truncates it (rebuilding the dedup
     watermarks, pending merges, unacked ships and sequence counters
     from [Shard_state] + subsequent records), and {!on_restart} then
-    re-ships everything unacknowledged, resubmits an apply task per
-    pending key, and appends a fresh [Shard_state] past the recovery
-    checkpoint's truncation point. *)
+    ships nothing blind: it sends a [Floor_request] to each owner it
+    has outstanding partials for, whose floor ack retires what that
+    owner already merged; the rest ships 0.25 s after the restart.  It
+    also resubmits an apply task per pending key, and appends a fresh
+    [Shard_state] past the recovery checkpoint's truncation point. *)
 
 type apply =
   sid:int ->
@@ -81,9 +88,10 @@ val checkpoint_all : t -> unit
 
 val step : t -> now:float -> unit
 (** One coordinator tick, after the caller has advanced every shard's
-    engine to [now]: take due checkpoints, flush outboxes and acks,
-    resend stale unacked partials, then deliver and process everything
-    arrived, in the deterministic order above. *)
+    engine to [now]: shard by shard, move the outbox into the FIFOs,
+    take a due checkpoint and ship fresh and stale partials; then
+    deliver and process everything arrived, in the deterministic order
+    above, and send the owners' floor acks. *)
 
 val quiescent : t -> bool
 (** No engine task pending, no partial unshipped, unacked or unapplied,
@@ -127,7 +135,8 @@ val on_restart : t -> int -> log:log_state -> Strip_core.Strip_db.t -> unit
 val queue : t -> int -> Dqueue.t
 
 val unacked : t -> int -> int
-(** Partials shard [i] shipped and has no ack for yet. *)
+(** Partials shard [i] logged that their owners' floors do not cover
+    yet. *)
 
 val msgs_sent : t -> int
 val bytes_shipped : t -> int

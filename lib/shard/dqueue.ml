@@ -98,6 +98,9 @@ let watermarks t =
   |> List.mapi (fun src m -> (src, m.floor, m.above))
   |> List.filter (fun (_, floor, above) -> floor > 0 || above <> [])
 
+let floor t ~src =
+  if src < Array.length t.marks then t.marks.(src).floor else 0
+
 let pending_list t =
   List.map
     (fun key ->

@@ -61,6 +61,10 @@ val watermarks : t -> (int * int * int list) list
     above [floor + 1], empty once every gap has filled).  Exported into
     [Shard_state] snapshots. *)
 
+val floor : t -> src:int -> int
+(** Every seq from [1] to [floor t ~src] is merged from [src] (0 when
+    none is).  It only grows, except through {!restore}. *)
+
 val pending_list : t -> (Strip_relational.Value.t list * float * float) list
 (** Pending [(key, delta, created_at)] entries, first-arrival order. *)
 

@@ -10,7 +10,10 @@ type t = {
   ctx : (int * int) option;
 }
 
-type msg = Partial of t | Ack of { src : int; seq : int }
+type msg =
+  | Partial of t
+  | Ack of { src : int; floor : int }
+  | Floor_request of { src : int }
 
 let encode m =
   let b = Buffer.create 64 in
@@ -29,10 +32,13 @@ let encode m =
       Codec.put_u8 b 1;
       Codec.put_int b trace;
       Codec.put_int b span)
-  | Ack { src; seq } ->
+  | Ack { src; floor } ->
     Codec.put_u8 b 2;
     Codec.put_int b src;
-    Codec.put_int b seq);
+    Codec.put_int b floor
+  | Floor_request { src } ->
+    Codec.put_u8 b 3;
+    Codec.put_int b src);
   Buffer.contents b
 
 let decode s =
@@ -57,6 +63,7 @@ let decode s =
     Partial { src; seq; dst; key; delta; created_at; ctx }
   | 2 ->
     let src = Codec.get_int r in
-    let seq = Codec.get_int r in
-    Ack { src; seq }
+    let floor = Codec.get_int r in
+    Ack { src; floor }
+  | 3 -> Floor_request { src = Codec.get_int r }
   | n -> raise (Codec.Decode_error (Printf.sprintf "shard message tag %d" n))

@@ -88,7 +88,7 @@ exp shards-3-crash --view comps --variant comp --shards 3 \
   --shard-crash-at 1:45
 # A crash near the end of the 90 s feed: recovery restores the dedup
 # watermarks (one per source, advanced over nearly the whole run), plus
-# a Shard_in tail, and re-ships.
+# a Shard_in tail, and ships only what the owners' floors do not cover.
 exp shards-4-late-crash --view comps --variant comp --shards 4 \
   --shard-crash-at 2:80
 # Overload on a sharded run: a shard's apply task carries no rows a

@@ -19,8 +19,9 @@
 #
 # Each checkout runs its own scripts and binaries.  The script writes
 # only under a temporary directory (removed on exit) and into each
-# checkout's _build.  It exits 1 and names the first difference it finds,
-# 0 when everything is equal, 2 on a usage error.
+# checkout's _build.  It names every difference it finds (each differing
+# matrix file, lane stdout line, lane or perf field) and exits 1 if there
+# is one, 0 when everything is equal, 2 on a usage error.
 #
 # Usage (from anywhere): scripts/tick_identity.sh PARENT_DIR
 set -euo pipefail
@@ -53,54 +54,60 @@ run_side() {
 run_side "$parent" "$work/parent"
 run_side "$change" "$work/change"
 
-fail() {
+status=0
+different() {
   echo "tick_identity: DIFFERENT: $*" >&2
-  exit 1
+  status=1
 }
 
 if ! diff -rq "$work/parent/matrix" "$work/change/matrix" > "$work/matrix.diff"; then
-  fail "CLI matrix: $(head -n 1 "$work/matrix.diff")"
+  while IFS= read -r line; do different "CLI matrix: $line"; done < "$work/matrix.diff"
 fi
 
-if ! cmp "$work/parent/lanes.stdout" "$work/change/lanes.stdout" > "$work/lanes.cmp" 2>&1; then
-  fail "lane stdout: $(head -n 1 "$work/lanes.cmp")"
+if ! diff "$work/parent/lanes.stdout" "$work/change/lanes.stdout" > "$work/lanes.diff"; then
+  while IFS= read -r line; do
+    case $line in
+      [\<\>]*) different "lane stdout: $line" ;;
+    esac
+  done < "$work/lanes.diff"
 fi
 
 nmatrix=$(find "$work/change/matrix" -type f | wc -l)
-python3 - "$work/parent" "$work/change" "$nmatrix" <<'EOF' || exit 1
+python3 - "$work/parent" "$work/change" "$nmatrix" "$status" <<'EOF' || exit 1
 import glob, json, os, sys
 
 parent, change, nmatrix = sys.argv[1], sys.argv[2], sys.argv[3]
+found = sys.argv[4] != "0"
 
-def first_difference(path, a, b):
+def differences(path, a, b):
     if isinstance(a, dict) and isinstance(b, dict):
-        for k in list(a) + [k for k in b if k not in a]:
-            if a.get(k) != b.get(k):
-                return first_difference(f"{path}.{k}", a.get(k), b.get(k))
+        return [d for k in list(a) + [k for k in b if k not in a]
+                if a.get(k) != b.get(k)
+                for d in differences(f"{path}.{k}", a.get(k), b.get(k))]
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        for i, (x, y) in enumerate(zip(a, b)):
-            if x != y:
-                return first_difference(f"{path}[{i}]", x, y)
-    return f"{path}: parent {json.dumps(a)}, change {json.dumps(b)}"
+        return [d for i, (x, y) in enumerate(zip(a, b)) if x != y
+                for d in differences(f"{path}[{i}]", x, y)]
+    return [f"{path}: parent {json.dumps(a)}, change {json.dumps(b)}"]
 
-def fail(msg):
+def different(msg):
+    global found
     print("tick_identity: DIFFERENT: " + msg, file=sys.stderr)
-    sys.exit(1)
+    found = True
 
 def lane_files(side):
     return sorted(os.path.basename(p) for p in glob.glob(os.path.join(side, "lanes", "*.json")))
 
 if lane_files(parent) != lane_files(change):
-    fail(f"lane files: parent {lane_files(parent)}, change {lane_files(change)}")
-for name in lane_files(parent):
+    different(f"lane files: parent {lane_files(parent)}, change {lane_files(change)}")
+for name in sorted(set(lane_files(parent)) & set(lane_files(change))):
     docs = []
     for side in (parent, change):
         with open(os.path.join(side, "lanes", name)) as f:
             d = json.load(f)
         d.pop("git_rev", None)
         docs.append(d)
-    if docs[0] != docs[1]:
-        fail(first_difference(name, docs[0], docs[1]))
+    for d in differences(name, docs[0], docs[1]):
+        different(d)
 
 # Timings ("ns", "s") and the trace overhead ("frac") vary run to run;
 # every other per-layer metric is a count or a ratio of counts.
@@ -131,10 +138,12 @@ for name in pa:
 
 p, c = perf(parent), perf(change)
 if sorted(p) != sorted(c):
-    fail(f"perf workloads: parent {sorted(p)}, change {sorted(c)}")
-for name in p:
-    if p[name] != c[name]:
-        fail(first_difference(name, p[name], c[name]))
+    different(f"perf workloads: parent {sorted(p)}, change {sorted(c)}")
+for name in sorted(set(p) & set(c)):
+    for d in differences(name, p[name], c[name]):
+        different(d)
+if found:
+    sys.exit(1)
 print(f"tick_identity: equal: CLI matrix ({nmatrix} files), lane stdout, "
       f"{len(lane_files(parent))} lane files, {len(p)} perf workloads")
 EOF

@@ -67,15 +67,18 @@ let test_partial_codec () =
     Alcotest.(check (float 0.0)) "created_at" p.Partial.created_at
       q.Partial.created_at;
     Alcotest.(check bool) "ctx" true (q.Partial.ctx = Some (77, 13))
-  | Partial.Ack _ -> Alcotest.fail "decoded as ack");
+  | _ -> Alcotest.fail "partial decoded as another kind");
   (match roundtrip (Partial.Partial { p with Partial.ctx = None }) with
   | Partial.Partial q -> Alcotest.(check bool) "no ctx" true (q.Partial.ctx = None)
-  | Partial.Ack _ -> Alcotest.fail "decoded as ack");
-  (match roundtrip (Partial.Ack { src = 3; seq = 99 }) with
-  | Partial.Ack { src; seq } ->
+  | _ -> Alcotest.fail "partial decoded as another kind");
+  (match roundtrip (Partial.Ack { src = 3; floor = 99 }) with
+  | Partial.Ack { src; floor } ->
     Alcotest.(check int) "ack src" 3 src;
-    Alcotest.(check int) "ack seq" 99 seq
-  | Partial.Partial _ -> Alcotest.fail "decoded as partial");
+    Alcotest.(check int) "ack floor" 99 floor
+  | _ -> Alcotest.fail "ack decoded as another kind");
+  (match roundtrip (Partial.Floor_request { src = 5 }) with
+  | Partial.Floor_request { src } -> Alcotest.(check int) "request src" 5 src
+  | _ -> Alcotest.fail "floor request decoded as another kind");
   let garbage = "\xff" ^ String.make 8 '\x00' in
   Alcotest.(check bool) "unknown tag raises" true
     (match Partial.decode garbage with
@@ -654,6 +657,35 @@ let test_shard_crash_recovery () =
     Alcotest.(check bool) "audit clean" true r.Experiment.audit_clean
   | None -> Alcotest.fail "recovery metrics missing"
 
+(* The same crash over links that drop nothing: whatever the crashed
+   shard logged and its owners already merged, their floors cover, so the
+   restarted shard re-ships none of it and no owner sees a duplicate.
+   Acks are cumulative: at most one per owner, source and tick. *)
+let test_shard_crash_reships_nothing () =
+  let m =
+    Experiment.run
+      (sharded_cfg ~shards:3 ~crash:(1, 45.0)
+         (Experiment.Comp_view Comp_rules.Unique_on_comp)
+         ~delay:1.0)
+  in
+  Alcotest.(check (option bool)) "views verified" (Some true)
+    m.Experiment.verified;
+  Alcotest.(check int) "shard 1 crashed once" 1
+    (Report.count m.Experiment.registry
+       ~labels:[ ("shard", "1") ]
+       "shard_crashes_total");
+  let s = Option.get m.Experiment.shard in
+  Alcotest.(check int) "cross-shard audit clean" 0 s.Experiment.cross_divergences;
+  Alcotest.(check int) "no reships" 0 s.Experiment.sh_reships;
+  List.iteri
+    (fun i r ->
+      Alcotest.(check int)
+        (Printf.sprintf "no duplicate on shard %d" i)
+        0 r.Experiment.sh_duplicates)
+    s.Experiment.sh_rows;
+  Alcotest.(check bool) "no more acks than partials" true
+    (s.Experiment.sh_acks <= s.Experiment.sh_partials)
+
 (* The topology rule: any shard config, a single shard included, runs
    through the coordinator; no shard config runs one primary. *)
 let test_topology_rule () =
@@ -752,9 +784,11 @@ let test_never_quiescent_raises () =
 
 (* A lossy shard link under a shard crash: drops force reships, the
    reships reach owners that already merged the first copy, and the
-   crashed shard re-ships everything it logged and had no ack for.
-   Seqs count per (emitter, owner), so an ack must retire only the
-   entry it names on the owner it came from. *)
+   crashed shard asks each owner for its floor and ships what lies above
+   it.  Seqs count per (emitter, owner), so an ack must retire only what
+   the floor of the owner it came from covers.  An owner acks each
+   source at most once a tick, so no more acks go out than partials
+   arrive. *)
 let test_lossy_link_with_crash () =
   let cfg =
     sharded_cfg ~shards:3
@@ -789,7 +823,12 @@ let test_lossy_link_with_crash () =
       (List.fold_left
          (fun n r -> n + r.Experiment.sh_duplicates)
          0 s.Experiment.sh_rows
-      > 0));
+      > 0);
+    Alcotest.(check bool) "no more acks than partials delivered" true
+      (s.Experiment.sh_acks
+      <= List.fold_left
+           (fun n r -> n + r.Experiment.sh_offered)
+           0 s.Experiment.sh_rows));
   match m.Experiment.recovery with
   | Some r ->
     Alcotest.(check bool) "shard 1 crashed" true (r.Experiment.n_crashes >= 1);
@@ -961,6 +1000,8 @@ let suite =
           test_sharded_run_verified;
         Alcotest.test_case "sharded run: in-process determinism" `Slow
           test_sharded_determinism;
+        Alcotest.test_case "shard crash without drops re-ships nothing" `Slow
+          test_shard_crash_reships_nothing;
         Alcotest.test_case "crash during ship: exactly-once recovery" `Slow
           test_shard_crash_recovery;
         Alcotest.test_case "topology: any shard config runs the coordinator"

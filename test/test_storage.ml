@@ -1000,11 +1000,9 @@ let test_older_slot_rot_within_bound () =
 (* A disk-full clamp with almost no headroom: the next commits fill the
    device, the refused append crashes the primary inside the full window,
    and it restarts in place (no replicas) about 2.4 s later.  The clamp
-   lives on the WAL, which survives the restart, and the heal is due
-   after it, so only the heal that the restarted incarnation re-arms
-   lets the feed finish without filling the device again (it does,
-   twice, when the heal never comes). *)
-let test_disk_full_crash_heals_after_restart () =
+   lives on the WAL, which survives the restart, so only a heal lets the
+   feed finish without filling the device again. *)
+let disk_full_run ~at ~heal_after_s () =
   Task.reset_ids ();
   let base =
     Experiment.default_config
@@ -1018,11 +1016,7 @@ let test_disk_full_crash_heals_after_restart () =
         cfg with
         Experiment.verify = true;
         recovery = Some Experiment.default_recovery;
-        chaos =
-          [
-            Experiment.Disk_full_at
-              { at = 24.0; free_bytes = 256; heal_after_s = 4.0 };
-          ];
+        chaos = [ Experiment.Disk_full_at { at; free_bytes = 256; heal_after_s } ];
       }
   in
   (match m.Experiment.storage with
@@ -1038,6 +1032,16 @@ let test_disk_full_crash_heals_after_restart () =
   | None -> Alcotest.fail "expected recovery metrics");
   Alcotest.(check (option bool)) "view verified against recomputation"
     (Some true) m.Experiment.verified
+
+(* The heal is due after the restart: the restarted incarnation re-arms
+   it (the device fills twice more when the heal never comes). *)
+let test_disk_full_crash_heals_after_restart =
+  disk_full_run ~at:24.0 ~heal_after_s:4.0
+
+(* The heal falls due inside the outage, with the crashed engine's task
+   discarded: the restarted incarnation lifts the clamp at once (the
+   device fills four times more when it does not). *)
+let test_disk_full_heal_due_in_outage = disk_full_run ~at:20.1 ~heal_after_s:0.2
 
 (* ------------------------------------------------------------------ *)
 (* Storage sweep smoke + flag-off identity *)
@@ -1183,5 +1187,7 @@ let suite =
           test_flag_off_no_storage_surface;
         Alcotest.test_case "a disk-full crash heals after the restart" `Quick
           test_disk_full_crash_heals_after_restart;
+        Alcotest.test_case "a heal due inside the outage lifts the clamp"
+          `Quick test_disk_full_heal_due_in_outage;
       ] );
   ]
